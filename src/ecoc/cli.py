@@ -18,9 +18,10 @@ import numpy as np
 
 from ._util import atomic_write, fmt_float
 from . import analysis, codes, datasets, decoder, net, spectral
-from .codes import Binarization, CodeKind, CodeMatrix
+from .codes import Binarization, CodeMatrix
 from .datasets import Dataset
 from .net import TrainConfig, TrainingDivergedError
+from .spectral import SimilarityGraph
 
 _STRATEGIES = ("onehot", "gaussian", "dense", "spectral")
 
@@ -231,8 +232,13 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
 # ------------------------------------------------------------- experiment ---
 
 
-def _resolve_normalize_rows(mode: str) -> bool | None:
-    return None if mode == "auto" else mode == "true"
+def _with_normalize_rows(code: CodeMatrix, mode: str) -> CodeMatrix:
+    """Apply an ``auto``/``true``/``false`` row-normalization override."""
+    if mode == "auto" or (mode == "true") == code.normalize_rows:
+        return code
+    return CodeMatrix(
+        code.values, code.kind, code.binarization, normalize_rows=mode == "true"
+    )
 
 
 def _build_code(
@@ -243,10 +249,12 @@ def _build_code(
     candidates: int,
     binarize_mode: str,
     normalize_mode: str,
-    train_set: Dataset | None,
+    graph: SimilarityGraph | None,
     flag: str = "--strategy",
+    bits_flag: str = "--bits",
 ) -> CodeMatrix:
-    """Shared by gen-code and train; `flag` names the offending option in errors."""
+    """Shared by gen-code and train; `flag` and `bits_flag` name the caller's
+    strategy and bit-count options in errors.  Spectral codes need `graph`."""
     if strategy == "onehot":
         if bits is not None and bits != n:
             raise ValueError(f"{flag}=onehot fixes the bit count at n={n}, got {bits}")
@@ -258,28 +266,18 @@ def _build_code(
         k = bits if bits is not None else codes.default_code_length(n)
         code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
     elif strategy == "spectral":
-        if train_set is None:
-            raise ValueError(f"{flag}=spectral needs data to derive a similarity graph")
-        g = spectral.similarity_from_class_means(
-            train_set.features, train_set.labels, n
-        )
         k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
         if k > n - 1:
             raise ValueError(
-                f"--bits: spectral codes support at most n-1={n - 1} bits, got {k}"
+                f"{bits_flag}: spectral codes support at most n-1={n - 1} bits, got {k}"
             )
-        code = spectral.spectral_code(g, k)
+        code = spectral.spectral_code(graph, k)
     else:
         raise ValueError(f"{flag}: unknown strategy {strategy!r}")
 
     if binarize_mode != "raw":
         code = codes.binarize(code, Binarization(binarize_mode))
-    normalize = _resolve_normalize_rows(normalize_mode)
-    if normalize is not None and normalize != code.normalize_rows:
-        code = CodeMatrix(
-            code.values, code.kind, code.binarization, normalize_rows=normalize
-        )
-    return code
+    return _with_normalize_rows(code, normalize_mode)
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -313,12 +311,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
         code = codes.load_code_csv(cfg.code_csv)
         if code.n != full.n:
             raise ValueError(f"code has {code.n} codewords for {full.n} classes")
-        normalize = _resolve_normalize_rows(cfg.code_normalize_rows)
-        if normalize is not None and normalize != code.normalize_rows:
-            code = CodeMatrix(
-                code.values, code.kind, code.binarization, normalize_rows=normalize
-            )
+        code = _with_normalize_rows(code, cfg.code_normalize_rows)
     else:
+        graph = None
+        if cfg.code_strategy == "spectral":
+            graph = spectral.similarity_from_class_means(
+                train_set.features, train_set.labels, full.n
+            )
         code = _build_code(
             cfg.code_strategy,
             full.n,
@@ -327,14 +326,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
             cfg.code_candidates,
             cfg.code_binarize,
             cfg.code_normalize_rows,
-            train_set,
+            graph,
             flag="code_strategy",
+            bits_flag="code_bits",
         )
 
-    head = cfg.head
-    if head == "auto":
-        head = "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
-    out_size = code.n if head == "softmax" else code.k
+    head, out_size = net.resolve_head(cfg.head, code)
     layer_sizes = [full.features.shape[1], *cfg.hidden_sizes, out_size]
 
     params = net.init(layer_sizes, seed=cfg.seed + 1)
@@ -370,61 +367,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
 
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
-    train_set = None
     n = args.classes
+    graph = None
     if args.strategy == "spectral":
         if args.similarity is not None:
-            g = spectral.load_similarity_csv(args.similarity)
-            if n is not None and n != g.n:
-                raise ValueError(
-                    f"--classes={n} does not match similarity size {g.n}"
-                )
-            n = g.n
-            bits = args.bits if args.bits is not None else min(
-                codes.default_code_length(n), n - 1
-            )
-            if bits > n - 1:
-                raise ValueError(
-                    f"--bits: spectral codes support at most n-1={n - 1} bits, got {bits}"
-                )
-            code = spectral.spectral_code(g, bits)
-            if args.binarize is not None:
-                code = codes.binarize(code, Binarization(args.binarize))
-            normalize = _resolve_normalize_rows(args.normalize_rows)
-            if normalize is not None and normalize != code.normalize_rows:
-                code = CodeMatrix(
-                    code.values, code.kind, code.binarization, normalize_rows=normalize
-                )
+            graph = spectral.load_similarity_csv(args.similarity)
+            if n is not None and n != graph.n:
+                raise ValueError(f"--classes={n} does not match similarity size {graph.n}")
         elif args.data is not None:
             ds = datasets.load_csv(args.data)
             if n is not None and n != ds.n:
                 raise ValueError(f"--classes={n} does not match dataset classes {ds.n}")
-            n = ds.n
-            code = _build_code(
-                "spectral",
-                n,
-                args.bits,
-                args.seed,
-                args.candidates,
-                args.binarize or "raw",
-                args.normalize_rows,
-                ds,
-            )
+            graph = spectral.similarity_from_class_means(ds.features, ds.labels, ds.n)
         else:
             raise ValueError("--strategy=spectral needs --similarity or --data")
-    else:
-        if n is None:
-            raise ValueError("--classes is required for data-independent strategies")
-        code = _build_code(
-            args.strategy,
-            n,
-            args.bits,
-            args.seed,
-            args.candidates,
-            args.binarize or "raw",
-            args.normalize_rows,
-            None,
-        )
+        n = graph.n
+    elif n is None:
+        raise ValueError("--classes is required for data-independent strategies")
+    code = _build_code(
+        args.strategy,
+        n,
+        args.bits,
+        args.seed,
+        args.candidates,
+        args.binarize or "raw",
+        args.normalize_rows,
+        graph,
+    )
 
     codes.save_code_csv(code, args.out)
     m = codes.code_metrics(code)
@@ -479,7 +448,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.mode == "confusion":
         z = net.net_outputs(params, ds.features)
-        if z.shape[1] != decoder.decoding_matrix(code).shape[1]:
+        if z.shape[1] != code.k:
             raise ValueError(
                 f"net output size {z.shape[1]} does not match code bits {code.k}"
             )

@@ -219,26 +219,22 @@ def dense_random_code(
     if candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {candidates}")
 
-    hammings = [
-        _min_row_hamming(c) for c in dense_candidate_stream(n, k, candidates, seed)
-    ]
-    best_h = max(hammings)
-    if best_h < 1:
+    # Running best (-min Hamming, max |column cosine|); the strict comparison
+    # keeps the earliest candidate on ties.  Column correlations are computed
+    # only for candidates that reach the best Hamming distance so far.
+    best: tuple[int, float] | None = None
+    best_values: np.ndarray | None = None
+    for cand in dense_candidate_stream(n, k, candidates, seed):
+        h = _min_row_hamming(cand)
+        if h < 1 or (best is not None and -h > best[0]):
+            continue
+        key = (-h, _max_abs_pair_cosine(cand.T))
+        if best is None or key < best:
+            best, best_values = key, cand
+    if best_values is None:
         raise CodeGenerationError(
             f"no candidate out of {candidates} had distinct rows (n={n}, k={k})"
         )
-
-    # Second deterministic pass: column correlations only for the ties.
-    best: tuple[float, int] | None = None
-    best_values: np.ndarray | None = None
-    for idx, cand in enumerate(dense_candidate_stream(n, k, candidates, seed)):
-        if hammings[idx] != best_h:
-            continue
-        corr = _max_abs_pair_cosine(cand.T)
-        if best is None or (corr, idx) < best:
-            best = (corr, idx)
-            best_values = cand
-    assert best_values is not None
     return CodeMatrix(best_values, kind=CodeKind.DENSE_RANDOM)
 
 

@@ -190,10 +190,15 @@ def _softmax_ce_batch(
     return losses, probs, grads
 
 
-def _resolve_head(cfg: TrainConfig, code: CodeMatrix) -> str:
-    if cfg.head != "auto":
-        return cfg.head
-    return "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
+def resolve_head(head: str, code: CodeMatrix) -> tuple[str, int]:
+    """Concrete head for a :class:`TrainConfig` head setting, and its output size.
+
+    ``"auto"`` picks softmax for one-hot codes and the decoder otherwise.  A
+    softmax head has one output per class, a decoder head one per code bit.
+    """
+    if head == "auto":
+        head = "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
+    return head, code.n if head == "softmax" else code.k
 
 
 def _instrument_vectors(
@@ -250,8 +255,7 @@ def train(
             f"dataset has {dataset.n} classes but code has {code.n} codewords"
         )
     out_size = p.layers[-1][0].shape[0]
-    head = _resolve_head(cfg, code)
-    expected = code.n if head == "softmax" else code.k
+    head, expected = resolve_head(cfg.head, code)
     if out_size != expected:
         raise ValueError(
             f"net output size {out_size} does not match {head} head size {expected}"

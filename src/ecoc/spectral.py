@@ -1,11 +1,11 @@
 """Data-based codes from the spectral decomposition of a class-similarity graph.
 
 Pipeline: class-mean features -> cosine similarity graph -> symmetric
-normalized Laplacian -> eigenvectors by ascending eigenvalue.  Eigenvector
-``j`` relaxes the ``j``-th cheapest normalized-cut bi-partition of the
-classes, so the first code bits separate the coarsest class clusters and
-later bits refine them.  Values are kept raw rather than thresholded; the
-decoder reads them as partition likelihoods.
+normalized Laplacian -> eigenvectors by ascending eigenvalue, computed by
+``numpy.linalg.eigh``.  Eigenvector ``j`` relaxes the ``j``-th cheapest
+normalized-cut bi-partition of the classes, so the first code bits separate
+the coarsest class clusters and later bits refine them.  Values are kept raw
+rather than thresholded; the decoder reads them as partition likelihoods.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .codes import Binarization, CodeKind, CodeMatrix
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within the sweep budget."""
+    """The eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -111,74 +111,29 @@ def normalized_laplacian(g: SimilarityGraph) -> np.ndarray:
     return lap
 
 
-def symmetric_eigen(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by ``numpy.linalg.eigh``.
 
-    Pivots run in row-major order over the strict upper triangle; each
-    rotation zeroes one off-diagonal pair.  Converged when the off-diagonal
-    Frobenius norm falls to ``tol`` times the Frobenius norm of the input;
-    raises :class:`ConvergenceError` after 100 sweeps without reaching it.
-    Eigenvalues are returned ascending (stable order for ties).
+    The input must be square, finite, and symmetric within 1e-12; eigh reads
+    only its lower triangle.  Eigenvalues are returned ascending with unit
+    eigenvectors.  A LAPACK convergence failure is raised as
+    :class:`ConvergenceError`.
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if np.abs(a - a.T).max(initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    n = a.shape[0]
-    if n == 1:
-        return EigenDecomposition(a[0].copy(), np.ones((1, 1)))
-
-    norm = np.linalg.norm(a)
-    stop = tol * norm
-    v = np.eye(n)
-
-    def off_diagonal_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(100):
-        if off_diagonal_norm() <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                t = sign / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                # rotate rows/columns p and q wholesale, then restore the
-                # pivot block with the exact compact updates
-                ap = a[p].copy()
-                aq = a[q].copy()
-                a[p] = c * ap - s * aq
-                a[q] = s * ap + c * aq
-                a[:, p] = a[p]
-                a[:, q] = a[q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not reach off-diagonal norm {stop:g} in 100 sweeps"
-        )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(eigenvalues[order], v[:, order])
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
-def spectral_code(g: SimilarityGraph, k: int, tol: float = 1e-10) -> CodeMatrix:
+def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
     """Code whose column j is Laplacian eigenvector j+1 (ascending eigenvalue).
 
     Eigenvector 0 (constant partition, eigenvalue 0) is skipped, so at most
@@ -190,7 +145,7 @@ def spectral_code(g: SimilarityGraph, k: int, tol: float = 1e-10) -> CodeMatrix:
         raise ValueError(f"need at least 1 code bit, got k={k}")
     if k > g.n - 1:
         raise ValueError(f"spectral code supports at most n-1={g.n - 1} bits, got k={k}")
-    eig = symmetric_eigen(normalized_laplacian(g), tol=tol)
+    eig = symmetric_eigen(normalized_laplacian(g))
     columns = eig.eigenvectors[:, 1 : k + 1].copy()
     for j in range(k):
         col = columns[:, j]

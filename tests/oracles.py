@@ -2,7 +2,8 @@
 
 Nothing here may call into the library's own implementations of the same
 quantity: gradients come from central finite differences, eigenvalues from
-characteristic-polynomial roots, and selections from plain brute force.
+characteristic-polynomial roots (n <= 4) or cyclic Jacobi rotations (any n),
+and selections from plain brute force.
 """
 
 from __future__ import annotations
@@ -87,6 +88,56 @@ def brute_force_eigenvalues(a: np.ndarray) -> np.ndarray:
     roots = np.roots(coeffs[::-1])
     assert np.abs(roots.imag).max(initial=0.0) < 1e-6, "symmetric matrix, real roots"
     return np.sort(roots.real)
+
+
+def jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and unit eigenvectors (columns) by cyclic Jacobi.
+
+    Pivots run in row-major order over the strict upper triangle; each
+    rotation zeroes one off-diagonal pair.  Converged when the off-diagonal
+    Frobenius norm falls to 1e-10 times the Frobenius norm of the input;
+    raises RuntimeError after 100 sweeps without reaching it.  Ties keep a
+    stable order.  O(n^2) Python-level rotations per sweep: a reference for
+    moderate n, not a production solver.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    stop = 1e-10 * np.linalg.norm(a)
+    v = np.eye(n)
+    for _ in range(100):
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                sign = 1.0 if theta >= 0 else -1.0
+                t = sign / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                # rotate rows/columns p and q wholesale, then restore the
+                # pivot block with the exact compact updates
+                ap = a[p].copy()
+                aq = a[q].copy()
+                a[p] = c * ap - s * aq
+                a[q] = s * ap + c * aq
+                a[:, p] = a[p]
+                a[:, q] = a[q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise RuntimeError(f"Jacobi sweeps did not reach off-diagonal norm {stop:g}")
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]
 
 
 def min_row_hamming_brute(values: np.ndarray) -> int:

@@ -110,6 +110,19 @@ class TestGenCode:
                      "--bits", "2", "--out", out]) == 2
         assert "--bits" in capsys.readouterr().err
 
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        sim = os.path.join(tmp_path, "sim.csv")
+        save_similarity_csv(SimilarityGraph(np.ones((3, 3)) - np.eye(3)), sim)
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "spectral", "--similarity", sim,
+                     "--bits", "2", "--out", out]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_spectral_needs_a_source(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
@@ -198,6 +211,17 @@ class TestTrain:
         assert code.kind is CodeKind.SPECTRAL
         assert code.k == 1
 
+    def test_spectral_bits_error_names_config_key(self, tmp_path, capsys):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(
+            os.path.join(tmp_path, "exp.cfg"), out_dir,
+            synth_depth="2", code_strategy="spectral", code_bits="4",
+        )
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "code_bits" in err and "n-1=3" in err
+        assert "--bits" not in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         out_dir = os.path.join(tmp_path, "run")
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir,
@@ -249,6 +273,18 @@ class TestAnalyze:
         eval_rows = len(open(os.path.join(run_dir, "eval.csv")).read().splitlines())
         assert counts.sum() == eval_rows
         assert "accuracy" in capsys.readouterr().out
+
+    def test_confusion_rejects_code_of_other_width(self, run_dir, tmp_path, capsys):
+        code = os.path.join(tmp_path, "wide.csv")
+        assert main(["gen-code", "--strategy", "gaussian", "--classes", "16",
+                     "--bits", "5", "--out", code]) == 0
+        out = os.path.join(tmp_path, "confusion.csv")
+        assert main(["analyze",
+                     "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", code,
+                     "--mode", "confusion", "--out", out]) == 2
+        assert "net output size 4 does not match code bits 5" in capsys.readouterr().err
 
     def test_ablate_default_sweeps_all_prefixes(self, run_dir, tmp_path):
         out = os.path.join(tmp_path, "ablation.csv")

@@ -9,6 +9,7 @@ import pytest
 from ecoc.codes import (
     Binarization,
     BinarizationCollisionError,
+    CodeGenerationError,
     CodeKind,
     CodeMatrix,
     binarize,
@@ -93,18 +94,24 @@ class TestDenseRandomCode:
     def test_tie_break_order(self):
         """Among max-separation candidates: lowest column correlation, then
         earliest index."""
-        n, k, count, seed = 4, 4, 200, 11
-        code = dense_random_code(n, k, candidates=count, seed=seed)
-        best = None
-        for idx, cand in enumerate(dense_candidate_stream(n, k, count, seed=seed)):
-            h = min_row_hamming_brute(cand)
-            if h < 1:
-                continue
-            key = (-h, max_abs_col_cosine_brute(cand), idx)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        assert best is not None
-        assert np.array_equal(code.values, best[1])
+        for n, k, count, seed in ((4, 4, 200, 11), (16, 8, 300, 0)):
+            code = dense_random_code(n, k, candidates=count, seed=seed)
+            best = None
+            for idx, cand in enumerate(dense_candidate_stream(n, k, count, seed=seed)):
+                h = min_row_hamming_brute(cand)
+                if h < 1:
+                    continue
+                key = (-h, max_abs_col_cosine_brute(cand), idx)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+            assert best is not None
+            assert np.array_equal(code.values, best[1])
+
+    def test_no_distinct_candidate_raises(self):
+        """16 rows of 4 bits are distinct only as a permutation of all 16
+        patterns, which none of 50 random candidates is."""
+        with pytest.raises(CodeGenerationError, match="distinct rows"):
+            dense_random_code(16, 4, candidates=50, seed=0)
 
     def test_large_code_has_distinct_rows(self):
         code = dense_random_code(100, 66, candidates=50, seed=0)

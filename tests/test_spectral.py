@@ -1,4 +1,5 @@
-"""Similarity graphs, the normalized Laplacian, the Jacobi eigensolver, and
+"""Similarity graphs, the normalized Laplacian, the eigh-based eigensolver
+(checked against the Jacobi and characteristic-polynomial oracles), and
 spectral codes."""
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ecoc.codes import CodeKind
 from ecoc.spectral import (
+    ConvergenceError,
     EigenDecomposition,
     SimilarityGraph,
     load_similarity_csv,
@@ -15,7 +17,7 @@ from ecoc.spectral import (
     spectral_code,
     symmetric_eigen,
 )
-from oracles import brute_force_eigenvalues
+from oracles import brute_force_eigenvalues, jacobi_eigen
 
 
 def random_similarity(n: int, seed: int) -> SimilarityGraph:
@@ -200,6 +202,43 @@ class TestSymmetricEigen:
         e2 = symmetric_eigen(a)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+    def test_matches_jacobi_on_laplacians(self):
+        """Sizes the characteristic-polynomial oracle cannot reach: eigenvalues
+        and (up to sign) eigenvectors agree with the cyclic Jacobi reference."""
+        for n in (5, 16, 64):
+            lap = normalized_laplacian(random_similarity(n, 200 + n))
+            eig = symmetric_eigen(lap)
+            ref_values, ref_vectors = jacobi_eigen(lap)
+            assert np.abs(eig.eigenvalues - ref_values).max() < 1e-10
+            # random dense graphs have simple spectra, so each eigenvector is
+            # fixed up to sign
+            overlap = np.abs(np.sum(eig.eigenvectors * ref_vectors, axis=0))
+            assert np.abs(overlap - 1.0).max() < 1e-8
+
+    def test_solver_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            symmetric_eigen(np.eye(3))
+        assert issubclass(ConvergenceError, RuntimeError)
+
+
+class TestJacobiOracle:
+    """The Jacobi reference is itself checked against polynomial roots."""
+
+    def test_matches_characteristic_polynomial_roots(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                a = rng.standard_normal((n, n))
+                a = (a + a.T) / 2
+                values, vectors = jacobi_eigen(a)
+                assert np.allclose(values, brute_force_eigenvalues(a), atol=1e-8)
+                assert np.allclose(a @ vectors, vectors * values, atol=1e-8)
+                assert np.allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
 
 
 class TestSpectralCode:
