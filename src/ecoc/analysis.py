@@ -161,9 +161,9 @@ def save_confusion_csv(cm: ConfusionMatrix, path: str) -> None:
     """Grid CSV: header row of predicted ids, then one row per true class."""
     n = cm.counts.shape[0]
     with atomic_write(path) as fh:
-        fh.write("true\\pred," + ",".join(str(j) for j in range(n)) + "\n")
-        for i, row in enumerate(cm.counts):
-            fh.write(str(i) + "," + ",".join(str(int(v)) for v in row) + "\n")
+        fh.write("true\\pred," + ",".join(map(str, range(n))) + "\n")
+        for i, row in enumerate(cm.counts.tolist()):
+            fh.write(f"{i}," + ",".join(map(str, row)) + "\n")
 
 
 def save_correlation_csv(table: list[tuple[int, str, float]], path: str) -> None:

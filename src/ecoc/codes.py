@@ -175,12 +175,18 @@ def dense_candidate_stream(
 
 
 def _min_row_hamming(values: np.ndarray) -> int:
-    """Minimum pairwise Hamming distance between sign patterns of rows."""
+    """Minimum pairwise Hamming distance between sign patterns of rows.
+
+    Each row's signs are encoded one-hot over {-1, 0, +1} (an n x 3k 0/1
+    matrix E), so ``E @ E.T`` counts the agreeing coordinates of every row
+    pair, exactly (integers far below 2**53), with n x n memory.  The
+    distance is k minus the largest off-diagonal agreement.
+    """
     signs = np.sign(values)
-    n = signs.shape[0]
-    iu = np.triu_indices(n, k=1)
-    disagree = (signs[iu[0]] != signs[iu[1]]).sum(axis=1)
-    return int(disagree.min())
+    e = np.concatenate([signs == s for s in (-1.0, 0.0, 1.0)], axis=1).astype(np.float64)
+    agree = e @ e.T
+    np.fill_diagonal(agree, -1.0)
+    return int(signs.shape[1] - agree.max())
 
 
 def _max_abs_pair_cosine(vectors: np.ndarray) -> float:

@@ -196,8 +196,9 @@ def save_attributes_csv(dataset: Dataset, path: str) -> None:
         names = tuple(f"attr{i}" for i in range(dataset.attributes.shape[1]))
     with atomic_write(path) as fh:
         fh.write(",".join(names) + "\n")
-        for row in dataset.attributes:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        # attributes are float64 0/1; as ints they print "1", not "1.0"
+        for row in dataset.attributes.astype(np.int64).tolist():
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def load_attributes_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:

@@ -118,8 +118,18 @@ def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distance_scores(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Score matrix D (s x n), D[i, c] = -0.5 * ||m_c - u_i||^2."""
-    return -0.5 * ((u[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
+    """Score matrix D (s x n), D[i, c] = -0.5 * ||m_c - u_i||^2.
+
+    Computed in Gram form, ``u_i . m_c - 0.5 * (||u_i||^2 + ||m_c||^2)``:
+    one ``u @ m.T`` plus two row-norm vectors, so memory grows with s * n.
+    Both norms are taken as given, because ablation prefixes of unit rows
+    are not unit length.
+    """
+    uu = np.einsum("ij,ij->i", u, u)
+    mm = np.einsum("ij,ij->i", m, m)
+    d = u @ m.T
+    d -= 0.5 * (uu[:, None] + mm)
+    return d
 
 
 def batch_loss_grad(
@@ -170,7 +180,7 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in chunks, so memory grows with chunk * n * k.
+    id.  Scores are built in chunks of rows, so memory grows with chunk * n.
     """
     preds = np.empty(u.shape[0], dtype=np.int64)
     for start in range(0, u.shape[0], _PREDICT_CHUNK):

@@ -16,7 +16,7 @@ import numpy as np
 from ._util import atomic_write, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import batch_loss_grad, decoding_matrix, predict_batch
+from .decoder import EPS_NORM, batch_loss_grad, decoding_matrix, predict_batch
 
 GRAD_ACTIVE_EPS = 1e-8
 
@@ -29,6 +29,29 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
         self.epoch = epoch
+
+
+class ZeroOutputError(RuntimeError):
+    """The decoder head met an all-zero output row, which has no direction
+    to compare with the codewords.
+
+    ``where`` is the batch number within the epoch, or the name of the
+    split (``"train"`` or ``"eval"``) whose evaluation pass met it; ``row``
+    indexes the rows of that split (training batches draw from ``"train"``).
+    """
+
+    def __init__(self, epoch: int, where: int | str, row: int):
+        if isinstance(where, int):
+            at = f"batch {where}, train row {row}"
+        else:
+            at = f"the {where} split's evaluation pass, row {row}"
+        super().__init__(
+            f"net output is the zero vector at epoch {epoch}, {at}; "
+            "the decoder cannot normalize it"
+        )
+        self.epoch = epoch
+        self.where = where
+        self.row = row
 
 
 @dataclass
@@ -221,14 +244,33 @@ def _instrument_vectors(
     return out
 
 
+def _decoder_loss_grad(
+    z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
+    rows: np.ndarray, epoch: int, where: int | str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``batch_loss_grad``, with a zero output row reported as a
+    :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
+    ``rows``."""
+    try:
+        return batch_loss_grad(z, code, ys)
+    except ValueError:
+        zero = np.flatnonzero(np.linalg.norm(z, axis=1) <= EPS_NORM)
+        if not zero.size:
+            raise
+        raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
+
+
 def _epoch_metrics(
-    p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, code: CodeMatrix
+    p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, code: CodeMatrix,
+    epoch: int, split: str,
 ) -> tuple[float, float]:
     """Full-pass mean loss and accuracy under the trained head."""
     z, _ = _forward_batch(p, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if head == "decoder":
-            losses, _, _ = batch_loss_grad(z, code, ys)
+            losses, _, _ = _decoder_loss_grad(
+                z, code, ys, np.arange(z.shape[0]), epoch, split
+            )
             preds = predict_batch(z, decoding_matrix(code))
         else:
             losses, _, _ = _softmax_ce_batch(z, ys)
@@ -248,7 +290,8 @@ def train(
     Per epoch: shuffle (keyed to (seed, epoch)), step over batches, then a
     full evaluation pass on the training set and, when given, the eval set.
     Emits one MetricsRow per epoch per split.  Raises
-    :class:`TrainingDivergedError` as soon as any loss goes non-finite.
+    :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
+    :class:`ZeroOutputError` when the decoder head meets an all-zero output.
     """
     if dataset.n != code.n:
         raise ValueError(
@@ -286,7 +329,9 @@ def train(
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if head == "decoder":
-                    losses, probs, grads = batch_loss_grad(z, code, yb)
+                    losses, probs, grads = _decoder_loss_grad(
+                        z, code, yb, idx, epoch, batches
+                    )
                 else:
                     losses, probs, grads = _softmax_ce_batch(z, yb)
             batch_loss = losses.mean()
@@ -311,7 +356,7 @@ def train(
             velocity = new_velocity
             p = NetParams(new_layers)
 
-        train_loss, train_acc = _epoch_metrics(p, x, ys, head, code)
+        train_loss, train_acc = _epoch_metrics(p, x, ys, head, code, epoch, "train")
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(epoch)
         rows.append(
@@ -319,7 +364,7 @@ def train(
         )
         if eval_set is not None:
             eval_loss, eval_acc = _epoch_metrics(
-                p, eval_set.features, eval_set.labels, head, code
+                p, eval_set.features, eval_set.labels, head, code, epoch, "eval"
             )
             if not np.isfinite(eval_loss):
                 raise TrainingDivergedError(epoch)

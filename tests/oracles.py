@@ -3,7 +3,8 @@
 Nothing here may call into the library's own implementations of the same
 quantity: gradients come from central finite differences, eigenvalues from
 characteristic-polynomial roots (n <= 4) or cyclic Jacobi rotations (any n),
-and selections from plain brute force.
+decoder scores from the explicit (s, n, k) difference tensor
+(``distance_scores_broadcast``), and selections from plain brute force.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")
     return eigenvalues[order], v[:, order]
+
+
+def distance_scores_broadcast(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Score matrix D[i, c] = -0.5 * ||m_c - u_i||^2 from the full (s, n, k)
+    difference tensor: exact formula, memory s * n * k."""
+    return -0.5 * ((u[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
 
 
 def min_row_hamming_brute(values: np.ndarray) -> int:

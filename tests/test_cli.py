@@ -7,6 +7,7 @@ import pytest
 
 from ecoc.cli import main, parse_config_text, resolve_config
 from ecoc.codes import CodeKind, load_code_csv
+from ecoc.datasets import Dataset, save_csv, synth_hierarchical
 from ecoc.spectral import SimilarityGraph, save_similarity_csv
 
 
@@ -199,6 +200,19 @@ class TestTrain:
         )
         assert main(["train", "--config", cfg]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_zero_output_row_is_a_training_failure(self, tmp_path, capsys):
+        # at init the biases are zero, so an all-zero feature row in the
+        # first unshuffled batch gives the decoder a zero output
+        ds = synth_hierarchical(1, 4, 10, 4.0, 0.5, 3, seed=0)
+        x = ds.features.copy()
+        x[0] = 0.0
+        data = os.path.join(tmp_path, "data.csv")
+        save_csv(Dataset(x, ds.labels, ds.n), data)
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"),
+                           os.path.join(tmp_path, "run"), data_csv=data, shuffle="false")
+        assert main(["train", "--config", cfg]) == 3
+        assert "epoch 0, batch 0, train row 0" in capsys.readouterr().err
 
     def test_spectral_strategy_end_to_end(self, tmp_path):
         out_dir = os.path.join(tmp_path, "run")

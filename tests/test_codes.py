@@ -215,6 +215,14 @@ class TestCodeMetrics:
             max_abs_col_cosine_brute(code.values), abs=1e-12
         )
 
+    def test_sign_zero_entries_match_brute_force(self):
+        # a zero entry has sign 0, which disagrees with both -1 and +1
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            values = rng.integers(-1, 2, size=(7, 5)) * rng.uniform(0.1, 3.0)
+            code = CodeMatrix(values, kind=CodeKind.GAUSSIAN)
+            assert code_metrics(code).min_row_hamming == min_row_hamming_brute(values)
+
 
 class TestCodeMatrixValidation:
     def test_rejects_non_finite(self):

@@ -1,24 +1,37 @@
 """Distance-decoder head: forward, softmax, analytic backward, prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecoc.analysis import ablation_predictions
 from ecoc.codes import Binarization, CodeKind, CodeMatrix, binarize, gaussian_code, one_hot
+from ecoc.datasets import Dataset
 from ecoc.decoder import (
+    _distance_scores,
     backward,
     batch_loss_grad,
     decoder_softmax,
     decoding_matrix,
     distances,
     forward,
+    nearest_codewords,
     normalize,
     predict,
     predict_batch,
 )
+from ecoc.net import NetParams
 from ecoc.spectral import spectral_code
-from oracles import FD_REL_TOL, finite_difference_gradient, max_relative_error
+from oracles import (
+    FD_REL_TOL,
+    distance_scores_broadcast,
+    finite_difference_gradient,
+    max_relative_error,
+)
 from test_spectral import random_similarity
 
 
@@ -207,7 +220,13 @@ class TestPredict:
     def test_tie_goes_to_smaller_id(self):
         code = plain_code([[0.0, -1.0], [1.0, 0.0], [-0.6, -0.8], [-1.0, 0.0]])
         # u = (0, 1) is equidistant from codewords 1 and 3
-        assert predict(np.array([0.0, 2.0]), code) == 1
+        z = np.array([0.0, 2.0])
+        assert predict(z, code) == 1
+        assert predict_batch(z[None, :], decoding_matrix(code)).tolist() == [1]
+        identity = NetParams([(np.eye(2), np.zeros(2))])
+        ds = Dataset(z[None, :], np.array([1]), code.n)
+        [(_, preds)] = ablation_predictions(identity, ds, code, [2])
+        assert preds.tolist() == [1]
 
     def test_consistent_with_forward_argmax(self):
         code = gaussian_code(7, 4, seed=15)
@@ -258,3 +277,57 @@ class TestBatchOps:
         z[1] = 0.0
         with pytest.raises(ValueError, match="zero vector"):
             batch_loss_grad(z, code, np.array([0, 1]))
+
+
+@st.composite
+def score_inputs(draw):
+    """(u, m) pairs covering the decoder's scoring inputs: unit output rows
+    against unit codewords, truncated prefixes of both (not unit length),
+    +-1 codes decoded as stored (||m||^2 = k), and one-hot codes."""
+    kind = draw(st.sampled_from(["unit", "prefix", "signs", "onehot"]))
+    s = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 60))
+    k = n if kind == "onehot" else draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal((s, k))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if kind == "signs":
+        m = rng.choice([-1.0, 1.0], size=(n, k))
+    elif kind == "onehot":
+        m = np.eye(n)
+    else:
+        m = rng.standard_normal((n, k))
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+    if kind == "prefix":
+        j = draw(st.integers(1, k))
+        u, m = u[:, :j], m[:, :j]
+    return u, m
+
+
+class TestGramScores:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(score_inputs())
+    def test_matches_broadcast_oracle(self, inputs):
+        u, m = inputs
+        ref = distance_scores_broadcast(u, m)
+        tol = 1e-12 * (1.0 + (u * u).sum(axis=1)[:, None] + (m * m).sum(axis=1))
+        assert (np.abs(_distance_scores(u, m) - ref) <= tol).all()
+        # the argmax can move only where two oracle scores are within the
+        # combined tolerance of both
+        top2 = np.sort(ref, axis=1)[:, -2:]
+        clear = top2[:, -1] - top2[:, 0] > 2 * tol.max(axis=1)
+        preds = nearest_codewords(u, m)
+        assert np.array_equal(preds[clear], ref.argmax(axis=1)[clear])
+
+    def test_predict_batch_memory_grows_with_rows_times_classes(self):
+        """2048 rows against 512 classes of 50 bits: an (s, n, k) score
+        tensor would take 210 MB per 1024-row chunk, an (s, n) one 4 MB."""
+        m = decoding_matrix(gaussian_code(512, 50))
+        z = np.random.default_rng(0).standard_normal((2048, 50))
+        tracemalloc.start()
+        try:
+            predict_batch(z, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -13,6 +13,7 @@ from ecoc.net import (
     NetParams,
     TrainConfig,
     TrainingDivergedError,
+    ZeroOutputError,
     init,
     load_model,
     net_backward,
@@ -252,6 +253,31 @@ class TestTrain:
         assert [r.split for r in rows[:2]] == ["train", "eval"]
         assert all(r.grad_nonzero_ratio is None for r in rows if r.split == "eval")
         assert all(r.grad_nonzero_ratio is not None for r in rows if r.split == "train")
+
+    def test_zero_output_in_batch_names_epoch_batch_and_row(self):
+        # a step of 1e-20 leaves the biases far below the zero-norm cutoff,
+        # so the zero feature row still maps to a zero output in batch 1
+        ds = separable_dataset()
+        x = ds.features[:8].copy()
+        x[5] = 0.0
+        tr = Dataset(x, ds.labels[:8], ds.n)
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-20, shuffle=False)
+        with pytest.raises(ZeroOutputError) as err:
+            train(init([4, 6], seed=0), tr, gaussian_code(4, 6, seed=1), cfg)
+        assert (err.value.epoch, err.value.where, err.value.row) == (0, 1, 5)
+        assert "epoch 0, batch 1, train row 5" in str(err.value)
+
+    def test_zero_output_in_eval_pass_names_split_and_row(self):
+        ds = separable_dataset()
+        ev_x = ds.features[1::2].copy()
+        ev_x[3] = 0.0
+        tr = Dataset(ds.features[::2], ds.labels[::2], ds.n)
+        ev = Dataset(ev_x, ds.labels[1::2], ds.n)
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-20)
+        with pytest.raises(ZeroOutputError) as err:
+            train(init([4, 6], seed=0), tr, gaussian_code(4, 6, seed=1), cfg, eval_set=ev)
+        assert (err.value.epoch, err.value.where, err.value.row) == (0, "eval", 3)
+        assert "the eval split's evaluation pass, row 3" in str(err.value)
 
     def test_lr_decay_changes_trajectory(self):
         ds = separable_dataset()
