@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, fmt_float, format_rows
 from .codes import CodeMatrix
 from .datasets import Dataset
 from .decoder import decoding_matrix, nearest_codewords, unit_rows
@@ -162,8 +162,7 @@ def save_confusion_csv(cm: ConfusionMatrix, path: str) -> None:
     n = cm.counts.shape[0]
     with atomic_write(path) as fh:
         fh.write("true\\pred," + ",".join(map(str, range(n))) + "\n")
-        for i, row in enumerate(cm.counts.tolist()):
-            fh.write(f"{i}," + ",".join(map(str, row)) + "\n")
+        fh.writelines(format_rows(cm.counts, row_labels=np.arange(n)))
 
 
 def save_correlation_csv(table: list[tuple[int, str, float]], path: str) -> None:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, format_rows
 
 
 class CodeKind(Enum):
@@ -312,8 +312,7 @@ def save_code_csv(code: CodeMatrix, path: str) -> None:
         fh.write(
             f"{code.n},{code.k},{code.kind.value},{code.binarization.value}\n"
         )
-        for row in code.values:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        fh.writelines(format_rows(code.values))
 
 
 def load_code_csv(path: str) -> CodeMatrix:
@@ -347,4 +346,7 @@ def load_code_csv(path: str) -> CodeMatrix:
             values[i] = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"{path}:{i + 2}: non-numeric code value") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite code value")
     return CodeMatrix(values, kind=kind, binarization=binarization)

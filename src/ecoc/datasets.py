@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, format_rows
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,18 @@ def synth_hierarchical(
         noise = rng.standard_normal((samples_per_class, p)) * noise_sigma
         features[block] = center + noise
 
+    # Leaves are numbered by their path digits in base `branching`, so the
+    # first-child subtree of a node whose digits read q at level d is the
+    # run of s = branching**(depth-d-1) classes starting at q*branching*s.
     attributes = np.zeros((n, len(internal_paths)))
     names = []
     for j, path in enumerate(internal_paths):
         names.append("node-" + ".".join(map(str, path)) if path else "node-root")
-        first_child = path + (0,)
-        for c, (leaf_path, _) in enumerate(leaves):
-            if leaf_path[: len(first_child)] == first_child:
-                attributes[c, j] = 1.0
+        q = 0
+        for digit in path:
+            q = q * branching + digit
+        s = branching ** (depth - len(path) - 1)
+        attributes[q * branching * s : q * branching * s + s, j] = 1.0
     return Dataset(
         features, labels, n, attributes=attributes, attribute_names=tuple(names)
     )
@@ -139,8 +143,7 @@ def synth_hierarchical(
 def save_csv(dataset: Dataset, path: str) -> None:
     """One sample per line: integer label, then the feature values."""
     with atomic_write(path) as fh:
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(str(int(label)) + "," + ",".join(fmt_float(v) for v in row) + "\n")
+        fh.writelines(format_rows(dataset.features, row_labels=dataset.labels))
 
 
 def load_csv(path: str, n: int | None = None) -> Dataset:
@@ -175,6 +178,10 @@ def load_csv(path: str, n: int | None = None) -> Dataset:
         except ValueError:
             raise ValueError(f"{path}:{i + 1}: non-numeric feature value") from None
         labels.append(label)
+    features = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 1}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
     if labels_arr.min() < 0:
         bad = int(np.flatnonzero(labels_arr < 0)[0])
@@ -184,7 +191,7 @@ def load_csv(path: str, n: int | None = None) -> Dataset:
     elif labels_arr.max() >= n:
         bad = int(np.flatnonzero(labels_arr >= n)[0])
         raise ValueError(f"{path}:{bad + 1}: label >= declared class count {n}")
-    return Dataset(np.asarray(rows), labels_arr, n)
+    return Dataset(features, labels_arr, n)
 
 
 def save_attributes_csv(dataset: Dataset, path: str) -> None:
@@ -197,8 +204,7 @@ def save_attributes_csv(dataset: Dataset, path: str) -> None:
     with atomic_write(path) as fh:
         fh.write(",".join(names) + "\n")
         # attributes are float64 0/1; as ints they print "1", not "1.0"
-        for row in dataset.attributes.astype(np.int64).tolist():
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.writelines(format_rows(dataset.attributes.astype(np.int64)))
 
 
 def load_attributes_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:

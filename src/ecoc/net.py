@@ -396,18 +396,40 @@ def save_model(p: NetParams, path: str) -> None:
 
 
 def load_model(path: str) -> NetParams:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    A file whose size does not match its header raises ValueError naming
+    the path and the expected and found byte counts.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MODEL_MAGIC):
         raise ValueError(f"{path}: not a model file (bad magic)")
-    off = len(_MODEL_MAGIC)
-    (count,) = np.frombuffer(blob, dtype="<u4", count=1, offset=off)
-    off += 4
-    sizes = np.frombuffer(blob, dtype="<u4", count=int(count), offset=off).astype(int)
-    off += 4 * int(count)
-    if len(sizes) < 2:
-        raise ValueError(f"{path}: model needs at least 2 layer sizes")
+    off = len(_MODEL_MAGIC) + 4
+    if len(blob) < off:
+        raise ValueError(f"{path}: truncated model file: no layer count")
+    count = int(np.frombuffer(blob, dtype="<u4", count=1, offset=off - 4)[0])
+    if count < 2:
+        raise ValueError(f"{path}: model needs at least 2 layer sizes, got {count}")
+    if len(blob) - off < 4 * count:
+        raise ValueError(
+            f"{path}: truncated model file: {count} layer sizes need "
+            f"{4 * count} bytes, found {len(blob) - off}"
+        )
+    sizes = np.frombuffer(blob, dtype="<u4", count=count, offset=off).tolist()
+    off += 4 * count
+    if 0 in sizes:
+        raise ValueError(f"{path}: layer sizes must be positive, got {sizes}")
+    expected = sum(8 * (i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
+    found = len(blob) - off
+    if found != expected:
+        problem = (
+            "trailing bytes after parameters" if found > expected else "truncated parameters"
+        )
+        raise ValueError(
+            f"{path}: {problem}: layer sizes {sizes} need {expected} "
+            f"parameter bytes, found {found}"
+        )
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=off)
@@ -415,6 +437,4 @@ def load_model(path: str) -> NetParams:
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
         off += 8 * fan_out
         layers.append((w.reshape(fan_out, fan_in).copy(), b.copy()))
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes after parameters")
     return NetParams(layers)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, format_rows
 from .codes import Binarization, CodeKind, CodeMatrix
 
 
@@ -158,8 +158,7 @@ def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
 def save_similarity_csv(g: SimilarityGraph, path: str) -> None:
     """Write the weight matrix, one row per line."""
     with atomic_write(path) as fh:
-        for row in g.weights:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        fh.writelines(format_rows(g.weights))
 
 
 def load_similarity_csv(path: str) -> SimilarityGraph:
@@ -178,6 +177,9 @@ def load_similarity_csv(path: str) -> SimilarityGraph:
     w = np.array(rows, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {w.shape}")
+    bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 1}: non-finite similarity value")
     if np.abs(w - w.T).max(initial=0.0) > 1e-9:
         raise ValueError(f"{path}: matrix asymmetric beyond 1e-9")
     w = (w + w.T) / 2

@@ -4,11 +4,15 @@ Nothing here may call into the library's own implementations of the same
 quantity: gradients come from central finite differences, eigenvalues from
 characteristic-polynomial roots (n <= 4) or cyclic Jacobi rotations (any n),
 decoder scores from the explicit (s, n, k) difference tensor
-(``distance_scores_broadcast``), and selections from plain brute force.
+(``distance_scores_broadcast``), selections from plain brute force, CSV
+text from a per-element writer (``format_rows_per_element``), and the
+synthetic attribute table from a nested loop over tree paths
+(``attribute_table_nested``).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -170,3 +174,37 @@ def max_abs_col_cosine_brute(values: np.ndarray) -> float:
                 continue
             best = max(best, abs(float(x @ y) / (nx * ny)))
     return best
+
+
+def format_rows_per_element(
+    values: np.ndarray, row_labels: np.ndarray | None = None
+) -> str:
+    """CSV text one element at a time: ``repr(float(v))`` for float arrays,
+    ``str(int(v))`` for integer arrays, optional integer label first."""
+    values = np.asarray(values)
+    fmt = (lambda v: repr(float(v))) if values.dtype.kind == "f" else (lambda v: str(int(v)))
+    lines = []
+    for i, row in enumerate(values):
+        label = "" if row_labels is None else str(int(row_labels[i])) + ","
+        lines.append(label + ",".join(fmt(v) for v in row) + "\n")
+    return "".join(lines)
+
+
+def attribute_table_nested(depth: int, branching: int) -> tuple[np.ndarray, list[str]]:
+    """Per-class first-child attribute table of a balanced tree, by comparing
+    every leaf path with every internal node's first child.
+
+    Internal nodes in breadth-first order, leaves in lexicographic path
+    order; entry (c, j) is 1 when leaf c descends from node j's first child.
+    """
+    internal = [path for d in range(depth) for path in product(range(branching), repeat=d)]
+    leaves = list(product(range(branching), repeat=depth))
+    table = np.zeros((len(leaves), len(internal)))
+    names = []
+    for j, path in enumerate(internal):
+        names.append("node-" + ".".join(map(str, path)) if path else "node-root")
+        first_child = path + (0,)
+        for c, leaf in enumerate(leaves):
+            if leaf[: len(first_child)] == first_child:
+                table[c, j] = 1.0
+    return table, names

@@ -336,6 +336,34 @@ class TestAnalyze:
         # 4 bits x 3 attributes
         assert len(lines) == 1 + 12
 
+    def test_truncated_model_exits_2(self, run_dir, tmp_path, capsys):
+        model = os.path.join(tmp_path, "model.bin")
+        blob = read_bytes(os.path.join(run_dir, "model.bin"))
+        with open(model, "wb") as fh:
+            fh.write(blob[:-8])
+        assert main(["analyze", "--model", model,
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "confusion",
+                     "--out", os.path.join(tmp_path, "confusion.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: truncated parameters" in err
+        assert f"found {len(blob) - 8 - 8 - 4 - 4 * 3}" in err
+
+    def test_non_finite_code_exits_2(self, run_dir, tmp_path, capsys):
+        code = os.path.join(tmp_path, "code.csv")
+        lines = open(os.path.join(run_dir, "code.csv")).read().splitlines()
+        lines[2] = ",".join(["nan"] + lines[2].split(",")[1:])
+        with open(code, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["analyze",
+                     "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", code,
+                     "--mode", "confusion",
+                     "--out", os.path.join(tmp_path, "confusion.csv")]) == 2
+        assert f"{code}:3: non-finite code value" in capsys.readouterr().err
+
     def test_correlate_requires_attributes(self, run_dir, tmp_path, capsys):
         out = os.path.join(tmp_path, "corr.csv")
         assert main(["analyze",

@@ -284,6 +284,14 @@ class TestCodeCsv:
         with pytest.raises(ValueError, match=":3"):
             load_code_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, token):
+        path = os.path.join(tmp_path, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(f"3,2,gaussian,raw\n1.0,2.0\n3.0,{token}\n5.0,6.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite code value"):
+            load_code_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
         with open(path, "w") as fh:

@@ -15,6 +15,7 @@ from ecoc.datasets import (
     synth_hierarchical,
     with_attributes,
 )
+from oracles import attribute_table_nested
 
 
 class TestSynthHierarchical:
@@ -58,6 +59,16 @@ class TestSynthHierarchical:
         assert np.array_equal(ds.attributes[:, 0], [1, 1, 0, 0])
         assert np.array_equal(ds.attributes[:, 1], [1, 0, 0, 0])
         assert np.array_equal(ds.attributes[:, 2], [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("depth, branching", [(1, 2), (2, 4), (3, 3), (5, 4)])
+    def test_attribute_table_matches_nested_loop(self, depth, branching):
+        ds = synth_hierarchical(
+            depth=depth, branching=branching, samples_per_class=1, class_sep=2.0,
+            noise_sigma=0.5, p=depth, seed=0,
+        )
+        table, names = attribute_table_nested(depth, branching)
+        assert np.array_equal(ds.attributes, table)
+        assert ds.attribute_names == tuple(names)
 
     def test_sibling_offsets_shrink_with_depth(self):
         """Top-level splits move class centers further apart than deeper
@@ -193,6 +204,14 @@ class TestDataCsv:
         with open(path, "w") as fh:
             fh.write("0,1.0\n0,oops\n")
         with pytest.raises(ValueError, match=":2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line_number(self, tmp_path, token):
+        path = os.path.join(tmp_path, "data.csv")
+        with open(path, "w") as fh:
+            fh.write(f"0,1.0\n1,2.0\n1,{token}\n")
+        with pytest.raises(ValueError, match=r"data\.csv:3: non-finite feature value"):
             load_csv(path)
 
     def test_negative_label_rejected(self, tmp_path):

@@ -1,9 +1,13 @@
 """Feedforward net: init, forward/backward, the SGD trainer, model files."""
 
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecoc.codes import gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
@@ -390,6 +394,53 @@ class TestModelFile:
         with open(path, "wb") as fh:
             fh.write(blob + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
+            load_model(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    def test_every_strict_prefix_rejected(self, sizes):
+        header = 8 + 4 + 4 * len(sizes)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            save_model(init(sizes, seed=0), path)
+            blob = open(path, "rb").read()
+            params = len(blob) - header
+            for cut in range(len(blob)):
+                with open(path, "wb") as fh:
+                    fh.write(blob[:cut])
+                with pytest.raises(ValueError) as err:
+                    load_model(path)
+                assert str(err.value).startswith(f"{path}: ")
+                if cut >= header:
+                    assert f"need {params} parameter bytes, found {cut - header}" in str(
+                        err.value
+                    )
+
+    def write_header(self, path, count, sizes, params=b""):
+        with open(path, "wb") as fh:
+            fh.write(b"ECOCNET\x01" + struct.pack("<I", count))
+            fh.write(struct.pack(f"<{len(sizes)}I", *sizes) + params)
+
+    def test_out_of_range_layer_count_rejected(self, tmp_path):
+        path = os.path.join(tmp_path, "model.bin")
+        self.write_header(path, 2**32 - 1, [4, 3])
+        with pytest.raises(ValueError, match="4294967295 layer sizes need 17179869180 bytes"):
+            load_model(path)
+        self.write_header(path, 1, [4])
+        with pytest.raises(ValueError, match="at least 2 layer sizes"):
+            load_model(path)
+
+    def test_huge_layer_sizes_rejected_by_byte_count(self, tmp_path):
+        path = os.path.join(tmp_path, "model.bin")
+        self.write_header(path, 2, [2**32 - 1, 2**32 - 1], params=b"\x00" * 16)
+        expected = 8 * (2**32) * (2**32 - 1)
+        with pytest.raises(ValueError, match=f"need {expected} parameter bytes, found 16"):
+            load_model(path)
+
+    def test_zero_layer_size_rejected(self, tmp_path):
+        path = os.path.join(tmp_path, "model.bin")
+        self.write_header(path, 3, [4, 0, 3], params=b"\x00" * 24)
+        with pytest.raises(ValueError, match=r"layer sizes must be positive, got \[4, 0, 3\]"):
             load_model(path)
 
 

@@ -325,6 +325,14 @@ class TestSimilarityCsv:
         with pytest.raises(ValueError, match=":2"):
             load_similarity_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, token):
+        path = str(tmp_path / "sim.csv")
+        with open(path, "w") as fh:
+            fh.write(f"0.0,0.5,0.5\n0.5,0.0,{token}\n0.5,{token},0.0\n")
+        with pytest.raises(ValueError, match=r"sim\.csv:2: non-finite similarity value"):
+            load_similarity_csv(path)
+
 
 def test_eigendecomposition_fields():
     eig = symmetric_eigen(np.diag([2.0, 1.0]))
