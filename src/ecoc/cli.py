@@ -441,10 +441,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_js(text: str) -> list[int]:
+    """Prefix lengths from the comma-separated ``--js`` value."""
+    js = []
+    for entry in text.split(","):
+        try:
+            js.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--js entry {entry!r} is not an integer") from None
+    return js
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.classes is not None and args.classes < 1:
+        raise ValueError(f"--classes must be >= 1, got {args.classes}")
     code = codes.load_code_csv(args.code)
     params = net.load_model(args.model)
-    ds = datasets.load_csv(args.data, n=args.classes if args.classes else code.n)
+    ds = datasets.load_csv(args.data, n=code.n if args.classes is None else args.classes)
 
     if args.mode == "confusion":
         z = net.net_outputs(params, ds.features)
@@ -457,8 +470,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analysis.save_confusion_csv(cm, args.out)
         print(f"wrote {args.out}: accuracy {cm.accuracy:.4f}")
     elif args.mode == "ablate":
-        if args.js:
-            js = [int(v) for v in args.js.split(",")]
+        if args.js is not None:
+            js = _parse_js(args.js)
         else:
             js = list(range(1, code.k + 1))
         pairs = analysis.bit_ablation(params, ds, code, js)

@@ -26,7 +26,9 @@ from .codes import CodeMatrix
 
 EPS_NORM = 1e-12
 
-_PREDICT_CHUNK = 1024
+# Rows per block of score work: a block's (rows, n) panel stays in cache,
+# and with OpenBLAS 64-row GEMMs give the same bits as the whole product.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,23 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     """The codeword matrix the decoder actually measures distances against.
 
     Rows are L2-normalized when the code's ``normalize_rows`` option is on,
-    so each class can reach the same best score.
+    so each class can reach the same best score.  The result is read-only
+    and memoized on ``code`` (frozen, with read-only values), so later calls
+    return the same array.
     """
-    if not code.normalize_rows:
-        return code.values
-    norms = np.linalg.norm(code.values, axis=1)
-    if (norms <= EPS_NORM).any():
-        bad = np.flatnonzero(norms <= EPS_NORM)
-        raise ValueError(f"zero-norm codewords cannot be normalized: rows {bad.tolist()}")
-    return code.values / norms[:, None]
+    m = code.__dict__.get("_decoding_matrix")
+    if m is not None:
+        return m
+    m = code.values
+    if code.normalize_rows:
+        norms = np.linalg.norm(m, axis=1)
+        if (norms <= EPS_NORM).any():
+            bad = np.flatnonzero(norms <= EPS_NORM)
+            raise ValueError(f"zero-norm codewords cannot be normalized: rows {bad.tolist()}")
+        m = m / norms[:, None]
+        m.setflags(write=False)
+    object.__setattr__(code, "_decoding_matrix", m)
+    return m
 
 
 def distances(u: np.ndarray, code: CodeMatrix) -> np.ndarray:
@@ -111,25 +121,49 @@ def predict(z: np.ndarray, code: CodeMatrix) -> int:
 def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of z divided by its L2 norm, plus the norms.  Rejects
     (near-)zero rows."""
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
     if (norms <= EPS_NORM).any():
         raise ValueError("cannot normalize a zero vector")
     return z / norms[:, None], norms
 
 
-def _distance_scores(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _distance_scores(
+    u: np.ndarray, m: np.ndarray,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Score matrix D (s x n), D[i, c] = -0.5 * ||m_c - u_i||^2.
 
     Computed in Gram form, ``u_i . m_c - 0.5 * (||u_i||^2 + ||m_c||^2)``:
     one ``u @ m.T`` plus two row-norm vectors, so memory grows with s * n.
     Both norms are taken as given, because ablation prefixes of unit rows
-    are not unit length.
+    are not unit length.  D is written into ``out`` and the norm term into
+    ``scratch`` when they are given (both (s, n)); otherwise both are
+    allocated.
     """
     uu = np.einsum("ij,ij->i", u, u)
     mm = np.einsum("ij,ij->i", m, m)
-    d = u @ m.T
-    d -= 0.5 * (uu[:, None] + mm)
+    d = np.matmul(u, m.T, out=out)
+    half = np.add(uu[:, None], mm, out=scratch)
+    half *= 0.5
+    d -= half
     return d
+
+
+def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Softmax cross-entropy of score rows against labels, in place.
+
+    Overwrites ``scores`` with the max-shifted softmax probabilities and
+    ``g`` (same shape) with the loss gradient w.r.t. the scores,
+    ``probs - e_y``.  Returns the per-row loss ``-log probs[y]``.
+    """
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    idx = np.arange(scores.shape[0])
+    picked = scores[idx, ys]
+    np.copyto(g, scores)
+    g[idx, ys] -= 1.0
+    return -np.log(picked)
 
 
 def batch_loss_grad(
@@ -139,7 +173,9 @@ def batch_loss_grad(
 
     Returns (losses, probs, grads): per-sample loss (s,), probabilities
     (s, n), and loss gradients w.r.t. each z row (s, k).  Matches the
-    single-sample operations row by row.
+    single-sample operations row by row.  Works through blocks of
+    ``_ROW_BLOCK`` rows in place: besides the returned arrays, memory is one
+    block-sized (rows, n) buffer.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -151,17 +187,22 @@ def batch_loss_grad(
     if ys.size and (ys.min() < 0 or ys.max() >= code.n):
         raise ValueError(f"labels out of range for {code.n} classes")
     u, norms = unit_rows(z)
-    d = _distance_scores(u, m)
-    shifted = d - d.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    idx = np.arange(z.shape[0])
-    losses = -np.log(probs[idx, ys])
-    g = probs.copy()
-    g[idx, ys] -= 1.0
-    a = g @ m
-    radial = (a * u).sum(axis=1)
-    grads = (a - radial[:, None] * u) / norms[:, None]
+    s = z.shape[0]
+    probs = np.empty((s, m.shape[0]))
+    losses = np.empty(s)
+    # d loss / d u = g @ m, radially projected and rescaled below
+    grads = np.empty_like(u)
+    g = np.empty((min(s, _ROW_BLOCK), m.shape[0]))
+    for start in range(0, s, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        p = probs[rows]
+        gb = g[: p.shape[0]]
+        _distance_scores(u[rows], m, out=p, scratch=gb)
+        losses[rows] = softmax_ce_in_place(p, ys[rows], gb)
+        np.matmul(gb, m, out=grads[rows])
+    radial = (grads * u).sum(axis=1)
+    grads -= radial[:, None] * u
+    grads /= norms[:, None]
     return losses, probs, grads
 
 
@@ -180,10 +221,10 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in chunks of rows, so memory grows with chunk * n.
+    id.  Scores are built in blocks of rows, so memory grows with block * n.
     """
     preds = np.empty(u.shape[0], dtype=np.int64)
-    for start in range(0, u.shape[0], _PREDICT_CHUNK):
-        chunk = u[start : start + _PREDICT_CHUNK]
+    for start in range(0, u.shape[0], _ROW_BLOCK):
+        chunk = u[start : start + _ROW_BLOCK]
         preds[start : start + chunk.shape[0]] = _distance_scores(chunk, m).argmax(axis=1)
     return preds

@@ -16,7 +16,7 @@ import numpy as np
 from ._util import atomic_write, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import EPS_NORM, batch_loss_grad, decoding_matrix, predict_batch
+from .decoder import EPS_NORM, batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
 
 GRAD_ACTIVE_EPS = 1e-8
 
@@ -145,9 +145,10 @@ def _forward_batch(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, list[np.nda
     cache = []
     for i, (w, b) in enumerate(p.layers):
         cache.append(a)
-        a = a @ w.T + b
+        a = a @ w.T
+        a += b
         if i < len(p.layers) - 1:
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=a)
     return a, cache
 
 
@@ -162,12 +163,14 @@ def _backward_batch(
     for i in range(len(p.layers) - 1, -1, -1):
         w, _ = p.layers[i]
         a = cache[i]
-        grads[i] = (delta.T @ a / batch, delta.mean(axis=0))
+        gw = delta.T @ a
+        gw /= batch
+        grads[i] = (gw, delta.sum(axis=0) / batch)
         if i > 0:
             delta = delta @ w
             # rectifier gate: the cached input to layer i is the rectified
             # output of layer i-1, zero exactly where the unit was off
-            delta = delta * (cache[i] > 0)
+            delta *= cache[i] > 0
     return grads
 
 
@@ -201,15 +204,12 @@ def _softmax_ce_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plain softmax cross-entropy on raw outputs (one-hot baseline head).
 
-    Returns (losses, probs, grads) like the decoder's batch op.
+    Returns (losses, probs, grads) like the decoder's batch op; ``z`` is
+    left as it is.
     """
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    idx = np.arange(z.shape[0])
-    losses = -np.log(probs[idx, ys])
-    grads = probs.copy()
-    grads[idx, ys] -= 1.0
+    probs = z.copy()
+    grads = np.empty_like(z)
+    losses = softmax_ce_in_place(probs, ys, grads)
     return losses, probs, grads
 
 
@@ -224,24 +224,23 @@ def resolve_head(head: str, code: CodeMatrix) -> tuple[str, int]:
     return head, code.n if head == "softmax" else code.k
 
 
-def _instrument_vectors(
-    head: str, z: np.ndarray, ys: np.ndarray, probs: np.ndarray, grads: np.ndarray
+def _update_vector(
+    head: str, z: np.ndarray, ys: np.ndarray, grads: np.ndarray
 ) -> np.ndarray:
-    """Per-sample output-layer update vectors whose support is counted.
+    """Batch mean of the per-sample output-layer update vectors whose
+    support is counted.
 
-    For the decoder head this is the true loss gradient (dense in general).
-    For the softmax baseline it is the hard label/prediction mismatch
-    ``e_pred - e_true``: at most two active coordinates per sample, and the
-    zero vector once the sample is classified correctly.
+    For the decoder head these are the true loss gradients (dense in
+    general).  For the softmax baseline each is the hard label/prediction
+    mismatch ``e_pred - e_true``: at most two active coordinates per sample,
+    and the zero vector once the sample is classified correctly.  Their
+    mean is a difference of class counts over the batch size.
     """
     if head == "decoder":
-        return grads
+        return grads.sum(axis=0) / len(ys)
+    n = z.shape[1]
     preds = z.argmax(axis=1)
-    out = np.zeros_like(probs)
-    idx = np.arange(z.shape[0])
-    out[idx, preds] += 1.0
-    out[idx, ys] -= 1.0
-    return out
+    return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
 
 
 def _decoder_loss_grad(
@@ -275,7 +274,7 @@ def _epoch_metrics(
         else:
             losses, _, _ = _softmax_ce_batch(z, ys)
             preds = z.argmax(axis=1)
-    return float(losses.mean()), float((preds == ys).mean())
+    return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
 
 
 def train(
@@ -329,20 +328,16 @@ def train(
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if head == "decoder":
-                    losses, probs, grads = _decoder_loss_grad(
+                    losses, _, grads = _decoder_loss_grad(
                         z, code, yb, idx, epoch, batches
                     )
                 else:
-                    losses, probs, grads = _softmax_ce_batch(z, yb)
-            batch_loss = losses.mean()
-            if not np.isfinite(batch_loss):
+                    losses, _, grads = _softmax_ce_batch(z, yb)
+            if not np.isfinite(losses.sum()):
                 raise TrainingDivergedError(epoch)
 
-            active = _instrument_vectors(head, z, yb, probs, grads)
-            batch_vector = active.mean(axis=0)
-            ratio_sum += float(
-                (np.abs(batch_vector) > GRAD_ACTIVE_EPS).mean()
-            )
+            active = np.abs(_update_vector(head, z, yb, grads)) > GRAD_ACTIVE_EPS
+            ratio_sum += np.count_nonzero(active) / active.size
             batches += 1
 
             param_grads = _backward_batch(p, cache, grads)

@@ -168,6 +168,10 @@ def load_similarity_csv(path: str) -> SimilarityGraph:
     rows = []
     for i, line in enumerate(lines):
         parts = line.split(",")
+        if rows and len(parts) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{i + 1}: expected {len(rows[0])} values, found {len(parts)}"
+            )
         try:
             rows.append([float(p) for p in parts])
         except ValueError:

@@ -5,9 +5,10 @@ quantity: gradients come from central finite differences, eigenvalues from
 characteristic-polynomial roots (n <= 4) or cyclic Jacobi rotations (any n),
 decoder scores from the explicit (s, n, k) difference tensor
 (``distance_scores_broadcast``), selections from plain brute force, CSV
-text from a per-element writer (``format_rows_per_element``), and the
+text from a per-element writer (``format_rows_per_element``), the
 synthetic attribute table from a nested loop over tree paths
-(``attribute_table_nested``).
+(``attribute_table_nested``), and the softmax head's update-density vector
+from a dense per-sample mismatch matrix (``update_vector_zeros_array``).
 """
 
 from __future__ import annotations
@@ -208,3 +209,13 @@ def attribute_table_nested(depth: int, branching: int) -> tuple[np.ndarray, list
             if leaf[: len(first_child)] == first_child:
                 table[c, j] = 1.0
     return table, names
+
+
+def update_vector_zeros_array(z: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Batch mean of the per-sample hard mismatch vectors ``e_pred - e_true``
+    (``pred`` the argmax of each row of z), built as a dense (s, n) matrix."""
+    out = np.zeros_like(z)
+    idx = np.arange(z.shape[0])
+    out[idx, z.argmax(axis=1)] += 1.0
+    out[idx, ys] -= 1.0
+    return out.mean(axis=0)

@@ -124,6 +124,16 @@ class TestGenCode:
         assert "did not converge" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_spectral_ragged_similarity_exits_2(self, tmp_path, capsys):
+        sim = os.path.join(tmp_path, "sim.csv")
+        with open(sim, "w") as fh:
+            fh.write("0.0,0.5\n0.5\n")
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "spectral", "--similarity", sim,
+                     "--bits", "1", "--out", out]) == 2
+        assert f"{sim}:2: expected 2 values, found 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_spectral_needs_a_source(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
@@ -321,6 +331,28 @@ class TestAnalyze:
                      "--mode", "ablate", "--js", "1,4", "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "4"]
+
+    @pytest.mark.parametrize("classes", ["0", "-3"])
+    def test_classes_below_one_rejected(self, run_dir, tmp_path, capsys, classes):
+        out = os.path.join(tmp_path, "confusion.csv")
+        assert main(["analyze",
+                     "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "confusion", "--classes", classes, "--out", out]) == 2
+        assert f"--classes must be >= 1, got {classes}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("js, bad", [("1,,2", "''"), ("a", "'a'")])
+    def test_malformed_js_names_the_entry(self, run_dir, tmp_path, capsys, js, bad):
+        out = os.path.join(tmp_path, "ablation.csv")
+        assert main(["analyze",
+                     "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "ablate", "--js", js, "--out", out]) == 2
+        assert f"--js entry {bad} is not an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_correlate(self, run_dir, tmp_path):
         out = os.path.join(tmp_path, "corr.csv")

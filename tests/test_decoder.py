@@ -12,6 +12,7 @@ from ecoc.analysis import ablation_predictions
 from ecoc.codes import Binarization, CodeKind, CodeMatrix, binarize, gaussian_code, one_hot
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
+    _ROW_BLOCK,
     _distance_scores,
     backward,
     batch_loss_grad,
@@ -258,6 +259,24 @@ class TestBatchOps:
             assert np.allclose(probs[i], res.probs, atol=1e-12)
             assert np.allclose(grads[i], grad, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "rows", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
+    )
+    def test_matches_single_sample_ops_across_row_blocks(self, rows):
+        code = gaussian_code(7, 5, seed=23)
+        rng = np.random.default_rng(rows)
+        z = rng.standard_normal((rows, 5))
+        ys = rng.integers(0, 7, size=rows)
+        losses, probs, grads = batch_loss_grad(z, code, ys)
+        assert losses.shape == (rows,) and probs.shape == (rows, 7)
+        assert grads.shape == (rows, 5)
+        for i in range(rows):
+            res = forward(z[i], code, int(ys[i]))
+            grad = backward(z[i], code, int(ys[i]), res.probs)
+            assert losses[i] == pytest.approx(res.loss, abs=1e-12)
+            assert np.allclose(probs[i], res.probs, atol=1e-12)
+            assert np.allclose(grads[i], grad, atol=1e-12)
+
     def test_predict_batch_matches_predict(self):
         code = gaussian_code(6, 5, seed=18)
         rng = np.random.default_rng(20)
@@ -304,6 +323,23 @@ def score_inputs(draw):
     return u, m
 
 
+class TestDecodingMatrix:
+    def test_memoized_read_only(self):
+        code = gaussian_code(5, 3, seed=24)
+        m = decoding_matrix(code)
+        assert not m.flags.writeable
+        assert decoding_matrix(code) is m
+        assert np.allclose(np.linalg.norm(m, axis=1), 1.0)
+        stored = plain_code([[1.0, 2.0], [3.0, 4.0]])
+        assert decoding_matrix(stored) is stored.values
+
+    def test_zero_norm_row_raises_on_every_call(self):
+        code = CodeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), kind=CodeKind.GAUSSIAN)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"zero-norm codewords .* rows \[1\]"):
+                decoding_matrix(code)
+
+
 class TestGramScores:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(score_inputs())
@@ -331,3 +367,19 @@ class TestGramScores:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_batch_loss_grad_memory_is_one_probs_matrix_plus_a_block(self):
+        """Besides the returned (s, n) probabilities, scores, softmax and the
+        gradient's (s, n) factor are worked through one block at a time."""
+        code = gaussian_code(512, 50)
+        s, n = 2048, code.n
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((s, 50))
+        ys = rng.integers(0, n, size=s)
+        tracemalloc.start()
+        try:
+            batch_loss_grad(z, code, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * s * n * 8

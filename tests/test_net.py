@@ -2,6 +2,7 @@
 
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecoc import decoder
 from ecoc.codes import gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
+from ecoc.decoder import batch_loss_grad
 from ecoc.decoder import forward as decoder_forward
 from ecoc.net import (
     MetricsRow,
@@ -18,6 +21,10 @@ from ecoc.net import (
     TrainConfig,
     TrainingDivergedError,
     ZeroOutputError,
+    _backward_batch,
+    _forward_batch,
+    _softmax_ce_batch,
+    _update_vector,
     init,
     load_model,
     net_backward,
@@ -27,7 +34,7 @@ from ecoc.net import (
     save_model,
     train,
 )
-from oracles import FD_REL_TOL, max_relative_error
+from oracles import FD_REL_TOL, max_relative_error, update_vector_zeros_array
 
 
 def separable_dataset(seed: int = 0) -> Dataset:
@@ -366,6 +373,79 @@ class TestGradRatioInstrument:
         assert train_rows[-1].accuracy >= train_rows[0].accuracy
         assert train_rows[0].grad_nonzero_ratio > 0.0
         assert train_rows[-1].grad_nonzero_ratio == 0.0
+
+
+    def test_softmax_vector_matches_dense_mismatch_oracle(self):
+        rng = np.random.default_rng(8)
+        for s, n in [(1, 2), (5, 3), (16, 16), (33, 7)]:
+            z = rng.standard_normal((s, n))
+            ys = rng.integers(0, n, size=s)
+            ys[: s // 2] = z[: s // 2].argmax(axis=1)  # some rows classified right
+            got = _update_vector("softmax", z, ys, np.empty((s, n)))
+            assert np.array_equal(got, update_vector_zeros_array(z, ys))
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class TestNoWritesIntoInputs:
+    """Forward, both heads and backward work in place only on arrays they
+    allocate: a write into any array handed to them raises here."""
+
+    def _forward(self, sizes):
+        p = init(sizes, seed=9)
+        for w, b in p.layers:
+            _freeze(w, b)
+        x = np.random.default_rng(10).standard_normal((70, sizes[0]))
+        _freeze(x)
+        z, cache = _forward_batch(p, x)
+        _freeze(z, *cache)
+        return p, z, cache
+
+    def test_decoder_head(self):
+        p, z, cache = self._forward([4, 32, 5])
+        code = gaussian_code(9, 5, seed=11)
+        _, _, grads = batch_loss_grad(z, code, np.arange(70) % 9)
+        _freeze(grads)
+        _backward_batch(p, cache, grads)
+
+    def test_softmax_head(self):
+        p, z, cache = self._forward([4, 32, 9])
+        ys = np.arange(70) % 9
+        _, _, grads = _softmax_ce_batch(z, ys)
+        _freeze(grads)
+        _backward_batch(p, cache, grads)
+        _update_vector("softmax", z, ys, grads)
+
+
+def test_train_decoder_call_structure(monkeypatch):
+    """Per epoch: one batch_loss_grad per batch plus one for the evaluation
+    pass, one predict_batch for the evaluation pass, and one decoding_matrix
+    call inside each of those plus one beside the evaluation's
+    predict_batch.  Counted through every ecoc module attribute bound to
+    each function, as the per-module tracer does."""
+    watched = (decoder.batch_loss_grad, decoder.predict_batch, decoder.decoding_matrix)
+    counts = dict.fromkeys((f.__name__ for f in watched), 0)
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, mod in list(sys.modules.items()):
+        if name == "ecoc" or name.startswith("ecoc."):
+            for attr, value in list(vars(mod).items()):
+                if any(value is fn for fn in watched):
+                    monkeypatch.setattr(mod, attr, counting(value))
+
+    ds = synth_hierarchical(2, 2, 4, 4.0, 1.0, 4, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
+    train(init([4, 3], seed=0), ds, gaussian_code(4, 3, seed=0), cfg)
+    # 16 samples: 2 batches per epoch
+    assert counts == {"batch_loss_grad": 6, "predict_batch": 2, "decoding_matrix": 6 + 2}
 
 
 class TestModelFile:

@@ -325,6 +325,13 @@ class TestSimilarityCsv:
         with pytest.raises(ValueError, match=":2"):
             load_similarity_csv(path)
 
+    def test_ragged_row_rejected_with_line(self, tmp_path):
+        path = str(tmp_path / "sim.csv")
+        with open(path, "w") as fh:
+            fh.write("0.0,0.5\n0.5\n")
+        with pytest.raises(ValueError, match=r"sim\.csv:2: expected 2 values, found 1"):
+            load_similarity_csv(path)
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_rejected_with_line(self, tmp_path, token):
         path = str(tmp_path / "sim.csv")
