@@ -1,5 +1,5 @@
 """Post-training analyses: confusion counts, code/attribute correlation,
-bit ablation, and the gradient-sparsity ratio.
+and bit ablation.
 
 Bit ablation measures how much class information the first ``j`` code
 coordinates carry.  Each row of the trained net's output is normalized over
@@ -148,13 +148,6 @@ def bit_ablation(
         (j, float((preds == dataset.labels).mean()))
         for j, preds in ablation_predictions(p, dataset, code, js)
     ]
-
-
-def sparsity_ratio(batch_size: int, n: int) -> float:
-    """Fraction of output units a mini-batch can update at most: bs / n."""
-    if batch_size < 1 or n < 1:
-        raise ValueError("batch_size and n must both be >= 1")
-    return batch_size / n
 
 
 def save_confusion_csv(cm: ConfusionMatrix, path: str) -> None:

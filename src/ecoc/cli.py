@@ -456,8 +456,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.classes is not None and args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
     code = codes.load_code_csv(args.code)
+    if args.classes is not None and args.classes != code.n:
+        raise ValueError(
+            f"--classes {args.classes} does not match the {code.n} classes of code {args.code}"
+        )
     params = net.load_model(args.model)
-    ds = datasets.load_csv(args.data, n=code.n if args.classes is None else args.classes)
+    ds = datasets.load_csv(args.data, n=code.n)
 
     if args.mode == "confusion":
         z = net.net_outputs(params, ds.features)
@@ -534,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", required=True, choices=("confusion", "ablate", "correlate"))
     a.add_argument("--attributes", default=None)
     a.add_argument("--js", default=None, help="comma-separated prefix lengths (ablate)")
-    a.add_argument("--classes", type=int, default=None)
+    a.add_argument("--classes", type=int, default=None,
+                   help="expected class count; must match the code's")
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze)
     return parser

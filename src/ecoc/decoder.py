@@ -18,8 +18,6 @@ so ``grad_z . z = 0`` always; scaling ``z`` never changes the loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codes import CodeMatrix
@@ -29,24 +27,6 @@ EPS_NORM = 1e-12
 # Rows per block of score work: a block's (rows, n) panel stays in cache,
 # and with OpenBLAS 64-row GEMMs give the same bits as the whole product.
 _ROW_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class DecoderLossResult:
-    """Loss, class probabilities, and (optionally) the gradient w.r.t. z."""
-
-    loss: float
-    probs: np.ndarray
-    grad_z: np.ndarray | None = None
-
-
-def normalize(z: np.ndarray) -> np.ndarray:
-    """Return z / ||z||_2.  Rejects (near-)zero vectors."""
-    z = np.asarray(z, dtype=np.float64)
-    norm = np.linalg.norm(z)
-    if norm <= EPS_NORM:
-        raise ValueError("cannot normalize a zero vector")
-    return z / norm
 
 
 def decoding_matrix(code: CodeMatrix) -> np.ndarray:
@@ -72,52 +52,6 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     return m
 
 
-def distances(u: np.ndarray, code: CodeMatrix) -> np.ndarray:
-    """Score vector D with D_i = -0.5 * ||m_i - u||^2 for codeword rows m_i."""
-    u = np.asarray(u, dtype=np.float64)
-    m = decoding_matrix(code)
-    if u.shape != (m.shape[1],):
-        raise ValueError(f"output length {u.shape} does not match code bits {m.shape[1]}")
-    return -0.5 * ((m - u) ** 2).sum(axis=1)
-
-
-def decoder_softmax(d: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the score vector."""
-    d = np.asarray(d, dtype=np.float64)
-    shifted = d - d.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def forward(z: np.ndarray, code: CodeMatrix, y: int) -> DecoderLossResult:
-    """Loss and probabilities for one sample (grad_z left unset)."""
-    if not 0 <= y < code.n:
-        raise ValueError(f"label {y} out of range for {code.n} classes")
-    probs = decoder_softmax(distances(normalize(z), code))
-    return DecoderLossResult(loss=float(-np.log(probs[y])), probs=probs)
-
-
-def backward(
-    z: np.ndarray, code: CodeMatrix, y: int, probs: np.ndarray
-) -> np.ndarray:
-    """Gradient of the loss w.r.t. z, given forward's probs for the same z."""
-    z = np.asarray(z, dtype=np.float64)
-    m = decoding_matrix(code)
-    norm = np.linalg.norm(z)
-    if norm <= EPS_NORM:
-        raise ValueError("cannot normalize a zero vector")
-    u = z / norm
-    g = probs.copy()
-    g[y] -= 1.0
-    a = m.T @ g
-    return (a - (u @ a) * u) / norm
-
-
-def predict(z: np.ndarray, code: CodeMatrix) -> int:
-    """Nearest-codeword class; ties go to the smallest class id."""
-    return int(np.argmax(distances(normalize(z), code)))
-
-
 def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of z divided by its L2 norm, plus the norms.  Rejects
     (near-)zero rows."""
@@ -128,20 +62,20 @@ def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distance_scores(
-    u: np.ndarray, m: np.ndarray,
+    u: np.ndarray, m: np.ndarray, mm: np.ndarray,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score matrix D (s x n), D[i, c] = -0.5 * ||m_c - u_i||^2.
 
     Computed in Gram form, ``u_i . m_c - 0.5 * (||u_i||^2 + ||m_c||^2)``:
     one ``u @ m.T`` plus two row-norm vectors, so memory grows with s * n.
-    Both norms are taken as given, because ablation prefixes of unit rows
-    are not unit length.  D is written into ``out`` and the norm term into
-    ``scratch`` when they are given (both (s, n)); otherwise both are
-    allocated.
+    ``mm`` holds the squared codeword norms; callers compute them once and
+    score every row block against them.  Both norms are
+    taken as given, because ablation prefixes of unit rows are not unit
+    length.  D is written into ``out`` and the norm term into ``scratch``
+    when they are given (both (s, n)); otherwise both are allocated.
     """
     uu = np.einsum("ij,ij->i", u, u)
-    mm = np.einsum("ij,ij->i", m, m)
     d = np.matmul(u, m.T, out=out)
     half = np.add(uu[:, None], mm, out=scratch)
     half *= 0.5
@@ -172,10 +106,10 @@ def batch_loss_grad(
     """Vectorized forward+backward over a batch.
 
     Returns (losses, probs, grads): per-sample loss (s,), probabilities
-    (s, n), and loss gradients w.r.t. each z row (s, k).  Matches the
-    single-sample operations row by row.  Works through blocks of
-    ``_ROW_BLOCK`` rows in place: besides the returned arrays, memory is one
-    block-sized (rows, n) buffer.
+    (s, n), and loss gradients w.r.t. each z row (s, k); each row depends
+    on that row of z alone.  Works through blocks of ``_ROW_BLOCK`` rows in
+    place: besides the returned arrays, memory is one block-sized (rows, n)
+    buffer.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -187,6 +121,7 @@ def batch_loss_grad(
     if ys.size and (ys.min() < 0 or ys.max() >= code.n):
         raise ValueError(f"labels out of range for {code.n} classes")
     u, norms = unit_rows(z)
+    mm = np.einsum("ij,ij->i", m, m)
     s = z.shape[0]
     probs = np.empty((s, m.shape[0]))
     losses = np.empty(s)
@@ -197,7 +132,7 @@ def batch_loss_grad(
         rows = slice(start, start + _ROW_BLOCK)
         p = probs[rows]
         gb = g[: p.shape[0]]
-        _distance_scores(u[rows], m, out=p, scratch=gb)
+        _distance_scores(u[rows], m, mm, out=p, scratch=gb)
         losses[rows] = softmax_ce_in_place(p, ys[rows], gb)
         np.matmul(gb, m, out=grads[rows])
     radial = (grads * u).sum(axis=1)
@@ -223,8 +158,9 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     them, which need not have unit length.  Ties go to the smallest class
     id.  Scores are built in blocks of rows, so memory grows with block * n.
     """
+    mm = np.einsum("ij,ij->i", m, m)
     preds = np.empty(u.shape[0], dtype=np.int64)
     for start in range(0, u.shape[0], _ROW_BLOCK):
         chunk = u[start : start + _ROW_BLOCK]
-        preds[start : start + chunk.shape[0]] = _distance_scores(chunk, m).argmax(axis=1)
+        preds[start : start + chunk.shape[0]] = _distance_scores(chunk, m, mm).argmax(axis=1)
     return preds

@@ -174,43 +174,10 @@ def _backward_batch(
     return grads
 
 
-def net_forward(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Single-sample forward pass; returns (z, cache for net_backward)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a feature vector, got shape {x.shape}")
-    z, cache = _forward_batch(p, x[None, :])
-    return z[0], cache
-
-
 def net_outputs(p: NetParams, x: np.ndarray) -> np.ndarray:
     """Batch forward pass returning only the outputs, one row per sample."""
     z, _ = _forward_batch(p, x)
     return z
-
-
-def net_backward(
-    p: NetParams, cache: list[np.ndarray], grad_z: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients for one sample, given d loss / d z."""
-    grad_z = np.asarray(grad_z, dtype=np.float64)
-    if grad_z.ndim != 1:
-        raise ValueError(f"expected an output gradient vector, got shape {grad_z.shape}")
-    return _backward_batch(p, cache, grad_z[None, :])
-
-
-def _softmax_ce_batch(
-    z: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain softmax cross-entropy on raw outputs (one-hot baseline head).
-
-    Returns (losses, probs, grads) like the decoder's batch op; ``z`` is
-    left as it is.
-    """
-    probs = z.copy()
-    grads = np.empty_like(z)
-    losses = softmax_ce_in_place(probs, ys, grads)
-    return losses, probs, grads
 
 
 def resolve_head(head: str, code: CodeMatrix) -> tuple[str, int]:
@@ -243,13 +210,22 @@ def _update_vector(
     return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
 
 
-def _decoder_loss_grad(
-    z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
+def _head_loss_grad(
+    head: str, z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
     rows: np.ndarray, epoch: int, where: int | str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``batch_loss_grad``, with a zero output row reported as a
-    :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
-    ``rows``."""
+    """Per-row losses, class probabilities and loss gradients w.r.t. z under
+    ``head``; ``z`` is left as it is.
+
+    The softmax head is plain cross-entropy on the raw outputs (the one-hot
+    baseline).  The decoder head is ``batch_loss_grad``, with a zero output
+    row reported as a :class:`ZeroOutputError` naming the epoch, ``where``
+    and its index in ``rows``.
+    """
+    if head == "softmax":
+        probs = z.copy()
+        grads = np.empty_like(z)
+        return softmax_ce_in_place(probs, ys, grads), probs, grads
     try:
         return batch_loss_grad(z, code, ys)
     except ValueError:
@@ -266,14 +242,10 @@ def _epoch_metrics(
     """Full-pass mean loss and accuracy under the trained head."""
     z, _ = _forward_batch(p, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if head == "decoder":
-            losses, _, _ = _decoder_loss_grad(
-                z, code, ys, np.arange(z.shape[0]), epoch, split
-            )
-            preds = predict_batch(z, decoding_matrix(code))
-        else:
-            losses, _, _ = _softmax_ce_batch(z, ys)
-            preds = z.argmax(axis=1)
+        losses, _, _ = _head_loss_grad(
+            head, z, code, ys, np.arange(z.shape[0]), epoch, split
+        )
+        preds = predict_batch(z, decoding_matrix(code)) if head == "decoder" else z.argmax(axis=1)
     return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
 
 
@@ -327,12 +299,7 @@ def train(
             xb, yb = x[idx], ys[idx]
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if head == "decoder":
-                    losses, _, grads = _decoder_loss_grad(
-                        z, code, yb, idx, epoch, batches
-                    )
-                else:
-                    losses, _, grads = _softmax_ce_batch(z, yb)
+                losses, _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
             if not np.isfinite(losses.sum()):
                 raise TrainingDivergedError(epoch)
 

@@ -9,6 +9,25 @@ text from a per-element writer (``format_rows_per_element``), the
 synthetic attribute table from a nested loop over tree paths
 (``attribute_table_nested``), and the softmax head's update-density vector
 from a dense per-sample mismatch matrix (``update_vector_zeros_array``).
+
+The distance-decoder head and the net have single-sample references, one
+function per quantity, written from the formulas one sample at a time.
+The decoder ones take the decoding matrix ``m`` (rows as the decoder
+measures them) rather than a code:
+
+- ``normalize``: ``z / ||z||``
+- ``distances``: scores ``-0.5 * ||m_c - u||^2`` per codeword
+- ``decoder_softmax``: max-shifted softmax of a score vector
+- ``decoder_probs`` and ``decoder_loss``: class probabilities of an output
+  and its cross-entropy against a label
+- ``decoder_grad``: the analytic loss gradient w.r.t. the output,
+  ``(a - (u . a) u) / ||z||`` with ``a = m^T (probs - e_y)``
+- ``predict``: the nearest codeword
+- ``net_forward`` and ``net_backward``: one sample through the net's
+  affine + rectifier layers, and the per-layer parameter gradients of
+  ``grad_z . z`` for that sample
+- ``sparsity_ratio``: the fraction ``batch_size / n`` of one-hot output
+  units a mini-batch can update at most
 """
 
 from __future__ import annotations
@@ -219,3 +238,80 @@ def update_vector_zeros_array(z: np.ndarray, ys: np.ndarray) -> np.ndarray:
     out[idx, z.argmax(axis=1)] += 1.0
     out[idx, ys] -= 1.0
     return out.mean(axis=0)
+
+
+def normalize(z: np.ndarray) -> np.ndarray:
+    """z / ||z||_2; rejects (near-)zero vectors."""
+    z = np.asarray(z, dtype=np.float64)
+    norm = np.linalg.norm(z)
+    if norm <= 1e-12:
+        raise ValueError("cannot normalize a zero vector")
+    return z / norm
+
+
+def distances(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Score vector D with D_c = -0.5 * ||m_c - u||^2 for decoding rows m_c."""
+    return -0.5 * ((m - u) ** 2).sum(axis=1)
+
+
+def decoder_softmax(d: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over a score vector."""
+    e = np.exp(d - d.max())
+    return e / e.sum()
+
+
+def decoder_probs(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Class probabilities of one output z."""
+    return decoder_softmax(distances(normalize(z), m))
+
+
+def decoder_loss(z: np.ndarray, m: np.ndarray, y: int) -> float:
+    """Cross-entropy of one output z against label y."""
+    return float(-np.log(decoder_probs(z, m)[y]))
+
+
+def decoder_grad(z: np.ndarray, m: np.ndarray, y: int) -> np.ndarray:
+    """Analytic gradient of ``decoder_loss`` w.r.t. z."""
+    u = normalize(z)
+    g = decoder_probs(z, m)
+    g[y] -= 1.0
+    a = m.T @ g
+    return (a - (u @ a) * u) / np.linalg.norm(z)
+
+
+def predict(z: np.ndarray, m: np.ndarray) -> int:
+    """Nearest decoding row to z; ties go to the smallest class id."""
+    return int(np.argmax(distances(normalize(z), m)))
+
+
+def net_forward(p, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One sample through the layers of ``p``: returns the output and the
+    input to each layer (the cache ``net_backward`` takes)."""
+    a = np.asarray(x, dtype=np.float64)
+    cache = []
+    for i, (w, b) in enumerate(p.layers):
+        cache.append(a)
+        a = w @ a + b
+        if i < len(p.layers) - 1:
+            a = np.maximum(a, 0.0)
+    return a, cache
+
+
+def net_backward(
+    p, cache: list[np.ndarray], grad_z: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) gradients of one sample, given d loss / d z."""
+    grads = []
+    delta = np.asarray(grad_z, dtype=np.float64)
+    for i in range(len(p.layers) - 1, -1, -1):
+        grads.append((np.outer(delta, cache[i]), delta.copy()))
+        if i > 0:
+            delta = (p.layers[i][0].T @ delta) * (cache[i] > 0)
+    return grads[::-1]
+
+
+def sparsity_ratio(batch_size: int, n: int) -> float:
+    """Fraction of output units a mini-batch can update at most: bs / n."""
+    if batch_size < 1 or n < 1:
+        raise ValueError("batch_size and n must both be >= 1")
+    return batch_size / n

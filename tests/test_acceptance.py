@@ -22,9 +22,16 @@ from ecoc.codes import (
     one_hot,
 )
 from ecoc.datasets import synth_hierarchical, split
-from ecoc.decoder import backward as decoder_backward
-from ecoc.decoder import forward as decoder_forward
-from ecoc.net import NetParams, TrainConfig, init, net_backward, net_forward, train
+from ecoc.decoder import batch_loss_grad
+from ecoc.net import (
+    NetParams,
+    TrainConfig,
+    _backward_batch,
+    _forward_batch,
+    init,
+    net_outputs,
+    train,
+)
 from ecoc.spectral import (
     SimilarityGraph,
     normalized_laplacian,
@@ -61,7 +68,9 @@ def final_eval_accuracy(metrics) -> float:
 def test_criterion_1_gradient_oracle():
     """Analytic decoder-loss gradient vs. central finite differences on 100
     randomized instances spanning k in {3, 8, 32}, n in {4, 10, 100}, and
-    all four code kinds, within the shared relative tolerance and 5 s."""
+    all four code kinds, within the shared relative tolerance and 5 s.
+    Both come from ``batch_loss_grad`` on a one-row batch: the gradient it
+    returns, and differences of the loss it returns."""
     started = time.perf_counter()
     rng = np.random.default_rng(11)
 
@@ -80,10 +89,9 @@ def test_criterion_1_gradient_oracle():
         code = pool[i % len(pool)]
         z = rng.standard_normal(code.k)
         y = int(rng.integers(code.n))
-        probs = decoder_forward(z, code, y).probs
-        analytic = decoder_backward(z, code, y, probs)
+        analytic = batch_loss_grad(z[None, :], code, [y])[2][0]
         reference = finite_difference_gradient(
-            lambda v: decoder_forward(v, code, y).loss, z
+            lambda v: batch_loss_grad(v[None, :], code, [y])[0][0], z
         )
         worst = max(worst, max_relative_error(analytic, reference))
     elapsed = time.perf_counter() - started
@@ -100,7 +108,9 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_composed_gradient():
     """End-to-end gradient (net forward into decoder loss) vs. finite
-    differences on a 4-8-3 net, 50 randomly chosen parameter coordinates."""
+    differences on a 4-8-3 net, 50 randomly chosen parameter coordinates.
+    Each probe runs one sample as a one-row batch through the batch net and
+    ``batch_loss_grad``, the path training takes."""
     rng = np.random.default_rng(23)
     p = init([4, 8, 3], seed=23)
     code = gaussian_code(6, 3, seed=23)
@@ -110,9 +120,8 @@ def test_criterion_2_composed_gradient():
     for _ in range(50):
         x = rng.standard_normal(4)
         y = int(rng.integers(code.n))
-        z, cache = net_forward(p, x)
-        res = decoder_forward(z, code, y)
-        grads = net_backward(p, cache, decoder_backward(z, code, y, res.probs))
+        z, cache = _forward_batch(p, x[None, :])
+        grads = _backward_batch(p, cache, batch_loss_grad(z, code, [y])[2])
         li = int(rng.integers(len(p.layers)))
         w, b = p.layers[li]
         flat = int(rng.integers(w.size + b.size))
@@ -124,8 +133,8 @@ def test_criterion_2_composed_gradient():
                 wi.flat[flat] += delta
             else:
                 bi[flat - w.size] += delta
-            out, _ = net_forward(NetParams(layers), x)
-            return decoder_forward(out, code, y).loss
+            out = net_outputs(NetParams(layers), x[None, :])
+            return batch_loss_grad(out, code, [y])[0][0]
 
         fd = (probe(h) - probe(-h)) / (2 * h)
         gw, gb = grads[li]

@@ -1,4 +1,5 @@
-"""Confusion counts, correlation tables, bit ablation, sparsity ratio."""
+"""Confusion counts, correlation tables, bit ablation, and the reference
+sparsity ratio."""
 
 import os
 
@@ -15,13 +16,13 @@ from ecoc.analysis import (
     save_ablation_csv,
     save_confusion_csv,
     save_correlation_csv,
-    sparsity_ratio,
 )
 from ecoc.codes import Binarization, CodeKind, CodeMatrix, gaussian_code
 from ecoc.datasets import Dataset
 from ecoc.decoder import decoding_matrix, predict_batch
 from ecoc.net import NetParams, net_outputs
 from ecoc.spectral import SimilarityGraph, spectral_code
+from oracles import sparsity_ratio
 
 
 def signed_code(rows) -> CodeMatrix:
@@ -276,6 +277,8 @@ class TestBitAblation:
 
 
 class TestSparsityRatio:
+    """The reference bound behind the softmax head's update-density test."""
+
     def test_values(self):
         assert sparsity_ratio(16, 200) == 0.08
         assert sparsity_ratio(256, 1000) == 0.256

@@ -7,7 +7,7 @@ import pytest
 
 from ecoc.cli import main, parse_config_text, resolve_config
 from ecoc.codes import CodeKind, load_code_csv
-from ecoc.datasets import Dataset, save_csv, synth_hierarchical
+from ecoc.datasets import Dataset, load_csv, save_csv, synth_hierarchical
 from ecoc.spectral import SimilarityGraph, save_similarity_csv
 
 
@@ -341,6 +341,23 @@ class TestAnalyze:
                      "--code", os.path.join(run_dir, "code.csv"),
                      "--mode", "confusion", "--classes", classes, "--out", out]) == 2
         assert f"--classes must be >= 1, got {classes}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("mode", ["confusion", "ablate"])
+    def test_classes_other_than_code_rejected(self, run_dir, tmp_path, capsys, mode):
+        """--classes 2 against the run's 4-class code, on data that holds
+        labels 0 and 1 only, so the data alone would pass."""
+        ds = load_csv(os.path.join(run_dir, "eval.csv"), n=4)
+        keep = ds.labels < 2
+        data = os.path.join(tmp_path, "two.csv")
+        save_csv(Dataset(ds.features[keep], ds.labels[keep], 2), data)
+        code = os.path.join(run_dir, "code.csv")
+        out = os.path.join(tmp_path, f"{mode}.csv")
+        assert main(["analyze", "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", data, "--code", code,
+                     "--mode", mode, "--classes", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"--classes 2 does not match the 4 classes of code {code}" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("js, bad", [("1,,2", "''"), ("a", "'a'")])

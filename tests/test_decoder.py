@@ -1,29 +1,40 @@
-"""Distance-decoder head: forward, softmax, analytic backward, prediction."""
+"""Distance-decoder head: scores, softmax, analytic gradient, prediction.
+
+Every test drives the batch operations training and analysis run
+(``batch_loss_grad``, ``predict_batch`` and the score and softmax steps
+inside them), on one-row and multi-row batches; the single-sample
+references in ``oracles`` check them row by row.
+"""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ecoc.analysis import ablation_predictions
-from ecoc.codes import Binarization, CodeKind, CodeMatrix, binarize, gaussian_code, one_hot
+from ecoc.codes import (
+    Binarization,
+    BinarizationCollisionError,
+    CodeKind,
+    CodeMatrix,
+    binarize,
+    gaussian_code,
+    one_hot,
+)
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
     _ROW_BLOCK,
     _distance_scores,
-    backward,
     batch_loss_grad,
-    decoder_softmax,
     decoding_matrix,
-    distances,
-    forward,
     nearest_codewords,
-    normalize,
-    predict,
     predict_batch,
+    softmax_ce_in_place,
+    unit_rows,
 )
 from ecoc.net import NetParams
 from ecoc.spectral import spectral_code
@@ -42,46 +53,79 @@ def plain_code(rows) -> CodeMatrix:
                       normalize_rows=False)
 
 
+# batch sizes at and around the decoder's row-block boundaries
+ROW_COUNTS = [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
+
+
+def scores(z, code) -> np.ndarray:
+    """The decoder's score rows for a batch of outputs."""
+    u, _ = unit_rows(np.asarray(z, dtype=float))
+    m = decoding_matrix(code)
+    return _distance_scores(u, m, np.einsum("ij,ij->i", m, m))
+
+
+def softmax(d) -> np.ndarray:
+    """The decoder's in-place softmax, applied to a copy of score rows."""
+    probs = np.array(d, dtype=float)
+    softmax_ce_in_place(probs, np.zeros(len(probs), dtype=int), np.empty_like(probs))
+    return probs
+
+
+def loss_grad(z, code, y) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss, probabilities and gradient of one output, as a one-row batch."""
+    losses, probs, grads = batch_loss_grad(np.asarray(z, dtype=float)[None, :], code, [y])
+    return float(losses[0]), probs[0], grads[0]
+
+
+def loss(z, code, y) -> float:
+    return loss_grad(z, code, y)[0]
+
+
 class TestNormalize:
     def test_three_four_five(self):
-        assert np.array_equal(normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        u, norms = unit_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        assert np.array_equal(u, [[0.6, 0.8], [0.0, -1.0]])
+        assert np.array_equal(norms, [5.0, 2.0])
 
     def test_unit_vector_unchanged(self):
-        u = np.array([0.6, 0.8])
-        assert np.array_equal(normalize(u), u)
+        u = np.array([[0.6, 0.8]])
+        assert np.array_equal(unit_rows(u)[0], u)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            normalize(np.zeros(2))
+        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+            predict_batch(np.zeros((1, 2)), np.eye(2))
 
     def test_result_unit_norm(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            u = normalize(rng.standard_normal(5) * 10)
-            assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        u, _ = unit_rows(rng.standard_normal((20, 5)) * 10)
+        assert (np.abs(np.linalg.norm(u, axis=1) - 1.0) < 1e-12).all()
 
 
 class TestDistances:
     def test_exact_codeword_scores_zero_and_max(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        d = distances(np.array([1.0, 0.0]), code)
+        d = scores([[1.0, 0.0]], code)[0]
         assert d[0] == 0.0
         assert d.argmax() == 0
 
     def test_hand_values(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        d = distances(np.array([1.0, 0.0]), code)
-        assert np.array_equal(d, [0.0, -1.0])
+        d = scores([[1.0, 0.0], [0.0, 3.0]], code)
+        assert np.array_equal(d, [[0.0, -1.0], [-1.0, 0.0]])
 
     def test_shape_mismatch_rejected(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="match"):
-            distances(np.ones(3), code)
+        with pytest.raises(ValueError, match=r"batch shape \(1, 3\) does not match code bits 2"):
+            batch_loss_grad(np.ones((1, 3)), code, [0])
+        with pytest.raises(ValueError, match="does not match code bits"):
+            batch_loss_grad(np.ones(2), code, [0])
 
     def test_row_normalization_applied(self):
         raw = CodeMatrix(np.array([[2.0, 0.0], [0.0, 0.5]]), kind=CodeKind.GAUSSIAN)
         assert raw.normalize_rows
-        d = distances(np.array([1.0, 0.0]), raw)
+        d = scores([[1.0, 0.0]], raw)[0]
         # both rows decode as unit vectors, so the aligned one is at distance 0
         assert d[0] == 0.0
         assert d[1] == -1.0
@@ -89,61 +133,63 @@ class TestDistances:
 
 class TestDecoderSoftmax:
     def test_uniform_on_equal_scores(self):
-        probs = decoder_softmax(np.zeros(3))
-        assert np.array_equal(probs, np.full(3, 1.0 / 3.0))
+        probs = softmax(np.zeros((2, 3)))
+        assert np.array_equal(probs, np.full((2, 3), 1.0 / 3.0))
 
     def test_two_point_values(self):
-        probs = decoder_softmax(np.array([0.0, -1.0]))
+        probs = softmax([[0.0, -1.0]])[0]
         assert probs[0] == pytest.approx(0.7311, abs=1e-4)
         assert probs[1] == pytest.approx(0.2689, abs=1e-4)
 
     def test_large_scores_stable(self):
-        probs = decoder_softmax(np.array([1000.0, 0.0]))
-        assert np.isfinite(probs).all()
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
+        d = np.array([[1000.0, 0.0], [0.0, 1000.0]])
+        g = np.empty_like(d)
+        losses = softmax_ce_in_place(d, np.array([0, 1]), g)
+        assert np.isfinite(d).all() and np.isfinite(g).all()
+        assert np.allclose(d, np.eye(2), atol=1e-12)
+        assert np.allclose(losses, 0.0, atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            probs = decoder_softmax(rng.standard_normal(7) * 100)
-            assert abs(probs.sum() - 1.0) < 1e-12
+        probs = softmax(rng.standard_normal((50, 7)) * 100)
+        assert (np.abs(probs.sum(axis=1) - 1.0) < 1e-12).all()
 
 
 class TestForward:
     def test_symmetric_pair_gives_log_two(self):
         code = plain_code([[1.0, 0.0], [-1.0, 0.0]])
-        res = forward(np.array([0.0, 5.0]), code, 0)
-        assert np.array_equal(res.probs, [0.5, 0.5])
-        assert res.loss == pytest.approx(math.log(2), abs=1e-12)
+        loss_, probs, _ = loss_grad([0.0, 5.0], code, 0)
+        assert np.array_equal(probs, [0.5, 0.5])
+        assert loss_ == pytest.approx(math.log(2), abs=1e-12)
 
     def test_matching_codeword_most_probable(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        res = forward(np.array([0.0, 3.0]), code, 1)
-        assert res.probs.argmax() == 1
-        assert res.loss == pytest.approx(-math.log(res.probs[1]), abs=1e-12)
+        loss_, probs, _ = loss_grad([0.0, 3.0], code, 1)
+        assert probs.argmax() == 1
+        assert loss_ == pytest.approx(-math.log(probs[1]), abs=1e-12)
 
     def test_label_out_of_range(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="label"):
-            forward(np.ones(2), code, 2)
+        for ys in ([2], [0, -1]):
+            with pytest.raises(ValueError, match="labels out of range for 2 classes"):
+                batch_loss_grad(np.ones((len(ys), 2)), code, np.array(ys))
 
     def test_scale_invariance(self):
         code = gaussian_code(5, 4, seed=3)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            z = rng.standard_normal(4)
-            a = forward(z, code, 2)
-            b = forward(z * rng.uniform(0.1, 100.0), code, 2)
-            assert np.allclose(a.probs, b.probs, atol=1e-12)
-            assert a.loss == pytest.approx(b.loss, abs=1e-12)
+        z = rng.standard_normal((20, 4))
+        ys = np.full(20, 2)
+        a_loss, a_probs, _ = batch_loss_grad(z, code, ys)
+        b_loss, b_probs, _ = batch_loss_grad(z * rng.uniform(0.1, 100.0, (20, 1)), code, ys)
+        assert np.allclose(a_probs, b_probs, atol=1e-12)
+        assert np.allclose(a_loss, b_loss, atol=1e-12)
 
     def test_probs_in_simplex(self):
         code = gaussian_code(6, 3, seed=5)
         rng = np.random.default_rng(6)
-        for _ in range(30):
-            res = forward(rng.standard_normal(3), code, 0)
-            assert (res.probs >= 0).all() and (res.probs <= 1).all()
-            assert abs(res.probs.sum() - 1.0) < 1e-12
+        _, probs, _ = batch_loss_grad(rng.standard_normal((30, 3)), code, np.zeros(30, int))
+        assert (probs >= 0).all() and (probs <= 1).all()
+        assert (np.abs(probs.sum(axis=1) - 1.0) < 1e-12).all()
 
 
 def all_kind_codes():
@@ -166,9 +212,8 @@ class TestBackward:
         for _ in range(100):
             z = rng.standard_normal(8) * rng.uniform(0.5, 3.0)
             y = int(rng.integers(5))
-            res = forward(z, code, y)
-            grad = backward(z, code, y, res.probs)
-            fd = finite_difference_gradient(lambda t: forward(t, code, y).loss, z)
+            grad = loss_grad(z, code, y)[2]
+            fd = finite_difference_gradient(lambda t: loss(t, code, y), z)
             assert max_relative_error(grad, fd) < FD_REL_TOL
 
     def test_finite_difference_every_code_kind(self):
@@ -177,53 +222,51 @@ class TestBackward:
             for _ in range(10):
                 z = rng.standard_normal(code.k)
                 y = int(rng.integers(code.n))
-                res = forward(z, code, y)
-                grad = backward(z, code, y, res.probs)
-                fd = finite_difference_gradient(lambda t: forward(t, code, y).loss, z)
+                grad = loss_grad(z, code, y)[2]
+                fd = finite_difference_gradient(lambda t: loss(t, code, y), z)
                 assert max_relative_error(grad, fd) < FD_REL_TOL
 
     def test_gradient_orthogonal_to_z(self):
         code = gaussian_code(6, 5, seed=10)
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            z = rng.standard_normal(5) * 4
-            res = forward(z, code, 3)
-            grad = backward(z, code, 3, res.probs)
-            assert abs(grad @ z) < 1e-10
+        z = rng.standard_normal((50, 5)) * 4
+        _, _, grads = batch_loss_grad(z, code, np.full(50, 3))
+        assert (np.abs((grads * z).sum(axis=1)) < 1e-10).all()
 
     def test_confident_correct_prediction_zero_gradient(self):
-        code = gaussian_code(4, 3, seed=12)
-        z = np.ones(3)
-        probs = np.array([0.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(backward(z, code, 1, probs), np.zeros(3))
+        # the far codeword scores about -5000, so its probability underflows
+        # to 0 and the true class gets probability 1 exactly
+        code = plain_code([[1.0, 0.0], [0.0, -100.0]])
+        _, probs, grads = batch_loss_grad(np.array([[3.0, 0.0]]), code, [0])
+        assert np.array_equal(probs, [[1.0, 0.0]])
+        assert np.array_equal(grads, np.zeros((1, 2)))
 
     def test_descent_direction(self):
         """Small steps against the gradient reduce the loss."""
         code = gaussian_code(5, 6, seed=13)
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            z = rng.standard_normal(6)
-            y = int(rng.integers(5))
-            res = forward(z, code, y)
-            grad = backward(z, code, y, res.probs)
-            if np.linalg.norm(grad) < 1e-12:
-                continue
-            stepped = forward(z - 1e-4 * grad, code, y)
-            assert stepped.loss < res.loss
+        z = rng.standard_normal((100, 6))
+        ys = rng.integers(5, size=100)
+        losses, _, grads = batch_loss_grad(z, code, ys)
+        moving = np.linalg.norm(grads, axis=1) >= 1e-12
+        stepped, _, _ = batch_loss_grad(z - 1e-4 * grads, code, ys)
+        assert moving.sum() > 90
+        assert (stepped[moving] < losses[moving]).all()
 
 
 class TestPredict:
     def test_scaled_codeword_recovered(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        assert predict(np.array([0.0, 17.0]), code) == 1
-        assert predict(np.array([0.0, 0.001]), code) == 1
+        z = np.array([[0.0, 17.0], [0.0, 0.001]])
+        assert predict_batch(z, decoding_matrix(code)).tolist() == [1, 1]
 
     def test_tie_goes_to_smaller_id(self):
         code = plain_code([[0.0, -1.0], [1.0, 0.0], [-0.6, -0.8], [-1.0, 0.0]])
         # u = (0, 1) is equidistant from codewords 1 and 3
         z = np.array([0.0, 2.0])
-        assert predict(z, code) == 1
+        assert oracles.predict(z, decoding_matrix(code)) == 1
         assert predict_batch(z[None, :], decoding_matrix(code)).tolist() == [1]
+        assert predict_batch(np.tile(z, (3, 1)), decoding_matrix(code)).tolist() == [1] * 3
         identity = NetParams([(np.eye(2), np.zeros(2))])
         ds = Dataset(z[None, :], np.array([1]), code.n)
         [(_, preds)] = ablation_predictions(identity, ds, code, [2])
@@ -232,58 +275,59 @@ class TestPredict:
     def test_consistent_with_forward_argmax(self):
         code = gaussian_code(7, 4, seed=15)
         rng = np.random.default_rng(16)
-        for _ in range(100):
-            z = rng.standard_normal(4)
-            assert predict(z, code) == forward(z, code, 0).probs.argmax()
+        z = rng.standard_normal((100, 4))
+        _, probs, _ = batch_loss_grad(z, code, np.zeros(100, int))
+        assert np.array_equal(predict_batch(z, decoding_matrix(code)), probs.argmax(axis=1))
 
     def test_one_hot_reduces_to_largest_coordinate(self):
         code = one_hot(5)
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            z = rng.standard_normal(5)
-            u = z / np.linalg.norm(z)
-            assert predict(z, code) == int(np.argmax(u))
+        z = rng.standard_normal((50, 5))
+        assert np.array_equal(predict_batch(z, decoding_matrix(code)), z.argmax(axis=1))
+
+
+def assert_rows_match_oracles(z, code, ys, tol=1e-12):
+    """batch_loss_grad and predict_batch against the single-sample
+    references, row by row, within ``tol`` (absolute and relative)."""
+    losses, probs, grads = batch_loss_grad(z, code, ys)
+    m = decoding_matrix(code)
+    preds = predict_batch(z, m)
+    mm_max = (m * m).sum(axis=1).max()
+    rows, n = probs.shape
+    assert losses.shape == (rows,) and grads.shape == z.shape and n == code.n
+    for i in range(rows):
+        y = int(ys[i])
+        assert np.allclose(losses[i], oracles.decoder_loss(z[i], m, y), rtol=tol, atol=tol)
+        assert np.allclose(probs[i], oracles.decoder_probs(z[i], m), rtol=tol, atol=tol)
+        assert np.allclose(grads[i], oracles.decoder_grad(z[i], m, y), rtol=tol, atol=tol)
+        # the argmax can move only where the two best oracle scores are
+        # within the scores' combined tolerance, as in TestGramScores
+        top2 = np.sort(oracles.distances(oracles.normalize(z[i]), m))[-2:]
+        if top2[1] - top2[0] > 2 * tol * (2.0 + mm_max):
+            assert preds[i] == oracles.predict(z[i], m)
 
 
 class TestBatchOps:
     def test_matches_single_sample_ops(self):
         code = gaussian_code(6, 5, seed=18)
         rng = np.random.default_rng(19)
-        z = rng.standard_normal((12, 5))
-        ys = rng.integers(0, 6, size=12)
-        losses, probs, grads = batch_loss_grad(z, code, ys)
-        for i in range(12):
-            res = forward(z[i], code, int(ys[i]))
-            grad = backward(z[i], code, int(ys[i]), res.probs)
-            assert losses[i] == pytest.approx(res.loss, abs=1e-12)
-            assert np.allclose(probs[i], res.probs, atol=1e-12)
-            assert np.allclose(grads[i], grad, atol=1e-12)
+        assert_rows_match_oracles(rng.standard_normal((12, 5)), code, rng.integers(0, 6, size=12))
 
-    @pytest.mark.parametrize(
-        "rows", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
-    )
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_matches_single_sample_ops_across_row_blocks(self, rows):
         code = gaussian_code(7, 5, seed=23)
         rng = np.random.default_rng(rows)
-        z = rng.standard_normal((rows, 5))
-        ys = rng.integers(0, 7, size=rows)
-        losses, probs, grads = batch_loss_grad(z, code, ys)
-        assert losses.shape == (rows,) and probs.shape == (rows, 7)
-        assert grads.shape == (rows, 5)
-        for i in range(rows):
-            res = forward(z[i], code, int(ys[i]))
-            grad = backward(z[i], code, int(ys[i]), res.probs)
-            assert losses[i] == pytest.approx(res.loss, abs=1e-12)
-            assert np.allclose(probs[i], res.probs, atol=1e-12)
-            assert np.allclose(grads[i], grad, atol=1e-12)
+        assert_rows_match_oracles(
+            rng.standard_normal((rows, 5)), code, rng.integers(0, 7, size=rows)
+        )
 
     def test_predict_batch_matches_predict(self):
         code = gaussian_code(6, 5, seed=18)
         rng = np.random.default_rng(20)
         z = rng.standard_normal((40, 5))
-        preds = predict_batch(z, decoding_matrix(code))
-        for i in range(40):
-            assert preds[i] == predict(z[i], code)
+        m = decoding_matrix(code)
+        preds = predict_batch(z, m)
+        assert preds.tolist() == [oracles.predict(row, m) for row in z]
 
     def test_label_out_of_range(self):
         code = gaussian_code(3, 4, seed=21)
@@ -299,10 +343,42 @@ class TestBatchOps:
 
 
 @st.composite
+def oracle_inputs(draw, kind, rows):
+    """(z, code, ys): ``rows`` outputs of random scale and labels against a
+    code of the given kind (one-hot, gaussian, binarized or spectral)."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "onehot":
+        code = one_hot(n)
+    elif kind == "spectral":
+        code = spectral_code(random_similarity(n, seed), draw(st.integers(1, n - 1)))
+    else:
+        code = gaussian_code(n, draw(st.integers(1, 24)), seed=seed)
+    if kind == "binarized":
+        try:
+            code = binarize(code, draw(st.sampled_from([Binarization.ZERO, Binarization.MEDIAN])))
+        except BinarizationCollisionError:
+            assume(False)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, code.k)) * rng.uniform(0.1, 10.0, (rows, 1))
+    return z, code, rng.integers(0, n, size=rows)
+
+
+class TestBatchAgainstOracles:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    @pytest.mark.parametrize("kind", ["onehot", "gaussian", "binarized", "spectral"])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_match_single_sample_references(self, kind, rows, data):
+        assert_rows_match_oracles(*data.draw(oracle_inputs(kind, rows)))
+
+
+@st.composite
 def score_inputs(draw):
-    """(u, m) pairs covering the decoder's scoring inputs: unit output rows
-    against unit codewords, truncated prefixes of both (not unit length),
-    +-1 codes decoded as stored (||m||^2 = k), and one-hot codes."""
+    """(u, m, ||m||^2) covering the decoder's scoring inputs: unit output
+    rows against unit codewords, truncated prefixes of both (not unit
+    length), +-1 codes decoded as stored (||m||^2 = k), and one-hot codes.
+    The squared codeword norms are summed here, not by the library."""
     kind = draw(st.sampled_from(["unit", "prefix", "signs", "onehot"]))
     s = draw(st.integers(1, 40))
     n = draw(st.integers(2, 60))
@@ -320,7 +396,7 @@ def score_inputs(draw):
     if kind == "prefix":
         j = draw(st.integers(1, k))
         u, m = u[:, :j], m[:, :j]
-    return u, m
+    return u, m, (m * m).sum(axis=1)
 
 
 class TestDecodingMatrix:
@@ -344,10 +420,10 @@ class TestGramScores:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(score_inputs())
     def test_matches_broadcast_oracle(self, inputs):
-        u, m = inputs
+        u, m, mm = inputs
         ref = distance_scores_broadcast(u, m)
-        tol = 1e-12 * (1.0 + (u * u).sum(axis=1)[:, None] + (m * m).sum(axis=1))
-        assert (np.abs(_distance_scores(u, m) - ref) <= tol).all()
+        tol = 1e-12 * (1.0 + (u * u).sum(axis=1)[:, None] + mm)
+        assert (np.abs(_distance_scores(u, m, mm) - ref) <= tol).all()
         # the argmax can move only where two oracle scores are within the
         # combined tolerance of both
         top2 = np.sort(ref, axis=1)[:, -2:]

@@ -1,4 +1,4 @@
-"""Feedforward net: init, forward/backward, the SGD trainer, model files."""
+"""Feedforward net: init, batch forward/backward, the SGD trainer, model files."""
 
 import os
 import struct
@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ecoc import decoder
 from ecoc.codes import gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
-from ecoc.decoder import forward as decoder_forward
 from ecoc.net import (
     MetricsRow,
     NetParams,
@@ -23,18 +23,16 @@ from ecoc.net import (
     ZeroOutputError,
     _backward_batch,
     _forward_batch,
-    _softmax_ce_batch,
+    _head_loss_grad,
     _update_vector,
     init,
     load_model,
-    net_backward,
-    net_forward,
     net_outputs,
     save_metrics,
     save_model,
     train,
 )
-from oracles import FD_REL_TOL, max_relative_error, update_vector_zeros_array
+from oracles import FD_REL_TOL, max_relative_error, sparsity_ratio, update_vector_zeros_array
 
 
 def separable_dataset(seed: int = 0) -> Dataset:
@@ -76,16 +74,16 @@ class TestInit:
 class TestNetForward:
     def test_output_bias_only_when_weights_zero(self):
         p = NetParams([(np.zeros((3, 2)), np.array([1.0, -2.0, 0.5]))])
-        z, _ = net_forward(p, np.array([7.0, -4.0]))
-        assert np.array_equal(z, [1.0, -2.0, 0.5])
+        z, _ = _forward_batch(p, np.array([[7.0, -4.0], [0.0, 1.0]]))
+        assert np.array_equal(z, [[1.0, -2.0, 0.5]] * 2)
 
     def test_single_linear_layer(self):
         w = np.array([[1.0, 2.0], [0.0, -1.0]])
         b = np.array([0.5, 0.0])
         p = NetParams([(w, b)])
         x = np.array([3.0, 1.0])
-        z, _ = net_forward(p, x)
-        assert np.array_equal(z, w @ x + b)
+        z, _ = _forward_batch(p, x[None, :])
+        assert np.array_equal(z[0], w @ x + b)
 
     def test_rectifier_clamps_hidden(self):
         # hidden pre-activation forced negative; output reads only the bias
@@ -93,35 +91,39 @@ class TestNetForward:
             (-np.eye(2), np.zeros(2)),
             (np.ones((1, 2)), np.array([4.0])),
         ])
-        z, cache = net_forward(p, np.array([3.0, 5.0]))
-        assert np.array_equal(z, [4.0])
+        z, cache = _forward_batch(p, np.array([[3.0, 5.0]]))
+        assert np.array_equal(z, [[4.0]])
         assert np.array_equal(cache[1], np.zeros((1, 2)))
 
     def test_shape_mismatch_rejected(self):
         p = init([4, 3], seed=0)
+        with pytest.raises(ValueError, match=r"shape \(1, 5\) does not match net input size 4"):
+            _forward_batch(p, np.ones((1, 5)))
         with pytest.raises(ValueError, match="input"):
-            net_forward(p, np.ones(5))
+            _forward_batch(p, np.ones(4))
 
 
 class TestNetBackward:
     def test_zero_output_gradient(self):
         p = init([4, 8, 3], seed=2)
-        _, cache = net_forward(p, np.ones(4))
-        grads = net_backward(p, cache, np.zeros(3))
+        _, cache = _forward_batch(p, np.ones((5, 4)))
+        grads = _backward_batch(p, cache, np.zeros((5, 3)))
         for gw, gb in grads:
             assert not gw.any()
             assert not gb.any()
 
     def test_finite_difference_on_parameters(self):
-        """50 probes: d(v . net(x))/d(theta) against central differences."""
+        """50 probes: d(mean_i v_i . net(x_i))/d(theta) against central
+        differences, on batches of 1 to 4 rows."""
         rng = np.random.default_rng(3)
         p = init([4, 8, 3], seed=3)
         h = 1e-5
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            v = rng.standard_normal(3)
-            _, cache = net_forward(p, x)
-            grads = net_backward(p, cache, v)
+        for probe_no in range(50):
+            rows = 1 + probe_no % 4
+            x = rng.standard_normal((rows, 4))
+            v = rng.standard_normal((rows, 3))
+            _, cache = _forward_batch(p, x)
+            grads = _backward_batch(p, cache, v)
             li = int(rng.integers(len(p.layers)))
             w, b = p.layers[li]
             flat = int(rng.integers(w.size + b.size))
@@ -133,21 +135,33 @@ class TestNetBackward:
                     wi.flat[flat] += delta
                 else:
                     bi[flat - w.size] += delta
-                z, _ = net_forward(NetParams(layers), x)
-                return float(v @ z)
+                return float((v * net_outputs(NetParams(layers), x)).sum() / rows)
 
             fd = (probe(h) - probe(-h)) / (2 * h)
             gw, gb = grads[li]
             analytic = gw.flat[flat] if flat < w.size else gb[flat - w.size]
             assert max_relative_error(np.array([analytic]), np.array([fd])) < FD_REL_TOL
 
+    def test_mean_of_single_sample_gradients(self):
+        """The batch gradient is the mean of the per-sample references."""
+        rng = np.random.default_rng(4)
+        p = init([4, 8, 5, 3], seed=4)
+        x = rng.standard_normal((7, 4))
+        v = rng.standard_normal((7, 3))
+        _, cache = _forward_batch(p, x)
+        grads = _backward_batch(p, cache, v)
+        singles = [
+            oracles.net_backward(p, oracles.net_forward(p, x[i])[1], v[i]) for i in range(7)
+        ]
+        for li, (gw, gb) in enumerate(grads):
+            assert np.allclose(gw, np.mean([g[li][0] for g in singles], axis=0), atol=1e-12)
+            assert np.allclose(gb, np.mean([g[li][1] for g in singles], axis=0), atol=1e-12)
+
     def test_descent_shrinks_loss_and_gradient(self):
         """Plain gradient descent on a linear net with the distance-decoder
         loss: the chained analytic gradient must drive the mean loss down
         and itself decay (the loss is scale-free in the output, so the
         gradient falls off as the output norm grows)."""
-        from ecoc.decoder import backward as decoder_backward
-
         code = gaussian_code(3, 2, seed=4)
         rng = np.random.default_rng(5)
         ys = np.array([0, 1, 2] * 4)
@@ -158,18 +172,10 @@ class TestNetBackward:
         p = init([3, 2], seed=4)
 
         def mean_loss_and_grad(p):
-            total_w = np.zeros_like(p.layers[0][0])
-            total_b = np.zeros_like(p.layers[0][1])
-            loss = 0.0
-            for i in range(12):
-                z, cache = net_forward(p, x[i])
-                res = decoder_forward(z, code, int(ys[i]))
-                gz = decoder_backward(z, code, int(ys[i]), res.probs)
-                (gw, gb), = net_backward(p, cache, gz)
-                total_w += gw / 12
-                total_b += gb / 12
-                loss += res.loss / 12
-            return loss, total_w, total_b
+            z, cache = _forward_batch(p, x)
+            losses, _, gz = batch_loss_grad(z, code, ys)
+            (gw, gb), = _backward_batch(p, cache, gz)
+            return losses.mean(), gw, gb
 
         loss0, gw, gb = mean_loss_and_grad(p)
         norm0 = np.sqrt((gw**2).sum() + (gb**2).sum())
@@ -180,9 +186,7 @@ class TestNetBackward:
         norm1 = np.sqrt((gw**2).sum() + (gb**2).sum())
         # loss attained when every sample lands exactly on its codeword;
         # finite codeword spacing keeps this strictly positive
-        floor = np.mean([
-            decoder_forward(code.values[c], code, c).loss for c in range(3)
-        ])
+        floor = batch_loss_grad(code.values, code, np.arange(3))[0].mean()
         assert loss1 < loss0
         assert loss1 - floor < 0.02
         assert norm1 < norm0 / 10
@@ -358,7 +362,7 @@ class TestGradRatioInstrument:
         code = one_hot(16)
         cfg = TrainConfig(epochs=5, batch_size=2, learning_rate=0.2, seed=0)
         _, rows = train(init([6, 16, 16], seed=0), ds, code, cfg)
-        bound = 2 * 2 / 16
+        bound = 2 * sparsity_ratio(2, 16)
         for r in rows:
             if r.split == "train":
                 assert r.grad_nonzero_ratio <= bound + 1e-12
@@ -414,7 +418,7 @@ class TestNoWritesIntoInputs:
     def test_softmax_head(self):
         p, z, cache = self._forward([4, 32, 9])
         ys = np.arange(70) % 9
-        _, _, grads = _softmax_ce_batch(z, ys)
+        _, _, grads = _head_loss_grad("softmax", z, one_hot(9), ys, np.arange(70), 0, 0)
         _freeze(grads)
         _backward_batch(p, cache, grads)
         _update_vector("softmax", z, ys, grads)
@@ -552,6 +556,6 @@ def test_net_outputs_matches_single_forward():
     x = rng.standard_normal((9, 3))
     z = net_outputs(p, x)
     for i in range(9):
-        zi, _ = net_forward(p, x[i])
+        zi, _ = oracles.net_forward(p, x[i])
         # batched matmul may differ from the single-row product in the last bit
         assert np.allclose(z[i], zi, rtol=1e-12, atol=1e-14)
