@@ -222,17 +222,17 @@ def _head_loss_grad(
     row reported as a :class:`ZeroOutputError` naming the epoch, ``where``
     and its index in ``rows``.
     """
-    if head == "softmax":
-        probs = z.copy()
-        grads = np.empty_like(z)
-        return softmax_ce_in_place(probs, ys, grads), probs, grads
-    try:
-        return batch_loss_grad(z, code, ys)
-    except ValueError:
-        zero = np.flatnonzero(np.linalg.norm(z, axis=1) <= EPS_NORM)
-        if not zero.size:
-            raise
-        raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
+    if head == "decoder":
+        try:
+            return batch_loss_grad(z, code, ys)
+        except ValueError:
+            zero = np.flatnonzero(np.linalg.norm(z, axis=1) <= EPS_NORM)
+            if not zero.size:
+                raise
+            raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
+    probs = z.copy()
+    grads = np.empty_like(z)
+    return softmax_ce_in_place(probs, ys, grads), probs, grads
 
 
 def _epoch_metrics(
