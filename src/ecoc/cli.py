@@ -453,16 +453,31 @@ def _parse_js(text: str) -> list[int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.classes is not None and args.classes < 1:
-        raise ValueError(f"--classes must be >= 1, got {args.classes}")
+    if args.classes is not None:
+        print(
+            "warning: analyze --classes is deprecated and will be removed; "
+            "the class count comes from --code",
+            file=sys.stderr,
+        )
+        if args.classes < 1:
+            raise ValueError(f"--classes must be >= 1, got {args.classes}")
     code = codes.load_code_csv(args.code)
     if args.classes is not None and args.classes != code.n:
         raise ValueError(
             f"--classes {args.classes} does not match the {code.n} classes of code {args.code}"
         )
+
+    if args.mode == "correlate":  # reads only the code and the attributes
+        if args.attributes is None:
+            raise ValueError("--attributes is required for mode=correlate")
+        names, attrs = datasets.load_attributes_csv(args.attributes)
+        table = analysis.attribute_correlation(code, attrs, names)
+        analysis.save_correlation_csv(table, args.out)
+        print(f"wrote {args.out}: {len(table)} correlations")
+        return 0
+
     params = net.load_model(args.model)
     ds = datasets.load_csv(args.data, n=code.n)
-
     if args.mode == "confusion":
         z = net.net_outputs(params, ds.features)
         if z.shape[1] != code.k:
@@ -473,7 +488,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cm = analysis.confusion(preds, ds.labels, ds.n)
         analysis.save_confusion_csv(cm, args.out)
         print(f"wrote {args.out}: accuracy {cm.accuracy:.4f}")
-    elif args.mode == "ablate":
+    else:  # ablate
         if args.js is not None:
             js = _parse_js(args.js)
         else:
@@ -481,13 +496,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pairs = analysis.bit_ablation(params, ds, code, js)
         analysis.save_ablation_csv(pairs, args.out)
         print(f"wrote {args.out}: {len(pairs)} ablation points")
-    else:  # correlate
-        if args.attributes is None:
-            raise ValueError("--attributes is required for mode=correlate")
-        names, attrs = datasets.load_attributes_csv(args.attributes)
-        table = analysis.attribute_correlation(code, attrs, names)
-        analysis.save_correlation_csv(table, args.out)
-        print(f"wrote {args.out}: {len(table)} correlations")
     return 0
 
 
@@ -539,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--attributes", default=None)
     a.add_argument("--js", default=None, help="comma-separated prefix lengths (ablate)")
     a.add_argument("--classes", type=int, default=None,
-                   help="expected class count; must match the code's")
+                   help="deprecated: expected class count; must match the code's")
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze)
     return parser

@@ -177,16 +177,24 @@ def dense_candidate_stream(
 def _min_row_hamming(values: np.ndarray) -> int:
     """Minimum pairwise Hamming distance between sign patterns of rows.
 
-    Each row's signs are encoded one-hot over {-1, 0, +1} (an n x 3k 0/1
-    matrix E), so ``E @ E.T`` counts the agreeing coordinates of every row
-    pair, exactly (integers far below 2**53), with n x n memory.  The
-    distance is k minus the largest off-diagonal agreement.
+    With sign rows ``s`` and their nonzero masks ``P`` (row sums ``p``),
+    twice the agreement count of rows i and j is
+    ``k + s_i.s_j + (3 P_i.P_j - 2 p_i - 2 p_j + k)``; the bracket is 0 when
+    every sign is +-1, so then one n x n Gram over k columns suffices.  All
+    terms are integers far below 2**53, so the float arithmetic is exact.
+    The distance is k minus the largest off-diagonal agreement.
     """
     signs = np.sign(values)
-    e = np.concatenate([signs == s for s in (-1.0, 0.0, 1.0)], axis=1).astype(np.float64)
-    agree = e @ e.T
-    np.fill_diagonal(agree, -1.0)
-    return int(signs.shape[1] - agree.max())
+    k = signs.shape[1]
+    gram = signs @ signs.T  # becomes 2 * agreement - k
+    if not signs.all():
+        nonzero = signs != 0
+        p = nonzero.sum(axis=1, dtype=np.float64)
+        both = nonzero.astype(np.float64)
+        gram += 3.0 * (both @ both.T) - 2.0 * p[:, None] - 2.0 * p + k
+    # agreement -1 on the diagonal: a single row scores k + 1, as no pair
+    np.fill_diagonal(gram, -2.0 - k)
+    return int(k - gram.max()) // 2
 
 
 def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
@@ -195,17 +203,22 @@ def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
     Zero-norm vectors contribute 0 (no direction, no correlation).  The
     denominator is sqrt of the product of squared norms, which is exact for
     integer-valued codes, so binary anticorrelated rows score exactly 1.
+    The Gram and its denominator are exactly symmetric, so the maximum over
+    all off-diagonal entries is the maximum over distinct pairs.
     """
     m = vectors.shape[0]
     if m < 2:
         return 0.0
-    gram = vectors @ vectors.T
-    sq = np.diag(gram).copy()
-    denom = np.sqrt(np.outer(sq, sq))
+    cos = vectors @ vectors.T
+    sq = np.diag(cos).copy()
+    denom = np.outer(sq, sq)
+    np.sqrt(denom, out=denom)
+    np.abs(cos, out=cos)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 1e-30, gram / np.where(denom > 0, denom, 1.0), 0.0)
-    iu = np.triu_indices(m, k=1)
-    return float(np.abs(cos[iu]).max())
+        np.divide(cos, denom, out=cos)
+    cos[denom <= 1e-30] = 0.0
+    np.fill_diagonal(cos, 0.0)
+    return float(cos.max())
 
 
 def dense_random_code(

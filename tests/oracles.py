@@ -10,6 +10,13 @@ synthetic attribute table from a nested loop over tree paths
 (``attribute_table_nested``), and the softmax head's update-density vector
 from a dense per-sample mismatch matrix (``update_vector_zeros_array``).
 
+The code metrics have two references each.  ``min_row_hamming_brute`` and
+``max_abs_col_cosine_brute`` loop over pairs.  ``min_row_hamming_one_hot``
+(signs one-hot over {-1, 0, +1}, one n x 3k product) and
+``max_abs_pair_cosine_triu`` (masked division, upper-triangle gather) are
+the earlier matrix forms, which the library's sign-Gram forms must match
+exactly, bit for bit.
+
 The distance-decoder head and the net have single-sample references, one
 function per quantity, written from the formulas one sample at a time.
 The decoder ones take the decoding matrix ``m`` (rows as the decoder
@@ -194,6 +201,32 @@ def max_abs_col_cosine_brute(values: np.ndarray) -> float:
                 continue
             best = max(best, abs(float(x @ y) / (nx * ny)))
     return best
+
+
+def min_row_hamming_one_hot(values: np.ndarray) -> int:
+    """Minimum pairwise sign-pattern Hamming distance from an n x 3k one-hot
+    encoding of the signs over {-1, 0, +1}: ``E @ E.T`` counts agreements.
+    A single row gives k + 1."""
+    signs = np.sign(values)
+    e = np.concatenate([signs == s for s in (-1.0, 0.0, 1.0)], axis=1).astype(np.float64)
+    agree = e @ e.T
+    np.fill_diagonal(agree, -1.0)
+    return int(signs.shape[1] - agree.max())
+
+
+def max_abs_pair_cosine_triu(vectors: np.ndarray) -> float:
+    """Largest |cosine| over distinct row pairs, read from the strict upper
+    triangle; pairs whose norm product is <= 1e-30 count as 0."""
+    m = vectors.shape[0]
+    if m < 2:
+        return 0.0
+    gram = vectors @ vectors.T
+    sq = np.diag(gram).copy()
+    denom = np.sqrt(np.outer(sq, sq))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(denom > 1e-30, gram / np.where(denom > 0, denom, 1.0), 0.0)
+    iu = np.triu_indices(m, k=1)
+    return float(np.abs(cos[iu]).max())
 
 
 def format_rows_per_element(

@@ -385,6 +385,45 @@ class TestAnalyze:
         # 4 bits x 3 attributes
         assert len(lines) == 1 + 12
 
+    def test_correlate_reads_neither_model_nor_data(self, run_dir, tmp_path, capsys):
+        argv = ["analyze", "--code", os.path.join(run_dir, "code.csv"),
+                "--mode", "correlate",
+                "--attributes", os.path.join(run_dir, "attributes.csv")]
+        ref = os.path.join(tmp_path, "ref.csv")
+        assert main(argv + ["--model", os.path.join(run_dir, "model.bin"),
+                            "--data", os.path.join(run_dir, "eval.csv"),
+                            "--out", ref]) == 0
+        out = os.path.join(tmp_path, "corr.csv")
+        assert main(argv + ["--model", os.path.join(tmp_path, "missing.bin"),
+                            "--data", os.path.join(tmp_path, "missing.csv"),
+                            "--out", out]) == 0
+        assert read_bytes(out) == read_bytes(ref)
+        assert capsys.readouterr().err == ""
+
+    def test_confusion_missing_model_exits_2(self, run_dir, tmp_path, capsys):
+        model = os.path.join(tmp_path, "missing.bin")
+        out = os.path.join(tmp_path, "confusion.csv")
+        assert main(["analyze", "--model", model,
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "confusion", "--out", out]) == 2
+        assert model in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_classes_flag_warns_deprecated(self, run_dir, tmp_path, capsys):
+        argv = ["analyze", "--model", os.path.join(run_dir, "model.bin"),
+                "--data", os.path.join(run_dir, "eval.csv"),
+                "--code", os.path.join(run_dir, "code.csv"),
+                "--mode", "confusion", "--out", os.path.join(tmp_path, "c.csv")]
+        assert main(argv) == 0
+        assert "deprecated" not in capsys.readouterr().err
+        assert main(argv + ["--classes", "4"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: analyze --classes is deprecated and will be removed; "
+            "the class count comes from --code"
+        ]
+
     def test_truncated_model_exits_2(self, run_dir, tmp_path, capsys):
         model = os.path.join(tmp_path, "model.bin")
         blob = read_bytes(os.path.join(run_dir, "model.bin"))

@@ -1,11 +1,16 @@
 """Code-matrix generators, binarization, metrics, and CSV round-trips."""
 
+import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ecoc import codes
 from ecoc.codes import (
     Binarization,
     BinarizationCollisionError,
@@ -22,7 +27,12 @@ from ecoc.codes import (
     one_hot,
     save_code_csv,
 )
-from oracles import max_abs_col_cosine_brute, min_row_hamming_brute
+from oracles import (
+    max_abs_col_cosine_brute,
+    max_abs_pair_cosine_triu,
+    min_row_hamming_brute,
+    min_row_hamming_one_hot,
+)
 
 
 class TestOneHot:
@@ -112,6 +122,21 @@ class TestDenseRandomCode:
         patterns, which none of 50 random candidates is."""
         with pytest.raises(CodeGenerationError, match="distinct rows"):
             dense_random_code(16, 4, candidates=50, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, k, count, seed, digest",
+        [
+            (100, 66, 1000, 1, "4057919460adcd824dbd9b9c9c60946c53420c378f88e7f56ab2b95f27eb90b3"),
+            (100, 66, 1000, 7, "56c4d20ae0f2b8a3c098b693b10440a3e6b02ed026e93c0f7627054b46d1bbfb"),
+            (16, 8, 2000, 0, "03262ebf53cef6b1b3ecab328aebf7af68da3531ffc509903a543d30853a742f"),
+            (8, 4, 300, 2, "981956b573fd80c259388932e3c4fb70d1d2b4fd751698591698bcb3c3d9bb75"),
+        ],
+    )
+    def test_selection_pinned(self, n, k, count, seed, digest):
+        """SHA-256 of the selected values' float64 bytes, as the one-hot
+        Hamming and triangle-gather cosine forms selected them."""
+        values = dense_random_code(n, k, candidates=count, seed=seed).values
+        assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest
 
     def test_large_code_has_distinct_rows(self):
         code = dense_random_code(100, 66, candidates=50, seed=0)
@@ -222,6 +247,62 @@ class TestCodeMetrics:
             values = rng.integers(-1, 2, size=(7, 5)) * rng.uniform(0.1, 3.0)
             code = CodeMatrix(values, kind=CodeKind.GAUSSIAN)
             assert code_metrics(code).min_row_hamming == min_row_hamming_brute(values)
+
+    def test_binarized_gaussian_peak_memory(self):
+        """Peak allocation stays under three n x n float64 matrices (the
+        one-hot Hamming and where/triangle-gather cosine forms took five)."""
+        n = 1024
+        code = binarize(gaussian_code(n, 100, seed=0), Binarization.ZERO)
+        tracemalloc.start()
+        try:
+            code_metrics(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
+
+    @pytest.mark.parametrize("strategy", [Binarization.ZERO, Binarization.MEDIAN, None])
+    def test_large_gaussian_matches_matrix_oracles(self, strategy):
+        code = gaussian_code(1024, 100, seed=1)
+        if strategy is not None:
+            code = binarize(code, strategy)
+        m = code_metrics(code)
+        assert m.min_row_hamming == min_row_hamming_one_hot(code.values)
+        assert m.max_abs_row_corr == max_abs_pair_cosine_triu(code.values)
+        assert m.max_abs_col_corr == max_abs_pair_cosine_triu(code.values.T)
+
+
+_ROW_SCALES = (0.0, 1e-16, 1e-15, 1.0)  # zero rows; norm products <= 1e-30 and near it
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 40),
+    k=st.integers(1, 40),
+    kind=st.sampled_from(["pm1", "signs", "gaussian"]),
+    degenerate_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, k=3, kind="pm1", degenerate_rows=False, seed=0)
+@example(m=1, k=3, kind="signs", degenerate_rows=True, seed=0)
+@example(m=2, k=1, kind="pm1", degenerate_rows=False, seed=0)
+@example(m=2, k=5, kind="signs", degenerate_rows=True, seed=1)
+@example(m=2, k=4, kind="gaussian", degenerate_rows=True, seed=2)
+def test_sign_gram_metrics_equal_matrix_oracles(m, k, kind, degenerate_rows, seed):
+    """The sign-Gram Hamming and in-place cosine equal the one-hot and
+    triangle-gather forms exactly, on rows and on columns."""
+    rng = np.random.default_rng(seed)
+    if kind == "pm1":
+        values = rng.choice([-1.0, 1.0], size=(m, k))
+    elif kind == "signs":
+        values = rng.integers(-1, 2, size=(m, k)) * rng.uniform(0.1, 3.0, size=(m, k))
+    else:
+        values = rng.standard_normal((m, k))
+    if degenerate_rows:
+        values *= rng.choice(_ROW_SCALES, size=(m, 1))
+    for v in (values, values.T):
+        assert codes._min_row_hamming(v) == min_row_hamming_one_hot(v)
+        assert codes._max_abs_pair_cosine(v) == max_abs_pair_cosine_triu(v)
 
 
 class TestCodeMatrixValidation:
