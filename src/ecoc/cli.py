@@ -476,6 +476,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}: {len(table)} correlations")
         return 0
 
+    for flag, value in (("--model", args.model), ("--data", args.data)):
+        if value is None:
+            raise ValueError(f"{flag} is required for mode={args.mode}")
     params = net.load_model(args.model)
     ds = datasets.load_csv(args.data, n=code.n)
     if args.mode == "confusion":
@@ -540,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("analyze", help="produce a report CSV from training artifacts")
-    a.add_argument("--model", required=True)
-    a.add_argument("--data", required=True)
+    a.add_argument("--model", default=None, help="model file (confusion, ablate)")
+    a.add_argument("--data", default=None, help="dataset CSV (confusion, ablate)")
     a.add_argument("--code", required=True)
     a.add_argument("--mode", required=True, choices=("confusion", "ablate", "correlate"))
     a.add_argument("--attributes", default=None)

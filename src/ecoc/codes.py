@@ -171,7 +171,10 @@ def dense_candidate_stream(
     """
     rng = np.random.default_rng(seed)
     for _ in range(candidates):
-        yield (rng.integers(0, 2, size=(n, k)) * 2 - 1).astype(np.float64)
+        c = rng.integers(0, 2, size=(n, k)).astype(np.float64)
+        c *= 2
+        c -= 1
+        yield c
 
 
 def _min_row_hamming(values: np.ndarray) -> int:

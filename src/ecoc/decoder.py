@@ -20,13 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _util
 from .codes import CodeMatrix
 
 EPS_NORM = 1e-12
 
-# Rows per block of score work: a block's (rows, n) panel stays in cache,
-# and with OpenBLAS 64-row GEMMs give the same bits as the whole product.
-_ROW_BLOCK = 64
+# Score work goes through blocks of whole multiples of this many rows, each
+# about ``_util.ROW_BLOCK_ELEMS`` (rows, n) entries: at large n a block is 64
+# rows and its panel stays in cache; at small n one block covers a whole
+# batch, so the fixed cost per block is paid once.  A block's bits need not
+# match a whole-batch product: BLAS may sum in another order for other
+# shapes.
+_ROW_QUANTUM = 64
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of score work against ``n`` codewords."""
+    rows = _util.ROW_BLOCK_ELEMS // max(1, n) // _ROW_QUANTUM * _ROW_QUANTUM
+    return max(_ROW_QUANTUM, rows)
 
 
 def decoding_matrix(code: CodeMatrix) -> np.ndarray:
@@ -35,7 +46,8 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     Rows are L2-normalized when the code's ``normalize_rows`` option is on,
     so each class can reach the same best score.  The result is read-only
     and memoized on ``code`` (frozen, with read-only values), so later calls
-    return the same array.
+    return the same array; its squared row norms are memoized beside it
+    (:func:`_sq_norms`).
     """
     m = code.__dict__.get("_decoding_matrix")
     if m is not None:
@@ -48,8 +60,17 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
             raise ValueError(f"zero-norm codewords cannot be normalized: rows {bad.tolist()}")
         m = m / norms[:, None]
         m.setflags(write=False)
+    mm = np.einsum("ij,ij->i", m, m)
+    mm.setflags(write=False)
+    object.__setattr__(code, "_decoding_sq_norms", mm)
     object.__setattr__(code, "_decoding_matrix", m)
     return m
+
+
+def _sq_norms(code: CodeMatrix) -> np.ndarray:
+    """Squared row norms of ``decoding_matrix(code)``, memoized beside it;
+    call :func:`decoding_matrix` first."""
+    return code.__dict__["_decoding_sq_norms"]
 
 
 def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +111,9 @@ def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, g: np.ndarray) -> np
     ``g`` (same shape) with the loss gradient w.r.t. the scores,
     ``probs - e_y``.  Returns the per-row loss ``-log probs[y]``.
     """
-    scores -= scores.max(axis=1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores /= np.add.reduce(scores, axis=1, keepdims=True)
     idx = np.arange(scores.shape[0])
     picked = scores[idx, ys]
     np.copyto(g, scores)
@@ -107,36 +128,39 @@ def batch_loss_grad(
 
     Returns (losses, probs, grads): per-sample loss (s,), probabilities
     (s, n), and loss gradients w.r.t. each z row (s, k); each row depends
-    on that row of z alone.  Works through blocks of ``_ROW_BLOCK`` rows in
-    place: besides the returned arrays, memory is one block-sized (rows, n)
-    buffer.
+    on that row of z alone.  Works through row blocks (:func:`_block_rows`)
+    in place: besides the returned arrays, memory is one block-sized
+    (rows, n) buffer and one (s, k) temporary.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
     m = decoding_matrix(code)
-    if z.ndim != 2 or z.shape[1] != m.shape[1]:
-        raise ValueError(f"batch shape {z.shape} does not match code bits {m.shape[1]}")
-    if ys.shape != (z.shape[0],):
-        raise ValueError("labels must match batch size")
-    if ys.size and (ys.min() < 0 or ys.max() >= code.n):
-        raise ValueError(f"labels out of range for {code.n} classes")
-    u, norms = unit_rows(z)
-    mm = np.einsum("ij,ij->i", m, m)
+    n, k = m.shape
+    if z.ndim != 2 or z.shape[1] != k:
+        raise ValueError(f"batch shape {z.shape} does not match code bits {k}")
     s = z.shape[0]
-    probs = np.empty((s, m.shape[0]))
+    if ys.shape != (s,):
+        raise ValueError("labels must match batch size")
+    if s and (np.minimum.reduce(ys) < 0 or np.maximum.reduce(ys) >= n):
+        raise ValueError(f"labels out of range for {n} classes")
+    u, norms = unit_rows(z)
+    mm = _sq_norms(code)
+    probs = np.empty((s, n))
     losses = np.empty(s)
     # d loss / d u = g @ m, radially projected and rescaled below
-    grads = np.empty_like(u)
-    g = np.empty((min(s, _ROW_BLOCK), m.shape[0]))
-    for start in range(0, s, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    grads = np.empty((s, k))
+    step = _block_rows(n)
+    g = np.empty((min(s, step), n))
+    for start in range(0, s, step):
+        rows = slice(start, start + step)
         p = probs[rows]
         gb = g[: p.shape[0]]
         _distance_scores(u[rows], m, mm, out=p, scratch=gb)
         losses[rows] = softmax_ce_in_place(p, ys[rows], gb)
         np.matmul(gb, m, out=grads[rows])
-    radial = (grads * u).sum(axis=1)
-    grads -= radial[:, None] * u
+    t = grads * u
+    radial = np.add.reduce(t, axis=1)
+    grads -= np.multiply(radial[:, None], u, out=t)
     grads /= norms[:, None]
     return losses, probs, grads
 
@@ -156,11 +180,13 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in blocks of rows, so memory grows with block * n.
+    id.  Scores are built in row blocks (:func:`_block_rows`), so memory
+    grows with block * n.
     """
     mm = np.einsum("ij,ij->i", m, m)
+    step = _block_rows(m.shape[0])
     preds = np.empty(u.shape[0], dtype=np.int64)
-    for start in range(0, u.shape[0], _ROW_BLOCK):
-        chunk = u[start : start + _ROW_BLOCK]
-        preds[start : start + chunk.shape[0]] = _distance_scores(chunk, m, mm).argmax(axis=1)
+    for start in range(0, u.shape[0], step):
+        rows = slice(start, start + step)
+        preds[rows] = _distance_scores(u[rows], m, mm).argmax(axis=1)
     return preds

@@ -153,25 +153,40 @@ def _forward_batch(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, list[np.nda
 
 
 def _backward_batch(
-    p: NetParams, cache: list[np.ndarray], grad_z: np.ndarray
+    p: NetParams, cache: list[np.ndarray], grad_z: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mean parameter gradients for a batch of per-sample output gradients."""
-    grad_z = np.asarray(grad_z, dtype=np.float64)
+    """Mean parameter gradients for a batch of per-sample output gradients,
+    one (weight, bias) pair per layer, written into ``out`` when given."""
+    if out is None:
+        out = [(np.empty(w.shape), np.empty(b.shape)) for w, b in p.layers]
     batch = grad_z.shape[0]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.layers)  # type: ignore[list-item]
     delta = grad_z
     for i in range(len(p.layers) - 1, -1, -1):
-        w, _ = p.layers[i]
-        a = cache[i]
-        gw = delta.T @ a
+        gw, gb = out[i]
+        np.matmul(delta.T, cache[i], out=gw)
         gw /= batch
-        grads[i] = (gw, delta.sum(axis=0) / batch)
+        np.add.reduce(delta, axis=0, out=gb)
+        gb /= batch
         if i > 0:
-            delta = delta @ w
+            delta = delta @ p.layers[i][0]
             # rectifier gate: the cached input to layer i is the rectified
             # output of layer i-1, zero exactly where the unit was off
             delta *= cache[i] > 0
-    return grads
+    return out
+
+
+def _layer_views(
+    flat: np.ndarray, like: list[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into ``flat``, shaped as ``like``, layer after layer."""
+    views = []
+    start = 0
+    for w, b in like:
+        stop = start + w.size
+        views.append((flat[start:stop].reshape(w.shape), flat[stop : stop + b.size]))
+        start = stop + b.size
+    return views
 
 
 def net_outputs(p: NetParams, x: np.ndarray) -> np.ndarray:
@@ -204,7 +219,7 @@ def _update_vector(
     mean is a difference of class counts over the batch size.
     """
     if head == "decoder":
-        return grads.sum(axis=0) / len(ys)
+        return np.add.reduce(grads, axis=0) / len(ys)
     n = z.shape[1]
     preds = z.argmax(axis=1)
     return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
@@ -258,9 +273,10 @@ def train(
 ) -> tuple[NetParams, list[MetricsRow]]:
     """Mini-batch SGD on the mean head loss.
 
-    Per epoch: shuffle (keyed to (seed, epoch)), step over batches, then a
-    full evaluation pass on the training set and, when given, the eval set.
-    Emits one MetricsRow per epoch per split.  Raises
+    Trains a copy of ``p`` and returns it; the caller's arrays are never
+    written.  Per epoch: shuffle (keyed to (seed, epoch)), step over
+    batches, then a full evaluation pass on the training set and, when
+    given, the eval set.  Emits one MetricsRow per epoch per split.  Raises
     :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
     :class:`ZeroOutputError` when the decoder head meets an all-zero output.
     """
@@ -278,9 +294,14 @@ def train(
     x = dataset.features
     ys = dataset.labels
     samples = x.shape[0]
-    velocity = [
-        (np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers
-    ]
+    # The parameters (a copy: the caller's arrays stay as given), their
+    # velocities and each step's gradients live in one flat buffer apiece,
+    # so a step updates the whole net with four in-place calls.
+    flat = np.concatenate([a.ravel() for layer in p.layers for a in layer], dtype=np.float64)
+    grad_flat = np.empty_like(flat)
+    velocity = np.zeros_like(flat)
+    param_grads = _layer_views(grad_flat, p.layers)
+    p = NetParams(_layer_views(flat, p.layers))
     rows: list[MetricsRow] = []
 
     for epoch in range(cfg.epochs):
@@ -291,32 +312,31 @@ def train(
             order = np.random.default_rng([cfg.seed, epoch]).permutation(samples)
         else:
             order = np.arange(samples)
+        x_epoch, ys_epoch = x[order], ys[order]
 
         ratio_sum = 0.0
         batches = 0
         for start in range(0, samples, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = x[idx], ys[idx]
+            batch = slice(start, start + cfg.batch_size)
+            xb, yb = x_epoch[batch], ys_epoch[batch]
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                losses, _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
-            if not np.isfinite(losses.sum()):
+                losses, _, grads = _head_loss_grad(
+                    head, z, code, yb, order[batch], epoch, batches
+                )
+            if not np.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
             active = np.abs(_update_vector(head, z, yb, grads)) > GRAD_ACTIVE_EPS
             ratio_sum += np.count_nonzero(active) / active.size
             batches += 1
 
-            param_grads = _backward_batch(p, cache, grads)
-            new_layers = []
-            new_velocity = []
-            for (w, b), (gw, gb), (vw, vb) in zip(p.layers, param_grads, velocity):
-                vw = cfg.momentum * vw - lr * gw
-                vb = cfg.momentum * vb - lr * gb
-                new_layers.append((w + vw, b + vb))
-                new_velocity.append((vw, vb))
-            velocity = new_velocity
-            p = NetParams(new_layers)
+            # v = momentum * v - lr * g, then w = w + v
+            _backward_batch(p, cache, grads, out=param_grads)
+            velocity *= cfg.momentum
+            grad_flat *= lr
+            velocity -= grad_flat
+            flat += velocity
 
         train_loss, train_acc = _epoch_metrics(p, x, ys, head, code, epoch, "train")
         if not np.isfinite(train_loss):

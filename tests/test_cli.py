@@ -398,7 +398,27 @@ class TestAnalyze:
                             "--data", os.path.join(tmp_path, "missing.csv"),
                             "--out", out]) == 0
         assert read_bytes(out) == read_bytes(ref)
+        bare = os.path.join(tmp_path, "bare.csv")
+        assert main(argv + ["--out", bare]) == 0
+        assert read_bytes(bare) == read_bytes(ref)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("missing", ["--model", "--data"])
+    @pytest.mark.parametrize("mode", ["confusion", "ablate"])
+    def test_model_and_data_required_outside_correlate(
+        self, run_dir, tmp_path, capsys, mode, missing
+    ):
+        given = {"--model": os.path.join(run_dir, "model.bin"),
+                 "--data": os.path.join(run_dir, "eval.csv")}
+        del given[missing]
+        out = os.path.join(tmp_path, f"{mode}.csv")
+        argv = ["analyze", "--code", os.path.join(run_dir, "code.csv"),
+                "--mode", mode, "--out", out]
+        for flag, path in given.items():
+            argv += [flag, path]
+        assert main(argv) == 2
+        assert f"error: {missing} is required for mode={mode}" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_confusion_missing_model_exits_2(self, run_dir, tmp_path, capsys):
         model = os.path.join(tmp_path, "missing.bin")

@@ -8,6 +8,7 @@ references in ``oracles`` check them row by row.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ecoc import _util
 from ecoc.analysis import ablation_predictions
 from ecoc.codes import (
     Binarization,
@@ -27,7 +29,8 @@ from ecoc.codes import (
 )
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
-    _ROW_BLOCK,
+    _ROW_QUANTUM,
+    _block_rows,
     _distance_scores,
     batch_loss_grad,
     decoding_matrix,
@@ -53,8 +56,15 @@ def plain_code(rows) -> CodeMatrix:
                       normalize_rows=False)
 
 
-# batch sizes at and around the decoder's row-block boundaries
-ROW_COUNTS = [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
+# batch sizes at and around the decoder's row-block boundaries, which are
+# every _ROW_QUANTUM rows under quantum_blocks()
+ROW_COUNTS = [1, _ROW_QUANTUM - 1, _ROW_QUANTUM, _ROW_QUANTUM + 1, 3 * _ROW_QUANTUM + 5]
+
+
+def quantum_blocks():
+    """Shrink the score-block element budget to nothing, so every score
+    block is one ``_ROW_QUANTUM``-row quantum whatever the class count."""
+    return mock.patch.object(_util, "ROW_BLOCK_ELEMS", 0)
 
 
 def scores(z, code) -> np.ndarray:
@@ -318,9 +328,11 @@ class TestBatchOps:
     def test_matches_single_sample_ops_across_row_blocks(self, rows):
         code = gaussian_code(7, 5, seed=23)
         rng = np.random.default_rng(rows)
-        assert_rows_match_oracles(
-            rng.standard_normal((rows, 5)), code, rng.integers(0, 7, size=rows)
-        )
+        with quantum_blocks():
+            assert _block_rows(code.n) == _ROW_QUANTUM
+            assert_rows_match_oracles(
+                rng.standard_normal((rows, 5)), code, rng.integers(0, 7, size=rows)
+            )
 
     def test_predict_batch_matches_predict(self):
         code = gaussian_code(6, 5, seed=18)
@@ -371,7 +383,36 @@ class TestBatchAgainstOracles:
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_rows_match_single_sample_references(self, kind, rows, data):
-        assert_rows_match_oracles(*data.draw(oracle_inputs(kind, rows)))
+        z, code, ys = data.draw(oracle_inputs(kind, rows))
+        with quantum_blocks():
+            assert_rows_match_oracles(z, code, ys)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, rows", [(1, 65536), (16, 4096), (512, 128), (513, 64), (1024, 64), (5000, 64)]
+    )
+    def test_block_rows_pinned(self, n, rows):
+        assert _util.ROW_BLOCK_ELEMS == 65536
+        assert _block_rows(n) == rows
+
+    @pytest.mark.parametrize("n, k, s", [(16, 8, 384), (100, 20, 700), (700, 30, 200)])
+    def test_default_and_quantum_blocks_agree(self, n, k, s):
+        """One default block (or a few) against many 64-row ones: BLAS may
+        sum in another order for other shapes, so equal to 1e-12, not bits."""
+        code = gaussian_code(n, k, seed=n)
+        rng = np.random.default_rng(s)
+        z = rng.standard_normal((s, k))
+        ys = rng.integers(0, n, size=s)
+        m = decoding_matrix(code)
+        default = batch_loss_grad(z, code, ys)
+        default_preds = predict_batch(z, m)
+        with quantum_blocks():
+            quantum = batch_loss_grad(z, code, ys)
+            quantum_preds = predict_batch(z, m)
+        for a, b in zip(default, quantum):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert np.array_equal(default_preds, quantum_preds)
 
 
 @st.composite

@@ -16,18 +16,21 @@ from ecoc.codes import gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
 from ecoc.net import (
+    GRAD_ACTIVE_EPS,
     MetricsRow,
     NetParams,
     TrainConfig,
     TrainingDivergedError,
     ZeroOutputError,
     _backward_batch,
+    _epoch_metrics,
     _forward_batch,
     _head_loss_grad,
     _update_vector,
     init,
     load_model,
     net_outputs,
+    resolve_head,
     save_metrics,
     save_model,
     train,
@@ -282,6 +285,18 @@ class TestTrain:
         assert (err.value.epoch, err.value.where, err.value.row) == (0, 1, 5)
         assert "epoch 0, batch 1, train row 5" in str(err.value)
 
+    def test_zero_output_under_shuffle_names_the_dataset_row(self):
+        ds = separable_dataset()
+        x = ds.features[:8].copy()
+        x[5] = 0.0
+        tr = Dataset(x, ds.labels[:8], ds.n)
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-20, seed=1)
+        pos = int(np.flatnonzero(np.random.default_rng([1, 0]).permutation(8) == 5)[0])
+        assert pos != 5  # the shuffled position differs from the row index
+        with pytest.raises(ZeroOutputError) as err:
+            train(init([4, 6], seed=0), tr, gaussian_code(4, 6, seed=1), cfg)
+        assert (err.value.epoch, err.value.where, err.value.row) == (0, pos // 4, 5)
+
     def test_zero_output_in_eval_pass_names_split_and_row(self):
         ds = separable_dataset()
         ev_x = ds.features[1::2].copy()
@@ -341,6 +356,90 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_factor=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, head="magic")
+
+
+def reference_train(p, dataset, code, cfg, eval_set=None):
+    """``train`` as it stepped with out-of-place arrays: a gather per batch,
+    mean gradients as ``sum / batch``, and new parameter and velocity arrays
+    ``v = momentum * v - lr * g``, ``w + v`` at every step.  Metrics rows
+    come from the library's evaluation pass."""
+    head, _ = resolve_head(cfg.head, code)
+    x, ys = dataset.features, dataset.labels
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
+    rows = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate
+        if cfg.lr_decay_epoch is not None and epoch >= cfg.lr_decay_epoch:
+            lr *= cfg.lr_decay_factor
+        if cfg.shuffle:
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(ys))
+        else:
+            order = np.arange(len(ys))
+        ratio_sum, batches = 0.0, 0
+        for start in range(0, len(ys), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = x[idx], ys[idx]
+            z, cache = _forward_batch(p, xb)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _, _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
+            active = np.abs(_update_vector(head, z, yb, grads)) > GRAD_ACTIVE_EPS
+            ratio_sum += np.count_nonzero(active) / active.size
+            batches += 1
+            param_grads = []
+            delta = grads
+            for i in range(len(p.layers) - 1, -1, -1):
+                gw = delta.T @ cache[i]
+                gw /= len(yb)
+                param_grads.insert(0, (gw, delta.sum(axis=0) / len(yb)))
+                if i > 0:
+                    delta = delta @ p.layers[i][0]
+                    delta *= cache[i] > 0
+            new_layers, new_velocity = [], []
+            for (w, b), (gw, gb), (vw, vb) in zip(p.layers, param_grads, velocity):
+                vw = cfg.momentum * vw - lr * gw
+                vb = cfg.momentum * vb - lr * gb
+                new_layers.append((w + vw, b + vb))
+                new_velocity.append((vw, vb))
+            velocity = new_velocity
+            p = NetParams(new_layers)
+        loss, acc = _epoch_metrics(p, x, ys, head, code, epoch, "train")
+        rows.append(MetricsRow(epoch, "train", loss, acc, ratio_sum / batches))
+        if eval_set is not None:
+            loss, acc = _epoch_metrics(
+                p, eval_set.features, eval_set.labels, head, code, epoch, "eval"
+            )
+            rows.append(MetricsRow(epoch, "eval", loss, acc, None))
+    return p, rows
+
+
+class TestInPlaceStepBitIdentical:
+    """The in-place step over sliced batches gives the same bits as the
+    out-of-place reference, parameters and metrics alike."""
+
+    @pytest.mark.parametrize("with_eval", [False, True])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("lr_decay_epoch", [None, 2])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("head", ["decoder", "softmax"])
+    def test_matches_out_of_place_reference(
+        self, head, momentum, lr_decay_epoch, shuffle, with_eval
+    ):
+        ds = separable_dataset(seed=5)
+        tr = Dataset(ds.features[::2], ds.labels[::2], ds.n)
+        ev = Dataset(ds.features[1::2], ds.labels[1::2], ds.n) if with_eval else None
+        full = ds if ev is None else tr
+        code = gaussian_code(4, 6, seed=1) if head == "decoder" else one_hot(4)
+        cfg = TrainConfig(
+            epochs=4, batch_size=6, learning_rate=0.05, seed=2, shuffle=shuffle,
+            lr_decay_epoch=lr_decay_epoch, momentum=momentum, head=head,
+        )
+        sizes = [4, 8, code.k if head == "decoder" else 4]
+        got, rows = train(init(sizes, seed=3), full, code, cfg, eval_set=ev)
+        ref, ref_rows = reference_train(init(sizes, seed=3), full, code, cfg, eval_set=ev)
+        assert rows == ref_rows
+        for (w, b), (rw, rb) in zip(got.layers, ref.layers):
+            assert np.array_equal(w, rw)
+            assert np.array_equal(b, rb)
 
 
 class TestGradRatioInstrument:
@@ -422,6 +521,21 @@ class TestNoWritesIntoInputs:
         _freeze(grads)
         _backward_batch(p, cache, grads)
         _update_vector("softmax", z, ys, grads)
+
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_train_leaves_callers_params(self, momentum):
+        ds = separable_dataset()
+        _freeze(ds.features, ds.labels)
+        p = init([4, 8, 6], seed=4)
+        before = [(w.copy(), b.copy()) for w, b in p.layers]
+        for w, b in p.layers:
+            _freeze(w, b)
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.2, momentum=momentum)
+        trained, _ = train(p, ds, gaussian_code(4, 6, seed=1), cfg, eval_set=ds)
+        for (w, b), (w0, b0), (tw, _) in zip(p.layers, before, trained.layers):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
+            assert not np.array_equal(tw, w0)
 
 
 def test_train_decoder_call_structure(monkeypatch):
