@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write, fmt_float
-from . import analysis, codes, datasets, decoder, net, spectral
+from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeMatrix
 from .datasets import Dataset
 from .net import TrainConfig, TrainingDivergedError
@@ -48,7 +48,6 @@ class ExperimentConfig:
     code_strategy: str
     code_bits: int | None
     code_binarize: str
-    code_normalize_rows: str
     code_candidates: int
     # net + training
     hidden_sizes: tuple[int, ...]
@@ -94,7 +93,6 @@ class ExperimentConfig:
             put("code_bits", self.code_bits)
             put("code_binarize", self.code_binarize)
             put("code_candidates", self.code_candidates)
-        put("code_normalize_rows", self.code_normalize_rows)
         put("hidden_sizes", self.hidden_sizes)
         put("epochs", self.epochs)
         put("batch_size", self.batch_size)
@@ -198,9 +196,6 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
         code_strategy=get_choice("code_strategy", _STRATEGIES, "gaussian"),
         code_bits=get_int("code_bits"),
         code_binarize=get_choice("code_binarize", ("raw", "zero", "median"), "raw"),
-        code_normalize_rows=get_choice(
-            "code_normalize_rows", ("auto", "true", "false"), "auto"
-        ),
         code_candidates=get_int("code_candidates", 10000),
         hidden_sizes=hidden,
         epochs=get_int("epochs", 30),
@@ -232,15 +227,6 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
 # ------------------------------------------------------------- experiment ---
 
 
-def _with_normalize_rows(code: CodeMatrix, mode: str) -> CodeMatrix:
-    """Apply an ``auto``/``true``/``false`` row-normalization override."""
-    if mode == "auto" or (mode == "true") == code.normalize_rows:
-        return code
-    return CodeMatrix(
-        code.values, code.kind, code.binarization, normalize_rows=mode == "true"
-    )
-
-
 def _build_code(
     strategy: str,
     n: int,
@@ -248,7 +234,6 @@ def _build_code(
     seed: int,
     candidates: int,
     binarize_mode: str,
-    normalize_mode: str,
     graph: SimilarityGraph | None,
     flag: str = "--strategy",
     bits_flag: str = "--bits",
@@ -277,7 +262,7 @@ def _build_code(
 
     if binarize_mode != "raw":
         code = codes.binarize(code, Binarization(binarize_mode))
-    return _with_normalize_rows(code, normalize_mode)
+    return code
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -311,7 +296,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
         code = codes.load_code_csv(cfg.code_csv)
         if code.n != full.n:
             raise ValueError(f"code has {code.n} codewords for {full.n} classes")
-        code = _with_normalize_rows(code, cfg.code_normalize_rows)
     else:
         graph = None
         if cfg.code_strategy == "spectral":
@@ -325,7 +309,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
             cfg.seed,
             cfg.code_candidates,
             cfg.code_binarize,
-            cfg.code_normalize_rows,
             graph,
             flag="code_strategy",
             bits_flag="code_bits",
@@ -391,7 +374,6 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
         args.seed,
         args.candidates,
         args.binarize or "raw",
-        args.normalize_rows,
         graph,
     )
 
@@ -453,19 +435,7 @@ def _parse_js(text: str) -> list[int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.classes is not None:
-        print(
-            "warning: analyze --classes is deprecated and will be removed; "
-            "the class count comes from --code",
-            file=sys.stderr,
-        )
-        if args.classes < 1:
-            raise ValueError(f"--classes must be >= 1, got {args.classes}")
     code = codes.load_code_csv(args.code)
-    if args.classes is not None and args.classes != code.n:
-        raise ValueError(
-            f"--classes {args.classes} does not match the {code.n} classes of code {args.code}"
-        )
 
     if args.mode == "correlate":  # reads only the code and the attributes
         if args.attributes is None:
@@ -482,12 +452,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     params = net.load_model(args.model)
     ds = datasets.load_csv(args.data, n=code.n)
     if args.mode == "confusion":
-        z = net.net_outputs(params, ds.features)
-        if z.shape[1] != code.k:
-            raise ValueError(
-                f"net output size {z.shape[1]} does not match code bits {code.k}"
-            )
-        preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
+        [(_, preds)] = analysis.ablation_predictions(params, ds, code, [code.k])
         cm = analysis.confusion(preds, ds.labels, ds.n)
         analysis.save_confusion_csv(cm, args.out)
         print(f"wrote {args.out}: accuracy {cm.accuracy:.4f}")
@@ -520,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--candidates", type=int, default=10000, help="dense strategy pool size")
     g.add_argument("--binarize", choices=("zero", "median"), default=None)
-    g.add_argument("--normalize-rows", choices=("auto", "true", "false"), default="auto")
     g.add_argument("--similarity", default=None, help="similarity CSV (spectral)")
     g.add_argument("--data", default=None, help="dataset CSV to derive similarity (spectral)")
     g.add_argument("--out", required=True)
@@ -549,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", required=True, choices=("confusion", "ablate", "correlate"))
     a.add_argument("--attributes", default=None)
     a.add_argument("--js", default=None, help="comma-separated prefix lengths (ablate)")
-    a.add_argument("--classes", type=int, default=None,
-                   help="deprecated: expected class count; must match the code's")
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze)
     return parser

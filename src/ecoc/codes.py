@@ -10,7 +10,7 @@ data-independent strategies; data-dependent spectral codes live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -44,16 +44,6 @@ class BinarizationCollisionError(ValueError):
     """Thresholding collapsed two codewords into the same row."""
 
 
-def _derive_normalize_rows(kind: CodeKind, binarization: Binarization) -> bool:
-    # Raw spectral/gaussian rows have uneven norms; unit rows keep the best
-    # attainable distance score equal across classes.  Binary and one-hot
-    # rows are left as stored.
-    return binarization is Binarization.RAW and kind in (
-        CodeKind.SPECTRAL,
-        CodeKind.GAUSSIAN,
-    )
-
-
 @dataclass(frozen=True)
 class CodeMatrix:
     """An ``n x k`` real matrix whose row ``i`` is the codeword of class ``i``.
@@ -67,13 +57,12 @@ class CodeMatrix:
     binarization : Binarization
         ``RAW`` for real-valued codes, else the thresholding that produced
         the ``{-1, +1}`` entries.
-    normalize_rows : bool, optional
-        Whether the decoder should L2-normalize rows before measuring
-        distances.  Defaults to on for raw spectral/gaussian codes and off
-        otherwise.
 
     Notes
     -----
+    ``kind`` and ``binarization`` alone decide how the code is decoded
+    (:attr:`normalize_rows`), so a code's CSV file carries all of it.
+
     Generators in this package guarantee pairwise-distinct rows (two classes
     sharing a codeword are indistinguishable); the constructor itself does
     not enforce it, because a deliberately short spectral code can assign one
@@ -83,7 +72,6 @@ class CodeMatrix:
     values: np.ndarray
     kind: CodeKind = CodeKind.GAUSSIAN
     binarization: Binarization = Binarization.RAW
-    normalize_rows: bool | None = field(default=None)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -108,12 +96,20 @@ class CodeMatrix:
                 raise ValueError("binarized code values must be -1 or +1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.normalize_rows is None:
-            object.__setattr__(
-                self,
-                "normalize_rows",
-                _derive_normalize_rows(self.kind, self.binarization),
-            )
+
+    @property
+    def normalize_rows(self) -> bool:
+        """Whether the decoder L2-normalizes rows before measuring distances.
+
+        True for raw gaussian and spectral codes, whose rows have uneven
+        norms: unit rows keep the best attainable distance score equal
+        across classes.  Binarized, one-hot and dense rows are decoded as
+        stored.
+        """
+        return self.binarization is Binarization.RAW and self.kind in (
+            CodeKind.GAUSSIAN,
+            CodeKind.SPECTRAL,
+        )
 
     @property
     def n(self) -> int:

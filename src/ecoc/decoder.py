@@ -43,11 +43,12 @@ def _block_rows(n: int) -> int:
 def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     """The codeword matrix the decoder actually measures distances against.
 
-    Rows are L2-normalized when the code's ``normalize_rows`` option is on,
-    so each class can reach the same best score.  The result is read-only
-    and memoized on ``code`` (frozen, with read-only values), so later calls
-    return the same array; its squared row norms are memoized beside it
-    (:func:`_sq_norms`).
+    Rows are L2-normalized for raw gaussian and spectral codes
+    (``code.normalize_rows``, fixed by the code's kind and binarization), so
+    each class can reach the same best score; other codes are decoded as
+    stored.  The result is read-only and memoized on ``code`` (frozen, with
+    read-only values), so later calls return the same array; its squared
+    row norms are memoized beside it (:func:`_sq_norms`).
     """
     m = code.__dict__.get("_decoding_matrix")
     if m is not None:

@@ -74,7 +74,8 @@ class TrainConfig:
     on, the rate is ``learning_rate * lr_decay_factor``.  ``head`` picks the
     loss: ``"decoder"`` for the distance head, ``"softmax"`` for the plain
     cross-entropy baseline, ``"auto"`` for softmax on one-hot codes and the
-    decoder otherwise.  ``momentum`` is an extension point, default off.
+    decoder otherwise.  ``momentum`` is the heavy-ball coefficient ``mu`` of
+    ``v = mu * v - lr * g``; 0 (the default) is plain SGD.
     """
 
     epochs: int
@@ -200,26 +201,35 @@ def resolve_head(head: str, code: CodeMatrix) -> tuple[str, int]:
 
     ``"auto"`` picks softmax for one-hot codes and the decoder otherwise.  A
     softmax head has one output per class, a decoder head one per code bit.
+    The softmax head trains against class indicators, so it rejects codes
+    that are not one-hot.
     """
     if head == "auto":
         head = "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
+    if head == "softmax" and code.kind is not CodeKind.ONE_HOT:
+        raise ValueError(
+            f"head 'softmax' requires a one-hot code, got a {code.kind.value} code"
+        )
     return head, code.n if head == "softmax" else code.k
 
 
 def _update_vector(
-    head: str, z: np.ndarray, ys: np.ndarray, grads: np.ndarray
+    head: str, z: np.ndarray, ys: np.ndarray, bias_grad: np.ndarray
 ) -> np.ndarray:
     """Batch mean of the per-sample output-layer update vectors whose
     support is counted.
 
     For the decoder head these are the true loss gradients (dense in
-    general).  For the softmax baseline each is the hard label/prediction
-    mismatch ``e_pred - e_true``: at most two active coordinates per sample,
-    and the zero vector once the sample is classified correctly.  Their
-    mean is a difference of class counts over the batch size.
+    general); their batch mean is the output layer's bias gradient, which
+    the backward pass has already computed and which is passed as
+    ``bias_grad``.  For the softmax baseline each is the hard
+    label/prediction mismatch ``e_pred - e_true``: at most two active
+    coordinates per sample, and the zero vector once the sample is
+    classified correctly.  Their mean is a difference of class counts over
+    the batch size.
     """
     if head == "decoder":
-        return np.add.reduce(grads, axis=0) / len(ys)
+        return bias_grad
     n = z.shape[1]
     preds = z.argmax(axis=1)
     return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
@@ -327,12 +337,13 @@ def train(
             if not np.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
-            active = np.abs(_update_vector(head, z, yb, grads)) > GRAD_ACTIVE_EPS
+            _backward_batch(p, cache, grads, out=param_grads)
+            bias_grad = param_grads[-1][1]  # read before it is scaled by lr
+            active = np.abs(_update_vector(head, z, yb, bias_grad)) > GRAD_ACTIVE_EPS
             ratio_sum += np.count_nonzero(active) / active.size
             batches += 1
 
             # v = momentum * v - lr * g, then w = w + v
-            _backward_batch(p, cache, grads, out=param_grads)
             velocity *= cfg.momentum
             grad_flat *= lr
             velocity -= grad_flat

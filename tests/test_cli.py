@@ -43,6 +43,20 @@ def write_config(path: str, out_dir: str, **overrides) -> str:
     return path
 
 
+def assert_usage_error(capsys, argv, message) -> None:
+    """argv is refused by the argument parser: exit 2, message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def final_eval_accuracy(run_dir: str) -> float:
+    """The last eval row's accuracy in a run's metrics.csv."""
+    lines = open(os.path.join(run_dir, "metrics.csv")).read().splitlines()[1:]
+    return float([ln.split(",") for ln in lines if ln.split(",")[1] == "eval"][-1][3])
+
+
 class TestGenCode:
     def test_onehot(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
@@ -139,6 +153,13 @@ class TestGenCode:
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
                      "--out", out]) == 2
         assert "--similarity" in capsys.readouterr().err
+
+    def test_normalize_rows_flag_removed(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "code.csv")
+        assert_usage_error(capsys, ["gen-code", "--strategy", "gaussian", "--classes", "4",
+                                    "--normalize-rows", "false", "--out", out],
+                           "unrecognized arguments: --normalize-rows false")
+        assert not os.path.exists(out)
 
 
 class TestSynthData:
@@ -253,6 +274,27 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_code_normalize_rows_key_removed(self, tmp_path, capsys):
+        """The code file alone decides decoding, so an echo that still
+        carries the old override is refused rather than ignored."""
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir,
+                           code_normalize_rows="auto")
+        assert main(["train", "--config", cfg]) == 2
+        assert "unknown config keys: code_normalize_rows" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("strategy", ["gaussian", "dense", "spectral"])
+    def test_softmax_head_needs_one_hot(self, tmp_path, capsys, strategy):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, synth_depth="2",
+                           code_strategy=strategy, code_bits="3", code_candidates="50",
+                           head="softmax")
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"head 'softmax' requires a one-hot code, got a {strategy} code" in err
+        assert not os.path.exists(out_dir)
+
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "exp.cfg")
         with open(path, "w") as fh:
@@ -332,32 +374,20 @@ class TestAnalyze:
         lines = open(out).read().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "4"]
 
-    @pytest.mark.parametrize("classes", ["0", "-3"])
-    def test_classes_below_one_rejected(self, run_dir, tmp_path, capsys, classes):
-        out = os.path.join(tmp_path, "confusion.csv")
-        assert main(["analyze",
-                     "--model", os.path.join(run_dir, "model.bin"),
-                     "--data", os.path.join(run_dir, "eval.csv"),
-                     "--code", os.path.join(run_dir, "code.csv"),
-                     "--mode", "confusion", "--classes", classes, "--out", out]) == 2
-        assert f"--classes must be >= 1, got {classes}" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
     @pytest.mark.parametrize("mode", ["confusion", "ablate"])
-    def test_classes_other_than_code_rejected(self, run_dir, tmp_path, capsys, mode):
-        """--classes 2 against the run's 4-class code, on data that holds
-        labels 0 and 1 only, so the data alone would pass."""
+    def test_label_beyond_code_classes_rejected(self, run_dir, tmp_path, capsys, mode):
+        """The code fixes the class count: a data row labelled 4 against
+        the run's 4-class code is named by path and line."""
         ds = load_csv(os.path.join(run_dir, "eval.csv"), n=4)
-        keep = ds.labels < 2
-        data = os.path.join(tmp_path, "two.csv")
-        save_csv(Dataset(ds.features[keep], ds.labels[keep], 2), data)
-        code = os.path.join(run_dir, "code.csv")
+        labels = ds.labels.copy()
+        labels[2] = 4
+        data = os.path.join(tmp_path, "five.csv")
+        save_csv(Dataset(ds.features, labels, 5), data)
         out = os.path.join(tmp_path, f"{mode}.csv")
         assert main(["analyze", "--model", os.path.join(run_dir, "model.bin"),
-                     "--data", data, "--code", code,
-                     "--mode", mode, "--classes", "2", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert f"--classes 2 does not match the 4 classes of code {code}" in err
+                     "--data", data, "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", mode, "--out", out]) == 2
+        assert f"{data}:3: label >= declared class count 4" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("js, bad", [("1,,2", "''"), ("a", "'a'")])
@@ -430,19 +460,13 @@ class TestAnalyze:
         assert model in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_classes_flag_warns_deprecated(self, run_dir, tmp_path, capsys):
-        argv = ["analyze", "--model", os.path.join(run_dir, "model.bin"),
-                "--data", os.path.join(run_dir, "eval.csv"),
-                "--code", os.path.join(run_dir, "code.csv"),
-                "--mode", "confusion", "--out", os.path.join(tmp_path, "c.csv")]
-        assert main(argv) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert main(argv + ["--classes", "4"]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err == [
-            "warning: analyze --classes is deprecated and will be removed; "
-            "the class count comes from --code"
-        ]
+    def test_classes_flag_removed(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "c.csv")
+        assert_usage_error(capsys, ["analyze", "--model", "model.bin", "--data", "eval.csv",
+                                    "--code", "code.csv", "--mode", "confusion",
+                                    "--classes", "4", "--out", out],
+                           "unrecognized arguments: --classes 4")
+        assert not os.path.exists(out)
 
     def test_truncated_model_exits_2(self, run_dir, tmp_path, capsys):
         model = os.path.join(tmp_path, "model.bin")
@@ -480,6 +504,53 @@ class TestAnalyze:
                      "--code", os.path.join(run_dir, "code.csv"),
                      "--mode", "correlate", "--out", out]) == 2
         assert "--attributes" in capsys.readouterr().err
+
+
+class TestTrainAnalyzeAgree:
+    """``analyze`` decodes a run from its own code.csv exactly as ``train``
+    did: the confusion accuracy on eval.csv is the final eval accuracy in
+    metrics.csv, for every code strategy and binarization ``train`` takes."""
+
+    # (strategy, binarize, bits, branching): 16 classes, apart from the
+    # median-binarized dense code, whose rows collapse at 16 classes
+    CASES = [
+        ("onehot", "raw", None, "4"),
+        ("gaussian", "raw", "10", "4"),
+        ("gaussian", "zero", "10", "4"),
+        ("gaussian", "median", "10", "4"),
+        ("dense", "raw", "10", "4"),
+        ("dense", "zero", "10", "4"),
+        ("dense", "median", "3", "2"),
+        ("spectral", "raw", "10", "4"),
+        ("spectral", "zero", "14", "4"),
+        ("spectral", "median", "14", "4"),
+    ]
+
+    def _agree(self, tmp_path, capsys, **overrides):
+        run_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), run_dir, synth_depth="2",
+                           code_candidates="50", **overrides)
+        assert main(["train", "--config", cfg]) == 0
+        out = os.path.join(tmp_path, "confusion.csv")
+        assert main(["analyze", "--model", os.path.join(run_dir, "model.bin"),
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "confusion", "--out", out]) == 0
+        lines = open(out).read().splitlines()[1:]
+        counts = np.array([[int(v) for v in ln.split(",")[1:]] for ln in lines])
+        assert np.trace(counts) / counts.sum() == final_eval_accuracy(run_dir)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("strategy, binarize, bits, branching", CASES)
+    def test_confusion_matches_final_eval_accuracy(
+        self, tmp_path, capsys, strategy, binarize, bits, branching
+    ):
+        self._agree(tmp_path, capsys, synth_branching=branching, code_strategy=strategy,
+                    code_binarize=binarize, code_bits=bits)
+
+    def test_decoder_head_on_one_hot(self, tmp_path, capsys):
+        self._agree(tmp_path, capsys, synth_branching="4", code_strategy="onehot",
+                    code_bits=None, head="decoder")
 
 
 class TestConfigParsing:

@@ -331,6 +331,25 @@ class TestCodeMatrixValidation:
         with pytest.raises(ValueError):
             code.values[0, 0] = 99.0
 
+    @pytest.mark.parametrize("kind, binarization", [
+        (kind, binarization) for kind in CodeKind for binarization in Binarization
+        if kind is not CodeKind.ONE_HOT or binarization is Binarization.RAW
+    ])
+    def test_kind_and_binarization_decide_row_normalization(self, kind, binarization):
+        """Only raw gaussian and spectral rows are normalized, and nothing
+        else can say otherwise: a code's CSV header fixes its decoding."""
+        values = np.eye(3) if kind is CodeKind.ONE_HOT else np.array(
+            [[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]
+        )
+        code = CodeMatrix(values, kind=kind, binarization=binarization)
+        assert code.normalize_rows is (
+            binarization is Binarization.RAW and kind in (CodeKind.GAUSSIAN, CodeKind.SPECTRAL)
+        )
+        with pytest.raises(AttributeError):
+            code.normalize_rows = not code.normalize_rows
+        with pytest.raises(TypeError):
+            CodeMatrix(values, kind=kind, binarization=binarization, normalize_rows=False)
+
 
 class TestCodeCsv:
     def test_round_trip_binary_exact(self, tmp_path):

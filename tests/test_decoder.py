@@ -51,9 +51,9 @@ from test_spectral import random_similarity
 
 
 def plain_code(rows) -> CodeMatrix:
-    """Code with the given rows, decoded as stored (no row normalization)."""
-    return CodeMatrix(np.asarray(rows, dtype=float), kind=CodeKind.GAUSSIAN,
-                      normalize_rows=False)
+    """Code with the given rows, decoded as stored: a raw dense code is not
+    row-normalized."""
+    return CodeMatrix(np.asarray(rows, dtype=float), kind=CodeKind.DENSE_RANDOM)
 
 
 # batch sizes at and around the decoder's row-block boundaries, which are

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ecoc import decoder
-from ecoc.codes import gaussian_code, one_hot
+from ecoc.codes import Binarization, binarize, dense_random_code, gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
 from ecoc.net import (
@@ -35,6 +35,7 @@ from ecoc.net import (
     save_model,
     train,
 )
+from ecoc.spectral import SimilarityGraph, spectral_code
 from oracles import FD_REL_TOL, max_relative_error, sparsity_ratio, update_vector_zeros_array
 
 
@@ -333,6 +334,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="softmax"):
             train(init([4, 3], seed=0), ds, one_hot(4), cfg)
 
+    @pytest.mark.parametrize("code, kind", [
+        (gaussian_code(4, 6, seed=1), "gaussian"),
+        (binarize(gaussian_code(4, 6, seed=1), Binarization.ZERO), "gaussian"),
+        (dense_random_code(4, 4, candidates=20, seed=0), "dense"),
+        (spectral_code(SimilarityGraph(np.ones((4, 4)) - np.eye(4)), 3), "spectral"),
+    ], ids=["gaussian", "binarized", "dense", "spectral"])
+    def test_softmax_head_needs_one_hot(self, code, kind):
+        """The softmax head trains against class indicators: on any other
+        code, resolution names the head and the code kind, and train
+        refuses before a step, even with n outputs."""
+        message = f"head 'softmax' requires a one-hot code, got a {kind} code"
+        with pytest.raises(ValueError, match=message):
+            resolve_head("softmax", code)
+        cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, head="softmax")
+        with pytest.raises(ValueError, match=message):
+            train(init([4, 4], seed=0), separable_dataset(), code, cfg)
+        assert resolve_head("softmax", one_hot(4)) == ("softmax", 4)
+
     def test_explicit_decoder_head_on_one_hot(self):
         ds = separable_dataset()
         cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1, head="decoder")
@@ -382,9 +401,6 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 _, _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
-            active = np.abs(_update_vector(head, z, yb, grads)) > GRAD_ACTIVE_EPS
-            ratio_sum += np.count_nonzero(active) / active.size
-            batches += 1
             param_grads = []
             delta = grads
             for i in range(len(p.layers) - 1, -1, -1):
@@ -394,6 +410,11 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
                 if i > 0:
                     delta = delta @ p.layers[i][0]
                     delta *= cache[i] > 0
+            # the decoder's mean update vector is grads.sum(axis=0) / len(yb)
+            bias_grad = param_grads[-1][1]
+            active = np.abs(_update_vector(head, z, yb, bias_grad)) > GRAD_ACTIVE_EPS
+            ratio_sum += np.count_nonzero(active) / active.size
+            batches += 1
             new_layers, new_velocity = [], []
             for (w, b), (gw, gb), (vw, vb) in zip(p.layers, param_grads, velocity):
                 vw = cfg.momentum * vw - lr * gw
@@ -451,6 +472,17 @@ class TestGradRatioInstrument:
         for r in rows:
             if r.split == "train":
                 assert r.grad_nonzero_ratio > 0.9
+
+    def test_decoder_ratio_counts_gradients_not_steps(self):
+        """The instrument reads the mean gradient before the learning rate
+        scales it: at lr 1e-9 every step is below the 1e-8 threshold, but
+        the gradients it counts are not."""
+        ds = separable_dataset()
+        code = gaussian_code(4, 6, seed=1)
+        for lr in (0.1, 1e-9):
+            cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=lr, seed=0)
+            _, rows = train(init([4, 8, 6], seed=0), ds, code, cfg)
+            assert rows[0].grad_nonzero_ratio > 0.9
 
     def test_softmax_head_ratio_bounded_by_mismatches(self):
         """Hard-decision updates touch at most 2*batch_size coordinates."""
