@@ -11,11 +11,48 @@ import numpy as np
 
 # Elements formatted per block by format_rows; bounds its temporaries.
 ROW_BLOCK_ELEMS = 1 << 16
+# Bit pattern of -0.0, which equals its int64 cast but prints with a sign.
+_NEG_ZERO = np.uint64(1 << 63)
+_WIDE_DTYPE = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
 def fmt_float(x: float) -> str:
     """Shortest decimal string that round-trips the double exactly."""
     return repr(float(x))
+
+
+def _distinct(block: np.ndarray) -> tuple[list, np.ndarray]:
+    """Distinct entries of a block, as Python numbers, and the index of each
+    entry among them.
+
+    A block of integers spanning no more values than it has entries (int
+    dtypes, or floats equal to their int64 cast and holding no ``-0.0``) is
+    indexed directly, by a presence table over its range; any other block
+    goes through ``np.unique``, floats keyed on their bit pattern so that
+    ``-0.0`` keeps its sign.
+    """
+    is_float = block.dtype.kind == "f"
+    if block.size:
+        ints = block
+        if is_float:
+            with np.errstate(invalid="ignore"):
+                ints = block.astype(np.int64)
+            if not (ints == block).all() or (block.view(np.uint64) == _NEG_ZERO).any():
+                ints = None
+        if ints is not None:
+            lo, hi = int(ints.min()), int(ints.max())
+            if hi - lo < block.size:
+                offsets = ints - lo
+                present = np.zeros(hi - lo + 1, dtype=bool)
+                present[offsets] = True
+                rank = np.cumsum(present) - 1
+                distinct = [lo + j for j in np.flatnonzero(present).tolist()]
+                return list(map(float, distinct)) if is_float else distinct, rank[offsets]
+    if is_float:
+        keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        return keys.view(np.float64).tolist(), inverse.reshape(block.shape)
+    distinct, inverse = np.unique(block, return_inverse=True)
+    return distinct.tolist(), inverse.reshape(block.shape)
 
 
 def format_rows(
@@ -27,31 +64,26 @@ def format_rows(
     Float entries print as :func:`fmt_float` (``repr``), integer entries as
     ``str``.  ``row_labels``, if given, are integers written first on each
     line.  Each block of about ``ROW_BLOCK_ELEMS`` entries formats every
-    distinct value once and indexes the strings; floats are keyed on their
-    bit pattern, so ``-0.0`` keeps its sign.  Write the blocks as they come
-    (``fh.writelines(format_rows(...))``) to keep memory bounded.
+    distinct value once (:func:`_distinct`) and indexes the strings.  Write
+    the blocks as they come (``fh.writelines(format_rows(...))``) to keep
+    memory bounded.
     """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-    if values.dtype.kind == "f":
-        keys = values.astype(np.float64, copy=False).view(np.uint64)
-        fmt = repr
-    elif values.dtype.kind in "iu":
-        keys = values
-        fmt = str
-    else:
+    if values.dtype.kind not in "fiu":
         raise TypeError(f"cannot format values of dtype {values.dtype}")
+    # 64-bit entries, so a block's offsets from its minimum cannot overflow
+    values = values.astype(_WIDE_DTYPE[values.dtype.kind], copy=False)
     if row_labels is not None:
         row_labels = np.asarray(row_labels, dtype=np.int64)
     step = max(1, ROW_BLOCK_ELEMS // max(1, values.shape[1]))
     for start in range(0, values.shape[0], step):
-        block = keys[start : start + step]
-        distinct, inverse = np.unique(block, return_inverse=True)
-        if fmt is repr:
-            distinct = distinct.view(np.float64)
-        text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
-        rows = [",".join(r) for r in text[inverse.reshape(block.shape)].tolist()]
+        block = values[start : start + step]
+        distinct, inverse = _distinct(block)
+        # repr of a Python int is its str
+        text = np.array(list(map(repr, distinct)), dtype=object)
+        rows = [",".join(r) for r in text[inverse].tolist()]
         if row_labels is not None:
             labels = row_labels[start : start + step].tolist()
             rows = [f"{label},{row}" for label, row in zip(labels, rows)]

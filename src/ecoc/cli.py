@@ -20,7 +20,7 @@ from ._util import atomic_write, fmt_float
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeMatrix
 from .datasets import Dataset
-from .net import TrainConfig, TrainingDivergedError
+from .net import TrainConfig
 from .spectral import SimilarityGraph
 
 _STRATEGIES = ("onehot", "gaussian", "dense", "spectral")
@@ -522,9 +522,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

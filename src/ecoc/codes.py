@@ -281,6 +281,13 @@ def binarize(code: CodeMatrix, strategy: Binarization) -> CodeMatrix:
         medians = np.median(code.values, axis=1, keepdims=True)
         values = np.where(code.values >= medians, 1.0, -1.0)
     if not _rows_distinct(values):
+        if strategy is Binarization.MEDIAN and code.kind is CodeKind.DENSE_RANDOM:
+            raise BinarizationCollisionError(
+                "median thresholding collapsed two codewords: a dense code's "
+                "+-1 row with more -1 than +1 entries has median -1 and "
+                "thresholds to all +1, whatever the bit count; use raw or "
+                "zero binarization"
+            )
         raise BinarizationCollisionError(
             f"{strategy.value} thresholding collapsed two codewords; "
             "use raw values or more bits"

@@ -105,19 +105,29 @@ def _distance_scores(
     return d
 
 
-def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_ce_in_place(
+    scores: np.ndarray, ys: np.ndarray, g: np.ndarray | None = None
+) -> np.ndarray:
     """Softmax cross-entropy of score rows against labels, in place.
 
-    Overwrites ``scores`` with the max-shifted softmax probabilities and
-    ``g`` (same shape) with the loss gradient w.r.t. the scores,
-    ``probs - e_y``.  Returns the per-row loss ``-log probs[y]``.
+    Returns the per-row loss ``-log probs[y]``.  With ``g`` (same shape as
+    ``scores``, or ``scores`` itself), overwrites ``scores`` with the
+    max-shifted softmax probabilities and ``g`` with the loss gradient
+    w.r.t. the scores, ``probs - e_y``.  Without it, computes the loss
+    alone: ``scores`` is left holding the shifted exponentials, and only
+    the true class's entry of each row is divided by the row sum, the same
+    division the full normalization does, so the loss has the same bits.
     """
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=1, keepdims=True)
+    sums = np.add.reduce(scores, axis=1, keepdims=True)
     idx = np.arange(scores.shape[0])
+    if g is None:
+        return -np.log(scores[idx, ys] / sums[:, 0])
+    scores /= sums
     picked = scores[idx, ys]
-    np.copyto(g, scores)
+    if g is not scores:
+        np.copyto(g, scores)
     g[idx, ys] -= 1.0
     return -np.log(picked)
 

@@ -238,39 +238,49 @@ def _update_vector(
 def _head_loss_grad(
     head: str, z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
     rows: np.ndarray, epoch: int, where: int | str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row losses, class probabilities and loss gradients w.r.t. z under
-    ``head``; ``z`` is left as it is.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and loss gradients w.r.t. z under ``head``; ``z`` is
+    left as it is.
 
     The softmax head is plain cross-entropy on the raw outputs (the one-hot
-    baseline).  The decoder head is ``batch_loss_grad``, with a zero output
-    row reported as a :class:`ZeroOutputError` naming the epoch, ``where``
-    and its index in ``rows``.
+    baseline), worked in place in one copy of ``z`` that ends as the
+    gradient: its head memory is that one (s, n) buffer.  The decoder head
+    is ``batch_loss_grad``, with a zero output row reported as a
+    :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
+    ``rows``.
     """
     if head == "decoder":
         try:
-            return batch_loss_grad(z, code, ys)
+            losses, _, grads = batch_loss_grad(z, code, ys)
         except ValueError:
             zero = np.flatnonzero(np.linalg.norm(z, axis=1) <= EPS_NORM)
             if not zero.size:
                 raise
             raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
-    probs = z.copy()
-    grads = np.empty_like(z)
-    return softmax_ce_in_place(probs, ys, grads), probs, grads
+        return losses, grads
+    grads = z.copy()
+    return softmax_ce_in_place(grads, ys, grads), grads
 
 
 def _epoch_metrics(
     p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, code: CodeMatrix,
     epoch: int, split: str,
 ) -> tuple[float, float]:
-    """Full-pass mean loss and accuracy under the trained head."""
+    """Full-pass mean loss and accuracy under the trained head.
+
+    The softmax head takes its predictions from the outputs first, then
+    computes the loss alone in the outputs' own buffer.
+    """
     z, _ = _forward_batch(p, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        losses, _, _ = _head_loss_grad(
-            head, z, code, ys, np.arange(z.shape[0]), epoch, split
-        )
-        preds = predict_batch(z, decoding_matrix(code)) if head == "decoder" else z.argmax(axis=1)
+        if head == "decoder":
+            losses, _ = _head_loss_grad(
+                head, z, code, ys, np.arange(z.shape[0]), epoch, split
+            )
+            preds = predict_batch(z, decoding_matrix(code))
+        else:
+            preds = z.argmax(axis=1)
+            losses = softmax_ce_in_place(z, ys)
     return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
 
 
@@ -331,7 +341,7 @@ def train(
             xb, yb = x_epoch[batch], ys_epoch[batch]
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                losses, _, grads = _head_loss_grad(
+                losses, grads = _head_loss_grad(
                     head, z, code, yb, order[batch], epoch, batches
                 )
             if not np.isfinite(np.add.reduce(losses)):

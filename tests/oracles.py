@@ -7,8 +7,10 @@ decoder scores from the explicit (s, n, k) difference tensor
 (``distance_scores_broadcast``), selections from plain brute force, CSV
 text from a per-element writer (``format_rows_per_element``), the
 synthetic attribute table from a nested loop over tree paths
-(``attribute_table_nested``), and the softmax head's update-density vector
-from a dense per-sample mismatch matrix (``update_vector_zeros_array``).
+(``attribute_table_nested``), the softmax head's update-density vector
+from a dense per-sample mismatch matrix (``update_vector_zeros_array``),
+and its evaluation metrics from whole normalized probability rows
+(``softmax_metrics_copy_normalize_scatter``).
 
 The code metrics have two references each.  ``min_row_hamming_brute`` and
 ``max_abs_col_cosine_brute`` loop over pairs.  ``min_row_hamming_one_hot``
@@ -271,6 +273,23 @@ def update_vector_zeros_array(z: np.ndarray, ys: np.ndarray) -> np.ndarray:
     out[idx, z.argmax(axis=1)] += 1.0
     out[idx, ys] -= 1.0
     return out.mean(axis=0)
+
+
+def softmax_metrics_copy_normalize_scatter(z: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy of softmax outputs z, as evaluation
+    once computed them: a copy of z normalized row by row into
+    probabilities, copied again into a gradient with ``-1`` scattered at the
+    labels, and the loss picked from the probabilities."""
+    z = np.asarray(z, dtype=np.float64)
+    idx = np.arange(z.shape[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probs = z - z.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        grads = probs.copy()
+        grads[idx, ys] -= 1.0
+        losses = -np.log(probs[idx, ys])
+    return float(losses.sum() / len(ys)), np.count_nonzero(z.argmax(axis=1) == ys) / len(ys)
 
 
 def normalize(z: np.ndarray) -> np.ndarray:

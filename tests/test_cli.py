@@ -295,6 +295,20 @@ class TestTrain:
         assert f"head 'softmax' requires a one-hot code, got a {strategy} code" in err
         assert not os.path.exists(out_dir)
 
+    def test_median_binarized_dense_code_collision_says_why(self, tmp_path, capsys):
+        """At 16 classes median-thresholded dense rows collide whatever the
+        bit count, so the message explains the median and names the
+        binarizations that work."""
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, synth_depth="2",
+                           synth_branching="4", code_strategy="dense", code_bits="10",
+                           code_candidates="50", code_binarize="median")
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "median -1 and thresholds to all +1" in err
+        assert "use raw or zero binarization" in err
+        assert "more bits" not in err
+
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "exp.cfg")
         with open(path, "w") as fh:

@@ -164,6 +164,30 @@ class TestDecoderSoftmax:
         probs = softmax(rng.standard_normal((50, 7)) * 100)
         assert (np.abs(probs.sum(axis=1) - 1.0) < 1e-12).all()
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "pm1000"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 3), (65, 130)])
+    def test_loss_only_and_aliased_forms_match_two_buffers(self, kind, shape):
+        """Loss alone (no ``g``) and the gradient written over the scores
+        give the bits of the two-buffer form, losses and gradients alike."""
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        d = rng.standard_normal(shape) * 4
+        if kind == "tied":
+            d = np.round(d)
+            d[:, : min(3, shape[1])] = d.max(axis=1, keepdims=True)
+        elif kind == "pm1000":
+            # other rows' entries underflow to 0, so some losses are inf
+            d = rng.choice([-1000.0, 0.0, 1000.0], size=shape)
+        ys = rng.integers(shape[1], size=shape[0])
+        with np.errstate(divide="ignore"):
+            g = np.empty(shape)
+            losses = softmax_ce_in_place(d.copy(), ys, g)
+            alone = softmax_ce_in_place(d.copy(), ys)
+            aliased = d.copy()
+            same = softmax_ce_in_place(aliased, ys, aliased)
+        assert alone.tobytes() == losses.tobytes()
+        assert same.tobytes() == losses.tobytes()
+        assert aliased.tobytes() == g.tobytes()
+
 
 class TestForward:
     def test_symmetric_pair_gives_log_two(self):

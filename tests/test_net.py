@@ -4,6 +4,7 @@ import os
 import struct
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,7 +401,7 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
             xb, yb = x[idx], ys[idx]
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _, _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
+                _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
             param_grads = []
             delta = grads
             for i in range(len(p.layers) - 1, -1, -1):
@@ -520,6 +521,44 @@ class TestGradRatioInstrument:
             assert np.array_equal(got, update_vector_zeros_array(z, ys))
 
 
+class TestSoftmaxEvaluation:
+    """The softmax head's evaluation pass takes the argmax and the loss
+    alone, in the forward output's own buffer."""
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 300.0])
+    @pytest.mark.parametrize("s, n", [(1, 2), (7, 3), (130, 65)])
+    def test_matches_copy_normalize_scatter_oracle(self, s, n, scale):
+        """Bit for bit, with every output tied (scale 0) and with logits
+        large enough that exponentials underflow and losses go infinite."""
+        rng = np.random.default_rng(s * 100 + n)
+        p = init([5, 12, n], seed=s)
+        p = NetParams([(w * scale, b * scale) for w, b in p.layers])
+        x = rng.standard_normal((s, 5))
+        ys = rng.integers(n, size=s)
+        ref = oracles.softmax_metrics_copy_normalize_scatter(net_outputs(p, x), ys)
+        got = _epoch_metrics(p, x, ys, "softmax", one_hot(n), 0, "eval")
+        assert repr(got) == repr(ref)
+
+    def test_memory_is_the_forward_pass(self):
+        """At 1024 x 1024, evaluation holds the (s, n) outputs and the
+        forward cache; no probability or gradient copy."""
+        s = n = 1024
+        p = init([16, 32, n], seed=0)
+        x = np.random.default_rng(0).standard_normal((s, 16))
+        ys = np.arange(s) % n
+        code = one_hot(n)
+        z, cache = _forward_batch(p, x)
+        bound = 1.25 * z.nbytes + sum(a.nbytes for a in cache[1:])
+        del z, cache
+        tracemalloc.start()
+        try:
+            _epoch_metrics(p, x, ys, "softmax", code, 0, "eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.setflags(write=False)
@@ -549,7 +588,7 @@ class TestNoWritesIntoInputs:
     def test_softmax_head(self):
         p, z, cache = self._forward([4, 32, 9])
         ys = np.arange(70) % 9
-        _, _, grads = _head_loss_grad("softmax", z, one_hot(9), ys, np.arange(70), 0, 0)
+        _, grads = _head_loss_grad("softmax", z, one_hot(9), ys, np.arange(70), 0, 0)
         _freeze(grads)
         _backward_batch(p, cache, grads)
         _update_vector("softmax", z, ys, grads)

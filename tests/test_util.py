@@ -61,20 +61,56 @@ def test_int_rows_match_per_element_writer(palette, rows, cols, block, seed, lab
         assert text(values, labels) == format_rows_per_element(values, labels)
 
 
+def _int64_extremes() -> np.ndarray:
+    values = np.random.default_rng(3).integers(0, 2, size=(300, 300))
+    values[5, 7], values[250, 1] = 2**63 - 1, -(2**63)
+    return values
+
+
+def _signed_zeros() -> np.ndarray:
+    values = np.random.default_rng(4).integers(-3, 4, size=(300, 300)).astype(np.float64)
+    values[values == 0] = np.where(np.arange(np.count_nonzero(values == 0)) % 2, -0.0, 0.0)
+    return values
+
+
 @pytest.mark.parametrize(
-    "values",
+    "values, block",
     [
-        np.eye(300),  # 90 000 elements: two blocks
-        np.where(np.random.default_rng(0).standard_normal((1024, 100)) > 0, 1.0, -1.0),
-        np.random.default_rng(1).standard_normal((700, 100)),
-        np.random.default_rng(2).poisson(0.05, size=(400, 400)),  # confusion-like counts
+        (np.eye(300), ROW_BLOCK_ELEMS),  # 90 000 elements: two blocks
+        (np.where(np.random.default_rng(0).standard_normal((1024, 100)) > 0, 1.0, -1.0),
+         ROW_BLOCK_ELEMS),
+        (np.random.default_rng(1).standard_normal((700, 100)), ROW_BLOCK_ELEMS),
+        (np.random.default_rng(2).poisson(0.05, size=(400, 400)), ROW_BLOCK_ELEMS),
+        (_int64_extremes(), ROW_BLOCK_ELEMS),
+        (_signed_zeros(), ROW_BLOCK_ELEMS),
+        # integer-valued floats spanning more values than a block has entries
+        (np.random.default_rng(5).integers(0, 2, size=(40, 8)) * 1e6, 16),
+        (np.zeros((ROW_BLOCK_ELEMS + 1, 0)), ROW_BLOCK_ELEMS),
     ],
-    ids=["onehot", "pm1", "gaussian", "counts"],
+    ids=["onehot", "pm1", "gaussian", "counts", "int64_extremes", "signed_zeros",
+         "wide_span_floats", "no_columns"],
 )
-def test_multi_block_arrays_match_per_element_writer(values):
-    assert values.size > ROW_BLOCK_ELEMS
+def test_multi_block_arrays_match_per_element_writer(values, block):
+    # more rows than one block holds
+    assert values.shape[0] > block // max(1, values.shape[1])
     labels = np.arange(values.shape[0])
-    assert text(values, labels) == format_rows_per_element(values, labels)
+    with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block):
+        assert text(values, labels) == format_rows_per_element(values, labels)
+
+
+def test_small_integer_blocks_skip_the_sort():
+    """One-hot, +-1, 0/1 attribute and confusion-count blocks are indexed
+    directly; none reaches ``np.unique``."""
+    rng = np.random.default_rng(6)
+    blocks = [
+        np.eye(300),
+        np.where(rng.standard_normal((300, 100)) > 0, 1.0, -1.0),
+        rng.integers(0, 2, size=(300, 341)),
+        rng.poisson(0.5, size=(400, 400)),
+    ]
+    with mock.patch.object(np, "unique", side_effect=AssertionError("np.unique called")):
+        for values in blocks:
+            list(format_rows(values, np.arange(values.shape[0])))
 
 
 def test_negative_zero_keeps_its_sign():
