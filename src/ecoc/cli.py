@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,14 @@ from .datasets import Dataset
 from .net import TrainConfig
 from .spectral import SimilarityGraph
 
-_STRATEGIES = ("onehot", "gaussian", "dense", "spectral")
+# Allowed values of the choice keys; every other key is typed by its annotation.
+_CHOICES = {
+    "code_strategy": ("onehot", "gaussian", "dense", "spectral"),
+    "code_binarize": tuple(b.value for b in Binarization),
+    "head": ("auto", "decoder", "softmax"),
+}
+# Parser and error noun of the numeric annotations.
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 # ---------------------------------------------------------------- config ----
@@ -31,80 +38,68 @@ _STRATEGIES = ("onehot", "gaussian", "dense", "spectral")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved settings for one training run."""
+    """Fully resolved settings for one training run.
+
+    Each field is one ``train`` config key: its name, annotation and default
+    are the key's name, type and default.
+    """
 
     # dataset: either a CSV path or synthetic generation parameters
-    data_csv: str | None
-    attributes_csv: str | None
-    synth_depth: int
-    synth_branching: int
-    synth_samples_per_class: int
-    synth_class_sep: float
-    synth_noise_sigma: float
-    synth_dim: int
-    train_fraction: float
+    data_csv: str | None = None
+    attributes_csv: str | None = None
+    synth_depth: int = 2
+    synth_branching: int = 4
+    synth_samples_per_class: int = 50
+    synth_class_sep: float = 4.0
+    synth_noise_sigma: float = 1.0
+    synth_dim: int = 8
+    train_fraction: float = 0.8
     # code: either a CSV path or a generation strategy
-    code_csv: str | None
-    code_strategy: str
-    code_bits: int | None
-    code_binarize: str
-    code_candidates: int
+    code_csv: str | None = None
+    code_strategy: str = "gaussian"
+    code_bits: int | None = None
+    code_binarize: str = "raw"
+    code_candidates: int = 10000
     # net + training
-    hidden_sizes: tuple[int, ...]
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    lr_decay_epoch: int | None
-    lr_decay_factor: float
-    momentum: float
-    shuffle: bool
-    head: str
-    seed: int
-    out_dir: str
+    hidden_sizes: tuple[int, ...] = (32,)
+    epochs: int = 30
+    batch_size: int = 16
+    learning_rate: float = 0.1
+    lr_decay_epoch: int | None = None
+    lr_decay_factor: float = 0.1
+    momentum: float = 0.0
+    shuffle: bool = True
+    head: str = "auto"
+    seed: int = 0
+    out_dir: str = ""
 
     def echo_lines(self) -> list[str]:
-        pairs: list[tuple[str, str]] = []
+        """``key = value`` lines, sorted by key, that resolve back to self.
+        Unset keys are left out, as are ``synth_*`` keys when ``data_csv`` is
+        set and ``code_*`` keys when ``code_csv`` is set."""
+        lines = []
+        for name in sorted(f.name for f in fields(self)):
+            value = getattr(self, name)
+            if (
+                value is None
+                or (self.data_csv is not None and name.startswith("synth_"))
+                or (self.code_csv is not None and name.startswith("code_")
+                    and name != "code_csv")
+            ):
+                continue
+            lines.append(f"{name} = {format_value(value)}")
+        return lines
 
-        def put(key: str, value) -> None:
-            if value is None:
-                return
-            if isinstance(value, bool):
-                pairs.append((key, "true" if value else "false"))
-            elif isinstance(value, float):
-                pairs.append((key, fmt_float(value)))
-            elif isinstance(value, tuple):
-                pairs.append((key, ",".join(str(v) for v in value)))
-            else:
-                pairs.append((key, str(value)))
 
-        put("data_csv", self.data_csv)
-        put("attributes_csv", self.attributes_csv)
-        if self.data_csv is None:
-            put("synth_depth", self.synth_depth)
-            put("synth_branching", self.synth_branching)
-            put("synth_samples_per_class", self.synth_samples_per_class)
-            put("synth_class_sep", self.synth_class_sep)
-            put("synth_noise_sigma", self.synth_noise_sigma)
-            put("synth_dim", self.synth_dim)
-        put("train_fraction", self.train_fraction)
-        put("code_csv", self.code_csv)
-        if self.code_csv is None:
-            put("code_strategy", self.code_strategy)
-            put("code_bits", self.code_bits)
-            put("code_binarize", self.code_binarize)
-            put("code_candidates", self.code_candidates)
-        put("hidden_sizes", self.hidden_sizes)
-        put("epochs", self.epochs)
-        put("batch_size", self.batch_size)
-        put("learning_rate", self.learning_rate)
-        put("lr_decay_epoch", self.lr_decay_epoch)
-        put("lr_decay_factor", self.lr_decay_factor)
-        put("momentum", self.momentum)
-        put("shuffle", self.shuffle)
-        put("head", self.head)
-        put("seed", self.seed)
-        put("out_dir", self.out_dir)
-        return [f"{k} = {v}" for k, v in sorted(pairs)]
+def format_value(value) -> str:
+    """A config value as ``config.echo`` writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
@@ -124,101 +119,56 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     return entries
 
 
-def _typed(entries: dict[str, str], source: str):
-    taken: set[str] = set()
-
-    def get(key: str, default=None):
-        taken.add(key)
-        return entries.get(key, default)
-
-    def get_int(key: str, default: int | None = None) -> int | None:
-        raw = get(key)
-        if raw is None or raw == "":
-            return default
+def _parse_value(field: Field, raw: str | None, source: str):
+    """One config value, typed by its field; an absent key takes the default.
+    An empty value also takes it for int, float and bool keys, and means no
+    hidden layers for ``hidden_sizes``."""
+    key = field.name
+    if raw is None:
+        return field.default
+    if key in _CHOICES:
+        if raw not in _CHOICES[key]:
+            raise ValueError(
+                f"{source}: key {key!r} must be one of {', '.join(_CHOICES[key])}, got {raw!r}"
+            )
+        return raw
+    kind = field.type.removesuffix(" | None")
+    if kind == "str":
+        return raw
+    if kind == "tuple[int, ...]":
         try:
-            return int(raw)
+            return tuple(int(v.strip()) for v in raw.split(",")) if raw else ()
         except ValueError:
-            raise ValueError(f"{source}: key {key!r} must be an integer, got {raw!r}") from None
-
-    def get_float(key: str, default: float | None = None) -> float | None:
-        raw = get(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"{source}: key {key!r} must be a number, got {raw!r}") from None
-
-    def get_bool(key: str, default: bool) -> bool:
-        raw = get(key)
-        if raw is None or raw == "":
-            return default
+            raise ValueError(f"{source}: key {key!r} must be comma-separated integers") from None
+    if raw == "":
+        return field.default
+    if kind == "bool":
         if raw not in ("true", "false"):
             raise ValueError(f"{source}: key {key!r} must be true or false, got {raw!r}")
         return raw == "true"
+    parse, noun = _NUMBERS[kind]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{source}: key {key!r} must be {noun}, got {raw!r}") from None
 
-    def get_choice(key: str, choices: tuple[str, ...], default: str) -> str:
-        raw = get(key, default)
-        if raw not in choices:
-            raise ValueError(
-                f"{source}: key {key!r} must be one of {', '.join(choices)}, got {raw!r}"
-            )
-        return raw
 
-    return get, get_int, get_float, get_bool, get_choice, taken
+def _check_seed(seed: int, name: str) -> None:
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 def resolve_config(entries: dict[str, str], source: str = "config") -> ExperimentConfig:
-    get, get_int, get_float, get_bool, get_choice, taken = _typed(entries, source)
-
-    hidden_raw = get("hidden_sizes", "32")
-    if hidden_raw == "":
-        hidden: tuple[int, ...] = ()
-    else:
-        try:
-            hidden = tuple(int(v.strip()) for v in hidden_raw.split(","))
-        except ValueError:
-            raise ValueError(
-                f"{source}: key 'hidden_sizes' must be comma-separated integers"
-            ) from None
-
-    cfg = ExperimentConfig(
-        data_csv=get("data_csv"),
-        attributes_csv=get("attributes_csv"),
-        synth_depth=get_int("synth_depth", 2),
-        synth_branching=get_int("synth_branching", 4),
-        synth_samples_per_class=get_int("synth_samples_per_class", 50),
-        synth_class_sep=get_float("synth_class_sep", 4.0),
-        synth_noise_sigma=get_float("synth_noise_sigma", 1.0),
-        synth_dim=get_int("synth_dim", 8),
-        train_fraction=get_float("train_fraction", 0.8),
-        code_csv=get("code_csv"),
-        code_strategy=get_choice("code_strategy", _STRATEGIES, "gaussian"),
-        code_bits=get_int("code_bits"),
-        code_binarize=get_choice("code_binarize", ("raw", "zero", "median"), "raw"),
-        code_candidates=get_int("code_candidates", 10000),
-        hidden_sizes=hidden,
-        epochs=get_int("epochs", 30),
-        batch_size=get_int("batch_size", 16),
-        learning_rate=get_float("learning_rate", 0.1),
-        lr_decay_epoch=get_int("lr_decay_epoch"),
-        lr_decay_factor=get_float("lr_decay_factor", 0.1),
-        momentum=get_float("momentum", 0.0),
-        shuffle=get_bool("shuffle", True),
-        head=get_choice("head", ("auto", "decoder", "softmax"), "auto"),
-        seed=get_int("seed", 0),
-        out_dir=get("out_dir", ""),
-    )
-    unknown = sorted(set(entries) - taken)
+    table = fields(ExperimentConfig)
+    cfg = ExperimentConfig(**{f.name: _parse_value(f, entries.get(f.name), source) for f in table})
+    unknown = sorted(set(entries) - {f.name for f in table})
     if unknown:
         raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
     if not cfg.out_dir:
         raise ValueError(f"{source}: key 'out_dir' is required")
-    for key, path in (
-        ("data_csv", cfg.data_csv),
-        ("attributes_csv", cfg.attributes_csv),
-        ("code_csv", cfg.code_csv),
-    ):
+    _check_seed(cfg.seed, f"{source}: key 'seed'")
+    for key in ("data_csv", "attributes_csv", "code_csv"):
+        path = getattr(cfg, key)
         if path is not None and not os.path.exists(path):
             raise ValueError(f"{source}: {key} path does not exist: {path}")
     return cfg
@@ -318,17 +268,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
     layer_sizes = [full.features.shape[1], *cfg.hidden_sizes, out_size]
 
     params = net.init(layer_sizes, seed=cfg.seed + 1)
-    tc = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        lr_decay_epoch=cfg.lr_decay_epoch,
-        lr_decay_factor=cfg.lr_decay_factor,
-        seed=cfg.seed,
-        shuffle=cfg.shuffle,
-        head=head,
-        momentum=cfg.momentum,
-    )
+    shared = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    tc = TrainConfig(**dict(shared, head=head))
     trained, rows = net.train(params, train_set, code, tc, eval_set=eval_set)
 
     out = cfg.out_dir
@@ -350,6 +291,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
 
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
+    _check_seed(args.seed, "--seed")
     n = args.classes
     graph = None
     if args.strategy == "spectral":
@@ -373,7 +315,7 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
         args.bits,
         args.seed,
         args.candidates,
-        args.binarize or "raw",
+        args.binarize,
         graph,
     )
 
@@ -393,6 +335,7 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
+    _check_seed(args.seed, "--seed")
     ds = datasets.synth_hierarchical(
         depth=args.depth,
         branching=args.branching,
@@ -479,25 +422,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-code", help="generate a code matrix CSV")
-    g.add_argument("--strategy", required=True, choices=_STRATEGIES)
+    g.add_argument("--strategy", required=True, choices=_CHOICES["code_strategy"])
     g.add_argument("--classes", type=int, default=None, help="number of classes n")
     g.add_argument("--bits", type=int, default=None, help="code length k")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--candidates", type=int, default=10000, help="dense strategy pool size")
-    g.add_argument("--binarize", choices=("zero", "median"), default=None)
+    g.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    g.add_argument(
+        "--candidates", type=int, default=ExperimentConfig.code_candidates,
+        help="dense strategy pool size",
+    )
+    g.add_argument(
+        "--binarize", choices=_CHOICES["code_binarize"], default=ExperimentConfig.code_binarize
+    )
     g.add_argument("--similarity", default=None, help="similarity CSV (spectral)")
     g.add_argument("--data", default=None, help="dataset CSV to derive similarity (spectral)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_code)
 
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
-    s.add_argument("--depth", type=int, default=2)
-    s.add_argument("--branching", type=int, default=4)
-    s.add_argument("--samples-per-class", type=int, default=50)
-    s.add_argument("--class-sep", type=float, default=4.0)
-    s.add_argument("--noise-sigma", type=float, default=1.0)
-    s.add_argument("--dim", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
+    for f in fields(ExperimentConfig):
+        if f.name.startswith("synth_"):
+            flag = "--" + f.name.removeprefix("synth_").replace("_", "-")
+            s.add_argument(flag, type=_NUMBERS[f.type][0], default=f.default)
+    s.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     s.add_argument("--out", required=True)
     s.add_argument("--attributes-out", default=None)
     s.set_defaults(func=cmd_synth_data)

@@ -71,11 +71,12 @@ class TrainConfig:
     """Hyperparameters for :func:`train`.
 
     ``lr_decay_epoch`` applies a one-time learning-rate cut: from that epoch
-    on, the rate is ``learning_rate * lr_decay_factor``.  ``head`` picks the
-    loss: ``"decoder"`` for the distance head, ``"softmax"`` for the plain
-    cross-entropy baseline, ``"auto"`` for softmax on one-hot codes and the
-    decoder otherwise.  ``momentum`` is the heavy-ball coefficient ``mu`` of
-    ``v = mu * v - lr * g``; 0 (the default) is plain SGD.
+    on (epochs count from 0), the rate is ``learning_rate * lr_decay_factor``.
+    ``head`` picks the loss: ``"decoder"`` for the distance head,
+    ``"softmax"`` for the plain cross-entropy baseline, ``"auto"`` for
+    softmax on one-hot codes and the decoder otherwise.  ``momentum`` is the
+    heavy-ball coefficient ``mu`` of ``v = mu * v - lr * g``; 0 (the
+    default) is plain SGD.
     """
 
     epochs: int
@@ -95,6 +96,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.lr_decay_epoch is not None and self.lr_decay_epoch < 0:
+            raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError(
                 f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"

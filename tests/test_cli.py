@@ -100,6 +100,14 @@ class TestGenCode:
         code = load_code_csv(out)
         assert set(np.unique(code.values)) == {-1.0, 1.0}
 
+    def test_binarize_raw_is_the_default(self, tmp_path):
+        argv = ["gen-code", "--strategy", "gaussian", "--classes", "4", "--bits", "8"]
+        a = os.path.join(tmp_path, "a.csv")
+        b = os.path.join(tmp_path, "b.csv")
+        assert main(argv + ["--out", a]) == 0
+        assert main(argv + ["--binarize", "raw", "--out", b]) == 0
+        assert read_bytes(a) == read_bytes(b)
+
     def test_spectral_from_similarity(self, tmp_path):
         w = np.array([
             [0.0, 1.0, 0.05, 0.05],
@@ -326,6 +334,23 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", os.path.join(tmp_path, "nope.cfg")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "gen-code", "synth-data"])
+def test_negative_seed_names_key_or_flag(tmp_path, capsys, command):
+    """A negative seed is refused where it is read, by config key or flag
+    and value, before anything is written."""
+    out = os.path.join(tmp_path, "out")
+    cfg = os.path.join(tmp_path, "exp.cfg")
+    argv, name = {
+        "train": (["train", "--config", write_config(cfg, out, seed="-1")], f"{cfg}: key 'seed'"),
+        "gen-code": (["gen-code", "--strategy", "gaussian", "--classes", "4", "--seed", "-1",
+                      "--out", out], "--seed"),
+        "synth-data": (["synth-data", "--seed", "-1", "--out", out], "--seed"),
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {name} must be >= 0, got -1\n" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 class TestAnalyze:
@@ -607,6 +632,64 @@ class TestConfigParsing:
         echoed = resolve_config(parse_config_text("\n".join(cfg.echo_lines())))
         assert echoed == cfg
         assert echoed.echo_lines() == cfg.echo_lines()
+
+    def test_echo_skips_keys_the_csv_paths_replace(self, tmp_path, monkeypatch):
+        """data_csv drops the synth_* keys and code_csv every other code_*
+        key, whatever the config set them to."""
+        monkeypatch.chdir(tmp_path)
+        for name in ("data.csv", "code.csv"):
+            open(name, "w").close()
+        cfg = resolve_config({
+            "data_csv": "data.csv", "code_csv": "code.csv", "synth_depth": "3",
+            "synth_class_sep": "2.5", "code_strategy": "dense", "code_bits": "5",
+            "code_binarize": "zero", "epochs": "5", "learning_rate": "0.5", "seed": "3",
+            "out_dir": "run",
+        })
+        assert cfg.echo_lines() == [
+            "batch_size = 16",
+            "code_csv = code.csv",
+            "data_csv = data.csv",
+            "epochs = 5",
+            "head = auto",
+            "hidden_sizes = 32",
+            "learning_rate = 0.5",
+            "lr_decay_factor = 0.1",
+            "momentum = 0.0",
+            "out_dir = run",
+            "seed = 3",
+            "shuffle = true",
+            "train_fraction = 0.8",
+        ]
+
+    def test_echo_of_synthetic_config(self):
+        """Unset optional keys (code_bits, lr_decay_epoch) are left out; an
+        empty hidden_sizes is echoed empty."""
+        cfg = resolve_config({
+            "hidden_sizes": "", "synth_noise_sigma": "0.75", "shuffle": "false",
+            "code_strategy": "onehot", "out_dir": "run",
+        })
+        assert cfg.echo_lines() == [
+            "batch_size = 16",
+            "code_binarize = raw",
+            "code_candidates = 10000",
+            "code_strategy = onehot",
+            "epochs = 30",
+            "head = auto",
+            "hidden_sizes = ",
+            "learning_rate = 0.1",
+            "lr_decay_factor = 0.1",
+            "momentum = 0.0",
+            "out_dir = run",
+            "seed = 0",
+            "shuffle = false",
+            "synth_branching = 4",
+            "synth_class_sep = 4.0",
+            "synth_depth = 2",
+            "synth_dim = 8",
+            "synth_noise_sigma = 0.75",
+            "synth_samples_per_class = 50",
+            "train_fraction = 0.8",
+        ]
 
     def test_missing_data_path_reported(self, tmp_path):
         with pytest.raises(ValueError, match="data_csv"):

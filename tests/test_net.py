@@ -376,6 +376,9 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_factor=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, head="magic")
+        with pytest.raises(ValueError, match="lr_decay_epoch must be >= 0, got -2"):
+            TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_epoch=-2)
+        TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_epoch=0)  # 0-indexed
 
 
 def reference_train(p, dataset, code, cfg, eval_set=None):

@@ -1,4 +1,5 @@
-"""The README's CLI walkthrough runs as written.
+"""The README's CLI walkthrough runs as written, and its config key table
+is the config's own.
 
 Every ``ecoc ...`` command of the walkthrough block and its ``cat > FILE
 <<'TAG'`` heredocs are replayed in a fresh directory, so the docs cannot
@@ -8,8 +9,9 @@ keep a removed flag, a removed config key or a command that warns.
 import os
 import shlex
 import warnings
+from dataclasses import fields
 
-from ecoc.cli import main
+from ecoc.cli import ExperimentConfig, format_value, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -62,3 +64,26 @@ def test_cli_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
         assert not caught, f"{stripped!r} warned: {[str(w.message) for w in caught]}"
     for name in ("confusion.csv", "ablation.csv", "corr.csv"):
         assert os.path.exists(name), name
+
+
+def config_key_rows() -> list[list[str]]:
+    """Cells of the table under ``### `train` config keys``, header and rule
+    excluded."""
+    section = open(README).read().split("\n### `train` config keys\n", 1)[1]
+    table = section.split("\n|", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in ("|" + table).splitlines()]
+    assert rows[0] == ["Key", "Type", "Default"] and set(rows[1]) == {"---"}
+    return rows[2:]
+
+
+def test_config_key_table_matches_experiment_config():
+    def shown(default) -> str:
+        if default is None:
+            return "—"
+        if default == "":
+            return "required"
+        return f"`{format_value(default)}`"
+
+    documented = [(key, default) for key, _, default in config_key_rows()]
+    assert documented == [(f"`{f.name}`", shown(f.default)) for f in fields(ExperimentConfig)]
