@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes, float formatting and CSV rows."""
+"""Small shared helpers: atomic file writes, float formatting, CSV rows."""
 
 from __future__ import annotations
 
@@ -88,6 +88,52 @@ def format_rows(
             labels = row_labels[start : start + step].tolist()
             rows = [f"{label},{row}" for label, row in zip(labels, rows)]
         yield "\n".join(rows) + "\n"
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a text file, without their line endings."""
+    with open(path, "r", newline="") as fh:
+        return fh.read().splitlines()
+
+
+def check_rows(path: str, ok: np.ndarray, first_line: int, message: str) -> None:
+    """Raise ValueError ``path:line: message`` at the first row whose ``ok``
+    is False; row ``i`` is line ``first_line + i``."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{path}:{first_line + bad[0]}: {message}")
+
+
+def parse_rows(path: str, lines: list[str], first_line: int, noun: str, width: int | None = None,
+               unit: str = "values", finite: bool = True) -> np.ndarray:
+    """Comma-separated float rows, ``lines[i]`` being line ``first_line + i``
+    of ``path``, as a ``(len(lines), width)`` float64 array.
+
+    ``width`` defaults to the first row's; with ``width`` 0 an empty line is
+    a row of no values, as :func:`format_rows` writes it.  numpy applies
+    ``float`` to each string as a row goes into the array.  A row of another
+    width, a value ``float`` rejects or, with ``finite``, a non-finite value
+    raises ValueError naming ``path:line``; ``noun`` and ``unit`` word it.
+    """
+    if width is None:
+        width = lines[0].count(",") + 1 if lines else 0
+    elif lines and width > len(lines[0]) + 1:  # too many for line 1: fail before allocating
+        found = lines[0].count(",") + 1
+        raise ValueError(f"{path}:{first_line}: expected {width} {unit}, found {found}")
+    values = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        parts = line.split(",") if line or width else []
+        if len(parts) != width:
+            raise ValueError(
+                f"{path}:{first_line + i}: expected {width} {unit}, found {len(parts)}"
+            )
+        try:
+            values[i] = parts
+        except ValueError:
+            raise ValueError(f"{path}:{first_line + i}: non-numeric {noun} value") from None
+    if finite:
+        check_rows(path, np.isfinite(values).all(axis=1), first_line, f"non-finite {noun} value")
+    return values
 
 
 @contextmanager

@@ -171,7 +171,13 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
         path = getattr(cfg, key)
         if path is not None and not os.path.exists(path):
             raise ValueError(f"{source}: {key} path does not exist: {path}")
+    _train_config(cfg)  # checks the training keys before any data or code work
     return cfg
+
+
+def _train_config(cfg: ExperimentConfig) -> TrainConfig:
+    """The :class:`TrainConfig` fields of an experiment config."""
+    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
 # ------------------------------------------------------------- experiment ---
@@ -264,13 +270,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
             bits_flag="code_bits",
         )
 
-    head, out_size = net.resolve_head(cfg.head, code)
+    _, out_size = net.resolve_head(cfg.head, code)
     layer_sizes = [full.features.shape[1], *cfg.hidden_sizes, out_size]
 
     params = net.init(layer_sizes, seed=cfg.seed + 1)
-    shared = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    tc = TrainConfig(**dict(shared, head=head))
-    trained, rows = net.train(params, train_set, code, tc, eval_set=eval_set)
+    trained, rows = net.train(params, train_set, code, _train_config(cfg), eval_set=eval_set)
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)

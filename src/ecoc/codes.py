@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, format_rows
+from ._util import atomic_write, format_rows, parse_rows, read_lines
 
 
 class CodeKind(Enum):
@@ -336,8 +336,7 @@ def save_code_csv(code: CodeMatrix, path: str) -> None:
 
 def load_code_csv(path: str) -> CodeMatrix:
     """Read a code matrix written by :func:`save_code_csv`."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty code file")
     header = lines[0].split(",")
@@ -349,23 +348,12 @@ def load_code_csv(path: str) -> CodeMatrix:
         n, k = int(header[0]), int(header[1])
         kind = CodeKind(header[2])
         binarization = Binarization(header[3])
+        if n < 2 or k < 1:
+            raise ValueError(f"need at least 2 classes and 1 code bit, got n={n}, k={k}")
     except ValueError as exc:
         raise ValueError(f"{path}:1: bad header: {exc}") from None
     body = lines[1:]
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} codeword rows, found {len(body)}")
-    values = np.empty((n, k))
-    for i, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != k:
-            raise ValueError(
-                f"{path}:{i + 2}: expected {k} values, found {len(parts)}"
-            )
-        try:
-            values[i] = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{i + 2}: non-numeric code value") from None
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: non-finite code value")
+    values = parse_rows(path, body, 2, "code", k)
     return CodeMatrix(values, kind=kind, binarization=binarization)

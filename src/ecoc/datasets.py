@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, format_rows
+from ._util import atomic_write, check_rows, format_rows, parse_rows, read_lines
 
 
 @dataclass(frozen=True)
@@ -152,46 +152,28 @@ def load_csv(path: str, n: int | None = None) -> Dataset:
     ``n`` declares the class count; omitted, it is inferred as max label + 1.
     Malformed rows raise ValueError naming the line.
     """
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    labels = []
-    rows = []
-    width = None
+    labels = np.empty(len(lines), dtype=np.int64)
     for i, line in enumerate(lines):
-        parts = line.split(",")
-        if len(parts) < 2:
+        label, sep, _ = line.partition(",")
+        if not sep:
             raise ValueError(f"{path}:{i + 1}: need a label and at least one feature")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise ValueError(
-                f"{path}:{i + 1}: expected {width} columns, found {len(parts)}"
-            )
         try:
-            label = int(parts[0])
+            labels[i] = int(label)
         except ValueError:
             raise ValueError(f"{path}:{i + 1}: label must be an integer") from None
-        try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            raise ValueError(f"{path}:{i + 1}: non-numeric feature value") from None
-        labels.append(label)
-    features = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 1}: non-finite feature value")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        bad = int(np.flatnonzero(labels_arr < 0)[0])
-        raise ValueError(f"{path}:{bad + 1}: negative label")
+        except OverflowError:
+            raise ValueError(f"{path}:{i + 1}: label does not fit in int64") from None
+    # the label column parses as a float too, so widths count it as a column
+    features = parse_rows(path, lines, 1, "feature", unit="columns")[:, 1:].copy()
+    check_rows(path, labels >= 0, 1, "negative label")
     if n is None:
-        n = int(labels_arr.max()) + 1
-    elif labels_arr.max() >= n:
-        bad = int(np.flatnonzero(labels_arr >= n)[0])
-        raise ValueError(f"{path}:{bad + 1}: label >= declared class count {n}")
-    return Dataset(features, labels_arr, n)
+        n = int(labels.max()) + 1
+    else:
+        check_rows(path, labels < n, 1, f"label >= declared class count {n}")
+    return Dataset(features, labels, n)
 
 
 def save_attributes_csv(dataset: Dataset, path: str) -> None:
@@ -209,26 +191,15 @@ def save_attributes_csv(dataset: Dataset, path: str) -> None:
 
 def load_attributes_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read an attribute table; returns (names, n x a matrix of 0/1)."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header and at least one class row")
     names = tuple(lines[0].split(","))
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(
-                f"{path}:{i}: expected {len(names)} columns, found {len(parts)}"
-            )
-        try:
-            row = [float(v) for v in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{i}: non-numeric attribute value") from None
-        if any(v not in (0.0, 1.0) for v in row):
-            raise ValueError(f"{path}:{i}: attribute entries must be 0 or 1")
-        rows.append(row)
-    return names, np.asarray(rows)
+    # the 0/1 check also rejects non-finite values, in its own words
+    values = parse_rows(path, lines[1:], 2, "attribute", len(names), "columns", finite=False)
+    binary = np.isin(values, (0.0, 1.0)).all(axis=1)
+    check_rows(path, binary, 2, "attribute entries must be 0 or 1")
+    return names, values
 
 
 def with_attributes(

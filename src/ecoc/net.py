@@ -104,6 +104,8 @@ class TrainConfig:
             )
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.head not in ("auto", "decoder", "softmax"):
             raise ValueError(f"head must be auto, decoder, or softmax, got {self.head!r}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, format_rows
+from ._util import atomic_write, format_rows, parse_rows, read_lines
 from .codes import Binarization, CodeKind, CodeMatrix
 
 
@@ -78,12 +78,13 @@ def similarity_from_class_means(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (samples, dims) matching labels")
+    present = np.unique(labels[(labels >= 0) & (labels < n)])
+    if present.size < n:  # the first missing class, before any (n, ...) allocation
+        c = np.flatnonzero(np.append(present, n) != np.arange(present.size + 1))[0]
+        raise ValueError(f"class {c} has no samples")
     means = np.empty((n, features.shape[1]))
     for c in range(n):
-        mask = labels == c
-        if not mask.any():
-            raise ValueError(f"class {c} has no samples")
-        means[c] = features[mask].mean(axis=0)
+        means[c] = features[labels == c].mean(axis=0)
     norms = np.linalg.norm(means, axis=1)
     if (norms <= 1e-12).any():
         bad = np.flatnonzero(norms <= 1e-12)
@@ -163,27 +164,12 @@ def save_similarity_csv(g: SimilarityGraph, path: str) -> None:
 
 def load_similarity_csv(path: str) -> SimilarityGraph:
     """Read a similarity matrix; tolerate asymmetry up to 1e-9 by averaging."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for i, line in enumerate(lines):
-        parts = line.split(",")
-        if rows and len(parts) != len(rows[0]):
-            raise ValueError(
-                f"{path}:{i + 1}: expected {len(rows[0])} values, found {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}:{i + 1}: non-numeric similarity value") from None
-    if not rows:
+    lines = read_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty similarity file")
-    w = np.array(rows, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    w = parse_rows(path, lines, 1, "similarity")
+    if w.shape[0] != w.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {w.shape}")
-    bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 1}: non-finite similarity value")
     if np.abs(w - w.T).max(initial=0.0) > 1e-9:
         raise ValueError(f"{path}: matrix asymmetric beyond 1e-9")
     w = (w + w.T) / 2

@@ -156,6 +156,18 @@ class TestGenCode:
         assert f"{sim}:2: expected 2 values, found 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_spectral_data_with_a_huge_label_gap_exits_2(self, tmp_path, capsys):
+        """The missing class is found from the labels, before the
+        (classes, features) class means are allocated."""
+        data = os.path.join(tmp_path, "data.csv")
+        with open(data, "w") as fh:
+            fh.write(f"0,1.0\n0,2.0\n{10**15},3.0\n")
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "spectral", "--data", data,
+                     "--bits", "1", "--out", out]) == 2
+        assert "error: class 1 has no samples\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_spectral_needs_a_source(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
@@ -334,6 +346,26 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", os.path.join(tmp_path, "nope.cfg")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_training_keys_checked_before_the_data(self, tmp_path, capsys):
+        """A bad training value is reported before the data file is read."""
+        data = os.path.join(tmp_path, "data.csv")
+        with open(data, "w") as fh:
+            fh.write("0,1.0\nnot a row\n")
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=data, epochs="0")
+        assert main(["train", "--config", cfg]) == 2
+        assert "error: epochs must be >= 1, got 0\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_label_beyond_int64_exits_2(self, tmp_path, capsys):
+        data = os.path.join(tmp_path, "data.csv")
+        with open(data, "w") as fh:
+            fh.write("0,1.0\n99999999999999999999,2.0\n")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
+                           data_csv=data)
+        assert main(["train", "--config", cfg]) == 2
+        assert f"error: {data}:2: label does not fit in int64\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "gen-code", "synth-data"])

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -384,12 +385,35 @@ class TestCodeCsv:
         with pytest.raises(ValueError, match=":3"):
             load_code_csv(path)
 
+    def test_huge_declared_width_rejected_before_allocating(self, tmp_path):
+        """k = 10**12 would need terabytes; the first row shows it is wrong."""
+        path = os.path.join(tmp_path, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(f"2,{10**12},gaussian,raw\n1.0\n2.0\n")
+        message = f"{path}:2: expected {10**12} values, found 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_code_csv(path)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_rejected_with_line(self, tmp_path, token):
         path = os.path.join(tmp_path, "bad.csv")
         with open(path, "w") as fh:
             fh.write(f"3,2,gaussian,raw\n1.0,2.0\n3.0,{token}\n5.0,6.0\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite code value"):
+            load_code_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [("2,-1,gaussian,raw\n1.0\n2.0\n", "n=2, k=-1"), ("0,3,gaussian,raw\n", "n=0, k=3"),
+         ("1,3,gaussian,raw\n1.0,2.0,3.0\n", "n=1, k=3")],
+        ids=["negative_bits", "no_classes", "one_class"],
+    )
+    def test_bad_header_counts_name_the_header_line(self, tmp_path, text, counts):
+        path = os.path.join(tmp_path, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        message = f"{path}:1: bad header: need at least 2 classes and 1 code bit, got {counts}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_code_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):

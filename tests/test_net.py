@@ -378,7 +378,12 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, head="magic")
         with pytest.raises(ValueError, match="lr_decay_epoch must be >= 0, got -2"):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_epoch=-2)
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\), got 1.0"):
+            TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, momentum=1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=-1)
         TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_epoch=0)  # 0-indexed
+        TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=0)
 
 
 def reference_train(p, dataset, code, cfg, eval_set=None):

@@ -65,6 +65,19 @@ class TestSimilarityFromClassMeans:
         with pytest.raises(ValueError, match="zero-norm"):
             similarity_from_class_means(feats, np.array([0, 0, 1, 1]), 2)
 
+    def test_missing_class_found_before_allocating_means(self):
+        """Labels 0, 0, 10**15 would need petabytes of class means; the gap
+        at class 1 is reported first."""
+        labels = np.array([0, 0, 10**15])
+        with pytest.raises(ValueError, match="^class 1 has no samples$"):
+            similarity_from_class_means(np.ones((3, 2)), labels, 10**15 + 1)
+
+    @pytest.mark.parametrize("labels, missing", [([1, 2, 1], 0), ([0, 2, 0], 1), ([0, 1, 1], 2),
+                                                 ([-1, 0, 5], 1)])
+    def test_first_missing_class_reported(self, labels, missing):
+        with pytest.raises(ValueError, match=f"^class {missing} has no samples$"):
+            similarity_from_class_means(np.ones((3, 2)), np.array(labels), 3)
+
     def test_mean_noise_averages_out(self):
         rng = np.random.default_rng(0)
         feats = np.vstack([

@@ -1,5 +1,8 @@
-"""The shared CSV row formatter against the per-element writer it replaced."""
+"""The shared CSV row formatter against the per-element writer it replaced,
+and the shared row parser behind every matrix CSV reader."""
 
+import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoc import _util
-from ecoc._util import ROW_BLOCK_ELEMS, format_rows
+from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows
+from ecoc.codes import load_code_csv
+from ecoc.datasets import load_attributes_csv, load_csv
+from ecoc.spectral import load_similarity_csv
 from oracles import format_rows_per_element
 
 SPECIAL_FLOATS = [
@@ -128,3 +134,104 @@ def test_rejects_non_numeric_and_non_matrix_input():
         list(format_rows(np.array([["a"]])))
     with pytest.raises(ValueError, match="2-d"):
         list(format_rows(np.zeros(3)))
+
+
+# Per loader: its reader, then per fault the file text and the exact message
+# after "path:".  Every message is the one these readers gave before they
+# shared a parser.
+READER_FAULTS = {
+    "data": (load_csv, {
+        "width": ("0,1.0,2.0\n1,3.0,4.0\n1,5.0\n", "3: expected 3 columns, found 2"),
+        "non_numeric": ("0,1.0\n0,oops\n", "2: non-numeric feature value"),
+        "non_finite": ("0,1.0\n1,2.0\n1,nan\n", "3: non-finite feature value"),
+    }),
+    "code": (load_code_csv, {
+        "width": ("2,2,gaussian,raw\n1.0,2.0\n3.0\n", "3: expected 2 values, found 1"),
+        "non_numeric": ("2,2,gaussian,raw\n1.0,2.0\n3.0,x\n", "3: non-numeric code value"),
+        "non_finite": ("2,2,gaussian,raw\n1.0,inf\n3.0,4.0\n", "2: non-finite code value"),
+    }),
+    "similarity": (load_similarity_csv, {
+        "width": ("0.0,0.5\n0.5\n", "2: expected 2 values, found 1"),
+        "non_numeric": ("0.0,0.5\n0.5,oops\n", "2: non-numeric similarity value"),
+        "non_finite": ("0.0,0.5\n-inf,0.0\n", "2: non-finite similarity value"),
+    }),
+    "attributes": (load_attributes_csv, {
+        "width": ("a,b,c\n0,1,0\n1,0\n", "3: expected 3 columns, found 2"),
+        "non_numeric": ("a,b\n0,1\n1,yes\n", "3: non-numeric attribute value"),
+        # 0/1 is stricter than finite, and its message wins
+        "non_finite": ("a,b\n0,1\nnan,0\n", "3: attribute entries must be 0 or 1"),
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", ["width", "non_numeric", "non_finite"])
+@pytest.mark.parametrize("reader", sorted(READER_FAULTS))
+def test_reader_errors_name_path_and_line(tmp_path, reader, fault):
+    load, faults = READER_FAULTS[reader]
+    text, message = faults[fault]
+    path = os.path.join(tmp_path, f"{reader}.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        load(path)
+
+
+def test_label_beyond_int64_names_the_line(tmp_path):
+    path = os.path.join(tmp_path, "data.csv")
+    for label in ("99999999999999999999", "-9223372036854775809"):
+        with open(path, "w") as fh:
+            fh.write(f"0,1.0\n{label},2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: label does not fit in int64$"):
+            load_csv(path)
+
+
+def read_back(values: np.ndarray) -> np.ndarray:
+    lines = text(values).splitlines()
+    return parse_rows("m.csv", lines, 1, "test", width=values.shape[1])
+
+
+round_trip_palettes = st.one_of(
+    st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS[:-2]),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(min_value=-1e-300, max_value=1e-300)),
+             min_size=1, max_size=12).map(lambda p: np.asarray(p, dtype=np.float64)),
+    int_palettes.map(lambda p: np.asarray(p, dtype=np.int64)),
+    st.sampled_from([np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.array([0, 1])]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(palette=round_trip_palettes, rows=st.integers(0, 30), cols=st.integers(0, 10),
+       seed=st.integers(0, 2**16), block=st.integers(1, 64))
+def test_parsed_rows_read_back_what_format_rows_wrote(palette, rows, cols, seed, block):
+    """Every matrix the formatter writes reads back bit-exactly, as float64:
+    -0.0 keeps its sign, subnormals and int64 extremes round as float()
+    rounds them, and a zero-column matrix comes back as empty lines."""
+    values = palette[np.random.default_rng(seed).integers(len(palette), size=(rows, cols))]
+    with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block):
+        back = read_back(values)
+    assert back.shape == values.shape and back.dtype == np.float64
+    assert back.tobytes() == values.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.eye(300), _signed_zeros(), _int64_extremes(), np.zeros((5, 0)),
+     np.where(np.random.default_rng(7).standard_normal((64, 33)) > 0, 1.0, -1.0),
+     np.array([[5e-324, -5e-324, 2.2250738585072e-308, -0.0]])],
+    ids=["onehot", "signed_zeros", "int64_extremes", "no_columns", "pm1", "subnormals"],
+)
+def test_parsed_rows_read_back_written_blocks(values):
+    assert read_back(values).tobytes() == values.astype(np.float64).tobytes()
+
+
+def test_parse_rows_infers_width_and_numbers_lines_from_first_line():
+    lines = ["1.5,-0.0", "2,3e2"]
+    back = parse_rows("f.csv", lines, 7, "test")
+    assert back.tolist() == [[1.5, -0.0], [2.0, 300.0]]
+    with pytest.raises(ValueError, match=r"^f\.csv:8: non-finite test value$"):
+        parse_rows("f.csv", ["1,2", "3,inf"], 7, "test")
+    with pytest.raises(ValueError, match=r"^f\.csv:7: expected 0 values, found 1$"):
+        parse_rows("f.csv", ["1"], 7, "test", width=0)
+    assert parse_rows("f.csv", [], 1, "test").shape == (0, 0)
+    assert parse_rows("f.csv", ["inf"], 1, "test", finite=False)[0, 0] == np.inf
