@@ -16,6 +16,12 @@ _NEG_ZERO = np.uint64(1 << 63)
 _WIDE_DTYPE = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed by name, before numpy's RNG sees it."""
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 def fmt_float(x: float) -> str:
     """Shortest decimal string that round-trips the double exactly."""
     return repr(float(x))

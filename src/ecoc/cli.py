@@ -16,7 +16,7 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, check_seed, fmt_float
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeMatrix
 from .datasets import Dataset
@@ -153,11 +153,6 @@ def _parse_value(field: Field, raw: str | None, source: str):
         raise ValueError(f"{source}: key {key!r} must be {noun}, got {raw!r}") from None
 
 
-def _check_seed(seed: int, name: str) -> None:
-    if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
-
-
 def resolve_config(entries: dict[str, str], source: str = "config") -> ExperimentConfig:
     table = fields(ExperimentConfig)
     cfg = ExperimentConfig(**{f.name: _parse_value(f, entries.get(f.name), source) for f in table})
@@ -166,7 +161,7 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
         raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
     if not cfg.out_dir:
         raise ValueError(f"{source}: key 'out_dir' is required")
-    _check_seed(cfg.seed, f"{source}: key 'seed'")
+    check_seed(cfg.seed, f"{source}: key 'seed'")
     for key in ("data_csv", "attributes_csv", "code_csv"):
         path = getattr(cfg, key)
         if path is not None and not os.path.exists(path):
@@ -295,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
 
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
-    _check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     n = args.classes
     graph = None
     if args.strategy == "spectral":
@@ -339,7 +334,7 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
-    _check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     ds = datasets.synth_hierarchical(
         depth=args.depth,
         branching=args.branching,
@@ -472,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

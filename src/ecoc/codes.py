@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, format_rows, parse_rows, read_lines
+from ._util import atomic_write, check_seed, format_rows, parse_rows, read_lines
 
 
 class CodeKind(Enum):
@@ -146,6 +146,7 @@ def gaussian_code(n: int, k: int, seed: int = 0) -> CodeMatrix:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if k < 1:
         raise ValueError(f"need at least 1 code bit, got k={k}")
+    check_seed(seed)
     for attempt in range(11):
         rng = np.random.default_rng(seed + attempt)
         values = rng.standard_normal((n, k))
@@ -163,34 +164,51 @@ def dense_candidate_stream(
 
     Each candidate is an ``n x k`` matrix of ``{-1, +1}`` entries, each +1
     with probability 0.5.  Exposed so the selection can be re-audited
-    against the exact list the generator saw.
+    against the exact list the generator saw.  A negative ``seed`` raises
+    at the call, before any draw.
     """
+    return _pm1_candidates(n, k, candidates, seed, np.float64)
+
+
+def _pm1_candidates(
+    n: int, k: int, candidates: int, seed: int, dtype: type
+) -> Iterator[np.ndarray]:
+    """dense_candidate_stream's draws as ``dtype``; checks ``seed`` at once."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
-    for _ in range(candidates):
-        c = rng.integers(0, 2, size=(n, k)).astype(np.float64)
-        c *= 2
-        c -= 1
-        yield c
+    levels = np.array([-1.0, 1.0], dtype=dtype)
+    return (levels.take(rng.integers(0, 2, size=(n, k))) for _ in range(candidates))
 
 
-def _min_row_hamming(values: np.ndarray) -> int:
+# float32 holds every integer of magnitude below 2**24 exactly.
+_FLOAT32_EXACT = 2**24
+
+
+def _min_row_hamming(values: np.ndarray, signs: bool = False) -> int:
     """Minimum pairwise Hamming distance between sign patterns of rows.
 
     With sign rows ``s`` and their nonzero masks ``P`` (row sums ``p``),
     twice the agreement count of rows i and j is
     ``k + s_i.s_j + (3 P_i.P_j - 2 p_i - 2 p_j + k)``; the bracket is 0 when
-    every sign is +-1, so then one n x n Gram over k columns suffices.  All
-    terms are integers far below 2**53, so the float arithmetic is exact.
-    The distance is k minus the largest off-diagonal agreement.
+    every sign is +-1, so then one n x n Gram over k columns suffices.  Every
+    term and partial sum is an integer of magnitude at most ``8 k``, so the
+    arithmetic runs exactly in float32 (at twice float64's BLAS speed) while
+    ``8 k < 2**24``, and in float64 above that.  The distance is k minus the
+    largest off-diagonal agreement.  With ``signs`` set, ``values`` already
+    holds only -1, 0 and +1 and is its own sign matrix.
     """
-    signs = np.sign(values)
-    k = signs.shape[1]
-    gram = signs @ signs.T  # becomes 2 * agreement - k
-    if not signs.all():
-        nonzero = signs != 0
-        p = nonzero.sum(axis=1, dtype=np.float64)
-        both = nonzero.astype(np.float64)
-        gram += 3.0 * (both @ both.T) - 2.0 * p[:, None] - 2.0 * p + k
+    k = values.shape[1]
+    dtype = np.float32 if 8 * k < _FLOAT32_EXACT else np.float64
+    if signs:
+        s = values.astype(dtype, copy=False)
+    else:
+        s = np.sign(values, out=np.empty(values.shape, dtype))
+    gram = s @ s.T  # becomes 2 * agreement - k
+    if not s.all():
+        nonzero = s != 0
+        p = nonzero.sum(axis=1, dtype=dtype)
+        both = nonzero.astype(dtype)
+        gram += 3 * (both @ both.T) - 2 * p[:, None] - 2 * p + k
     # agreement -1 on the diagonal: a single row scores k + 1, as no pair
     np.fill_diagonal(gram, -2.0 - k)
     return int(k - gram.max()) // 2
@@ -204,15 +222,25 @@ def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
     integer-valued codes, so binary anticorrelated rows score exactly 1.
     The Gram and its denominator are exactly symmetric, so the maximum over
     all off-diagonal entries is the maximum over distinct pairs.
+
+    When all squared norms are equal (the rows of +-1 and one-hot codes, the
+    columns of +-1 codes) the denominator is one positive constant.
+    Correctly rounded division by it is monotone, so the largest off-diagonal
+    |Gram| entry over that constant is the largest quotient, bit for bit,
+    with no n x n denominator.
     """
     m = vectors.shape[0]
     if m < 2:
         return 0.0
     cos = vectors @ vectors.T
     sq = np.diag(cos).copy()
+    np.abs(cos, out=cos)
+    if (sq == sq[0]).all():
+        np.fill_diagonal(cos, 0.0)
+        denom = math.sqrt(float(sq[0]) * float(sq[0]))
+        return float(cos.max()) / denom if denom > 1e-30 else 0.0
     denom = np.outer(sq, sq)
     np.sqrt(denom, out=denom)
-    np.abs(cos, out=cos)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(cos, denom, out=cos)
     cos[denom <= 1e-30] = 0.0
@@ -237,13 +265,16 @@ def dense_random_code(
     if candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {candidates}")
 
+    # A +-1 candidate is its own sign matrix.  float32 holds it and its
+    # column Gram (integers of magnitude at most n) exactly.
+    dtype = np.float32 if n < _FLOAT32_EXACT else np.float64
     # Running best (-min Hamming, max |column cosine|); the strict comparison
     # keeps the earliest candidate on ties.  Column correlations are computed
     # only for candidates that reach the best Hamming distance so far.
     best: tuple[int, float] | None = None
     best_values: np.ndarray | None = None
-    for cand in dense_candidate_stream(n, k, candidates, seed):
-        h = _min_row_hamming(cand)
+    for cand in _pm1_candidates(n, k, candidates, seed, dtype):
+        h = _min_row_hamming(cand, signs=True)
         if h < 1 or (best is not None and -h > best[0]):
             continue
         key = (-h, _max_abs_pair_cosine(cand.T))

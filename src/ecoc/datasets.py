@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, check_rows, format_rows, parse_rows, read_lines
+from ._util import atomic_write, check_rows, check_seed, format_rows, parse_rows, read_lines
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ def synth_hierarchical(
         raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
     if class_sep < 0 or noise_sigma < 0:
         raise ValueError("class_sep and noise_sigma must be non-negative")
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
 
@@ -223,6 +224,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
     """
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     eval_idx: list[np.ndarray] = []

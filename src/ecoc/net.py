@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, check_seed, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
 from .decoder import EPS_NORM, batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
@@ -104,8 +104,7 @@ class TrainConfig:
             )
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.head not in ("auto", "decoder", "softmax"):
             raise ValueError(f"head must be auto, decoder, or softmax, got {self.head!r}")
 
@@ -132,6 +131,7 @@ def init(layer_sizes: list[int], seed: int = 0) -> NetParams:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
     if any(s < 1 for s in layer_sizes):
         raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

@@ -385,6 +385,18 @@ def test_negative_seed_names_key_or_flag(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+def test_impossible_allocation_exits_2_with_numpy_size(tmp_path, capsys):
+    """A 10**8-class one-hot code asks numpy for 71 PiB, beyond any 48-bit
+    address space, so it fails at once: one error line, exit 2."""
+    out = os.path.join(tmp_path, "code.csv")
+    assert main(["gen-code", "--strategy", "onehot", "--classes", "100000000",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 71.1 PiB")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 class TestAnalyze:
     @pytest.fixture()
     def run_dir(self, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecoc import codes
+from ecoc import cli, codes
 from ecoc.codes import (
     Binarization,
     BinarizationCollisionError,
@@ -262,6 +262,45 @@ class TestCodeMetrics:
             tracemalloc.stop()
         assert peak <= 3 * n * n * 8
 
+    def test_binarized_gaussian_peak_memory_one_gram(self):
+        """Peak allocation stays under 1.25 n x n float64 matrices: the
+        float32 sign Gram is half of one, and the shared-norm cosine needs
+        no n x n denominator."""
+        n = 1024
+        code = binarize(gaussian_code(n, 100, seed=0), Binarization.ZERO)
+        tracemalloc.start()
+        try:
+            code_metrics(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_codegen_workload_codes_pinned(self, tmp_path, seed):
+        """code_metrics of the codegen benchmark's three codes at its small
+        size, exact by repr, as the float64 Gram forms measured them."""
+        s = str(seed)
+        out = {name: os.path.join(tmp_path, f"{name}.csv")
+               for name in ("data", "spectral", "dense", "gaussian")}
+        argvs = [
+            ["synth-data", "--depth", "2", "--branching", "4", "--samples-per-class", "4",
+             "--dim", "16", "--seed", s, "--out", out["data"]],
+            ["gen-code", "--strategy", "spectral", "--data", out["data"], "--seed", s,
+             "--out", out["spectral"]],
+            ["gen-code", "--strategy", "dense", "--classes", "16", "--bits", "8",
+             "--candidates", "20", "--seed", s, "--out", out["dense"]],
+            ["gen-code", "--strategy", "gaussian", "--classes", "64", "--binarize", "zero",
+             "--seed", s, "--out", out["gaussian"]],
+        ]
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        got = {}
+        for name in ("spectral", "dense", "gaussian"):
+            m = code_metrics(load_code_csv(out[name]))
+            got[name] = (m.min_row_hamming, repr(m.max_abs_row_corr), repr(m.max_abs_col_corr))
+        assert got == _CODEGEN_METRICS[seed]
+
     @pytest.mark.parametrize("strategy", [Binarization.ZERO, Binarization.MEDIAN, None])
     def test_large_gaussian_matches_matrix_oracles(self, strategy):
         code = gaussian_code(1024, 100, seed=1)
@@ -272,6 +311,19 @@ class TestCodeMetrics:
         assert m.max_abs_row_corr == max_abs_pair_cosine_triu(code.values)
         assert m.max_abs_col_corr == max_abs_pair_cosine_triu(code.values.T)
 
+
+_CODEGEN_METRICS = {
+    1: {
+        "spectral": (3, "0.07336897001899334", "6.54424431312251e-16"),
+        "dense": (1, "0.75", "0.5"),
+        "gaussian": (16, "0.4666666666666667", "0.40625"),
+    },
+    2: {
+        "spectral": (4, "0.07503726460532702", "8.604228440844964e-16"),
+        "dense": (2, "0.75", "0.375"),
+        "gaussian": (17, "0.43333333333333335", "0.46875"),
+    },
+}
 
 _ROW_SCALES = (0.0, 1e-16, 1e-15, 1.0)  # zero rows; norm products <= 1e-30 and near it
 
@@ -422,3 +474,69 @@ class TestCodeCsv:
             fh.write("2,2,mystery,raw\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError, match=":1"):
             load_code_csv(path)
+
+
+def _sign_rows(rng, m, k, kind):
+    if kind == "pm1":
+        return rng.choice([-1.0, 1.0], size=(m, k))
+    return rng.integers(-1, 2, size=(m, k)) * rng.uniform(0.1, 3.0, size=(m, k))
+
+
+@pytest.mark.parametrize("kind", ["pm1", "signs"])
+@pytest.mark.parametrize("float64_branch", [False, True])
+def test_sign_gram_hamming_exact_in_both_precisions(monkeypatch, kind, float64_branch):
+    """Lowering the float32 limit to 8 k sends a small code through the
+    float64 branch; both branches equal the one-hot oracle."""
+    rng = np.random.default_rng(4)
+    for m, k in [(2, 1), (7, 5), (40, 33), (33, 40)]:
+        values = _sign_rows(rng, m, k, kind)
+        for v in (values, values.T):
+            limit = 8 * v.shape[1] + (0 if float64_branch else 1)
+            monkeypatch.setattr(codes, "_FLOAT32_EXACT", limit)
+            expected = min_row_hamming_one_hot(v)
+            assert codes._min_row_hamming(v) == expected
+            assert codes._min_row_hamming(np.sign(v), signs=True) == expected
+
+
+@pytest.mark.parametrize("kind", ["pm1", "signs"])
+@pytest.mark.parametrize("k", [2**21 - 1, 2**21])
+def test_sign_gram_hamming_exact_at_float32_limit(kind, k):
+    """Either side of 8 k = 2**24 (float32 just below, float64 at it) on
+    rows that agree almost everywhere, so the counts are near k."""
+    rng = np.random.default_rng(5)
+    rows = np.repeat(_sign_rows(rng, 1, k, kind), 3, axis=0)
+    for i in range(3):
+        flip = rng.choice(k, size=10 + i, replace=False)
+        rows[i, flip] = -rows[i, flip]
+    rows[2, :7] = 0.0
+    assert codes._min_row_hamming(rows) == min_row_hamming_brute(rows)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "scale", [1.0, 0.3, 1e-16, 1e-15, 1e80, 1e160], ids=lambda s: f"scale{s:g}"
+)
+@pytest.mark.parametrize("kind", ["pm1", "one_hot", "real"])
+def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
+    """Rows sharing one squared norm take the constant-denominator form;
+    it equals the element-wise triangle oracle bit for bit, on rows and
+    columns, down to norm products <= 1e-30 (0.0) and up to overflowing
+    squares."""
+    rng = np.random.default_rng(6)
+    for m, k in [(2, 3), (9, 4), (6, 40), (30, 17)]:
+        if kind == "pm1":
+            values = rng.choice([-1.0, 1.0], size=(m, k))
+        elif kind == "one_hot":
+            values = np.eye(m)
+        else:  # one real magnitude per column, random signs per entry
+            values = rng.choice([-1.0, 1.0], size=(m, k)) * rng.uniform(0.1, 3.0, size=k)
+        values = values * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.diag(values @ values.T)
+            assert (sq == sq[0]).all(), "rows must share one squared norm"
+            for v in (values, values.T) if kind == "pm1" else (values,):
+                expected = max_abs_pair_cosine_triu(v)
+                assert _same(codes._max_abs_pair_cosine(v), expected)

@@ -1,5 +1,6 @@
 """The shared CSV row formatter against the per-element writer it replaced,
-and the shared row parser behind every matrix CSV reader."""
+the shared row parser behind every matrix CSV reader, and the shared seed
+check of the library's random draws."""
 
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoc import _util
+from ecoc import _util, codes, datasets, net
 from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows
 from ecoc.codes import load_code_csv
 from ecoc.datasets import load_attributes_csv, load_csv
@@ -235,3 +236,21 @@ def test_parse_rows_infers_width_and_numbers_lines_from_first_line():
         parse_rows("f.csv", ["1"], 7, "test", width=0)
     assert parse_rows("f.csv", [], 1, "test").shape == (0, 0)
     assert parse_rows("f.csv", ["inf"], 1, "test", finite=False)[0, 0] == np.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: codes.gaussian_code(4, 2, seed=-1),
+        lambda: codes.dense_random_code(4, 3, candidates=5, seed=-1),
+        lambda: codes.dense_candidate_stream(4, 3, 5, seed=-1),  # raises before next()
+        lambda: datasets.synth_hierarchical(1, 2, 2, 1.0, 0.5, 2, seed=-1),
+        lambda: datasets.split(datasets.synth_hierarchical(1, 2, 2, 1.0, 0.5, 2), 0.5, seed=-1),
+        lambda: net.init([2, 3], seed=-1),
+    ],
+    ids=["gaussian_code", "dense_random_code", "dense_candidate_stream",
+         "synth_hierarchical", "split", "init"],
+)
+def test_library_rejects_negative_seed_by_name(call):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        call()
