@@ -1,11 +1,13 @@
-"""Small shared helpers: atomic file writes, float formatting, CSV rows."""
+"""Small shared helpers: atomic and forked file writes, float formatting, CSV rows."""
 
 from __future__ import annotations
 
+import builtins
 import os
 import tempfile
-from contextlib import contextmanager
-from typing import Iterator
+import warnings
+from contextlib import contextmanager, suppress
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -142,23 +144,134 @@ def parse_rows(path: str, lines: list[str], first_line: int, noun: str, width: i
     return values
 
 
+def _temp_file(directory: str) -> tuple[int, str]:
+    """A new ``.tmp-*~`` file in ``directory``: its descriptor and path."""
+    return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+
+
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
     """Write to a temp file in the target directory, then rename into place.
 
-    Interrupted runs never leave a truncated file at `path`.
+    Interrupted runs never leave a truncated file at `path`.  The file gets
+    the mode a plain ``open`` would give it, ``0o666`` less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = _temp_file(directory)
     try:
         mode = "wb" if binary else "w"
         with os.fdopen(fd, mode, newline=None if binary else "") as fh:
             yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def _fork_writer(jobs: list[tuple[Callable, object, str]]) -> tuple[int, int] | None:
+    """Fork a child that runs each ``save(obj, path)`` of ``jobs``; its pid
+    and the read end of a pipe that carries the builtin class name and text
+    of any exception it meets, or None where ``os.fork`` is missing or fails.
+
+    The child leaves only through ``os._exit``, so it runs no exit handlers
+    and flushes none of the parent's buffers.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when BLAS worker threads are running; they
+            # cannot deadlock the child, which calls no BLAS.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            for save, obj, path in jobs:
+                save(obj, path)
+            status = 0
+        except BaseException as exc:
+            # the nearest builtin class, which callers dispatch on
+            # (MemoryError for numpy's _ArrayMemoryError)
+            base = next(c for c in type(exc).__mro__ if c.__module__ == "builtins")
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(f"{base.__name__}\n{exc}".encode(errors="surrogatepass"))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _join_writer(child: tuple[int, int]) -> BaseException | None:
+    """Wait for a :func:`_fork_writer` child to exit; the exception it
+    reported, rebuilt with the same text as its builtin class (or the
+    nearest base that takes one argument), if any."""
+    pid, read_end = child
+    with os.fdopen(read_end, "rb") as pipe:
+        report = pipe.read().decode(errors="surrogatepass")
+    _, status = os.waitpid(pid, 0)
+    if report:
+        name, _, text = report.partition("\n")
+        for cls in getattr(builtins, name).__mro__:  # UnicodeError subclasses take five
+            with suppress(TypeError):
+                return cls(text)
+    if status:
+        return OSError(f"artifact writer exited with status {os.waitstatus_to_exitcode(status)}")
+    return None
+
+
+@contextmanager
+def forked_writes(directory: str, writes: list[tuple[Callable, object, str]]) -> Iterator[None]:
+    """Write files in a forked child while the ``with`` block runs; put them
+    in place only if the block succeeds.
+
+    Each ``(save, obj, name)`` of ``writes`` becomes ``save(obj, tmp)``, for
+    a ``.tmp-*~`` file ``tmp`` in ``directory``, run in a child forked on
+    entry.  ``save`` must call no BLAS.  When the block ends, the child is
+    joined; an exception it met is raised here as its builtin class with
+    its text, so callers see what an in-process ``save`` would raise.  Then
+    each temp is renamed to ``directory/name``, in order.  When the block
+    raises, the child is reaped and every temp unlinked: no file in
+    ``directory`` is created or replaced.  Where ``os.fork`` is missing or
+    fails, the same writes run in-process when the block ends.
+    """
+    temps = []
+    child = None
+    try:
+        for _ in writes:
+            fd, tmp = _temp_file(directory)
+            os.close(fd)
+            temps.append(tmp)
+        jobs = [(save, obj, tmp) for (save, obj, _), tmp in zip(writes, temps)]
+        child = _fork_writer(jobs)
+        yield
+        if child is None:
+            for save, obj, tmp in jobs:
+                save(obj, tmp)
+        else:
+            joined, child = child, None
+            error = _join_writer(joined)
+            if error is not None:
+                raise error
+        for tmp, (_, _, name) in zip(list(temps), writes):
+            os.replace(tmp, os.path.join(directory, name))
+            temps.remove(tmp)
+    finally:
+        if child is not None:  # the block raised: reap the child, drop its report
+            _join_writer(child)
+        for tmp in temps:
+            with suppress(OSError):
+                os.unlink(tmp)

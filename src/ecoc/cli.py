@@ -16,7 +16,7 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write, check_seed, fmt_float
+from ._util import atomic_write, check_seed, fmt_float, forked_writes
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeMatrix
 from .datasets import Dataset
@@ -269,21 +269,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
     layer_sizes = [full.features.shape[1], *cfg.hidden_sizes, out_size]
 
     params = net.init(layer_sizes, seed=cfg.seed + 1)
-    trained, rows = net.train(params, train_set, code, _train_config(cfg), eval_set=eval_set)
-
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    net.save_metrics(rows, os.path.join(out, "metrics.csv"))
-    net.save_model(trained, os.path.join(out, "model.bin"))
-    codes.save_code_csv(code, os.path.join(out, "code.csv"))
-    datasets.save_csv(train_set, os.path.join(out, "train.csv"))
-    datasets.save_csv(eval_set, os.path.join(out, "eval.csv"))
+
+    # The input artifacts are fixed before training, so a forked child
+    # writes them while it runs; they are put in place only if it succeeds.
+    inputs = [
+        (codes.save_code_csv, code, "code.csv"),
+        (datasets.save_csv, train_set, "train.csv"),
+        (datasets.save_csv, eval_set, "eval.csv"),
+    ]
     if full.attributes is not None:
-        datasets.save_attributes_csv(full, os.path.join(out, "attributes.csv"))
-    with atomic_write(os.path.join(out, "config.echo")) as fh:
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
+        inputs.append((datasets.save_attributes_csv, full, "attributes.csv"))
+    inputs.append((_save_config_echo, cfg, "config.echo"))
+    with forked_writes(out, inputs):
+        trained, rows = net.train(params, train_set, code, _train_config(cfg), eval_set=eval_set)
+        net.save_metrics(rows, os.path.join(out, "metrics.csv"))
+        net.save_model(trained, os.path.join(out, "model.bin"))
     return rows
+
+
+def _save_config_echo(cfg: ExperimentConfig, path: str) -> None:
+    with atomic_write(path) as fh:
+        fh.writelines(line + "\n" for line in cfg.echo_lines())
 
 
 # ------------------------------------------------------------ subcommands ---

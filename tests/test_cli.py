@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: subcommands, config handling, exit codes."""
 
+import errno
 import os
+import signal
+import stat
 
 import numpy as np
 import pytest
 
+from ecoc import cli, datasets, net
 from ecoc.cli import main, parse_config_text, resolve_config
-from ecoc.codes import CodeKind, load_code_csv
-from ecoc.datasets import Dataset, load_csv, save_csv, synth_hierarchical
+from ecoc.codes import CodeKind, gaussian_code, load_code_csv, save_code_csv
+from ecoc.datasets import (Dataset, load_csv, save_attributes_csv, save_csv, split,
+                           synth_hierarchical)
 from ecoc.spectral import SimilarityGraph, save_similarity_csv
 
 
@@ -366,6 +371,214 @@ class TestTrain:
                            data_csv=data)
         assert main(["train", "--config", cfg]) == 2
         assert f"error: {data}:2: label does not fit in int64\n" in capsys.readouterr().err
+
+
+class ArrayMemoryError(MemoryError):
+    """A MemoryError subclass defined outside builtins, as numpy's is."""
+
+
+RUN_INPUTS = ("code.csv", "train.csv", "eval.csv", "attributes.csv", "config.echo")
+
+
+def snapshot(directory: str) -> dict[str, bytes]:
+    """Every file in a directory, temp files included, by name."""
+    return {name: read_bytes(os.path.join(directory, name)) for name in os.listdir(directory)}
+
+
+def in_process_inputs(cfg_path: str, out_dir: str) -> dict[str, bytes]:
+    """A run's input artifacts as in-process ``save_*`` calls write them."""
+    cfg = resolve_config(parse_config_text(read_bytes(cfg_path).decode()))
+    full = cli._load_dataset(cfg)
+    train_set, eval_set = split(full, cfg.train_fraction, seed=cfg.seed)
+    if cfg.code_csv is not None:
+        code = load_code_csv(cfg.code_csv)
+    else:  # the gaussian code of write_config
+        code = gaussian_code(full.n, cfg.code_bits, seed=cfg.seed)
+    path = {name: os.path.join(out_dir, name) for name in RUN_INPUTS}
+    save_code_csv(code, path["code.csv"])
+    save_csv(train_set, path["train.csv"])
+    save_csv(eval_set, path["eval.csv"])
+    if full.attributes is not None:
+        save_attributes_csv(full, path["attributes.csv"])
+    with open(path["config.echo"], "w") as fh:
+        fh.writelines(line + "\n" for line in cfg.echo_lines())
+    return snapshot(out_dir)
+
+
+def set_writer(monkeypatch, writer: str) -> list[int]:
+    """Make the next runs fork their writer, find ``os.fork`` failing, or
+    find it missing; returns a list that gets one entry per fork call."""
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        if writer == "fork fails":
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    if writer == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+WRITERS = ["fork", "fork fails", "no fork"]
+
+
+class TestTrainWriter:
+    """The input artifacts are written by a forked child during training
+    and put in place only when the run succeeds."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_inputs_match_in_process_writes(self, tmp_path, monkeypatch, writer, source):
+        out_dir = os.path.join(tmp_path, "run")
+        overrides = {}
+        if source == "csv":
+            data, code = os.path.join(tmp_path, "data.csv"), os.path.join(tmp_path, "code.csv")
+            assert main(["synth-data", "--depth", "1", "--branching", "3", "--dim", "3",
+                         "--samples-per-class", "8", "--out", data]) == 0
+            assert main(["gen-code", "--strategy", "dense", "--classes", "3", "--bits", "5",
+                         "--candidates", "20", "--out", code]) == 0
+            overrides = {"data_csv": data, "code_csv": code}
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, **overrides)
+        forks = set_writer(monkeypatch, writer)
+        assert main(["train", "--config", cfg]) == 0
+        assert len(forks) == (writer != "no fork")
+        got = snapshot(out_dir)
+        want = in_process_inputs(cfg, os.path.join(tmp_path, "expected"))
+        inputs = [n for n in RUN_INPUTS if source == "synthetic" or n != "attributes.csv"]
+        assert sorted(want) == sorted(inputs)
+        assert sorted(got) == sorted([*want, "metrics.csv", "model.bin"])
+        for name, blob in want.items():
+            assert got[name] == blob, name
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("failure", ["diverge", "interrupt"])
+    def test_failed_run_leaves_out_dir_untouched(self, tmp_path, capsys, monkeypatch,
+                                                 writer, failure):
+        out_dir = os.path.join(tmp_path, "run")
+        assert main(["train", "--config",
+                     write_config(os.path.join(tmp_path, "ok.cfg"), out_dir)]) == 0
+        before = snapshot(out_dir)
+        assert sorted(before) == sorted(["metrics.csv", "model.bin", *RUN_INPUTS])
+        # another split and code, so every input artifact would change
+        bad = write_config(os.path.join(tmp_path, "bad.cfg"), out_dir, train_fraction="0.6",
+                           code_strategy="onehot", code_bits=None, learning_rate="1e6")
+        set_writer(monkeypatch, writer)
+        if failure == "diverge":
+            assert main(["train", "--config", bad]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(net, "train", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(["train", "--config", bad])
+        assert snapshot(out_dir) == before
+
+    def test_failed_run_into_a_new_out_dir_leaves_it_empty(self, tmp_path):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir,
+                           code_strategy="onehot", code_bits=None, learning_rate="1e6")
+        assert main(["train", "--config", cfg]) == 3
+        assert os.listdir(out_dir) == []
+
+    def test_rename_fault_exits_2_with_one_error_line(self, tmp_path, capsys):
+        out_dir = os.path.join(tmp_path, "run")
+        os.makedirs(os.path.join(out_dir, "train.csv"))
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "train.csv" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [n for n in os.listdir(out_dir) if n.startswith(".tmp-")]
+
+    @pytest.mark.parametrize("exc, exit_code", [
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+        (ArrayMemoryError("Unable to allocate 8.00 EiB"), 2),
+        (ValueError("bad rows"), 2),
+        (UnicodeEncodeError("ascii", "\u00e9", 0, 1, "ordinal not in range(128)"), 2),
+        (RuntimeError("writer broke"), 3),
+    ])
+    def test_writer_fault_reads_as_in_process(self, tmp_path, capsys, monkeypatch, exc, exit_code):
+        """An exception in the forked writer gives the error line and exit
+        code the same fault gives an in-process write, and no input
+        artifact is put in place."""
+        def broken_save(dataset, path):
+            raise exc
+
+        monkeypatch.setattr(datasets, "save_csv", broken_save)
+        errors = []
+        for writer in WRITERS:
+            out_dir = os.path.join(tmp_path, writer)
+            cfg = write_config(os.path.join(tmp_path, f"{writer}.cfg"), out_dir)
+            with monkeypatch.context() as patch:
+                set_writer(patch, writer)
+                assert main(["train", "--config", cfg]) == exit_code
+            errors.append(capsys.readouterr().err)
+            assert sorted(os.listdir(out_dir)) == ["metrics.csv", "model.bin"]
+        assert errors == [f"error: {exc}\n"] * len(WRITERS)
+
+    def test_killed_writer_exits_2(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def killed_save(dataset, path):
+            assert os.getpid() != parent, "the save ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(datasets, "save_csv", killed_save)
+        out_dir = os.path.join(tmp_path, "run")
+        assert main(["train", "--config", write_config(os.path.join(tmp_path, "exp.cfg"),
+                                                       out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: artifact writer exited with status {-signal.SIGKILL}\n")
+        assert sorted(os.listdir(out_dir)) == ["metrics.csv", "model.bin"]
+
+    def test_out_dir_fault_surfaces_before_training(self, tmp_path, capsys, monkeypatch):
+        out_dir = os.path.join(tmp_path, "run")
+        open(out_dir, "w").close()
+        started = []
+
+        def train(*args, **kwargs):
+            started.append(1)
+            raise RuntimeError("training started")
+
+        monkeypatch.setattr(net, "train", train)
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir)
+        assert main(["train", "--config", cfg]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert started == []
+        assert read_bytes(out_dir) == b""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_files_get_the_umask_mode(self, tmp_path, monkeypatch, umask):
+        """Every file ecoc writes has mode 0o666 less the umask, as after a
+        plain open()."""
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert main(["synth-data", "--depth", "1", "--branching", "3", "--dim", "3",
+                         "--samples-per-class", "8", "--out", "data.csv",
+                         "--attributes-out", "attrs.csv"]) == 0
+            assert main(["gen-code", "--strategy", "gaussian", "--classes", "3", "--bits", "4",
+                         "--out", "code.csv"]) == 0
+            cfg = write_config("exp.cfg", "run", data_csv="data.csv", code_csv="code.csv",
+                               attributes_csv="attrs.csv")
+            assert main(["train", "--config", cfg]) == 0
+            assert main(["analyze", "--model", "run/model.bin", "--data", "run/eval.csv",
+                         "--code", "run/code.csv", "--mode", "confusion",
+                         "--out", "confusion.csv"]) == 0
+        finally:
+            os.umask(old)
+        written = ["data.csv", "attrs.csv", "code.csv", "confusion.csv",
+                   *(os.path.join("run", name) for name in os.listdir("run"))]
+        assert len(written) == 4 + 7
+        assert {name: stat.S_IMODE(os.stat(name).st_mode) for name in written} == dict.fromkeys(
+            written, 0o666 & ~umask)
 
 
 @pytest.mark.parametrize("command", ["train", "gen-code", "synth-data"])
