@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import os
+import shutil
 import tempfile
 import warnings
 from contextlib import contextmanager, suppress
@@ -144,11 +145,6 @@ def parse_rows(path: str, lines: list[str], first_line: int, noun: str, width: i
     return values
 
 
-def _temp_file(directory: str) -> tuple[int, str]:
-    """A new ``.tmp-*~`` file in ``directory``: its descriptor and path."""
-    return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-
-
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
     """Write to a temp file in the target directory, then rename into place.
@@ -158,7 +154,7 @@ def atomic_write(path: str, binary: bool = False):
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = _temp_file(directory)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         mode = "wb" if binary else "w"
         with os.fdopen(fd, mode, newline=None if binary else "") as fh:
@@ -234,44 +230,39 @@ def _join_writer(child: tuple[int, int]) -> BaseException | None:
 
 
 @contextmanager
-def forked_writes(directory: str, writes: list[tuple[Callable, object, str]]) -> Iterator[None]:
-    """Write files in a forked child while the ``with`` block runs; put them
-    in place only if the block succeeds.
+def forked_writes(directory: str, writes: list[tuple[Callable, object, str]]) -> Iterator[str]:
+    """Stage files in one directory while the ``with`` block runs; put them
+    all in place only if the block succeeds.
 
-    Each ``(save, obj, name)`` of ``writes`` becomes ``save(obj, tmp)``, for
-    a ``.tmp-*~`` file ``tmp`` in ``directory``, run in a child forked on
-    entry.  ``save`` must call no BLAS.  When the block ends, the child is
-    joined; an exception it met is raised here as its builtin class with
-    its text, so callers see what an in-process ``save`` would raise.  Then
-    each temp is renamed to ``directory/name``, in order.  When the block
-    raises, the child is reaped and every temp unlinked: no file in
-    ``directory`` is created or replaced.  Where ``os.fork`` is missing or
-    fails, the same writes run in-process when the block ends.
+    Entry makes a ``.tmp-*~`` staging directory in ``directory`` and forks a
+    child that runs each ``(save, obj, name)`` of ``writes`` as
+    ``save(obj, stage/name)``; ``save`` must call no BLAS.  The block gets
+    the stage's path and writes its own files there.  When the block ends,
+    the child is joined; an exception it met is raised here as its builtin
+    class with its text, so callers see what an in-process ``save`` would
+    raise.  Then every staged file is renamed into ``directory``, in name
+    order.  On any failure the child is reaped and the stage removed, so no
+    file in ``directory`` is created or replaced, unless a rename itself
+    fails part-way.  Where ``os.fork`` is missing or fails, the same writes
+    run in-process when the block ends.
     """
-    temps = []
+    stage = tempfile.mkdtemp(dir=directory, prefix=".tmp-", suffix="~")
     child = None
     try:
-        for _ in writes:
-            fd, tmp = _temp_file(directory)
-            os.close(fd)
-            temps.append(tmp)
-        jobs = [(save, obj, tmp) for (save, obj, _), tmp in zip(writes, temps)]
+        jobs = [(save, obj, os.path.join(stage, name)) for save, obj, name in writes]
         child = _fork_writer(jobs)
-        yield
+        yield stage
         if child is None:
-            for save, obj, tmp in jobs:
-                save(obj, tmp)
+            for save, obj, path in jobs:
+                save(obj, path)
         else:
             joined, child = child, None
             error = _join_writer(joined)
             if error is not None:
                 raise error
-        for tmp, (_, _, name) in zip(list(temps), writes):
-            os.replace(tmp, os.path.join(directory, name))
-            temps.remove(tmp)
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(directory, name))
     finally:
         if child is not None:  # the block raised: reap the child, drop its report
             _join_writer(child)
-        for tmp in temps:
-            with suppress(OSError):
-                os.unlink(tmp)
+        shutil.rmtree(stage, ignore_errors=True)

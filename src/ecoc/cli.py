@@ -4,7 +4,8 @@ Experiments are driven by a flat ``key = value`` config file (``#`` starts a
 comment).  Every run writes a ``config.echo`` with all resolved settings,
 itself a valid config file, so any run can be reproduced from its output
 directory alone.  All outputs are written atomically and all randomness is
-seeded, so identical invocations produce byte-identical files.
+seeded, so identical invocations produce byte-identical files at a fixed
+numpy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import numpy as np
 
 from ._util import atomic_write, check_seed, fmt_float, forked_writes
 from . import analysis, codes, datasets, net, spectral
-from .codes import Binarization, CodeMatrix
+from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import Dataset
 from .net import TrainConfig
 from .spectral import SimilarityGraph
 
 # Allowed values of the choice keys; every other key is typed by its annotation.
 _CHOICES = {
-    "code_strategy": ("onehot", "gaussian", "dense", "spectral"),
+    "code_strategy": tuple(k.value for k in CodeKind),
     "code_binarize": tuple(b.value for b in Binarization),
-    "head": ("auto", "decoder", "softmax"),
+    "head": net.HEADS,
 }
 # Parser and error noun of the numeric annotations.
 _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
@@ -37,13 +38,19 @@ _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
     """Fully resolved settings for one training run.
 
     Each field is one ``train`` config key: its name, annotation and default
-    are the key's name, type and default.
+    are the key's name, type and default.  The training keys are the
+    inherited :class:`TrainConfig` fields, checked on construction; only
+    their CLI defaults are declared here.
     """
 
+    # training: the CLI's defaults for TrainConfig's required keys
+    epochs: int = 30
+    batch_size: int = 16
+    learning_rate: float = 0.1
     # dataset: either a CSV path or synthetic generation parameters
     data_csv: str | None = None
     attributes_csv: str | None = None
@@ -60,17 +67,8 @@ class ExperimentConfig:
     code_bits: int | None = None
     code_binarize: str = "raw"
     code_candidates: int = 10000
-    # net + training
+    # net
     hidden_sizes: tuple[int, ...] = (32,)
-    epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 0.1
-    lr_decay_epoch: int | None = None
-    lr_decay_factor: float = 0.1
-    momentum: float = 0.0
-    shuffle: bool = True
-    head: str = "auto"
-    seed: int = 0
     out_dir: str = ""
 
     def echo_lines(self) -> list[str]:
@@ -155,24 +153,18 @@ def _parse_value(field: Field, raw: str | None, source: str):
 
 def resolve_config(entries: dict[str, str], source: str = "config") -> ExperimentConfig:
     table = fields(ExperimentConfig)
-    cfg = ExperimentConfig(**{f.name: _parse_value(f, entries.get(f.name), source) for f in table})
-    unknown = sorted(set(entries) - {f.name for f in table})
+    values = {f.name: _parse_value(f, entries.get(f.name), source) for f in table}
+    unknown = sorted(set(entries) - set(values))
     if unknown:
         raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
-    if not cfg.out_dir:
+    if not values["out_dir"]:
         raise ValueError(f"{source}: key 'out_dir' is required")
-    check_seed(cfg.seed, f"{source}: key 'seed'")
+    check_seed(values["seed"], f"{source}: key 'seed'")
     for key in ("data_csv", "attributes_csv", "code_csv"):
-        path = getattr(cfg, key)
+        path = values[key]
         if path is not None and not os.path.exists(path):
             raise ValueError(f"{source}: {key} path does not exist: {path}")
-    _train_config(cfg)  # checks the training keys before any data or code work
-    return cfg
-
-
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    """The :class:`TrainConfig` fields of an experiment config."""
-    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
+    return ExperimentConfig(**values)  # checks the training keys
 
 
 # ------------------------------------------------------------- experiment ---
@@ -273,7 +265,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
     os.makedirs(out, exist_ok=True)
 
     # The input artifacts are fixed before training, so a forked child
-    # writes them while it runs; they are put in place only if it succeeds.
+    # writes them while it runs.  Every file is staged and put in place only
+    # if the whole run succeeds.
     inputs = [
         (codes.save_code_csv, code, "code.csv"),
         (datasets.save_csv, train_set, "train.csv"),
@@ -282,10 +275,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
     if full.attributes is not None:
         inputs.append((datasets.save_attributes_csv, full, "attributes.csv"))
     inputs.append((_save_config_echo, cfg, "config.echo"))
-    with forked_writes(out, inputs):
-        trained, rows = net.train(params, train_set, code, _train_config(cfg), eval_set=eval_set)
-        net.save_metrics(rows, os.path.join(out, "metrics.csv"))
-        net.save_model(trained, os.path.join(out, "model.bin"))
+    with forked_writes(out, inputs) as stage:
+        trained, rows = net.train(params, train_set, code, cfg, eval_set=eval_set)
+        net.save_metrics(rows, os.path.join(stage, "metrics.csv"))
+        net.save_model(trained, os.path.join(stage, "model.bin"))
     return rows
 
 

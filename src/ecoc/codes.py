@@ -256,7 +256,9 @@ def dense_random_code(
     Selection maximizes the minimum pairwise row Hamming distance; ties are
     broken by the smaller maximum absolute column-pair correlation, then by
     candidate index.  Candidates with duplicate rows are discarded; if none
-    survive, raises :class:`CodeGenerationError`.
+    survive, raises :class:`CodeGenerationError`.  Fewer than
+    ``ceil(log2(n))`` bits cannot give ``n`` distinct rows: that raises
+    ValueError before any draw.
     """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
@@ -264,6 +266,10 @@ def dense_random_code(
         raise ValueError(f"need at least 1 code bit, got k={k}")
     if candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {candidates}")
+    if (n - 1).bit_length() > k:
+        raise ValueError(
+            f"k={k} bits hold only {2 ** k} distinct +-1 rows, fewer than n={n} classes"
+        )
 
     # A +-1 candidate is its own sign matrix.  float32 holds it and its
     # column Gram (integers of magnitude at most n) exactly.

@@ -66,6 +66,10 @@ class NetParams:
         return [self.layers[0][0].shape[1]] + [w.shape[0] for w, _ in self.layers]
 
 
+# Settings of TrainConfig.head.
+HEADS = ("auto", "decoder", "softmax")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for :func:`train`.
@@ -105,8 +109,8 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         check_seed(self.seed)
-        if self.head not in ("auto", "decoder", "softmax"):
-            raise ValueError(f"head must be auto, decoder, or softmax, got {self.head!r}")
+        if self.head not in HEADS:
+            raise ValueError(f"head must be one of {', '.join(HEADS)}, got {self.head!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ import errno
 import os
 import signal
 import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +86,14 @@ class TestGenCode:
         assert main(["gen-code", "--strategy", "gaussian", "--classes", "8",
                      "--out", out]) == 0
         assert load_code_csv(out).k == 30  # floor(10 * log2(8))
+
+    def test_dense_with_too_few_bits_exits_2(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "dense", "--classes", "100", "--bits", "3",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: k=3 bits hold only 8 distinct +-1 rows, fewer than n=100 classes\n")
+        assert not os.path.exists(out)
 
     def test_classes_required_without_data(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
@@ -320,6 +331,15 @@ class TestTrain:
         assert f"head 'softmax' requires a one-hot code, got a {strategy} code" in err
         assert not os.path.exists(out_dir)
 
+    def test_dense_code_with_too_few_bits_exits_2(self, tmp_path, capsys):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, synth_branching="3",
+                           code_strategy="dense", code_bits="1")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: k=1 bits hold only 2 distinct +-1 rows, fewer than n=3 classes\n")
+        assert not os.path.exists(out_dir)
+
     def test_median_binarized_dense_code_collision_says_why(self, tmp_path, capsys):
         """At 16 classes median-thresholded dense rows collide whatever the
         bit count, so the message explains the median and names the
@@ -425,11 +445,39 @@ def set_writer(monkeypatch, writer: str) -> list[int]:
 
 
 WRITERS = ["fork", "fork fails", "no fork"]
+FAILURES = ["diverge", "interrupt", "writer fault"]
+
+
+def fail_run(tmp_path, capsys, monkeypatch, out_dir: str, writer: str, failure: str) -> None:
+    """Run ``train`` into ``out_dir`` with another seed, split and code, so
+    that every file it writes would change, and make it fail in training
+    (exit 3), by an interrupt, or in the input artifact writer (exit 2)."""
+    cfg = write_config(os.path.join(tmp_path, "bad.cfg"), out_dir, seed="1",
+                       train_fraction="0.6", code_strategy="onehot", code_bits=None,
+                       learning_rate="1e6" if failure == "diverge" else "0.1")
+    set_writer(monkeypatch, writer)
+    if failure == "interrupt":
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(net, "train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--config", cfg])
+        return
+    if failure == "writer fault":
+        def full_disk(dataset, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(datasets, "save_csv", full_disk)
+    assert main(["train", "--config", cfg]) == (3 if failure == "diverge" else 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTrainWriter:
-    """The input artifacts are written by a forked child during training
-    and put in place only when the run succeeds."""
+    """The input artifacts are written by a forked child during training;
+    every file of a run is staged and put in place only when the run
+    succeeds."""
 
     @pytest.mark.parametrize("writer", WRITERS)
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
@@ -456,7 +504,7 @@ class TestTrainWriter:
             assert got[name] == blob, name
 
     @pytest.mark.parametrize("writer", WRITERS)
-    @pytest.mark.parametrize("failure", ["diverge", "interrupt"])
+    @pytest.mark.parametrize("failure", FAILURES)
     def test_failed_run_leaves_out_dir_untouched(self, tmp_path, capsys, monkeypatch,
                                                  writer, failure):
         out_dir = os.path.join(tmp_path, "run")
@@ -464,27 +512,15 @@ class TestTrainWriter:
                      write_config(os.path.join(tmp_path, "ok.cfg"), out_dir)]) == 0
         before = snapshot(out_dir)
         assert sorted(before) == sorted(["metrics.csv", "model.bin", *RUN_INPUTS])
-        # another split and code, so every input artifact would change
-        bad = write_config(os.path.join(tmp_path, "bad.cfg"), out_dir, train_fraction="0.6",
-                           code_strategy="onehot", code_bits=None, learning_rate="1e6")
-        set_writer(monkeypatch, writer)
-        if failure == "diverge":
-            assert main(["train", "--config", bad]) == 3
-            assert capsys.readouterr().err.startswith("error: ")
-        else:
-            def interrupted(*args, **kwargs):
-                raise KeyboardInterrupt
-
-            monkeypatch.setattr(net, "train", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                main(["train", "--config", bad])
+        fail_run(tmp_path, capsys, monkeypatch, out_dir, writer, failure)
         assert snapshot(out_dir) == before
 
-    def test_failed_run_into_a_new_out_dir_leaves_it_empty(self, tmp_path):
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failed_run_into_a_new_out_dir_leaves_it_empty(self, tmp_path, capsys,
+                                                           monkeypatch, writer, failure):
         out_dir = os.path.join(tmp_path, "run")
-        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir,
-                           code_strategy="onehot", code_bits=None, learning_rate="1e6")
-        assert main(["train", "--config", cfg]) == 3
+        fail_run(tmp_path, capsys, monkeypatch, out_dir, writer, failure)
         assert os.listdir(out_dir) == []
 
     def test_rename_fault_exits_2_with_one_error_line(self, tmp_path, capsys):
@@ -520,7 +556,7 @@ class TestTrainWriter:
                 set_writer(patch, writer)
                 assert main(["train", "--config", cfg]) == exit_code
             errors.append(capsys.readouterr().err)
-            assert sorted(os.listdir(out_dir)) == ["metrics.csv", "model.bin"]
+            assert os.listdir(out_dir) == []
         assert errors == [f"error: {exc}\n"] * len(WRITERS)
 
     def test_killed_writer_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -536,7 +572,7 @@ class TestTrainWriter:
                                                        out_dir)]) == 2
         assert capsys.readouterr().err == (
             f"error: artifact writer exited with status {-signal.SIGKILL}\n")
-        assert sorted(os.listdir(out_dir)) == ["metrics.csv", "model.bin"]
+        assert os.listdir(out_dir) == []
 
     def test_out_dir_fault_surfaces_before_training(self, tmp_path, capsys, monkeypatch):
         out_dir = os.path.join(tmp_path, "run")
@@ -553,6 +589,30 @@ class TestTrainWriter:
         assert "File exists" in capsys.readouterr().err
         assert started == []
         assert read_bytes(out_dir) == b""
+
+    def test_fork_warning_is_filtered(self, tmp_path, monkeypatch):
+        """Python 3.12+ warns at ``fork()`` while BLAS threads run.  The
+        writer filters that warning, so a run that turns warnings into
+        errors still forks and writes the same files."""
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir)
+        assert main(["train", "--config", cfg]) == 0
+        before = snapshot(out_dir)
+        real_fork = os.fork
+        forks = []
+
+        def warning_fork():
+            forks.append(1)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", cfg]) == 0
+        assert forks == [1]
+        assert snapshot(out_dir) == before
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_files_get_the_umask_mode(self, tmp_path, monkeypatch, umask):
@@ -579,6 +639,42 @@ class TestTrainWriter:
         assert len(written) == 4 + 7
         assert {name: stat.S_IMODE(os.stat(name).st_mode) for name in written} == dict.fromkeys(
             written, 0o666 & ~umask)
+
+
+def test_blas_thread_count_leaves_inputs_byte_identical(tmp_path):
+    """The same run at 1 and at 2 BLAS threads writes byte-identical files
+    wherever no BLAS call is made: the splits, the code and config.echo
+    (``out_dir`` aside).  The trained weights may differ in the last bits,
+    as BLAS sums in another order; the largest weight and loss differences
+    are printed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    runs = {}
+    for threads in ("1", "2"):
+        out_dir = os.path.join(tmp_path, f"threads{threads}")
+        cfg = write_config(os.path.join(tmp_path, f"threads{threads}.cfg"), out_dir,
+                           synth_depth="2", synth_branching="4", synth_dim="8",
+                           hidden_sizes="32")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "ecoc.cli", "train", "--config", cfg],
+                       env=env, check=True, capture_output=True)
+        runs[threads] = out_dir
+    one, two = (snapshot(runs[t]) for t in ("1", "2"))
+    for name in ("train.csv", "eval.csv", "code.csv"):
+        assert one[name] == two[name], name
+
+    def echo(blob: bytes) -> list[bytes]:
+        return [line for line in blob.splitlines() if not line.startswith(b"out_dir = ")]
+
+    assert echo(one["config.echo"]) == echo(two["config.echo"])
+    layers = zip(*(net.load_model(os.path.join(runs[t], "model.bin")).layers
+                   for t in ("1", "2")))
+    weights = max(np.abs(a - b).max() for pair in layers for a, b in zip(*pair))
+    losses = [[float(line.split(b",")[2]) for line in files["metrics.csv"].splitlines()[1:]]
+              for files in (one, two)]
+    loss = np.abs(np.subtract(*losses)).max()
+    print(f"1 vs 2 BLAS threads: largest weight difference {weights:.3g}, "
+          f"largest metrics.csv loss difference {loss:.3g}")
 
 
 @pytest.mark.parametrize("command", ["train", "gen-code", "synth-data"])

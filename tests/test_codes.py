@@ -118,6 +118,21 @@ class TestDenseRandomCode:
             assert best is not None
             assert np.array_equal(code.values, best[1])
 
+    def test_too_few_bits_raise_before_any_draw(self, monkeypatch):
+        """Fewer than log2(n) bits cannot give n distinct rows: bad input,
+        refused by name before a candidate is drawn."""
+        def no_draw(*args):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(codes, "_pm1_candidates", no_draw)
+        message = r"^k=3 bits hold only 8 distinct \+-1 rows, fewer than n=100 classes$"
+        with pytest.raises(ValueError, match=message):
+            dense_random_code(100, 3)
+        with pytest.raises(ValueError, match="n=3 classes"):
+            dense_random_code(3, 1)
+        with pytest.raises(AssertionError, match="a candidate was drawn"):
+            dense_random_code(4, 2)  # 2 bits hold 4 rows: a search is made
+
     def test_no_distinct_candidate_raises(self):
         """16 rows of 4 bits are distinct only as a permutation of all 16
         patterns, which none of 50 random candidates is."""
