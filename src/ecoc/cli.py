@@ -159,12 +159,15 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
         raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
     if not values["out_dir"]:
         raise ValueError(f"{source}: key 'out_dir' is required")
-    check_seed(values["seed"], f"{source}: key 'seed'")
     for key in ("data_csv", "attributes_csv", "code_csv"):
         path = values[key]
         if path is not None and not os.path.exists(path):
             raise ValueError(f"{source}: {key} path does not exist: {path}")
-    return ExperimentConfig(**values)  # checks the training keys
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:  # TrainConfig's checks read "<key> must ..."
+        key, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{source}: key {key!r} {rest}") from None
 
 
 # ------------------------------------------------------------- experiment ---

@@ -11,6 +11,7 @@ ground-truth table for code/attribute correlation studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class Dataset:
         return self.features.shape[0]
 
 
+def label_blocks(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices stably sorted by label, and bounds such that class c's rows
+    are ``order[bounds[c]:bounds[c + 1]]``; labels outside [0, n) are in none."""
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(n + 1))
+
+
 def synth_hierarchical(
     depth: int,
     branching: int,
@@ -79,6 +87,10 @@ def synth_hierarchical(
     i.i.d. ``N(0, noise_sigma^2)`` per coordinate.  One attribute column per
     internal node (breadth-first order), set to 1 for classes descending
     from that node's first child.
+
+    The walk runs a level at a time, one normal draw per level and one for
+    all the noise: the stream, and so the bytes, of a node-by-node walk that
+    redraws a direction of norm <= 1e-12 from the next p values.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -93,49 +105,33 @@ def synth_hierarchical(
     check_seed(seed)
 
     rng = np.random.default_rng(seed)
-
-    def unit_direction() -> np.ndarray:
-        while True:
-            v = rng.standard_normal(p)
-            norm = np.linalg.norm(v)
-            if norm > 1e-12:
-                return v / norm
-
-    # Breadth-first walk; a node is (path tuple, center).
-    level = [((), np.zeros(p))]
-    internal_paths: list[tuple[int, ...]] = []
-    for d in range(1, depth + 1):
-        internal_paths.extend(path for path, _ in level)
-        magnitude = class_sep * 2.0 ** -(d - 1)
-        nxt = []
-        for path, center in level:
-            for child in range(branching):
-                nxt.append((path + (child,), center + magnitude * unit_direction()))
-        level = nxt
-
-    leaves = level
     n = branching**depth
-    assert len(leaves) == n
+    centers = np.zeros((1, p))
+    for d in range(1, depth + 1):
+        v = rng.standard_normal((branching**d, p))
+        while True:  # sqrt(v . v) per row, the sum np.linalg.norm takes for a vector
+            norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
+            if (norms > 1e-12).all():
+                break
+            # redrawn from the next p values: every later direction moves up a row
+            v = np.vstack([np.delete(v, np.argmin(norms > 1e-12), 0), rng.standard_normal((1, p))])
+        magnitude = class_sep * 2.0 ** -(d - 1)
+        centers = np.repeat(centers, branching, axis=0) + magnitude * (v / norms[:, None])
 
-    features = np.empty((n * samples_per_class, p))
     labels = np.repeat(np.arange(n), samples_per_class)
-    for c, (_, center) in enumerate(leaves):
-        block = slice(c * samples_per_class, (c + 1) * samples_per_class)
-        noise = rng.standard_normal((samples_per_class, p)) * noise_sigma
-        features[block] = center + noise
+    features = centers[labels] + rng.standard_normal((n * samples_per_class, p)) * noise_sigma
 
-    # Leaves are numbered by their path digits in base `branching`, so the
-    # first-child subtree of a node whose digits read q at level d is the
-    # run of s = branching**(depth-d-1) classes starting at q*branching*s.
-    attributes = np.zeros((n, len(internal_paths)))
-    names = []
-    for j, path in enumerate(internal_paths):
-        names.append("node-" + ".".join(map(str, path)) if path else "node-root")
-        q = 0
-        for digit in path:
-            q = q * branching + digit
-        s = branching ** (depth - len(path) - 1)
-        attributes[q * branching * s : q * branching * s + s, j] = 1.0
+    # Leaves are numbered by their path digits in base `branching`: at tree
+    # level L, with s = branching**(depth-L-1), class c descends from node
+    # c // (branching*s) and from its first child iff (c // s) % branching == 0.
+    attributes = np.zeros((n, (n - 1) // (branching - 1)))
+    names: list[str] = []
+    for level in range(depth):
+        s = branching ** (depth - level - 1)
+        first = np.flatnonzero(np.arange(n) // s % branching == 0)
+        attributes[first, len(names) + first // (branching * s)] = 1.0
+        paths = product(range(branching), repeat=level)
+        names += ["node-" + (".".join(map(str, path)) or "root") for path in paths]
     return Dataset(
         features, labels, n, attributes=attributes, attribute_names=tuple(names)
     )
@@ -220,27 +216,25 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
     """Stratified train/eval split, deterministic per seed.
 
     Each class keeps at least one sample on both sides, so every class needs
-    at least 2 samples.
+    at least 2 samples.  Classes permute their rows (found by one stable sort,
+    in row order) in label order: the stream and bytes of a per-class scan.
     """
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     check_seed(seed)
+    # if n > samples // 2, some class at or below samples // 2 has < 2 samples
+    order, bounds = label_blocks(dataset.labels, min(dataset.n, dataset.samples // 2 + 1))
+    sizes = np.diff(bounds)
+    if (sizes < 2).any():
+        c = np.argmax(sizes < 2)
+        raise ValueError(f"class {c} has {sizes[c]} sample(s); need >= 2 to appear in both splits")
+    takes = np.clip(np.floor(train_fraction * sizes + 0.5).astype(np.int64), 1, sizes - 1)
     rng = np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    eval_idx: list[np.ndarray] = []
-    for c in range(dataset.n):
-        members = np.flatnonzero(dataset.labels == c)
-        if members.size < 2:
-            raise ValueError(
-                f"class {c} has {members.size} sample(s); need >= 2 to appear in both splits"
-            )
-        perm = members[rng.permutation(members.size)]
-        take = int(np.floor(train_fraction * members.size + 0.5))
-        take = min(max(take, 1), members.size - 1)
-        train_idx.append(np.sort(perm[:take]))
-        eval_idx.append(np.sort(perm[take:]))
-    tr = np.concatenate(train_idx)
-    ev = np.concatenate(eval_idx)
+    perms = np.concatenate([rng.permutation(size) for size in sizes.tolist()])
+    starts = np.repeat(bounds[:-1], sizes)
+    picked = np.empty(len(order), dtype=bool)  # picked[q]: row order[q] goes to train
+    picked[starts + perms] = np.arange(len(order)) < starts + np.repeat(takes, sizes)
+    tr, ev = order[picked], order[~picked]
 
     def subset(idx: np.ndarray) -> Dataset:
         return Dataset(

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._util import atomic_write, format_rows, parse_rows, read_lines
 from .codes import Binarization, CodeKind, CodeMatrix
+from .datasets import label_blocks
 
 
 class ConvergenceError(RuntimeError):
@@ -72,19 +73,21 @@ def similarity_from_class_means(
     """Cosine similarity of per-class mean features, mapped to [0, 1].
 
     ``weights[i][j] = (1 + cos(mean_i, mean_j)) / 2`` off the diagonal, zero
-    on it.  Every class 0..n-1 needs at least one sample and a nonzero mean.
+    on it.  Every class 0..n-1 needs at least one sample and a nonzero mean;
+    one stable sort by label finds each class's rows, in ``labels == c`` order.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (samples, dims) matching labels")
-    present = np.unique(labels[(labels >= 0) & (labels < n)])
-    if present.size < n:  # the first missing class, before any (n, ...) allocation
-        c = np.flatnonzero(np.append(present, n) != np.arange(present.size + 1))[0]
-        raise ValueError(f"class {c} has no samples")
+    # if n > samples, some class at or below samples has none: bounds stay small
+    order, bounds = label_blocks(labels, min(n, labels.size + 1))
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has no samples")
     means = np.empty((n, features.shape[1]))
-    for c in range(n):
-        means[c] = features[labels == c].mean(axis=0)
+    for c, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        means[c] = features[order[start:end]].mean(axis=0)
     norms = np.linalg.norm(means, axis=1)
     if (norms <= 1e-12).any():
         bad = np.flatnonzero(norms <= 1e-12)

@@ -7,7 +7,12 @@ decoder scores from the explicit (s, n, k) difference tensor
 (``distance_scores_broadcast``), selections from plain brute force, CSV
 text from a per-element writer (``format_rows_per_element``), the
 synthetic attribute table from a nested loop over tree paths
-(``attribute_table_nested``), the softmax head's update-density vector
+(``attribute_table_nested``), the synthetic dataset from a breadth-first
+walk drawing one direction per tree node and one noise block per class
+(``synth_hierarchical_per_node``), the stratified split from one label mask
+per class (``split_rows_per_class``), the class-mean similarity graph from
+one masked mean per class (``class_mean_similarity_masked``), the softmax
+head's update-density vector
 from a dense per-sample mismatch matrix (``update_vector_zeros_array``),
 and its evaluation metrics from whole normalized probability rows
 (``softmax_metrics_copy_normalize_scatter``).
@@ -263,6 +268,89 @@ def attribute_table_nested(depth: int, branching: int) -> tuple[np.ndarray, list
             if leaf[: len(first_child)] == first_child:
                 table[c, j] = 1.0
     return table, names
+
+
+def synth_hierarchical_per_node(
+    depth: int,
+    branching: int,
+    samples_per_class: int,
+    class_sep: float,
+    noise_sigma: float,
+    p: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Features, labels, attribute table and names of the synthetic tree
+    dataset, walking the tree breadth-first one node at a time.
+
+    Each child offsets its parent's center by ``class_sep * 2**-(d-1)``
+    times a unit direction of p fresh normals, drawn again while its norm is
+    <= 1e-12; then each class in turn draws its (samples, p) noise block.
+    """
+    rng = np.random.default_rng(seed)
+
+    def unit_direction() -> np.ndarray:
+        while True:
+            v = rng.standard_normal(p)
+            norm = np.linalg.norm(v)
+            if norm > 1e-12:
+                return v / norm
+
+    level = [((), np.zeros(p))]
+    for d in range(1, depth + 1):
+        magnitude = class_sep * 2.0 ** -(d - 1)
+        level = [
+            (path + (child,), center + magnitude * unit_direction())
+            for path, center in level
+            for child in range(branching)
+        ]
+    features = np.empty((len(level) * samples_per_class, p))
+    labels = np.repeat(np.arange(len(level)), samples_per_class)
+    for c, (_, center) in enumerate(level):
+        block = slice(c * samples_per_class, (c + 1) * samples_per_class)
+        noise = rng.standard_normal((samples_per_class, p)) * noise_sigma
+        features[block] = center + noise
+    table, names = attribute_table_nested(depth, branching)
+    return features, labels, table, names
+
+
+def split_rows_per_class(
+    labels: np.ndarray, n: int, train_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of a stratified train/eval split, one class at a time.
+
+    Class c's rows are found by the mask ``labels == c`` and permuted by
+    the seed's generator; ``round(train_fraction * size)``, clamped to
+    [1, size - 1], go to train.  Each side lists a class's rows ascending,
+    classes in label order.
+    """
+    rng = np.random.default_rng(seed)
+    train_idx, eval_idx = [], []
+    for c in range(n):
+        members = np.flatnonzero(labels == c)
+        if members.size < 2:
+            raise ValueError(
+                f"class {c} has {members.size} sample(s); need >= 2 to appear in both splits"
+            )
+        perm = members[rng.permutation(members.size)]
+        take = int(np.floor(train_fraction * members.size + 0.5))
+        take = min(max(take, 1), members.size - 1)
+        train_idx.append(np.sort(perm[:take]))
+        eval_idx.append(np.sort(perm[take:]))
+    return np.concatenate(train_idx), np.concatenate(eval_idx)
+
+
+def class_mean_similarity_masked(features: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Similarity weights ``(1 + cos(mean_i, mean_j)) / 2`` with a zero
+    diagonal, each class mean taken over the mask ``labels == c``."""
+    means = np.empty((n, features.shape[1]))
+    for c in range(n):
+        means[c] = features[labels == c].mean(axis=0)
+    unit = means / np.linalg.norm(means, axis=1)[:, None]
+    cos = unit @ unit.T
+    cos = (cos + cos.T) / 2
+    w = np.maximum((1.0 + cos) / 2, 0.0)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def update_vector_zeros_array(z: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -380,7 +380,21 @@ class TestTrain:
         out = os.path.join(tmp_path, "run")
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=data, epochs="0")
         assert main(["train", "--config", cfg]) == 2
-        assert "error: epochs must be >= 1, got 0\n" in capsys.readouterr().err
+        assert f"error: {cfg}: key 'epochs' must be >= 1, got 0\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("batch_size", "0", "must be >= 1, got 0"),
+        ("learning_rate", "0", "must be > 0, got 0.0"),
+        ("lr_decay_epoch", "-2", "must be >= 0, got -2"),
+        ("lr_decay_factor", "1.5", "must be in (0, 1], got 1.5"),
+        ("momentum", "1", "must be in [0, 1), got 1.0"),
+    ])
+    def test_training_key_error_names_file_and_key(self, tmp_path, capsys, key, value, rule):
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, **{key: value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: key {key!r} {rule}\n"
         assert not os.path.exists(out)
 
     def test_label_beyond_int64_exits_2(self, tmp_path, capsys):

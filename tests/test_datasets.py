@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ecoc import datasets
 from ecoc.datasets import (
     Dataset,
     load_attributes_csv,
@@ -15,7 +16,13 @@ from ecoc.datasets import (
     synth_hierarchical,
     with_attributes,
 )
-from oracles import attribute_table_nested
+from ecoc.spectral import similarity_from_class_means
+from oracles import (
+    attribute_table_nested,
+    class_mean_similarity_masked,
+    split_rows_per_class,
+    synth_hierarchical_per_node,
+)
 
 
 class TestSynthHierarchical:
@@ -322,8 +329,139 @@ class TestSplit:
         with pytest.raises(ValueError, match=">= 2"):
             split(ds, 0.5, seed=0)
 
+    def test_missing_class_found_before_allocating_bounds(self):
+        """Labels 0, 0, 10**15 would need petabytes of class bounds; the gap
+        at class 1 is reported first."""
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 10**15]), 10**15 + 1)
+        with pytest.raises(ValueError, match=r"^class 1 has 0 sample\(s\);"):
+            split(ds, 0.5, seed=0)
+
     def test_attributes_carried(self):
         ds = self.make()
         tr, ev = split(ds, 0.8, seed=0)
         assert np.array_equal(tr.attributes, ds.attributes)
         assert ev.attribute_names == ds.attribute_names
+
+
+def synth_matching_oracle(*args, seed: int) -> Dataset:
+    """synth_hierarchical(*args), asserted byte-equal to the per-node walk."""
+    ds = synth_hierarchical(*args, seed=seed)
+    features, labels, table, names = synth_hierarchical_per_node(*args, seed)
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.attributes.tobytes() == table.tobytes()
+    assert ds.attribute_names == tuple(names)
+    return ds
+
+
+def assert_matches_per_class_oracles(ds: Dataset, fractions=(0.1, 0.5, 0.8), seed: int = 0):
+    """split and the class-mean graph give the per-class loops' bytes on ds."""
+    if np.bincount(ds.labels, minlength=ds.n).min() >= 2:
+        for fraction in fractions:
+            tr, ev = split(ds, fraction, seed=seed)
+            tr_rows, ev_rows = split_rows_per_class(ds.labels, ds.n, fraction, seed)
+            for side, rows in ((tr, tr_rows), (ev, ev_rows)):
+                assert side.features.tobytes() == ds.features[rows].tobytes()
+                assert side.labels.tobytes() == ds.labels[rows].tobytes()
+    weights = class_mean_similarity_masked(ds.features, ds.labels, ds.n)
+    if (weights.sum(axis=1) > 0).all():  # otherwise not a valid graph
+        graph = similarity_from_class_means(ds.features, ds.labels, ds.n)
+        assert graph.weights.tobytes() == weights.tobytes()
+
+
+class TestPerClassOracles:
+    """The whole-array generator, split and class means reproduce the
+    per-node and per-class loops byte for byte: same streams, same sums."""
+
+    @pytest.mark.parametrize("branching", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_grid(self, depth, branching):
+        for spc in range(1, 6):
+            for seed, p in ((0, depth), (7, depth + 3)):
+                ds = synth_matching_oracle(depth, branching, spc, 4.0, 1.0, p, seed=seed)
+                assert_matches_per_class_oracles(ds, seed=seed)
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_wide_shape(self, seed):
+        ds = synth_matching_oracle(5, 4, 2, 4.0, 1.0, 32, seed=seed)
+        assert_matches_per_class_oracles(ds, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_shuffled_label_order(self, seed):
+        """Rows as a CSV may hold them: classes interleaved, unsorted."""
+        ds = synth_hierarchical(3, 3, 5, 4.0, 1.0, 6, seed=seed)
+        rows = np.random.default_rng(seed + 100).permutation(ds.samples)
+        shuffled = Dataset(ds.features[rows], ds.labels[rows], ds.n)
+        assert_matches_per_class_oracles(shuffled, seed=seed)
+
+    def test_uneven_class_sizes(self):
+        rng = np.random.default_rng(5)
+        labels = rng.permutation(np.repeat(np.arange(6), [2, 7, 3, 11, 2, 5]))
+        ds = Dataset(rng.standard_normal((labels.size, 4)), labels, 6)
+        assert_matches_per_class_oracles(ds, fractions=(0.1, 0.3, 0.5, 0.8, 0.9), seed=2)
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class PlantedNormals:
+    """Generator stub: standard normals come from one fixed stream of rows
+    of p values, with the listed rows scaled to norm ~1e-14; any draw shape
+    takes the next values of that stream in order."""
+
+    def __init__(self, seed: int, p: int, planted: tuple[int, ...]):
+        values = REAL_DEFAULT_RNG(seed).standard_normal((64, p))
+        values[list(planted)] *= 1e-14
+        self._values = values.ravel()
+        self.consumed = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self._values[self.consumed : self.consumed + count]
+        self.consumed += count
+        return out.reshape(size)
+
+
+class TestGeneratorStream:
+    @pytest.mark.parametrize("planted", [(1,), (3, 4), (1, 4, 5, 16), (13,)])
+    def test_degenerate_direction_redrawn_as_the_tree_walk_does(self, monkeypatch, planted):
+        """A near-zero direction is replaced by the next p values, which moves
+        every later direction and the noise up one row.  Rows 1 and 13 end a
+        level; 3 and 4 sit mid-level and are redrawn twice in a row."""
+        stubs = []
+        monkeypatch.setattr(
+            datasets.np.random, "default_rng",
+            lambda seed: stubs.append(PlantedNormals(seed, 4, planted)) or stubs[-1],
+        )
+        args = (3, 2, 2, 3.0, 0.5, 4)
+        ds = synth_hierarchical(*args, seed=1)
+        features, _, _, _ = synth_hierarchical_per_node(*args, seed=1)
+        assert ds.features.tobytes() == features.tobytes()
+        # 14 tree nodes, one extra row per planted one, 16 noise rows
+        assert [stub.consumed for stub in stubs] == [(14 + len(planted) + 16) * 4] * 2
+
+    def test_one_normal_draw_per_tree_level_and_one_for_the_noise(self, monkeypatch):
+        real = np.random.default_rng
+        shapes = []
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def standard_normal(self, size):
+                shapes.append(size)
+                return self._rng.standard_normal(size)
+
+        monkeypatch.setattr(datasets.np.random, "default_rng", Counting)
+        synth_hierarchical(4, 3, 2, 4.0, 1.0, 5, seed=0)
+        assert shapes == [(3, 5), (9, 5), (27, 5), (81, 5), (162, 5)]
+
+    def test_under_two_samples_names_the_first_such_class(self):
+        # class 1 has one sample, class 4 none
+        ds = Dataset(np.zeros((7, 2)), np.array([0, 3, 1, 2, 3, 2, 0]), 5)
+        with pytest.raises(ValueError) as got:
+            split(ds, 0.5, seed=0)
+        with pytest.raises(ValueError) as want:
+            split_rows_per_class(ds.labels, ds.n, 0.5, 0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "class 1 has 1 sample(s); need >= 2 to appear in both splits"

@@ -65,6 +65,11 @@ class TestSimilarityFromClassMeans:
         with pytest.raises(ValueError, match="zero-norm"):
             similarity_from_class_means(feats, np.array([0, 0, 1, 1]), 2)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^need at least 2 classes, got n={n}$"):
+            similarity_from_class_means(np.ones((3, 2)), np.zeros(3, dtype=int), n)
+
     def test_missing_class_found_before_allocating_means(self):
         """Labels 0, 0, 10**15 would need petabytes of class means; the gap
         at class 1 is reported first."""
