@@ -43,8 +43,8 @@ class ExperimentConfig(TrainConfig):
 
     Each field is one ``train`` config key: its name, annotation and default
     are the key's name, type and default.  The training keys are the
-    inherited :class:`TrainConfig` fields, checked on construction; only
-    their CLI defaults are declared here.
+    inherited :class:`TrainConfig` fields, checked on construction before
+    ``hidden_sizes``; only their CLI defaults are declared here.
     """
 
     # training: the CLI's defaults for TrainConfig's required keys
@@ -70,6 +70,13 @@ class ExperimentConfig(TrainConfig):
     # net
     hidden_sizes: tuple[int, ...] = (32,)
     out_dir: str = ""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes must be >= 1 each, got {format_value(self.hidden_sizes)}"
+            )
 
     def echo_lines(self) -> list[str]:
         """``key = value`` lines, sorted by key, that resolve back to self.
@@ -196,15 +203,13 @@ def _build_code(
     elif strategy == "dense":
         k = bits if bits is not None else codes.default_code_length(n)
         code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
-    elif strategy == "spectral":
+    else:  # spectral: argparse and _CHOICES admit only CodeKind values
         k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
         if k > n - 1:
             raise ValueError(
                 f"{bits_flag}: spectral codes support at most n-1={n - 1} bits, got {k}"
             )
         code = spectral.spectral_code(graph, k)
-    else:
-        raise ValueError(f"{flag}: unknown strategy {strategy!r}")
 
     if binarize_mode != "raw":
         code = codes.binarize(code, Binarization(binarize_mode))

@@ -10,7 +10,7 @@ ground-truth table for code/attribute correlation studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -100,8 +100,9 @@ def synth_hierarchical(
         raise ValueError(f"feature dim must be >= depth, got p={p} depth={depth}")
     if samples_per_class < 1:
         raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
-    if class_sep < 0 or noise_sigma < 0:
-        raise ValueError("class_sep and noise_sigma must be non-negative")
+    for name, value in (("class_sep", class_sep), ("noise_sigma", noise_sigma)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     check_seed(seed)
 
     rng = np.random.default_rng(seed)
@@ -203,13 +204,7 @@ def with_attributes(
     dataset: Dataset, attributes: np.ndarray, names: tuple[str, ...] | None = None
 ) -> Dataset:
     """Copy of the dataset with the given per-class attribute table attached."""
-    return Dataset(
-        dataset.features,
-        dataset.labels,
-        dataset.n,
-        attributes=attributes,
-        attribute_names=names,
-    )
+    return replace(dataset, attributes=attributes, attribute_names=names)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -234,15 +229,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
     starts = np.repeat(bounds[:-1], sizes)
     picked = np.empty(len(order), dtype=bool)  # picked[q]: row order[q] goes to train
     picked[starts + perms] = np.arange(len(order)) < starts + np.repeat(takes, sizes)
-    tr, ev = order[picked], order[~picked]
-
-    def subset(idx: np.ndarray) -> Dataset:
-        return Dataset(
-            dataset.features[idx],
-            dataset.labels[idx],
-            dataset.n,
-            attributes=dataset.attributes,
-            attribute_names=dataset.attribute_names,
-        )
-
-    return subset(tr), subset(ev)
+    return tuple(
+        replace(dataset, features=dataset.features[idx], labels=dataset.labels[idx])
+        for idx in (order[picked], order[~picked])
+    )

@@ -98,8 +98,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.lr_decay_epoch is not None and self.lr_decay_epoch < 0:
             raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if not 0 < self.lr_decay_factor <= 1:
@@ -281,18 +281,16 @@ def _epoch_metrics(
     computes the loss alone in the outputs' own buffer.
     """
     z, _ = _forward_batch(p, x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if head == "decoder":
-            losses, _ = _head_loss_grad(
-                head, z, code, ys, np.arange(z.shape[0]), epoch, split
-            )
-            preds = predict_batch(z, decoding_matrix(code))
-        else:
-            preds = z.argmax(axis=1)
-            losses = softmax_ce_in_place(z, ys)
+    if head == "decoder":
+        losses, _ = _head_loss_grad(head, z, code, ys, np.arange(z.shape[0]), epoch, split)
+        preds = predict_batch(z, decoding_matrix(code))
+    else:
+        preds = z.argmax(axis=1)
+        losses = softmax_ce_in_place(z, ys)
     return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     p: NetParams,
     dataset: Dataset,
@@ -308,6 +306,8 @@ def train(
     given, the eval set.  Emits one MetricsRow per epoch per split.  Raises
     :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
     :class:`ZeroOutputError` when the decoder head meets an all-zero output.
+    Floating-point warnings are off for the whole call: the finite-loss
+    checks, not numpy, report a diverging run.
     """
     if dataset.n != code.n:
         raise ValueError(
@@ -349,10 +349,7 @@ def train(
             batch = slice(start, start + cfg.batch_size)
             xb, yb = x_epoch[batch], ys_epoch[batch]
             z, cache = _forward_batch(p, xb)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                losses, grads = _head_loss_grad(
-                    head, z, code, yb, order[batch], epoch, batches
-                )
+            losses, grads = _head_loss_grad(head, z, code, yb, order[batch], epoch, batches)
             if not np.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
@@ -368,19 +365,14 @@ def train(
             velocity -= grad_flat
             flat += velocity
 
-        train_loss, train_acc = _epoch_metrics(p, x, ys, head, code, epoch, "train")
-        if not np.isfinite(train_loss):
-            raise TrainingDivergedError(epoch)
-        rows.append(
-            MetricsRow(epoch, "train", train_loss, train_acc, ratio_sum / batches)
-        )
-        if eval_set is not None:
-            eval_loss, eval_acc = _epoch_metrics(
-                p, eval_set.features, eval_set.labels, head, code, epoch, "eval"
-            )
-            if not np.isfinite(eval_loss):
+        splits = (("train", dataset, ratio_sum / batches), ("eval", eval_set, None))
+        for split, data, ratio in splits:
+            if data is None:
+                continue
+            loss, acc = _epoch_metrics(p, data.features, data.labels, head, code, epoch, split)
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            rows.append(MetricsRow(epoch, "eval", eval_loss, eval_acc, None))
+            rows.append(MetricsRow(epoch, split, loss, acc, ratio))
     return p, rows
 
 
@@ -411,7 +403,8 @@ def load_model(path: str) -> NetParams:
     """Read a model written by :func:`save_model`.
 
     A file whose size does not match its header raises ValueError naming
-    the path and the expected and found byte counts.
+    the path and the expected and found byte counts; a NaN or infinite
+    parameter raises one naming the path and the layer (counted from 0).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -448,5 +441,7 @@ def load_model(path: str) -> NetParams:
         off += 8 * fan_out * fan_in
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
         off += 8 * fan_out
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: non-finite parameter in layer {len(layers)}")
         layers.append((w.reshape(fan_out, fan_in).copy(), b.copy()))
     return NetParams(layers)

@@ -106,10 +106,7 @@ def normalized_laplacian(g: SimilarityGraph) -> np.ndarray:
     Positive semidefinite with eigenvalues in [0, 2]; the smallest
     eigenvalue is 0 (eigenvector proportional to sqrt of degrees).
     """
-    degrees = g.weights.sum(axis=1)
-    if (degrees <= 0).any():
-        raise ValueError("zero-degree node makes the Laplacian singular")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt = 1.0 / np.sqrt(g.weights.sum(axis=1))  # degrees are > 0 (SimilarityGraph)
     # W_ij / (s_i * s_j) with commutative products keeps exact symmetry.
     lap = np.eye(g.n) - g.weights * np.outer(inv_sqrt, inv_sqrt)
     return lap
@@ -150,12 +147,10 @@ def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
     if k > g.n - 1:
         raise ValueError(f"spectral code supports at most n-1={g.n - 1} bits, got k={k}")
     eig = symmetric_eigen(normalized_laplacian(g))
-    columns = eig.eigenvectors[:, 1 : k + 1].copy()
-    for j in range(k):
-        col = columns[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        if nonzero.size and col[nonzero[0]] < 0:
-            columns[:, j] = -col
+    columns = eig.eigenvectors[:, 1 : k + 1]
+    # a unit column has an entry above 1e-12, so argmax finds the first one
+    first = columns[np.argmax(np.abs(columns) > 1e-12, axis=0), np.arange(k)]
+    columns = np.where(first < 0, -columns, columns)
     return CodeMatrix(columns, kind=CodeKind.SPECTRAL, binarization=Binarization.RAW)
 
 

@@ -4,6 +4,7 @@ import errno
 import os
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import warnings
@@ -268,6 +269,21 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, bits", [("gaussian", "4"), ("onehot", None)])
+    def test_divergence_writes_one_stderr_line(self, tmp_path, strategy, bits):
+        """A run that overflows at once, under the decoder head (gaussian)
+        or the softmax head (one-hot), prints its error and no numpy
+        warning, in a fresh interpreter with the default warning filters."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
+                           synth_depth="2", code_strategy=strategy, code_bits=bits,
+                           learning_rate="1e300")
+        proc = subprocess.run([sys.executable, "-m", "ecoc.cli", "train", "--config", cfg],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: training diverged at epoch 0 (non-finite loss)\n"
+
     def test_zero_output_row_is_a_training_failure(self, tmp_path, capsys):
         # at init the biases are zero, so an all-zero feature row in the
         # first unshuffled batch gives the decoder a zero output
@@ -385,7 +401,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value, rule", [
         ("batch_size", "0", "must be >= 1, got 0"),
-        ("learning_rate", "0", "must be > 0, got 0.0"),
+        ("learning_rate", "0", "must be finite and > 0, got 0.0"),
+        ("learning_rate", "inf", "must be finite and > 0, got inf"),
+        ("hidden_sizes", "8,0", "must be >= 1 each, got 8,0"),
         ("lr_decay_epoch", "-2", "must be >= 0, got -2"),
         ("lr_decay_factor", "1.5", "must be in (0, 1], got 1.5"),
         ("momentum", "1", "must be in [0, 1), got 1.0"),
@@ -396,6 +414,27 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: key {key!r} {rule}\n"
         assert not os.path.exists(out)
+
+    def test_hidden_sizes_checked_before_the_data(self, tmp_path, capsys):
+        data = os.path.join(tmp_path, "data.csv")
+        with open(data, "w") as fh:
+            fh.write("0,1.0\nnot a row\n")
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=data,
+                           hidden_sizes="0")
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: key 'hidden_sizes' must be >= 1 each, got 0\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value", [("synth_class_sep", "nan"),
+                                            ("synth_noise_sigma", "inf")])
+    def test_non_finite_synth_value_names_the_parameter(self, tmp_path, capsys, key, value):
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
+                           **{key: value})
+        assert main(["train", "--config", cfg]) == 2
+        name = key.removeprefix("synth_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value}\n"
 
     def test_label_beyond_int64_exits_2(self, tmp_path, capsys):
         data = os.path.join(tmp_path, "data.csv")
@@ -887,6 +926,25 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{model}: truncated parameters" in err
         assert f"found {len(blob) - 8 - 8 - 4 - 4 * 3}" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_model_weight_exits_2(self, run_dir, tmp_path, capsys, value):
+        """A model.bin whose first weight is NaN or inf is refused: one
+        error line naming the file and layer, exit 2, no report written."""
+        model = os.path.join(tmp_path, "model.bin")
+        blob = bytearray(read_bytes(os.path.join(run_dir, "model.bin")))
+        blob[24:32] = struct.pack("<d", value)  # magic, count, 3 sizes, then layer 0
+        with open(model, "wb") as fh:
+            fh.write(blob)
+        out = os.path.join(tmp_path, "confusion.csv")
+        assert main(["analyze", "--model", model,
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", "confusion", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model}: non-finite parameter in layer 0\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
 
     def test_non_finite_code_exits_2(self, run_dir, tmp_path, capsys):
         code = os.path.join(tmp_path, "code.csv")

@@ -127,6 +127,11 @@ class TestSynthHierarchical:
         ):
             with pytest.raises(ValueError):
                 synth_hierarchical(**bad)
+        for name in ("class_sep", "noise_sigma"):
+            for value in (np.nan, np.inf, -1.0):
+                with pytest.raises(ValueError,
+                                   match=f"^{name} must be finite and >= 0, got {value}$"):
+                    synth_hierarchical(**dict(good, **{name: value}))
 
     def test_top_split_is_linearly_visible(self):
         """With noise well below the top-level separation, a nearest-center

@@ -1,5 +1,6 @@
 """Feedforward net: init, batch forward/backward, the SGD trainer, model files."""
 
+import inspect
 import os
 import struct
 import sys
@@ -223,6 +224,11 @@ class TestTrain:
             train(init([4, 8, 4], seed=0), ds, one_hot(4), cfg)
         assert err.value.epoch >= 0
 
+    def test_signature_survives_the_errstate_decorator(self):
+        """Callers that bind train's arguments by name still see them."""
+        params = inspect.signature(train).parameters
+        assert list(params) == ["p", "dataset", "code", "cfg", "eval_set"]
+
     def test_decoder_head_survives_huge_learning_rate(self):
         """The distance-decoder loss is bounded (codewords and the projected
         output both live on the unit sphere), so even absurd step sizes keep
@@ -382,6 +388,9 @@ class TestTrain:
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, momentum=1.0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=-1)
+        for lr in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {lr}"):
+                TrainConfig(epochs=1, batch_size=1, learning_rate=lr)
         TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay_epoch=0)  # 0-indexed
         TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=0)
 
@@ -544,7 +553,8 @@ class TestSoftmaxEvaluation:
         x = rng.standard_normal((s, 5))
         ys = rng.integers(n, size=s)
         ref = oracles.softmax_metrics_copy_normalize_scatter(net_outputs(p, x), ys)
-        got = _epoch_metrics(p, x, ys, "softmax", one_hot(n), 0, "eval")
+        with np.errstate(divide="ignore"):  # train's error state: log(0) at scale 300
+            got = _epoch_metrics(p, x, ys, "softmax", one_hot(n), 0, "eval")
         assert repr(got) == repr(ref)
 
     def test_memory_is_the_forward_pass(self):
@@ -713,6 +723,21 @@ class TestModelFile:
         expected = 8 * (2**32) * (2**32 - 1)
         with pytest.raises(ValueError, match=f"need {expected} parameter bytes, found 16"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer, offset", [(0, 0), (1, 8 * (4 * 8 + 8 + 5))])
+    def test_non_finite_parameter_rejected(self, tmp_path, value, layer, offset):
+        """A NaN or infinite weight or bias names the layer it sits in."""
+        path = os.path.join(tmp_path, "model.bin")
+        save_model(init([4, 8, 3], seed=0), path)
+        blob = bytearray(open(path, "rb").read())
+        start = 8 + 4 + 4 * 3 + offset
+        blob[start : start + 8] = struct.pack("<d", value)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: non-finite parameter in layer {layer}"
 
     def test_zero_layer_size_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "model.bin")

@@ -313,6 +313,19 @@ class TestSpectralCode:
             lead = col[np.abs(col) > 1e-12][0]
             assert lead > 0
 
+    @pytest.mark.parametrize("n, seed", [(7, 5), (12, 1), (30, 9)])
+    def test_sign_fix_matches_per_column_scan(self, n, seed):
+        """Bit for bit, signed zeros included, the code equals the
+        eigenvectors flipped one column at a time."""
+        g = random_similarity(n, seed)
+        columns = symmetric_eigen(normalized_laplacian(g)).eigenvectors[:, 1:n].copy()
+        for j in range(n - 1):
+            col = columns[:, j]
+            nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+            if nonzero.size and col[nonzero[0]] < 0:
+                columns[:, j] = -col
+        assert spectral_code(g, n - 1).values.tobytes() == columns.tobytes()
+
 
 class TestSimilarityCsv:
     def test_round_trip(self, tmp_path):
