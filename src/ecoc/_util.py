@@ -12,11 +12,28 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-# Elements formatted per block by format_rows; bounds its temporaries.
+# Elements per block of row-blocked work (format_rows, block_rows); bounds
+# its temporaries.
 ROW_BLOCK_ELEMS = 1 << 16
+# block_rows gives whole multiples of this many rows.
+_ROW_QUANTUM = 64
 # Bit pattern of -0.0, which equals its int64 cast but prints with a sign.
 _NEG_ZERO = np.uint64(1 << 63)
 _WIDE_DTYPE = {"f": np.float64, "i": np.int64, "u": np.uint64}
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of work against ``n`` columns: about
+    ``ROW_BLOCK_ELEMS`` (rows, n) entries, rounded down to whole multiples
+    of ``_ROW_QUANTUM`` rows, and at least one quantum.
+
+    At large n a block is 64 rows and its panel stays in cache; at small n
+    one block covers a whole batch or matrix, so the fixed cost per block is
+    paid once.  A block's bits need not match a whole-matrix product: BLAS
+    may sum in another order for other shapes.
+    """
+    rows = ROW_BLOCK_ELEMS // max(1, n) // _ROW_QUANTUM * _ROW_QUANTUM
+    return max(_ROW_QUANTUM, rows)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:

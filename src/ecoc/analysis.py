@@ -111,6 +111,7 @@ def attribute_correlation(
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ablation_predictions(
     p: NetParams, dataset: Dataset, code: CodeMatrix, js: list[int]
 ) -> list[tuple[int, np.ndarray]]:
@@ -120,7 +121,8 @@ def ablation_predictions(
     Output rows are normalized over all k coordinates before truncation,
     so a zero output prefix is scored like any other as long as the full
     output is nonzero.  j = k gives exactly ``predict_batch(z,
-    decoding_matrix(code))``.
+    decoding_matrix(code))``.  Floating-point warnings are off: an output
+    that overflows fails ``unit_rows``'s finite-norm check instead.
     """
     for j in js:
         if not 1 <= j <= code.k:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, check_seed, format_rows, parse_rows, read_lines
+from ._util import atomic_write, block_rows, check_seed, format_rows, parse_rows, read_lines
 
 
 class CodeKind(Enum):
@@ -190,28 +190,41 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> int:
     With sign rows ``s`` and their nonzero masks ``P`` (row sums ``p``),
     twice the agreement count of rows i and j is
     ``k + s_i.s_j + (3 P_i.P_j - 2 p_i - 2 p_j + k)``; the bracket is 0 when
-    every sign is +-1, so then one n x n Gram over k columns suffices.  Every
+    every sign is +-1, so then one Gram over k columns suffices.  Every
     term and partial sum is an integer of magnitude at most ``8 k``, so the
     arithmetic runs exactly in float32 (at twice float64's BLAS speed) while
     ``8 k < 2**24``, and in float64 above that.  The distance is k minus the
     largest off-diagonal agreement.  With ``signs`` set, ``values`` already
     holds only -1, 0 and +1 and is its own sign matrix.
+
+    The Gram is taken in row blocks (:func:`block_rows`), each against the
+    rows at or after it, so every pair is scored once and memory grows with
+    block * n; the integer terms make the result the same at any block
+    size.
     """
-    k = values.shape[1]
+    m, k = values.shape
     dtype = np.float32 if 8 * k < _FLOAT32_EXACT else np.float64
     if signs:
         s = values.astype(dtype, copy=False)
     else:
         s = np.sign(values, out=np.empty(values.shape, dtype))
-    gram = s @ s.T  # becomes 2 * agreement - k
+    both = None
     if not s.all():
         nonzero = s != 0
         p = nonzero.sum(axis=1, dtype=dtype)
         both = nonzero.astype(dtype)
-        gram += 3 * (both @ both.T) - 2 * p[:, None] - 2 * p + k
-    # agreement -1 on the diagonal: a single row scores k + 1, as no pair
-    np.fill_diagonal(gram, -2.0 - k)
-    return int(k - gram.max()) // 2
+    step = block_rows(m)
+    top = -2.0 - k
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        gram = s[rows] @ s[lo:].T  # becomes 2 * agreement - k
+        if both is not None:
+            gram += 3 * (both[rows] @ both[lo:].T) - 2 * p[rows, None] - 2 * p[lo:] + k
+        # agreement -1 on the block's own diagonal: a single row scores
+        # k + 1, as no pair
+        np.fill_diagonal(gram, -2.0 - k)
+        top = max(top, float(gram.max()))
+    return int(k - top) // 2
 
 
 def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
@@ -220,32 +233,46 @@ def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
     Zero-norm vectors contribute 0 (no direction, no correlation).  The
     denominator is sqrt of the product of squared norms, which is exact for
     integer-valued codes, so binary anticorrelated rows score exactly 1.
-    The Gram and its denominator are exactly symmetric, so the maximum over
-    all off-diagonal entries is the maximum over distinct pairs.
 
-    When all squared norms are equal (the rows of +-1 and one-hot codes, the
-    columns of +-1 codes) the denominator is one positive constant.
-    Correctly rounded division by it is monotone, so the largest off-diagonal
-    |Gram| entry over that constant is the largest quotient, bit for bit,
-    with no n x n denominator.
+    The Gram is taken in row blocks (:func:`block_rows`), each against the
+    rows at or after it, so every pair is scored once and memory grows with
+    block * n.  Blocks go last to first, and each block's own diagonal
+    gives its rows' squared norms, so the norms of every row a block meets
+    are known when it is scored.  When all rows fit in one block, that block
+    is the one product ``v @ v.T``.  A block's bits need not match the whole
+    product's for real values, so above one block a real-valued cosine may
+    differ from it in its last bits; entries of -1, 0 and +1 sum exactly.
+
+    While every squared norm seen so far is equal (the rows of +-1 and
+    one-hot codes, the columns of +-1 codes) the denominator is one positive
+    constant.  Correctly rounded division by it is monotone, so the largest
+    off-diagonal |Gram| entry over that constant is the largest quotient, bit
+    for bit, with no block-sized denominator.
     """
     m = vectors.shape[0]
     if m < 2:
         return 0.0
-    cos = vectors @ vectors.T
-    sq = np.diag(cos).copy()
-    np.abs(cos, out=cos)
-    if (sq == sq[0]).all():
+    step = block_rows(m)
+    sq = np.empty(m)
+    tops = []
+    for lo in reversed(range(0, m, step)):
+        rows = slice(lo, lo + step)
+        cos = vectors[rows] @ vectors[lo:].T
+        sq[rows] = cos.diagonal()
+        np.abs(cos, out=cos)
+        if (sq[lo:] == sq[-1]).all():
+            np.fill_diagonal(cos, 0.0)
+            denom = math.sqrt(float(sq[-1]) * float(sq[-1]))
+            tops.append(float(cos.max()) / denom if denom > 1e-30 else 0.0)
+            continue
+        denom = np.multiply.outer(sq[rows], sq[lo:])
+        np.sqrt(denom, out=denom)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(cos, denom, out=cos)
+        cos[denom <= 1e-30] = 0.0
         np.fill_diagonal(cos, 0.0)
-        denom = math.sqrt(float(sq[0]) * float(sq[0]))
-        return float(cos.max()) / denom if denom > 1e-30 else 0.0
-    denom = np.outer(sq, sq)
-    np.sqrt(denom, out=denom)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(cos, denom, out=cos)
-    cos[denom <= 1e-30] = 0.0
-    np.fill_diagonal(cos, 0.0)
-    return float(cos.max())
+        tops.append(float(cos.max()))
+    return float(np.max(tops))  # propagates a NaN, as one max over all would
 
 
 def dense_random_code(

@@ -25,20 +25,6 @@ from .codes import CodeMatrix
 
 EPS_NORM = 1e-12
 
-# Score work goes through blocks of whole multiples of this many rows, each
-# about ``_util.ROW_BLOCK_ELEMS`` (rows, n) entries: at large n a block is 64
-# rows and its panel stays in cache; at small n one block covers a whole
-# batch, so the fixed cost per block is paid once.  A block's bits need not
-# match a whole-batch product: BLAS may sum in another order for other
-# shapes.
-_ROW_QUANTUM = 64
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of score work against ``n`` codewords."""
-    rows = _util.ROW_BLOCK_ELEMS // max(1, n) // _ROW_QUANTUM * _ROW_QUANTUM
-    return max(_ROW_QUANTUM, rows)
-
 
 def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     """The codeword matrix the decoder actually measures distances against.
@@ -76,10 +62,15 @@ def _sq_norms(code: CodeMatrix) -> np.ndarray:
 
 def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of z divided by its L2 norm, plus the norms.  Rejects
-    (near-)zero rows."""
+    (near-)zero rows, and rows whose norm is not finite: rows holding inf
+    or NaN, and finite rows whose squares overflow (entries above about
+    1e154), which would divide to zero."""
     norms = np.sqrt(np.add.reduce(z * z, axis=1))
     if (norms <= EPS_NORM).any():
         raise ValueError("cannot normalize a zero vector")
+    # a finite norm is below 2**512, so the sum is finite only if each is
+    if not np.isfinite(np.add.reduce(norms)):
+        raise ValueError("cannot normalize a vector whose norm is not finite")
     return z / norms[:, None], norms
 
 
@@ -139,9 +130,9 @@ def batch_loss_grad(
 
     Returns (losses, probs, grads): per-sample loss (s,), probabilities
     (s, n), and loss gradients w.r.t. each z row (s, k); each row depends
-    on that row of z alone.  Works through row blocks (:func:`_block_rows`)
-    in place: besides the returned arrays, memory is one block-sized
-    (rows, n) buffer and one (s, k) temporary.
+    on that row of z alone.  Works through row blocks
+    (:func:`_util.block_rows`) in place: besides the returned arrays, memory
+    is one block-sized (rows, n) buffer and one (s, k) temporary.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -160,7 +151,7 @@ def batch_loss_grad(
     losses = np.empty(s)
     # d loss / d u = g @ m, radially projected and rescaled below
     grads = np.empty((s, k))
-    step = _block_rows(n)
+    step = _util.block_rows(n)
     g = np.empty((min(s, step), n))
     for start in range(0, s, step):
         rows = slice(start, start + step)
@@ -191,11 +182,11 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in row blocks (:func:`_block_rows`), so memory
-    grows with block * n.
+    id.  Scores are built in row blocks (:func:`_util.block_rows`), so
+    memory grows with block * n.
     """
     mm = np.einsum("ij,ij->i", m, m)
-    step = _block_rows(m.shape[0])
+    step = _util.block_rows(m.shape[0])
     preds = np.empty(u.shape[0], dtype=np.int64)
     for start in range(0, u.shape[0], step):
         rows = slice(start, start + step)

@@ -24,7 +24,8 @@ _MODEL_MAGIC = b"ECOCNET\x01"
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or a net output too large for
+    the decoder head to normalize, so that its loss cannot be computed."""
 
     def __init__(self, epoch: int):
         super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
@@ -256,16 +257,20 @@ def _head_loss_grad(
     gradient: its head memory is that one (s, n) buffer.  The decoder head
     is ``batch_loss_grad``, with a zero output row reported as a
     :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
-    ``rows``.
+    ``rows``, and an output whose norm is not finite as a
+    :class:`TrainingDivergedError`.
     """
     if head == "decoder":
         try:
             losses, _, grads = batch_loss_grad(z, code, ys)
         except ValueError:
-            zero = np.flatnonzero(np.linalg.norm(z, axis=1) <= EPS_NORM)
-            if not zero.size:
-                raise
-            raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
+            norms = np.linalg.norm(z, axis=1)
+            zero = np.flatnonzero(norms <= EPS_NORM)
+            if zero.size:
+                raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
+            if not np.isfinite(norms).all():
+                raise TrainingDivergedError(epoch) from None
+            raise
         return losses, grads
     grads = z.copy()
     return softmax_ce_in_place(grads, ys, grads), grads

@@ -11,16 +11,34 @@ rather than thresholded; the decoder reads them as partition likelihoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, format_rows, parse_rows, read_lines
+from ._util import atomic_write, block_rows, format_rows, parse_rows, read_lines
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import label_blocks
 
 
 class ConvergenceError(RuntimeError):
     """The eigensolver failed to converge."""
+
+
+def _tile_pairs(n: int) -> Iterator[tuple[slice, slice]]:
+    """Index ranges ``(rows, cols)`` of the square tiles (:func:`block_rows`
+    on a side) on and above the diagonal of an n x n matrix; ``[cols,
+    rows]`` is each one's mirror image.  Two tiles fit in cache, where a
+    whole-matrix transpose strides across all of it."""
+    step = block_rows(n)
+    for lo in range(0, n, step):
+        for col in range(lo, n, step):
+            yield slice(lo, lo + step), slice(col, col + step)
+
+
+def _symmetric(w: np.ndarray) -> bool:
+    """``array_equal(w, w.T)``, one mirror-image pair of tiles at a time."""
+    return all(np.array_equal(w[rows, cols], w[cols, rows].T)
+               for rows, cols in _tile_pairs(len(w)))
 
 
 @dataclass(frozen=True)
@@ -41,7 +59,7 @@ class SimilarityGraph:
             raise ValueError(f"need at least 2 classes, got n={w.shape[0]}")
         if not np.isfinite(w).all():
             raise ValueError("similarity weights must be finite")
-        if not np.array_equal(w, w.T):
+        if not _symmetric(w):
             raise ValueError("similarity weights must be exactly symmetric")
         if (w < 0).any():
             raise ValueError("similarity weights must be non-negative")
@@ -93,9 +111,18 @@ def similarity_from_class_means(
         bad = np.flatnonzero(norms <= 1e-12)
         raise ValueError(f"zero-norm class means for classes {bad.tolist()}")
     unit = means / norms[:, None]
-    cos = unit @ unit.T
-    cos = (cos + cos.T) / 2  # elementwise-exact symmetry
-    w = np.maximum((1.0 + cos) / 2, 0.0)
+    # W is built in the Gram's own buffer.  Each mirror-image pair of tiles
+    # becomes (a + b.T) / 2, written to both, so W is exactly symmetric
+    # whatever the Gram's own rounding.
+    w = unit @ unit.T
+    for rows, cols in _tile_pairs(n):
+        half = w[rows, cols] + w[cols, rows].T
+        half /= 2
+        w[rows, cols] = half
+        w[cols, rows] = half.T
+    w += 1.0
+    w /= 2
+    np.maximum(w, 0.0, out=w)
     np.fill_diagonal(w, 0.0)
     return SimilarityGraph(w)
 

@@ -269,6 +269,15 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_output_overflow_is_divergence(self, tmp_path, capsys):
+        """A step that overflows the outputs' squares but leaves every loss
+        finite still fails the run, rather than scoring the outputs as
+        zero vectors and finishing at chance."""
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
+                           synth_depth="2", learning_rate="1e100")
+        assert main(["train", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "error: training diverged at epoch 0 (non-finite loss)\n"
+
     @pytest.mark.parametrize("strategy, bits", [("gaussian", "4"), ("onehot", None)])
     def test_divergence_writes_one_stderr_line(self, tmp_path, strategy, bits):
         """A run that overflows at once, under the decoder head (gaussian)
@@ -796,6 +805,24 @@ class TestAnalyze:
                      "--code", code,
                      "--mode", "confusion", "--out", out]) == 2
         assert "net output size 4 does not match code bits 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["confusion", "ablate"])
+    def test_overflowing_outputs_exit_2(self, run_dir, tmp_path, capsys, mode):
+        """A finite model whose outputs' squares overflow fails with one
+        error line and writes nothing, instead of decoding zero vectors."""
+        p = net.load_model(os.path.join(run_dir, "model.bin"))
+        p.layers[0][0][0, 0] = 1e300
+        model = os.path.join(tmp_path, "big.bin")
+        net.save_model(p, model)
+        out = os.path.join(tmp_path, "out.csv")
+        assert main(["analyze", "--model", model,
+                     "--data", os.path.join(run_dir, "eval.csv"),
+                     "--code", os.path.join(run_dir, "code.csv"),
+                     "--mode", mode, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot normalize a vector whose norm is not finite\n"
+        )
+        assert not os.path.exists(out)
 
     def test_ablate_default_sweeps_all_prefixes(self, run_dir, tmp_path):
         out = os.path.join(tmp_path, "ablation.csv")

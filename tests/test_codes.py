@@ -5,13 +5,14 @@ import math
 import os
 import re
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecoc import cli, codes
+from ecoc import _util, cli, codes
 from ecoc.codes import (
     Binarization,
     BinarizationCollisionError,
@@ -291,6 +292,31 @@ class TestCodeMetrics:
             tracemalloc.stop()
         assert peak <= 1.25 * n * n * 8
 
+    def test_binarized_gaussian_peak_memory_in_block_rows(self):
+        """Peak allocation grows with block * n, not n**2: at most four
+        block-sized float64 buffers and two n x k copies (about 30 MB at
+        n = 8192, where two n x n Grams took over 500 MB)."""
+        n, k = 8192, 100
+        code = binarize(gaussian_code(n, k, seed=0), Binarization.ZERO)
+        tracemalloc.start()
+        try:
+            code_metrics(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _util.block_rows(n) * n * 8 + 2 * n * k * 8
+
+    def test_large_gaussian_printed_line_pinned(self, tmp_path, capsys):
+        """The 6-decimal metrics line of a code that spans many row blocks,
+        as the whole-matrix Grams printed it."""
+        argv = ["gen-code", "--strategy", "gaussian", "--classes", "1024", "--bits", "100",
+                "--seed", "1", "--out", str(tmp_path / "code.csv")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "min_row_hamming=27 max_abs_row_corr=0.461285 max_abs_col_corr=0.138971 "
+            "max_abs_column_balance=0.095270"
+        )
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_codegen_workload_codes_pinned(self, tmp_path, seed):
         """code_metrics of the codegen benchmark's three codes at its small
@@ -340,6 +366,43 @@ _CODEGEN_METRICS = {
     },
 }
 
+
+@contextmanager
+def row_blocks(rows: int | None, m: int):
+    """Make the one block rule give ``rows``-row blocks for an m-row Gram
+    (the rule at a quantum of one row and a budget of ``rows * m``
+    entries), or leave it as it is when ``rows`` is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(_util, "_ROW_QUANTUM", 1)
+            mp.setattr(_util, "ROW_BLOCK_ELEMS", rows * m)
+            assert _util.block_rows(m) == rows
+        yield
+
+
+def blockings(m: int) -> list[int | None]:
+    """Block sizes to score an m-row Gram at: the default (None), then
+    blocks of one row, of three and of m - 1 rows, so that above two rows
+    the Gram spans several blocks and ends in a block of one row whenever
+    m is 1 more than a multiple of the block size."""
+    return [None, 1, 3, max(1, m - 1)]
+
+
+def _unit_entries(v: np.ndarray) -> bool:
+    """Whether every entry is -1, 0 or +1, as in +-1, one-hot and sign
+    codes, whose Grams sum exactly in any order."""
+    return bool(np.isin(v, (-1.0, 0.0, 1.0)).all())
+
+
+def _close(a: float, b: float, ulps: int = 4) -> bool:
+    """Equal, both NaN, or within ``ulps`` units in the last place of 1.0.
+
+    A cosine is a dot product scaled into [0, 1], so the rounding of a sum
+    taken in another order is on the scale of 1, whatever the cosine's own
+    size: a cosine near 0 comes from cancelling terms."""
+    return _same(a, b) or abs(a - b) <= ulps * math.ulp(1.0)
+
+
 _ROW_SCALES = (0.0, 1e-16, 1e-15, 1.0)  # zero rows; norm products <= 1e-30 and near it
 
 
@@ -356,9 +419,12 @@ _ROW_SCALES = (0.0, 1e-16, 1e-15, 1.0)  # zero rows; norm products <= 1e-30 and 
 @example(m=2, k=1, kind="pm1", degenerate_rows=False, seed=0)
 @example(m=2, k=5, kind="signs", degenerate_rows=True, seed=1)
 @example(m=2, k=4, kind="gaussian", degenerate_rows=True, seed=2)
+@example(m=40, k=7, kind="gaussian", degenerate_rows=False, seed=3)
 def test_sign_gram_metrics_equal_matrix_oracles(m, k, kind, degenerate_rows, seed):
     """The sign-Gram Hamming and in-place cosine equal the one-hot and
-    triangle-gather forms exactly, on rows and on columns."""
+    triangle-gather forms exactly, on rows and on columns, in one row block.
+    Across several blocks the Hamming stays exact; the cosine agrees within
+    4 ulp of 1.0 unless every entry is -1, 0 or +1, when it stays exact."""
     rng = np.random.default_rng(seed)
     if kind == "pm1":
         values = rng.choice([-1.0, 1.0], size=(m, k))
@@ -369,8 +435,15 @@ def test_sign_gram_metrics_equal_matrix_oracles(m, k, kind, degenerate_rows, see
     if degenerate_rows:
         values *= rng.choice(_ROW_SCALES, size=(m, 1))
     for v in (values, values.T):
-        assert codes._min_row_hamming(v) == min_row_hamming_one_hot(v)
-        assert codes._max_abs_pair_cosine(v) == max_abs_pair_cosine_triu(v)
+        hamming, cosine = min_row_hamming_one_hot(v), max_abs_pair_cosine_triu(v)
+        for rows in blockings(v.shape[0]):
+            with row_blocks(rows, v.shape[0]):
+                assert codes._min_row_hamming(v) == hamming
+                got = codes._max_abs_pair_cosine(v)
+            if rows is None or _unit_entries(v):
+                assert got == cosine
+            else:
+                assert _close(got, cosine)
 
 
 class TestCodeMatrixValidation:
@@ -501,7 +574,8 @@ def _sign_rows(rng, m, k, kind):
 @pytest.mark.parametrize("float64_branch", [False, True])
 def test_sign_gram_hamming_exact_in_both_precisions(monkeypatch, kind, float64_branch):
     """Lowering the float32 limit to 8 k sends a small code through the
-    float64 branch; both branches equal the one-hot oracle."""
+    float64 branch; both branches equal the one-hot oracle, in one row block
+    and across several."""
     rng = np.random.default_rng(4)
     for m, k in [(2, 1), (7, 5), (40, 33), (33, 40)]:
         values = _sign_rows(rng, m, k, kind)
@@ -509,8 +583,10 @@ def test_sign_gram_hamming_exact_in_both_precisions(monkeypatch, kind, float64_b
             limit = 8 * v.shape[1] + (0 if float64_branch else 1)
             monkeypatch.setattr(codes, "_FLOAT32_EXACT", limit)
             expected = min_row_hamming_one_hot(v)
-            assert codes._min_row_hamming(v) == expected
-            assert codes._min_row_hamming(np.sign(v), signs=True) == expected
+            for rows in blockings(v.shape[0]):
+                with row_blocks(rows, v.shape[0]):
+                    assert codes._min_row_hamming(v) == expected
+                    assert codes._min_row_hamming(np.sign(v), signs=True) == expected
 
 
 @pytest.mark.parametrize("kind", ["pm1", "signs"])
@@ -539,7 +615,8 @@ def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
     """Rows sharing one squared norm take the constant-denominator form;
     it equals the element-wise triangle oracle bit for bit, on rows and
     columns, down to norm products <= 1e-30 (0.0) and up to overflowing
-    squares."""
+    squares.  Across several row blocks rows of -1, 0 and +1 stay exact,
+    and other rows agree within 4 ulp of 1.0."""
     rng = np.random.default_rng(6)
     for m, k in [(2, 3), (9, 4), (6, 40), (30, 17)]:
         if kind == "pm1":
@@ -554,4 +631,10 @@ def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
             assert (sq == sq[0]).all(), "rows must share one squared norm"
             for v in (values, values.T) if kind == "pm1" else (values,):
                 expected = max_abs_pair_cosine_triu(v)
-                assert _same(codes._max_abs_pair_cosine(v), expected)
+                for rows in blockings(v.shape[0]):
+                    with row_blocks(rows, v.shape[0]):
+                        got = codes._max_abs_pair_cosine(v)
+                    if rows is None or _unit_entries(v):
+                        assert _same(got, expected)
+                    else:
+                        assert _close(got, expected)

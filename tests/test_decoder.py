@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ecoc import _util
+from ecoc._util import _ROW_QUANTUM, block_rows
 from ecoc.analysis import ablation_predictions
 from ecoc.codes import (
     Binarization,
@@ -29,8 +30,6 @@ from ecoc.codes import (
 )
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
-    _ROW_QUANTUM,
-    _block_rows,
     _distance_scores,
     batch_loss_grad,
     decoding_matrix,
@@ -106,6 +105,18 @@ class TestNormalize:
             unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="cannot normalize a zero vector"):
             predict_batch(np.zeros((1, 2)), np.eye(2))
+
+    def test_non_finite_norm_rejected(self):
+        """Rows whose squares overflow, or that hold inf or NaN, have no
+        computable direction; rows just below the overflow keep the plain
+        formula's bits."""
+        big = np.array([[3e153, 4e153], [1.0, 0.0]])
+        u, norms = unit_rows(big)
+        assert np.array_equal(norms, np.sqrt((big * big).sum(axis=1)))
+        assert np.array_equal(u, big / norms[:, None])
+        for bad in (1e200, np.inf, np.nan):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+                unit_rows(np.array([[1.0, 2.0], [bad, 0.0]]))
 
     def test_result_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -353,7 +364,7 @@ class TestBatchOps:
         code = gaussian_code(7, 5, seed=23)
         rng = np.random.default_rng(rows)
         with quantum_blocks():
-            assert _block_rows(code.n) == _ROW_QUANTUM
+            assert block_rows(code.n) == _ROW_QUANTUM
             assert_rows_match_oracles(
                 rng.standard_normal((rows, 5)), code, rng.integers(0, 7, size=rows)
             )
@@ -418,7 +429,7 @@ class TestRowBlocks:
     )
     def test_block_rows_pinned(self, n, rows):
         assert _util.ROW_BLOCK_ELEMS == 65536
-        assert _block_rows(n) == rows
+        assert block_rows(n) == rows
 
     @pytest.mark.parametrize("n, k, s", [(16, 8, 384), (100, 20, 700), (700, 30, 200)])
     def test_default_and_quantum_blocks_agree(self, n, k, s):

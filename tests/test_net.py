@@ -224,6 +224,18 @@ class TestTrain:
             train(init([4, 8, 4], seed=0), ds, one_hot(4), cfg)
         assert err.value.epoch >= 0
 
+    def test_decoder_output_overflow_is_divergence(self):
+        """Finite outputs near 1e200 overflow their squares, so they have no
+        computable direction: the decoder head reports divergence instead of
+        scoring them as zero vectors with a finite loss."""
+        ds = separable_dataset()
+        p = init([4, 6], seed=0)
+        p.layers[-1][0][...] *= 1e200
+        cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, seed=0)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(p, ds, gaussian_code(4, 6, seed=1), cfg)
+        assert err.value.epoch == 0
+
     def test_signature_survives_the_errstate_decorator(self):
         """Callers that bind train's arguments by name still see them."""
         params = inspect.signature(train).parameters

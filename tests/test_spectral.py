@@ -2,9 +2,12 @@
 (checked against the Jacobi and characteristic-polynomial oracles), and
 spectral codes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ecoc import _util
 from ecoc.codes import CodeKind
 from ecoc.spectral import (
     ConvergenceError,
@@ -17,7 +20,7 @@ from ecoc.spectral import (
     spectral_code,
     symmetric_eigen,
 )
-from oracles import brute_force_eigenvalues, jacobi_eigen
+from oracles import brute_force_eigenvalues, class_mean_similarity_masked, jacobi_eigen
 
 
 def random_similarity(n: int, seed: int) -> SimilarityGraph:
@@ -95,11 +98,33 @@ class TestSimilarityFromClassMeans:
         assert g.weights[0, 1] == pytest.approx(0.5, abs=0.01)
 
 
+    @pytest.mark.parametrize("n", [64, 150])
+    def test_tiles_give_the_whole_matrix_bytes(self, n):
+        """Built in 64-row tiles (the last one short at n = 150), W has the
+        bytes of the whole-matrix ``(cos + cos.T) / 2`` form."""
+        rng = np.random.default_rng(n)
+        feats = rng.standard_normal((3 * n, 5))
+        labels = np.arange(3 * n) % n
+        with mock.patch.object(_util, "ROW_BLOCK_ELEMS", 0):
+            w = similarity_from_class_means(feats, labels, n).weights
+        assert w.tobytes() == class_mean_similarity_masked(feats, labels, n).tobytes()
+
+
 class TestSimilarityGraphValidation:
     def test_rejects_asymmetry(self):
         w = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             SimilarityGraph(w)
+
+    @pytest.mark.parametrize("i, j", [(0, 149), (149, 0), (70, 140), (100, 63)])
+    def test_rejects_asymmetry_in_any_tile(self, i, j):
+        """The tile-by-tile check sees one asymmetric pair anywhere,
+        across 64-row tiles."""
+        w = random_similarity(150, 0).weights.copy()
+        w[i, j] += 0.25
+        with mock.patch.object(_util, "ROW_BLOCK_ELEMS", 0):
+            with pytest.raises(ValueError, match="symmetric"):
+                SimilarityGraph(w)
 
     def test_rejects_negative_weights(self):
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
