@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import Field, dataclass, fields
 
@@ -421,8 +422,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser --
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads ``-1e3``, ``-inf`` and ``-nan`` as
+    values, as it reads ``-1``: a token is an option name unless it goes on
+    from the sign with a digit, ``.`` and a digit, ``inf`` or ``nan``, as no
+    ``ecoc`` option does.  ``add_subparsers`` makes parsers of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecoc",
         description="Code-matrix generation, training, and analysis for "
         "low-dimensional class embeddings.",

@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _util
 from ._util import atomic_write, block_rows, check_seed, format_rows, parse_rows, read_lines
 
 
@@ -133,6 +134,11 @@ def one_hot(n: int) -> CodeMatrix:
 
 
 def _rows_distinct(values: np.ndarray) -> bool:
+    """Whether no two rows are equal.  Distinct first-column entries decide
+    it at once; only a tie there takes the row sort of ``np.unique``."""
+    first = np.sort(values[:, 0])
+    if (first[1:] != first[:-1]).all():
+        return True
     return np.unique(values, axis=0).shape[0] == values.shape[0]
 
 
@@ -167,25 +173,39 @@ def dense_candidate_stream(
     against the exact list the generator saw.  A negative ``seed`` raises
     at the call, before any draw.
     """
-    return _pm1_candidates(n, k, candidates, seed, np.float64)
+    blocks = _pm1_candidates(n, k, candidates, seed, np.float64)
+    return (cand for block in blocks for cand in block)
 
 
 def _pm1_candidates(
     n: int, k: int, candidates: int, seed: int, dtype: type
 ) -> Iterator[np.ndarray]:
-    """dense_candidate_stream's draws as ``dtype``; checks ``seed`` at once."""
+    """dense_candidate_stream's draws as ``dtype``, in ``(b, n, k)`` blocks
+    of ``b = max(1, ROW_BLOCK_ELEMS // (n k))`` candidates (the last block
+    may be shorter); checks ``seed`` at once.
+
+    One ``integers`` call per block draws the same entries as one call per
+    candidate: each entry takes one 32-bit output of the generator, and
+    PCG64 keeps the spare half of a 64-bit output across calls, so the
+    stream does not depend on where the blocks end, even for odd ``n k``.
+    """
     check_seed(seed)
     rng = np.random.default_rng(seed)
     levels = np.array([-1.0, 1.0], dtype=dtype)
-    return (levels.take(rng.integers(0, 2, size=(n, k))) for _ in range(candidates))
+    per = max(1, _util.ROW_BLOCK_ELEMS // (n * k))
+    return (
+        levels.take(rng.integers(0, 2, size=(min(per, candidates - lo), n, k)))
+        for lo in range(0, candidates, per)
+    )
 
 
 # float32 holds every integer of magnitude below 2**24 exactly.
 _FLOAT32_EXACT = 2**24
 
 
-def _min_row_hamming(values: np.ndarray, signs: bool = False) -> int:
-    """Minimum pairwise Hamming distance between sign patterns of rows.
+def _min_row_hamming(values: np.ndarray, signs: bool = False) -> np.ndarray:
+    """Minimum pairwise Hamming distance between sign patterns of rows, for
+    each matrix of a ``(b, m, k)`` stack, as an int64 array of ``b``.
 
     With sign rows ``s`` and their nonzero masks ``P`` (row sums ``p``),
     twice the agreement count of rows i and j is
@@ -197,12 +217,12 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> int:
     largest off-diagonal agreement.  With ``signs`` set, ``values`` already
     holds only -1, 0 and +1 and is its own sign matrix.
 
-    The Gram is taken in row blocks (:func:`block_rows`), each against the
-    rows at or after it, so every pair is scored once and memory grows with
-    block * n; the integer terms make the result the same at any block
-    size.
+    The Grams are taken in row blocks of ``block_rows(b m)`` rows, each
+    against the rows at or after it, so every pair is scored once and
+    memory grows with block * b * m; the integer terms make the result the
+    same at any block size.
     """
-    m, k = values.shape
+    b, m, k = values.shape
     dtype = np.float32 if 8 * k < _FLOAT32_EXACT else np.float64
     if signs:
         s = values.astype(dtype, copy=False)
@@ -211,20 +231,21 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> int:
     both = None
     if not s.all():
         nonzero = s != 0
-        p = nonzero.sum(axis=1, dtype=dtype)
+        p = nonzero.sum(axis=2, dtype=dtype)
         both = nonzero.astype(dtype)
-    step = block_rows(m)
-    top = -2.0 - k
-    for lo in range(0, m, step):
+    step = block_rows(b * m)
+    tops = np.empty((-(-m // step), b), dtype)  # each block's largest entry per matrix
+    for j, lo in enumerate(range(0, m, step)):
         rows = slice(lo, lo + step)
-        gram = s[rows] @ s[lo:].T  # becomes 2 * agreement - k
+        gram = s[:, rows] @ s[:, lo:].transpose(0, 2, 1)  # becomes 2 * agreement - k
         if both is not None:
-            gram += 3 * (both[rows] @ both[lo:].T) - 2 * p[rows, None] - 2 * p[lo:] + k
-        # agreement -1 on the block's own diagonal: a single row scores
-        # k + 1, as no pair
-        np.fill_diagonal(gram, -2.0 - k)
-        top = max(top, float(gram.max()))
-    return int(k - top) // 2
+            gram += (3 * (both[:, rows] @ both[:, lo:].transpose(0, 2, 1))
+                     - 2 * p[:, rows, None] - 2 * p[:, None, lo:] + k)
+        # agreement -1 on each block's own diagonal (np.fill_diagonal per
+        # matrix): a single row scores k + 1, as no pair
+        gram.reshape(b, -1)[:, :: gram.shape[2] + 1] = -2.0 - k
+        gram.max(axis=(1, 2), out=tops[j])
+    return (k - tops.max(axis=0).astype(np.int64)) // 2
 
 
 def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
@@ -306,13 +327,13 @@ def dense_random_code(
     # only for candidates that reach the best Hamming distance so far.
     best: tuple[int, float] | None = None
     best_values: np.ndarray | None = None
-    for cand in _pm1_candidates(n, k, candidates, seed, dtype):
-        h = _min_row_hamming(cand, signs=True)
-        if h < 1 or (best is not None and -h > best[0]):
-            continue
-        key = (-h, _max_abs_pair_cosine(cand.T))
-        if best is None or key < best:
-            best, best_values = key, cand
+    for block in _pm1_candidates(n, k, candidates, seed, dtype):
+        for cand, h in zip(block, _min_row_hamming(block, signs=True).tolist()):
+            if h < 1 or (best is not None and -h > best[0]):
+                continue
+            key = (-h, _max_abs_pair_cosine(cand.T))
+            if best is None or key < best:
+                best, best_values = key, cand
     if best_values is None:
         raise CodeGenerationError(
             f"no candidate out of {candidates} had distinct rows (n={n}, k={k})"
@@ -344,7 +365,9 @@ def binarize(code: CodeMatrix, strategy: Binarization) -> CodeMatrix:
     else:
         medians = np.median(code.values, axis=1, keepdims=True)
         values = np.where(code.values >= medians, 1.0, -1.0)
-    if not _rows_distinct(values):
+    # +-1 rows are equal exactly when their packed sign bits are: a row
+    # sort of n x ceil(k / 8) bytes, not an n x n Gram
+    if not _rows_distinct(np.packbits(values > 0, axis=1)):
         if strategy is Binarization.MEDIAN and code.kind is CodeKind.DENSE_RANDOM:
             raise BinarizationCollisionError(
                 "median thresholding collapsed two codewords: a dense code's "
@@ -378,7 +401,7 @@ def code_metrics(code: CodeMatrix) -> CodeMetrics:
     still correlates perfectly with its negation.
     """
     return CodeMetrics(
-        min_row_hamming=_min_row_hamming(code.values),
+        min_row_hamming=int(_min_row_hamming(code.values[None])[0]),
         max_abs_row_corr=_max_abs_pair_cosine(code.values),
         max_abs_col_corr=_max_abs_pair_cosine(code.values.T),
         column_balance=code.values.mean(axis=0),

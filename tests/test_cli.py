@@ -445,6 +445,20 @@ class TestTrain:
         name = key.removeprefix("synth_")
         assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value}\n"
 
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--class-sep"])
+    @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-1e3", "-1000.0"),
+                                              ("-Infinity", "-inf"), ("-nan", "nan")])
+    def test_negative_number_spellings_reach_the_range_check(self, tmp_path, capsys, flag,
+                                                             value, shown):
+        """argparse would read ``-inf`` and ``-1e3`` as option names; they
+        are values, and the range check names the parameter."""
+        out = os.path.join(tmp_path, "data.csv")
+        assert main(["synth-data", "--depth", "1", "--branching", "2", flag, value,
+                     "--out", out]) == 2
+        name = flag.removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {shown}\n"
+        assert not os.path.exists(out)
+
     def test_label_beyond_int64_exits_2(self, tmp_path, capsys):
         data = os.path.join(tmp_path, "data.csv")
         with open(data, "w") as fh:

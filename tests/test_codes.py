@@ -438,7 +438,7 @@ def test_sign_gram_metrics_equal_matrix_oracles(m, k, kind, degenerate_rows, see
         hamming, cosine = min_row_hamming_one_hot(v), max_abs_pair_cosine_triu(v)
         for rows in blockings(v.shape[0]):
             with row_blocks(rows, v.shape[0]):
-                assert codes._min_row_hamming(v) == hamming
+                assert codes._min_row_hamming(v[None]).tolist() == [hamming]
                 got = codes._max_abs_pair_cosine(v)
             if rows is None or _unit_entries(v):
                 assert got == cosine
@@ -585,8 +585,9 @@ def test_sign_gram_hamming_exact_in_both_precisions(monkeypatch, kind, float64_b
             expected = min_row_hamming_one_hot(v)
             for rows in blockings(v.shape[0]):
                 with row_blocks(rows, v.shape[0]):
-                    assert codes._min_row_hamming(v) == expected
-                    assert codes._min_row_hamming(np.sign(v), signs=True) == expected
+                    assert codes._min_row_hamming(v[None]).tolist() == [expected]
+                    signs = np.sign(v)[None]
+                    assert codes._min_row_hamming(signs, signs=True).tolist() == [expected]
 
 
 @pytest.mark.parametrize("kind", ["pm1", "signs"])
@@ -600,7 +601,7 @@ def test_sign_gram_hamming_exact_at_float32_limit(kind, k):
         flip = rng.choice(k, size=10 + i, replace=False)
         rows[i, flip] = -rows[i, flip]
     rows[2, :7] = 0.0
-    assert codes._min_row_hamming(rows) == min_row_hamming_brute(rows)
+    assert codes._min_row_hamming(rows[None]).tolist() == [min_row_hamming_brute(rows)]
 
 
 def _same(a: float, b: float) -> bool:
@@ -638,3 +639,120 @@ def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
                         assert _same(got, expected)
                     else:
                         assert _close(got, expected)
+
+
+@pytest.mark.parametrize(
+    "n, k, count, budget, sizes",
+    [
+        (3, 5, 7, 2 * 15 + 14, [2, 2, 2, 1]),  # odd n k; the budget rounds down
+        (5, 5, 9, 4 * 25, [4, 4, 1]),
+        (4, 6, 8, 4 * 24, [4, 4]),  # the last block ends on the last candidate
+        (9, 9, 5, 81, [1] * 5),  # one candidate a block, odd n k
+        (33, 40, 3, 1000, [1] * 3),  # a candidate above the budget: still one a block
+    ],
+)
+def test_candidate_blocks_equal_one_draw_per_candidate(monkeypatch, n, k, count, budget, sizes):
+    """Blocks of ``ROW_BLOCK_ELEMS // (n k)`` candidates (at least one) hold,
+    in order, the entries one ``integers(0, 2, (n, k))`` call per candidate
+    draws, across every block edge; dense_candidate_stream yields them one
+    float64 candidate at a time."""
+    monkeypatch.setattr(_util, "ROW_BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(13)
+    expected = np.stack([rng.integers(0, 2, size=(n, k)) * 2.0 - 1.0 for _ in range(count)])
+    blocks = list(codes._pm1_candidates(n, k, count, 13, np.float32))
+    assert [len(b) for b in blocks] == sizes
+    assert all(b.dtype == np.float32 and b.shape[1:] == (n, k) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), expected)
+    stream = list(dense_candidate_stream(n, k, count, seed=13))
+    assert all(c.dtype == np.float64 and c.shape == (n, k) for c in stream)
+    assert np.array_equal(np.stack(stream), expected)
+
+
+def test_candidate_blocks_stay_within_the_block_budget():
+    """At codegen's 100 x 66 a block holds 9 candidates, 59 400 entries."""
+    blocks = codes._pm1_candidates(100, 66, 20, 0, np.float32)
+    assert [b.shape for b in blocks] == [(9, 100, 66), (9, 100, 66), (2, 100, 66)]
+    assert 9 * 100 * 66 <= _util.ROW_BLOCK_ELEMS < 10 * 100 * 66
+
+
+@pytest.mark.parametrize("kind", ["pm1", "signs"])
+@pytest.mark.parametrize("b, m, k", [(1, 5, 3), (4, 7, 5), (6, 2, 1), (3, 40, 33), (5, 1, 4)])
+def test_stacked_hamming_equals_each_matrix(kind, b, m, k):
+    """A (b, m, k) stack gives each matrix's own distance, as an int64
+    array, at the default blocks and at one-row blocks, with and without
+    zero signs; a matrix whose rows repeat scores 0."""
+    rng = np.random.default_rng(b * 100 + m)
+    stack = np.stack([_sign_rows(rng, m, k, kind) for _ in range(b)])
+    if m > 1:
+        stack[0, 1] = stack[0, 0]
+    expected = [min_row_hamming_one_hot(v) for v in stack]
+    for rows in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(_util, "_ROW_QUANTUM", 1)
+                mp.setattr(_util, "ROW_BLOCK_ELEMS", b * m)
+                assert _util.block_rows(b * m) == 1
+            got = codes._min_row_hamming(stack)
+            signed = codes._min_row_hamming(np.sign(stack).astype(np.float32), signs=True)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert signed.tolist() == expected
+        if m > 1:
+            assert expected[0] == 0
+
+
+@pytest.mark.parametrize("k", [21, 24])
+def test_binarize_collision_found_through_packed_signs(k):
+    """Two rows far apart with the same signs but other magnitudes
+    collide; a code whose rows differ only in their last sign (in the
+    last packed byte, beside its zero padding when k is not a multiple of
+    8) does not."""
+    values = gaussian_code(200, k, seed=3).values.copy()
+    values[171] = values[5] * 2.0
+    flipped = values.copy()
+    flipped[171, -1] = -flipped[171, -1]
+    with pytest.raises(BinarizationCollisionError, match="zero thresholding collapsed"):
+        binarize(CodeMatrix(values), Binarization.ZERO)
+    assert binarize(CodeMatrix(flipped), Binarization.ZERO).n == 200
+
+
+def test_rows_distinct_sorts_rows_only_on_a_first_column_tie(monkeypatch):
+    """Distinct first entries decide at once; a tie there (also -0.0
+    against 0.0) takes np.unique's row sort, which tells equal rows from
+    rows that differ further on."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    assert codes._rows_distinct(np.array([[0.5, 1.0], [0.25, 1.0], [-3.0, 1.0]]))
+    assert calls == []
+    assert codes._rows_distinct(np.array([[0.5, 1.0], [0.5, 2.0], [-3.0, 1.0]]))
+    assert not codes._rows_distinct(np.array([[0.5, 1.0], [-3.0, 1.0], [0.5, 1.0]]))
+    assert not codes._rows_distinct(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    assert len(calls) == 3
+
+
+def test_gaussian_code_retries_a_seed_with_equal_rows(monkeypatch):
+    """A draw found to repeat a row moves on to the next seed."""
+    verdicts = iter([False, True])
+    monkeypatch.setattr(codes, "_rows_distinct", lambda values: next(verdicts))
+    code = gaussian_code(6, 3, seed=4)
+    assert np.array_equal(code.values, np.random.default_rng(5).standard_normal((6, 3)))
+    monkeypatch.setattr(codes, "_rows_distinct", lambda values: False)
+    with pytest.raises(CodeGenerationError, match="seeds 4..14"):
+        gaussian_code(6, 3, seed=4)
+
+
+@pytest.mark.parametrize("per", [1, 7, 300])
+def test_selection_same_at_any_candidate_block(monkeypatch, per):
+    """The sequential tie-break (Hamming, then column cosine, then index)
+    carries across block edges: the choice is the brute-force one whether
+    blocks hold 1, 7 or all candidates."""
+    n, k, count, seed = 16, 8, 300, 0
+    monkeypatch.setattr(_util, "ROW_BLOCK_ELEMS", per * n * k)
+    best = None
+    for idx, cand in enumerate(dense_candidate_stream(n, k, count, seed=seed)):
+        h = min_row_hamming_brute(cand)
+        key = (-h, max_abs_col_cosine_brute(cand), idx)
+        if h >= 1 and (best is None or key < best[0]):
+            best = (key, cand)
+    code = dense_random_code(n, k, candidates=count, seed=seed)
+    assert np.array_equal(code.values, best[1])

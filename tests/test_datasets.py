@@ -233,6 +233,32 @@ class TestDataCsv:
         with pytest.raises(ValueError, match="label"):
             load_csv(path)
 
+    def test_labels_take_every_int_spelling(self, tmp_path):
+        """Padding, signs, underscores, leading zeros and non-ASCII digits,
+        as ``int()`` reads them."""
+        spellings = [" 3", "+1\t", "0_2", "007", "\u0663", "\u20035\u2003", "-0"]
+        path = os.path.join(tmp_path, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{label},1.5\n" for label in spellings)
+        assert load_csv(path, n=8).labels.tolist() == [int(t) for t in spellings]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("0,1.0\n1\n2.0,1.0\n", 2, "need a label and at least one feature"),
+        ("0,1.0\n2.0,1.0\n1\n", 2, "label must be an integer"),
+        ("0,1.0\n1,1.0\n5\x00,1.0\n", 3, "label must be an integer"),
+        ("0,1.0\n1__0,1.0\n", 2, "label must be an integer"),
+        ("0,1.0\n,1.0\n", 2, "label must be an integer"),
+        ("0,1.0\n9223372036854775808,1.0\nx,1.0\n", 2, "label does not fit in int64"),
+        ("0,1.0\n-9223372036854775809,1.0\n", 2, "label does not fit in int64"),
+    ])
+    def test_first_bad_label_line_is_named(self, tmp_path, text, line, message):
+        path = os.path.join(tmp_path, "data.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_empty_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "data.csv")
         open(path, "w").close()

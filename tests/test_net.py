@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ecoc import decoder
+from ecoc import _util, decoder
 from ecoc.codes import Binarization, binarize, dense_random_code, gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
@@ -586,6 +586,61 @@ class TestSoftmaxEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < bound
+
+
+class TestDecoderEvaluation:
+    """The decoder head's evaluation pass takes its losses block_rows(n)
+    rows at a time through batch_loss_grad, and its predictions in one
+    predict_batch call."""
+
+    @pytest.mark.parametrize("s, n, k", [(1, 3, 2), (200, 1024, 9), (1300, 100, 7), (128, 1024, 5)])
+    def test_chunks_equal_one_whole_split_call(self, s, n, k):
+        """Bit for bit the loss and accuracy of one call over the whole
+        split, whether the split is one chunk, ends in a short one or ends
+        on a chunk edge."""
+        rng = np.random.default_rng(s + n)
+        p = init([6, k], seed=2)
+        x = rng.standard_normal((s, 6))
+        ys = rng.integers(0, n, size=s)
+        code = gaussian_code(n, k, seed=3)
+        z, _ = _forward_batch(p, x)
+        losses, _, _ = batch_loss_grad(z, code, ys)
+        preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
+        ref = (float(losses.sum() / s), np.count_nonzero(preds == ys) / s)
+        assert repr(_epoch_metrics(p, x, ys, "decoder", code, 0, "eval")) == repr(ref)
+
+    def test_zero_output_in_a_later_chunk_names_the_split_row(self):
+        n = 1024
+        assert _util.block_rows(n) == 64
+        p = init([4, 6], seed=0)
+        p = NetParams([(w, np.zeros_like(b)) for w, b in p.layers])
+        x = np.random.default_rng(1).standard_normal((200, 4))
+        x[150] = 0.0
+        with pytest.raises(ZeroOutputError) as err:
+            _epoch_metrics(p, x, np.arange(200), "decoder", gaussian_code(n, 6, seed=1), 2, "eval")
+        assert (err.value.epoch, err.value.where, err.value.row) == (2, "eval", 150)
+
+    def test_memory_grows_with_block_not_split(self):
+        """4096 rows at n = 1024 hold the forward pass and a few block-sized
+        (rows, n) buffers; a whole-split (4096, n) probability array alone
+        would take 32 MB."""
+        s, n = 4096, 1024
+        p = init([8, 16, 16], seed=0)
+        x = np.random.default_rng(0).standard_normal((s, 8))
+        ys = np.arange(s) % n
+        code = gaussian_code(n, 16, seed=0)
+        z, cache = _forward_batch(p, x)
+        bound = z.nbytes + sum(a.nbytes for a in cache[1:]) + 4 * _util.block_rows(n) * n * 8
+        del z, cache
+        _epoch_metrics(p, x, ys, "decoder", code, 0, "eval")  # memoizes the decoding matrix
+        tracemalloc.start()
+        try:
+            _epoch_metrics(p, x, ys, "decoder", code, 0, "eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound < s * n  # an eighth of the whole-split (s, n) float64 array
         assert peak < bound
 
 
