@@ -6,6 +6,8 @@ train a small network against it with a distance-decoder softmax head, and
 analyze what the learned bits encode.
 """
 
+from types import ModuleType as _ModuleType
+
 from .codes import (
     Binarization,
     BinarizationCollisionError,
@@ -73,57 +75,8 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Binarization",
-    "BinarizationCollisionError",
-    "CodeGenerationError",
-    "CodeKind",
-    "CodeMatrix",
-    "CodeMetrics",
-    "ConfusionMatrix",
-    "ConvergenceError",
-    "Dataset",
-    "EigenDecomposition",
-    "MetricsRow",
-    "NetParams",
-    "SimilarityGraph",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "ZeroOutputError",
-    "attribute_correlation",
-    "batch_loss_grad",
-    "binarize",
-    "bit_ablation",
-    "code_metrics",
-    "confusion",
-    "decoding_matrix",
-    "default_code_length",
-    "dense_random_code",
-    "gaussian_code",
-    "init",
-    "load_attributes_csv",
-    "load_code_csv",
-    "load_csv",
-    "load_model",
-    "load_similarity_csv",
-    "net_outputs",
-    "normalized_laplacian",
-    "one_hot",
-    "pcc",
-    "predict_batch",
-    "save_ablation_csv",
-    "save_attributes_csv",
-    "save_code_csv",
-    "save_confusion_csv",
-    "save_correlation_csv",
-    "save_csv",
-    "save_metrics",
-    "save_model",
-    "save_similarity_csv",
-    "similarity_from_class_means",
-    "spectral_code",
-    "split",
-    "symmetric_eigen",
-    "synth_hierarchical",
-    "train",
-]
+# The names imported above, not the submodules: the one list of public names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

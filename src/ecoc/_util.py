@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic and forked file writes, float formatting, CSV rows."""
+"""Small shared helpers: row normalization, atomic and forked file writes,
+float formatting, CSV rows."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+# Rows whose L2 norm is at or below this cannot be normalized.
+EPS_NORM = 1e-12
 # Elements per block of row-blocked work (format_rows, block_rows); bounds
 # its temporaries.
 ROW_BLOCK_ELEMS = 1 << 16
@@ -34,6 +37,42 @@ def block_rows(n: int) -> int:
     """
     rows = ROW_BLOCK_ELEMS // max(1, n) // _ROW_QUANTUM * _ROW_QUANTUM
     return max(_ROW_QUANTUM, rows)
+
+
+def unit_rows(z: np.ndarray, noun: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of z divided by its L2 norm, plus the norms.
+
+    Rejects with ValueError (near-)zero rows, and rows whose norm is not
+    finite: rows holding inf or NaN, and finite rows whose squares overflow
+    (entries above about 1e154), which would divide to zero.  Given
+    ``noun`` (say ``"codewords"``), the message ends by naming the rows,
+    as ``(codewords [2, 5])``.  Whether the overflow also warns is left to
+    the caller's ``np.errstate``: the training loop sets it once, not per
+    batch.
+    """
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
+    zero = norms <= EPS_NORM
+    if zero.any():
+        _reject_rows("cannot normalize a zero vector", zero, noun)
+    # a finite norm is below 2**512, so the sum is finite only if each is
+    if not np.isfinite(np.add.reduce(norms)):
+        _reject_rows("cannot normalize a vector whose norm is not finite", ~np.isfinite(norms), noun)
+    return z / norms[:, None], norms
+
+
+def _reject_rows(message: str, bad: np.ndarray, noun: str | None) -> None:
+    """Raise ValueError ``message``, naming the ``bad`` rows after ``noun``."""
+    if noun is not None:
+        message += f" ({noun} {np.flatnonzero(bad).tolist()})"
+    raise ValueError(message)
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only.  For a fresh array handed to a frozen
+    dataclass, which keeps a read-only array as it is and copies a
+    writable one."""
+    a.setflags(write=False)
+    return a
 
 
 def check_seed(seed: int, name: str = "seed") -> None:

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _util
-from ._util import atomic_write, block_rows, check_seed, format_rows, parse_rows, read_lines
+from ._util import atomic_write, block_rows, check_seed, format_rows, frozen, parse_rows, read_lines
 
 
 class CodeKind(Enum):
@@ -52,7 +52,9 @@ class CodeMatrix:
     Parameters
     ----------
     values : ndarray
-        Shape ``(n, k)``, finite, float64.
+        Shape ``(n, k)``, finite, float64.  Kept read-only: a writable
+        array is copied, so the caller's stays writable, and a read-only
+        one is kept as it is.
     kind : CodeKind
         Construction strategy.
     binarization : Binarization
@@ -95,7 +97,8 @@ class CodeMatrix:
         if self.binarization is not Binarization.RAW:
             if not np.isin(values, (-1.0, 1.0)).all():
                 raise ValueError("binarized code values must be -1 or +1")
-        values.setflags(write=False)
+        if values.flags.writeable:  # the caller's own array: keep a read-only copy
+            values = frozen(values.copy())
         object.__setattr__(self, "values", values)
 
     @property
@@ -130,7 +133,7 @@ def one_hot(n: int) -> CodeMatrix:
     """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
-    return CodeMatrix(np.eye(n), kind=CodeKind.ONE_HOT, binarization=Binarization.RAW)
+    return CodeMatrix(frozen(np.eye(n)), kind=CodeKind.ONE_HOT, binarization=Binarization.RAW)
 
 
 def _rows_distinct(values: np.ndarray) -> bool:
@@ -157,7 +160,7 @@ def gaussian_code(n: int, k: int, seed: int = 0) -> CodeMatrix:
         rng = np.random.default_rng(seed + attempt)
         values = rng.standard_normal((n, k))
         if _rows_distinct(values):
-            return CodeMatrix(values, kind=CodeKind.GAUSSIAN)
+            return CodeMatrix(frozen(values), kind=CodeKind.GAUSSIAN)
     raise CodeGenerationError(
         f"duplicate rows persisted for seeds {seed}..{seed + 10} (n={n}, k={k})"
     )
@@ -379,7 +382,7 @@ def binarize(code: CodeMatrix, strategy: Binarization) -> CodeMatrix:
             f"{strategy.value} thresholding collapsed two codewords; "
             "use raw values or more bits"
         )
-    return CodeMatrix(values, kind=code.kind, binarization=strategy)
+    return CodeMatrix(frozen(values), kind=code.kind, binarization=strategy)
 
 
 @dataclass(frozen=True)
@@ -443,4 +446,4 @@ def load_code_csv(path: str) -> CodeMatrix:
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} codeword rows, found {len(body)}")
     values = parse_rows(path, body, 2, "code", k)
-    return CodeMatrix(values, kind=kind, binarization=binarization)
+    return CodeMatrix(frozen(values), kind=kind, binarization=binarization)

@@ -21,34 +21,30 @@ from __future__ import annotations
 import numpy as np
 
 from . import _util
+from ._util import unit_rows
 from .codes import CodeMatrix
-
-EPS_NORM = 1e-12
 
 
 def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     """The codeword matrix the decoder actually measures distances against.
 
-    Rows are L2-normalized for raw gaussian and spectral codes
-    (``code.normalize_rows``, fixed by the code's kind and binarization), so
-    each class can reach the same best score; other codes are decoded as
-    stored.  The result is read-only and memoized on ``code`` (frozen, with
-    read-only values), so later calls return the same array; its squared
-    row norms are memoized beside it (:func:`_sq_norms`).
+    Rows are L2-normalized (:func:`unit_rows`) for raw gaussian and
+    spectral codes (``code.normalize_rows``, fixed by the code's kind and
+    binarization), so each class can reach the same best score; other codes
+    are decoded as stored.  A zero codeword, or one whose norm overflows,
+    raises ValueError naming the rows.  The result is read-only and
+    memoized on ``code`` (frozen, with read-only values), so later calls
+    return the same array; its squared row norms are memoized beside it
+    (:func:`_sq_norms`).
     """
     m = code.__dict__.get("_decoding_matrix")
     if m is not None:
         return m
     m = code.values
     if code.normalize_rows:
-        norms = np.linalg.norm(m, axis=1)
-        if (norms <= EPS_NORM).any():
-            bad = np.flatnonzero(norms <= EPS_NORM)
-            raise ValueError(f"zero-norm codewords cannot be normalized: rows {bad.tolist()}")
-        m = m / norms[:, None]
-        m.setflags(write=False)
-    mm = np.einsum("ij,ij->i", m, m)
-    mm.setflags(write=False)
+        with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
+            m = _util.frozen(unit_rows(m, "codewords")[0])
+    mm = _util.frozen(np.einsum("ij,ij->i", m, m))
     object.__setattr__(code, "_decoding_sq_norms", mm)
     object.__setattr__(code, "_decoding_matrix", m)
     return m
@@ -58,20 +54,6 @@ def _sq_norms(code: CodeMatrix) -> np.ndarray:
     """Squared row norms of ``decoding_matrix(code)``, memoized beside it;
     call :func:`decoding_matrix` first."""
     return code.__dict__["_decoding_sq_norms"]
-
-
-def unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of z divided by its L2 norm, plus the norms.  Rejects
-    (near-)zero rows, and rows whose norm is not finite: rows holding inf
-    or NaN, and finite rows whose squares overflow (entries above about
-    1e154), which would divide to zero."""
-    norms = np.sqrt(np.add.reduce(z * z, axis=1))
-    if (norms <= EPS_NORM).any():
-        raise ValueError("cannot normalize a zero vector")
-    # a finite norm is below 2**512, so the sum is finite only if each is
-    if not np.isfinite(np.add.reduce(norms)):
-        raise ValueError("cannot normalize a vector whose norm is not finite")
-    return z / norms[:, None], norms
 
 
 def _distance_scores(
@@ -96,43 +78,40 @@ def _distance_scores(
     return d
 
 
-def softmax_ce_in_place(
-    scores: np.ndarray, ys: np.ndarray, g: np.ndarray | None = None
-) -> np.ndarray:
+def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) -> np.ndarray:
     """Softmax cross-entropy of score rows against labels, in place.
 
-    Returns the per-row loss ``-log probs[y]``.  With ``g`` (same shape as
-    ``scores``, or ``scores`` itself), overwrites ``scores`` with the
-    max-shifted softmax probabilities and ``g`` with the loss gradient
-    w.r.t. the scores, ``probs - e_y``.  Without it, computes the loss
-    alone: ``scores`` is left holding the shifted exponentials, and only
-    the true class's entry of each row is divided by the row sum, the same
-    division the full normalization does, so the loss has the same bits.
+    Returns the per-row loss ``-log probs[y]``.  With ``grad``, overwrites
+    ``scores`` with the loss gradient w.r.t. the scores, ``probs - e_y``,
+    from the max-shifted softmax probabilities.  Without it, computes the
+    loss alone: ``scores`` is left holding the shifted exponentials, and
+    only the true class's entry of each row is divided by the row sum, the
+    same division the full normalization does, so the loss has the same
+    bits.
     """
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
     sums = np.add.reduce(scores, axis=1, keepdims=True)
     idx = np.arange(scores.shape[0])
-    if g is None:
+    if not grad:
         return -np.log(scores[idx, ys] / sums[:, 0])
     scores /= sums
     picked = scores[idx, ys]
-    if g is not scores:
-        np.copyto(g, scores)
-    g[idx, ys] -= 1.0
+    scores[idx, ys] -= 1.0
     return -np.log(picked)
 
 
 def batch_loss_grad(
     z: np.ndarray, code: CodeMatrix, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized forward+backward over a batch.
 
-    Returns (losses, probs, grads): per-sample loss (s,), probabilities
-    (s, n), and loss gradients w.r.t. each z row (s, k); each row depends
-    on that row of z alone.  Works through row blocks
-    (:func:`_util.block_rows`) in place: besides the returned arrays, memory
-    is one block-sized (rows, n) buffer and one (s, k) temporary.
+    Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
+    each z row (s, k); each row depends on that row of z alone.  Works
+    through row blocks (:func:`_util.block_rows`) in place: besides the
+    returned arrays and the unit rows, memory is two block-sized (rows, n)
+    buffers, the scores that become ``probs - e_y`` and their norm term,
+    and one (rows, k) temporary.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -147,24 +126,24 @@ def batch_loss_grad(
         raise ValueError(f"labels out of range for {n} classes")
     u, norms = unit_rows(z)
     mm = _sq_norms(code)
-    probs = np.empty((s, n))
     losses = np.empty(s)
-    # d loss / d u = g @ m, radially projected and rescaled below
     grads = np.empty((s, k))
     step = _util.block_rows(n)
-    g = np.empty((min(s, step), n))
+    scores = np.empty((min(s, step), n))
+    scratch = np.empty_like(scores)
     for start in range(0, s, step):
         rows = slice(start, start + step)
-        p = probs[rows]
-        gb = g[: p.shape[0]]
-        _distance_scores(u[rows], m, mm, out=p, scratch=gb)
-        losses[rows] = softmax_ce_in_place(p, ys[rows], gb)
-        np.matmul(gb, m, out=grads[rows])
-    t = grads * u
-    radial = np.add.reduce(t, axis=1)
-    grads -= np.multiply(radial[:, None], u, out=t)
-    grads /= norms[:, None]
-    return losses, probs, grads
+        ub = u[rows]
+        g = scores[: len(ub)]
+        _distance_scores(ub, m, mm, out=g, scratch=scratch[: len(ub)])
+        losses[rows] = softmax_ce_in_place(g, ys[rows], grad=True)
+        # d loss / d u = g @ m, radially projected and rescaled
+        a = np.matmul(g, m, out=grads[rows])
+        t = a * ub
+        radial = np.add.reduce(t, axis=1)
+        a -= np.multiply(radial[:, None], ub, out=t)
+        a /= norms[rows, None]
+    return losses, grads
 
 
 def predict_batch(z: np.ndarray, m: np.ndarray) -> np.ndarray:

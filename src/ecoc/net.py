@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write, block_rows, check_seed, fmt_float
+from ._util import EPS_NORM, atomic_write, block_rows, check_seed, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import EPS_NORM, batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
+from .decoder import batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
 
 GRAD_ACTIVE_EPS = 1e-8
 
@@ -262,7 +262,7 @@ def _head_loss_grad(
     """
     if head == "decoder":
         try:
-            losses, _, grads = batch_loss_grad(z, code, ys)
+            return batch_loss_grad(z, code, ys)
         except ValueError:
             norms = np.linalg.norm(z, axis=1)
             zero = np.flatnonzero(norms <= EPS_NORM)
@@ -271,9 +271,8 @@ def _head_loss_grad(
             if not np.isfinite(norms).all():
                 raise TrainingDivergedError(epoch) from None
             raise
-        return losses, grads
     grads = z.copy()
-    return softmax_ce_in_place(grads, ys, grads), grads
+    return softmax_ce_in_place(grads, ys, grad=True), grads
 
 
 def _epoch_metrics(

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, block_rows, format_rows, parse_rows, read_lines
+from ._util import atomic_write, block_rows, format_rows, frozen, parse_rows, read_lines, unit_rows
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import label_blocks
 
@@ -46,7 +46,9 @@ class SimilarityGraph:
     """Symmetric non-negative class-similarity matrix with zero diagonal.
 
     Every node must have strictly positive degree (row sum), since the
-    normalized Laplacian rescales by inverse square-root degrees.
+    normalized Laplacian rescales by inverse square-root degrees.  The
+    weights are kept read-only: a writable array is copied, so the
+    caller's stays writable, and a read-only one is kept as it is.
     """
 
     weights: np.ndarray
@@ -68,7 +70,8 @@ class SimilarityGraph:
         if (w.sum(axis=1) <= 0).any():
             isolated = np.flatnonzero(w.sum(axis=1) <= 0)
             raise ValueError(f"nodes with zero degree: {isolated.tolist()}")
-        w.setflags(write=False)
+        if w.flags.writeable:  # the caller's own array: keep a read-only copy
+            w = frozen(w.copy())
         object.__setattr__(self, "weights", w)
 
     @property
@@ -91,7 +94,8 @@ def similarity_from_class_means(
     """Cosine similarity of per-class mean features, mapped to [0, 1].
 
     ``weights[i][j] = (1 + cos(mean_i, mean_j)) / 2`` off the diagonal, zero
-    on it.  Every class 0..n-1 needs at least one sample and a nonzero mean;
+    on it.  Every class 0..n-1 needs at least one sample and a mean with a
+    nonzero, finite norm (:func:`unit_rows` names the classes that fail);
     one stable sort by label finds each class's rows, in ``labels == c`` order.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -106,11 +110,8 @@ def similarity_from_class_means(
     means = np.empty((n, features.shape[1]))
     for c, (start, end) in enumerate(zip(bounds, bounds[1:])):
         means[c] = features[order[start:end]].mean(axis=0)
-    norms = np.linalg.norm(means, axis=1)
-    if (norms <= 1e-12).any():
-        bad = np.flatnonzero(norms <= 1e-12)
-        raise ValueError(f"zero-norm class means for classes {bad.tolist()}")
-    unit = means / norms[:, None]
+    with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
+        unit, _ = unit_rows(means, "class means")
     # W is built in the Gram's own buffer.  Each mirror-image pair of tiles
     # becomes (a + b.T) / 2, written to both, so W is exactly symmetric
     # whatever the Gram's own rounding.
@@ -124,7 +125,7 @@ def similarity_from_class_means(
     w /= 2
     np.maximum(w, 0.0, out=w)
     np.fill_diagonal(w, 0.0)
-    return SimilarityGraph(w)
+    return SimilarityGraph(frozen(w))
 
 
 def normalized_laplacian(g: SimilarityGraph) -> np.ndarray:
@@ -178,7 +179,7 @@ def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
     # a unit column has an entry above 1e-12, so argmax finds the first one
     first = columns[np.argmax(np.abs(columns) > 1e-12, axis=0), np.arange(k)]
     columns = np.where(first < 0, -columns, columns)
-    return CodeMatrix(columns, kind=CodeKind.SPECTRAL, binarization=Binarization.RAW)
+    return CodeMatrix(frozen(columns), kind=CodeKind.SPECTRAL, binarization=Binarization.RAW)
 
 
 def save_similarity_csv(g: SimilarityGraph, path: str) -> None:
@@ -201,4 +202,4 @@ def load_similarity_csv(path: str) -> SimilarityGraph:
     if np.abs(np.diag(w)).max(initial=0.0) > 1e-9:
         raise ValueError(f"{path}: diagonal entries must be zero")
     np.fill_diagonal(w, 0.0)
-    return SimilarityGraph(w)
+    return SimilarityGraph(frozen(w))

@@ -89,7 +89,7 @@ def test_criterion_1_gradient_oracle():
         code = pool[i % len(pool)]
         z = rng.standard_normal(code.k)
         y = int(rng.integers(code.n))
-        analytic = batch_loss_grad(z[None, :], code, [y])[2][0]
+        analytic = batch_loss_grad(z[None, :], code, [y])[1][0]
         reference = finite_difference_gradient(
             lambda v: batch_loss_grad(v[None, :], code, [y])[0][0], z
         )
@@ -121,7 +121,7 @@ def test_criterion_2_composed_gradient():
         x = rng.standard_normal(4)
         y = int(rng.integers(code.n))
         z, cache = _forward_batch(p, x[None, :])
-        grads = _backward_batch(p, cache, batch_loss_grad(z, code, [y])[2])
+        grads = _backward_batch(p, cache, batch_loss_grad(z, code, [y])[1])
         li = int(rng.integers(len(p.layers)))
         w, b = p.layers[li]
         flat = int(rng.integers(w.size + b.size))

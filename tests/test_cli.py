@@ -14,7 +14,7 @@ import pytest
 
 from ecoc import cli, datasets, net
 from ecoc.cli import main, parse_config_text, resolve_config
-from ecoc.codes import CodeKind, gaussian_code, load_code_csv, save_code_csv
+from ecoc.codes import CodeKind, CodeMatrix, gaussian_code, load_code_csv, save_code_csv
 from ecoc.datasets import (Dataset, load_csv, save_attributes_csv, save_csv, split,
                            synth_hierarchical)
 from ecoc.spectral import SimilarityGraph, save_similarity_csv
@@ -58,6 +58,14 @@ def assert_usage_error(capsys, argv, message) -> None:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def run_in_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m ecoc.cli argv`` in a fresh interpreter with the default
+    warning filters, so a numpy warning would reach its stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "ecoc.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
 
 
 def final_eval_accuracy(run_dir: str) -> float:
@@ -283,13 +291,10 @@ class TestTrain:
         """A run that overflows at once, under the decoder head (gaussian)
         or the softmax head (one-hot), prints its error and no numpy
         warning, in a fresh interpreter with the default warning filters."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
                            synth_depth="2", code_strategy=strategy, code_bits=bits,
                            learning_rate="1e300")
-        proc = subprocess.run([sys.executable, "-m", "ecoc.cli", "train", "--config", cfg],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True)
+        proc = run_in_subprocess("train", "--config", cfg)
         assert proc.returncode == 3
         assert proc.stderr == "error: training diverged at epoch 0 (non-finite loss)\n"
 
@@ -1009,6 +1014,53 @@ class TestAnalyze:
                      "--code", os.path.join(run_dir, "code.csv"),
                      "--mode", "correlate", "--out", out]) == 2
         assert "--attributes" in capsys.readouterr().err
+
+
+class TestOverflowingNorms:
+    """A class mean or codeword whose squares overflow would normalize to a
+    zero row: a flat similarity graph, or a code that scores every output
+    alike.  Each command refuses it by name with exit 2, one error line
+    and no numpy warning."""
+
+    NOT_FINITE = "error: cannot normalize a vector whose norm is not finite"
+
+    def test_gen_code_spectral_from_data(self, tmp_path):
+        ds = synth_hierarchical(2, 2, 5, 4.0, 0.5, 3, seed=0)
+        data, out = os.path.join(tmp_path, "big.csv"), os.path.join(tmp_path, "code.csv")
+        save_csv(Dataset(ds.features * 1e200, ds.labels, ds.n), data)
+        proc = run_in_subprocess("gen-code", "--strategy", "spectral", "--data", data,
+                                 "--bits", "2", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == f"{self.NOT_FINITE} (class means [0, 1, 2, 3])\n"
+        assert not os.path.exists(out)
+
+    @pytest.fixture()
+    def big_code(self, tmp_path) -> str:
+        path = os.path.join(tmp_path, "big_code.csv")
+        save_code_csv(CodeMatrix(gaussian_code(4, 4, seed=0).values * 1e200), path)
+        return path
+
+    def test_train_with_code_csv(self, tmp_path, big_code):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir,
+                           synth_depth="2", code_csv=big_code)
+        proc = run_in_subprocess("train", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr == f"{self.NOT_FINITE} (codewords [0, 1, 2, 3])\n"
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("mode", ["confusion", "ablate"])
+    def test_analyze(self, tmp_path, big_code, mode):
+        run_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), run_dir, synth_depth="2")
+        assert main(["train", "--config", cfg]) == 0
+        out = os.path.join(tmp_path, "out.csv")
+        proc = run_in_subprocess("analyze", "--model", os.path.join(run_dir, "model.bin"),
+                                 "--data", os.path.join(run_dir, "eval.csv"),
+                                 "--code", big_code, "--mode", mode, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == f"{self.NOT_FINITE} (codewords [0, 1, 2, 3])\n"
+        assert not os.path.exists(out)
 
 
 class TestTrainAnalyzeAgree:

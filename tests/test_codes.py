@@ -472,6 +472,20 @@ class TestCodeMatrixValidation:
         with pytest.raises(ValueError):
             code.values[0, 0] = 99.0
 
+    def test_callers_writable_array_is_copied(self):
+        """The caller's array stays writable, and writing to it leaves the
+        code as it was."""
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        code = CodeMatrix(a)
+        assert a.flags.writeable and not code.values.flags.writeable
+        a[0, 0] = 99.0
+        assert code.values[0, 0] == 1.0
+
+    def test_read_only_array_is_kept_without_a_copy(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a.setflags(write=False)
+        assert CodeMatrix(a).values is a
+
     @pytest.mark.parametrize("kind, binarization", [
         (kind, binarization) for kind in CodeKind for binarization in Binarization
         if kind is not CodeKind.ONE_HOT or binarization is Binarization.RAW

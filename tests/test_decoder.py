@@ -74,16 +74,20 @@ def scores(z, code) -> np.ndarray:
 
 
 def softmax(d) -> np.ndarray:
-    """The decoder's in-place softmax, applied to a copy of score rows."""
-    probs = np.array(d, dtype=float)
-    softmax_ce_in_place(probs, np.zeros(len(probs), dtype=int), np.empty_like(probs))
-    return probs
+    """Probabilities of score rows: the decoder's loss-only softmax, applied
+    to a copy, leaves the shifted exponentials, and dividing by their row
+    sums is the division its gradient form makes."""
+    e = np.array(d, dtype=float)
+    with np.errstate(divide="ignore"):  # the loss, unused, may be -log 0
+        softmax_ce_in_place(e, np.zeros(len(e), dtype=int))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def loss_grad(z, code, y) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, probabilities and gradient of one output, as a one-row batch."""
-    losses, probs, grads = batch_loss_grad(np.asarray(z, dtype=float)[None, :], code, [y])
-    return float(losses[0]), probs[0], grads[0]
+    z = np.asarray(z, dtype=float)[None, :]
+    losses, grads = batch_loss_grad(z, code, [y])
+    return float(losses[0]), softmax(scores(z, code))[0], grads[0]
 
 
 def loss(z, code, y) -> float:
@@ -115,8 +119,17 @@ class TestNormalize:
         assert np.array_equal(norms, np.sqrt((big * big).sum(axis=1)))
         assert np.array_equal(u, big / norms[:, None])
         for bad in (1e200, np.inf, np.nan):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite$"):
                 unit_rows(np.array([[1.0, 2.0], [bad, 0.0]]))
+
+    def test_noun_names_the_rows(self):
+        zero = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^cannot normalize a zero vector \(means \[0, 2\]\)$"):
+            unit_rows(zero, "means")
+        big = np.array([[1.0, 0.0], [1e200, 1.0], [np.nan, 1.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"not finite \(means \[1, 2\]\)$"):
+                unit_rows(big, "means")
 
     def test_result_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -164,10 +177,10 @@ class TestDecoderSoftmax:
 
     def test_large_scores_stable(self):
         d = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-        g = np.empty_like(d)
-        losses = softmax_ce_in_place(d, np.array([0, 1]), g)
-        assert np.isfinite(d).all() and np.isfinite(g).all()
-        assert np.allclose(d, np.eye(2), rtol=0, atol=1e-12)
+        assert np.allclose(softmax(d), np.eye(2), rtol=0, atol=1e-12)
+        losses = softmax_ce_in_place(d, np.array([0, 1]), grad=True)
+        assert np.isfinite(d).all()
+        assert np.allclose(d, 0.0, rtol=0, atol=1e-12)
         assert np.allclose(losses, 0.0, rtol=0, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -177,9 +190,10 @@ class TestDecoderSoftmax:
 
     @pytest.mark.parametrize("kind", ["random", "tied", "pm1000"])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 3), (65, 130)])
-    def test_loss_only_and_aliased_forms_match_two_buffers(self, kind, shape):
-        """Loss alone (no ``g``) and the gradient written over the scores
-        give the bits of the two-buffer form, losses and gradients alike."""
+    def test_loss_only_and_in_place_forms_agree(self, kind, shape):
+        """Loss alone (no ``grad``) gives the bits of the gradient form's
+        losses, and that form leaves in the scores the bits of the loss-only
+        form's exponentials over their row sums, less ``e_y``."""
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         d = rng.standard_normal(shape) * 4
         if kind == "tied":
@@ -190,14 +204,14 @@ class TestDecoderSoftmax:
             d = rng.choice([-1000.0, 0.0, 1000.0], size=shape)
         ys = rng.integers(shape[1], size=shape[0])
         with np.errstate(divide="ignore"):
-            g = np.empty(shape)
-            losses = softmax_ce_in_place(d.copy(), ys, g)
-            alone = softmax_ce_in_place(d.copy(), ys)
-            aliased = d.copy()
-            same = softmax_ce_in_place(aliased, ys, aliased)
+            e = d.copy()
+            alone = softmax_ce_in_place(e, ys)
+            g = d.copy()
+            losses = softmax_ce_in_place(g, ys, grad=True)
         assert alone.tobytes() == losses.tobytes()
-        assert same.tobytes() == losses.tobytes()
-        assert aliased.tobytes() == g.tobytes()
+        expected = e / np.add.reduce(e, axis=1, keepdims=True)
+        expected[np.arange(shape[0]), ys] -= 1.0
+        assert g.tobytes() == expected.tobytes()
 
 
 class TestForward:
@@ -224,15 +238,16 @@ class TestForward:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((20, 4))
         ys = np.full(20, 2)
-        a_loss, a_probs, _ = batch_loss_grad(z, code, ys)
-        b_loss, b_probs, _ = batch_loss_grad(z * rng.uniform(0.1, 100.0, (20, 1)), code, ys)
-        assert np.allclose(a_probs, b_probs, atol=1e-12)
+        scaled = z * rng.uniform(0.1, 100.0, (20, 1))
+        a_loss, _ = batch_loss_grad(z, code, ys)
+        b_loss, _ = batch_loss_grad(scaled, code, ys)
+        assert np.allclose(softmax(scores(z, code)), softmax(scores(scaled, code)), atol=1e-12)
         assert np.allclose(a_loss, b_loss, rtol=0, atol=1e-12)
 
     def test_probs_in_simplex(self):
         code = gaussian_code(6, 3, seed=5)
         rng = np.random.default_rng(6)
-        _, probs, _ = batch_loss_grad(rng.standard_normal((30, 3)), code, np.zeros(30, int))
+        probs = softmax(scores(rng.standard_normal((30, 3)), code))
         assert (probs >= 0).all() and (probs <= 1).all()
         assert (np.abs(probs.sum(axis=1) - 1.0) < 1e-12).all()
 
@@ -275,15 +290,16 @@ class TestBackward:
         code = gaussian_code(6, 5, seed=10)
         rng = np.random.default_rng(11)
         z = rng.standard_normal((50, 5)) * 4
-        _, _, grads = batch_loss_grad(z, code, np.full(50, 3))
+        _, grads = batch_loss_grad(z, code, np.full(50, 3))
         assert (np.abs((grads * z).sum(axis=1)) < 1e-10).all()
 
     def test_confident_correct_prediction_zero_gradient(self):
         # the far codeword scores about -5000, so its probability underflows
         # to 0 and the true class gets probability 1 exactly
         code = plain_code([[1.0, 0.0], [0.0, -100.0]])
-        _, probs, grads = batch_loss_grad(np.array([[3.0, 0.0]]), code, [0])
-        assert np.array_equal(probs, [[1.0, 0.0]])
+        z = np.array([[3.0, 0.0]])
+        _, grads = batch_loss_grad(z, code, [0])
+        assert np.array_equal(softmax(scores(z, code)), [[1.0, 0.0]])
         assert np.array_equal(grads, np.zeros((1, 2)))
 
     def test_descent_direction(self):
@@ -292,9 +308,9 @@ class TestBackward:
         rng = np.random.default_rng(14)
         z = rng.standard_normal((100, 6))
         ys = rng.integers(5, size=100)
-        losses, _, grads = batch_loss_grad(z, code, ys)
+        losses, grads = batch_loss_grad(z, code, ys)
         moving = np.linalg.norm(grads, axis=1) >= 1e-12
-        stepped, _, _ = batch_loss_grad(z - 1e-4 * grads, code, ys)
+        stepped, _ = batch_loss_grad(z - 1e-4 * grads, code, ys)
         assert moving.sum() > 90
         assert (stepped[moving] < losses[moving]).all()
 
@@ -321,7 +337,7 @@ class TestPredict:
         code = gaussian_code(7, 4, seed=15)
         rng = np.random.default_rng(16)
         z = rng.standard_normal((100, 4))
-        _, probs, _ = batch_loss_grad(z, code, np.zeros(100, int))
+        probs = softmax(scores(z, code))
         assert np.array_equal(predict_batch(z, decoding_matrix(code)), probs.argmax(axis=1))
 
     def test_one_hot_reduces_to_largest_coordinate(self):
@@ -332,10 +348,12 @@ class TestPredict:
 
 
 def assert_rows_match_oracles(z, code, ys, tol=1e-12):
-    """batch_loss_grad and predict_batch against the single-sample
-    references, row by row: losses within ``tol`` absolute, probabilities
-    and gradients within ``tol`` absolute and relative."""
-    losses, probs, grads = batch_loss_grad(z, code, ys)
+    """batch_loss_grad, predict_batch and the score and softmax kernels
+    against the single-sample references, row by row: losses within ``tol``
+    absolute, probabilities and gradients within ``tol`` absolute and
+    relative."""
+    losses, grads = batch_loss_grad(z, code, ys)
+    probs = softmax(scores(z, code))
     m = decoding_matrix(code)
     preds = predict_batch(z, m)
     mm_max = (m * m).sum(axis=1).max()
@@ -489,8 +507,16 @@ class TestDecodingMatrix:
     def test_zero_norm_row_raises_on_every_call(self):
         code = CodeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), kind=CodeKind.GAUSSIAN)
         for _ in range(2):
-            with pytest.raises(ValueError, match=r"zero-norm codewords .* rows \[1\]"):
+            with pytest.raises(ValueError, match=r"zero vector \(codewords \[1\]\)$"):
                 decoding_matrix(code)
+
+    def test_overflowing_norm_names_the_rows(self):
+        """Rows whose squares overflow would divide to all-zero codewords;
+        they are refused by name, with no numpy warning."""
+        code = CodeMatrix(np.array([[1.0, 2.0], [3e200, 0.0], [0.0, -1e160]]),
+                          kind=CodeKind.GAUSSIAN)
+        with pytest.raises(ValueError, match=r"not finite \(codewords \[1, 2\]\)$"):
+            decoding_matrix(code)
 
 
 class TestGramScores:
@@ -521,13 +547,15 @@ class TestGramScores:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_batch_loss_grad_memory_is_one_probs_matrix_plus_a_block(self):
-        """Besides the returned (s, n) probabilities, scores, softmax and the
-        gradient's (s, n) factor are worked through one block at a time."""
+    def test_batch_loss_grad_memory_has_no_rows_by_classes_array(self):
+        """Scores, softmax and the gradient are worked through one
+        block-sized (rows, n) buffer and its norm-term scratch: memory is a
+        few (s, k) arrays plus two blocks, with no (s, n) term.  A returned
+        (s, n) probability array alone would take 8 MB here."""
         code = gaussian_code(512, 50)
-        s, n = 2048, code.n
+        s, n, k = 2048, code.n, code.k
         rng = np.random.default_rng(0)
-        z = rng.standard_normal((s, 50))
+        z = rng.standard_normal((s, k))
         ys = rng.integers(0, n, size=s)
         tracemalloc.start()
         try:
@@ -535,4 +563,4 @@ class TestGramScores:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * s * n * 8
+        assert peak < (4 * s * k + 2 * block_rows(n) * n) * 8

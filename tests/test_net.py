@@ -179,7 +179,7 @@ class TestNetBackward:
 
         def mean_loss_and_grad(p):
             z, cache = _forward_batch(p, x)
-            losses, _, gz = batch_loss_grad(z, code, ys)
+            losses, gz = batch_loss_grad(z, code, ys)
             (gw, gb), = _backward_batch(p, cache, gz)
             return losses.mean(), gw, gb
 
@@ -266,7 +266,7 @@ class TestTrain:
         from ecoc.net import _backward_batch, _forward_batch
 
         z, cache = _forward_batch(p0, ds.features)
-        _, _, grads = batch_loss_grad(z, code, ds.labels)
+        _, grads = batch_loss_grad(z, code, ds.labels)
         (gw, gb), = _backward_batch(p0, cache, grads)
         assert np.allclose(trained.layers[0][0], p0.layers[0][0] - 0.3 * gw, atol=1e-12)
         assert np.allclose(trained.layers[0][1], p0.layers[0][1] - 0.3 * gb, atol=1e-12)
@@ -605,7 +605,7 @@ class TestDecoderEvaluation:
         ys = rng.integers(0, n, size=s)
         code = gaussian_code(n, k, seed=3)
         z, _ = _forward_batch(p, x)
-        losses, _, _ = batch_loss_grad(z, code, ys)
+        losses, _ = batch_loss_grad(z, code, ys)
         preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
         ref = (float(losses.sum() / s), np.count_nonzero(preds == ys) / s)
         assert repr(_epoch_metrics(p, x, ys, "decoder", code, 0, "eval")) == repr(ref)
@@ -666,7 +666,7 @@ class TestNoWritesIntoInputs:
     def test_decoder_head(self):
         p, z, cache = self._forward([4, 32, 5])
         code = gaussian_code(9, 5, seed=11)
-        _, _, grads = batch_loss_grad(z, code, np.arange(70) % 9)
+        _, grads = batch_loss_grad(z, code, np.arange(70) % 9)
         _freeze(grads)
         _backward_batch(p, cache, grads)
 
@@ -698,14 +698,19 @@ def test_train_decoder_call_structure(monkeypatch):
     """Per epoch: one batch_loss_grad per batch plus one for the evaluation
     pass, one predict_batch for the evaluation pass, and one decoding_matrix
     call inside each of those plus one beside the evaluation's
-    predict_batch.  Counted through every ecoc module attribute bound to
-    each function, as the per-module tracer does."""
+    predict_batch; batch_loss_grad sees each training row once per epoch
+    in its batch and once in the evaluation.  Counted through every ecoc
+    module attribute bound to each function, as the per-module tracer
+    does."""
     watched = (decoder.batch_loss_grad, decoder.predict_batch, decoder.decoding_matrix)
     counts = dict.fromkeys((f.__name__ for f in watched), 0)
+    loss_rows = []
 
     def counting(fn):
         def wrapper(*args, **kwargs):
             counts[fn.__name__] += 1
+            if fn.__name__ == "batch_loss_grad":
+                loss_rows.append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -720,6 +725,7 @@ def test_train_decoder_call_structure(monkeypatch):
     train(init([4, 3], seed=0), ds, gaussian_code(4, 3, seed=0), cfg)
     # 16 samples: 2 batches per epoch
     assert counts == {"batch_loss_grad": 6, "predict_batch": 2, "decoding_matrix": 6 + 2}
+    assert sum(loss_rows) == 2 * (16 + 16)
 
 
 class TestModelFile:

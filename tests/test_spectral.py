@@ -65,8 +65,15 @@ class TestSimilarityFromClassMeans:
 
     def test_zero_norm_mean_rejected(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match=r"zero vector \(class means \[0\]\)$"):
             similarity_from_class_means(feats, np.array([0, 0, 1, 1]), 2)
+
+    def test_overflowing_mean_norm_rejected(self):
+        """A mean whose squares overflow would divide to a zero row and a
+        flat graph; it is refused by class, with no numpy warning."""
+        feats = np.array([[1.0, 0.0], [0.0, 3e200], [2e200, 2e200]])
+        with pytest.raises(ValueError, match=r"not finite \(class means \[1, 2\]\)$"):
+            similarity_from_class_means(feats, np.array([0, 1, 2]), 3)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_classes_rejected(self, n):
@@ -141,6 +148,20 @@ class TestSimilarityGraphValidation:
         w[0, 1] = w[1, 0] = 1.0
         with pytest.raises(ValueError, match="zero degree"):
             SimilarityGraph(w)
+
+    def test_callers_writable_array_is_copied(self):
+        """The caller's array stays writable, and writing to it leaves the
+        graph as it was."""
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = SimilarityGraph(w)
+        assert w.flags.writeable and not g.weights.flags.writeable
+        w[0, 1] = 5.0
+        assert g.weights[0, 1] == 1.0
+
+    def test_read_only_array_is_kept_without_a_copy(self):
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        w.setflags(write=False)
+        assert SimilarityGraph(w).weights is w
 
 
 class TestNormalizedLaplacian:
