@@ -5,6 +5,11 @@ codeword by negative half squared Euclidean distance, and pushed through a
 softmax; cross-entropy against the true class gives the loss.  Prediction
 is the nearest codeword, which is exactly the argmax of those scores.
 
+A score block is one GEMM plus a per-codeword bias,
+``u . m_c - 0.5 * ||m_c||^2`` (:func:`_distance_scores`): the distance's
+remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
+softmax and the argmax never see it.
+
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
 softmax stages give ``d loss / d u = M^T g`` (the ``u``-proportional parts
@@ -34,8 +39,8 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     are decoded as stored.  A zero codeword, or one whose norm overflows,
     raises ValueError naming the rows.  The result is read-only and
     memoized on ``code`` (frozen, with read-only values), so later calls
-    return the same array; its squared row norms are memoized beside it
-    (:func:`_sq_norms`).
+    return the same array; its score bias ``-0.5 * ||m_c||^2`` is memoized
+    beside it (:func:`_bias`).
     """
     m = code.__dict__.get("_decoding_matrix")
     if m is not None:
@@ -44,37 +49,37 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     if code.normalize_rows:
         with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
             m = _util.frozen(unit_rows(m, "codewords")[0])
-    mm = _util.frozen(np.einsum("ij,ij->i", m, m))
-    object.__setattr__(code, "_decoding_sq_norms", mm)
+    object.__setattr__(code, "_decoding_bias", _util.frozen(_codeword_bias(m)))
     object.__setattr__(code, "_decoding_matrix", m)
     return m
 
 
-def _sq_norms(code: CodeMatrix) -> np.ndarray:
-    """Squared row norms of ``decoding_matrix(code)``, memoized beside it;
-    call :func:`decoding_matrix` first."""
-    return code.__dict__["_decoding_sq_norms"]
+def _bias(code: CodeMatrix) -> np.ndarray:
+    """Score bias of ``decoding_matrix(code)``, memoized beside it; call
+    :func:`decoding_matrix` first."""
+    return code.__dict__["_decoding_bias"]
+
+
+def _codeword_bias(m: np.ndarray) -> np.ndarray:
+    """Per-codeword score bias ``-0.5 * ||m_c||^2``."""
+    return -0.5 * np.einsum("ij,ij->i", m, m)
 
 
 def _distance_scores(
-    u: np.ndarray, m: np.ndarray, mm: np.ndarray,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    u: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Score matrix D (s x n), D[i, c] = -0.5 * ||m_c - u_i||^2.
+    """Score matrix D (s x n), D[i, c] = u_i . m_c - 0.5 * ||m_c||^2.
 
-    Computed in Gram form, ``u_i . m_c - 0.5 * (||u_i||^2 + ||m_c||^2)``:
-    one ``u @ m.T`` plus two row-norm vectors, so memory grows with s * n.
-    ``mm`` holds the squared codeword norms; callers compute them once and
-    score every row block against them.  Both norms are
-    taken as given, because ablation prefixes of unit rows are not unit
-    length.  D is written into ``out`` and the norm term into ``scratch``
-    when they are given (both (s, n)); otherwise both are allocated.
+    One ``u @ m.T`` and one broadcast add of ``bias``
+    (:func:`_codeword_bias`), so memory grows with s * n.  That is
+    ``-0.5 * ||m_c - u_i||^2`` less its row term ``-0.5 * ||u_i||^2``,
+    which is the same across a row: it cancels in the softmax's
+    probabilities, losses and gradients and cannot move an argmax, also
+    for ablation prefixes of unit rows, which are not unit length.  D is
+    written into ``out`` (s, n) when it is given.
     """
-    uu = np.einsum("ij,ij->i", u, u)
     d = np.matmul(u, m.T, out=out)
-    half = np.add(uu[:, None], mm, out=scratch)
-    half *= 0.5
-    d -= half
+    d += bias
     return d
 
 
@@ -109,9 +114,9 @@ def batch_loss_grad(
     Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
     each z row (s, k); each row depends on that row of z alone.  Works
     through row blocks (:func:`_util.block_rows`) in place: besides the
-    returned arrays and the unit rows, memory is two block-sized (rows, n)
-    buffers, the scores that become ``probs - e_y`` and their norm term,
-    and one (rows, k) temporary.
+    returned arrays and the unit rows, memory is one block-sized (rows, n)
+    buffer, the scores that become ``probs - e_y``, and one (rows, k)
+    temporary.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -125,17 +130,16 @@ def batch_loss_grad(
     if s and (np.minimum.reduce(ys) < 0 or np.maximum.reduce(ys) >= n):
         raise ValueError(f"labels out of range for {n} classes")
     u, norms = unit_rows(z)
-    mm = _sq_norms(code)
+    bias = _bias(code)
     losses = np.empty(s)
     grads = np.empty((s, k))
     step = _util.block_rows(n)
     scores = np.empty((min(s, step), n))
-    scratch = np.empty_like(scores)
     for start in range(0, s, step):
         rows = slice(start, start + step)
         ub = u[rows]
         g = scores[: len(ub)]
-        _distance_scores(ub, m, mm, out=g, scratch=scratch[: len(ub)])
+        _distance_scores(ub, m, bias, out=g)
         losses[rows] = softmax_ce_in_place(g, ys[rows], grad=True)
         # d loss / d u = g @ m, radially projected and rescaled
         a = np.matmul(g, m, out=grads[rows])
@@ -161,13 +165,17 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in row blocks (:func:`_util.block_rows`), so
-    memory grows with block * n.
+    id.  Scores are built in row blocks (:func:`_util.block_rows`) into one
+    reused buffer, against a bias computed once per call, so memory grows
+    with block * n.
     """
-    mm = np.einsum("ij,ij->i", m, m)
-    step = _util.block_rows(m.shape[0])
-    preds = np.empty(u.shape[0], dtype=np.int64)
-    for start in range(0, u.shape[0], step):
+    bias = _codeword_bias(m)
+    s, n = u.shape[0], m.shape[0]
+    step = _util.block_rows(n)
+    scores = np.empty((min(s, step), n))
+    preds = np.empty(s, dtype=np.int64)
+    for start in range(0, s, step):
         rows = slice(start, start + step)
-        preds[rows] = _distance_scores(u[rows], m, mm).argmax(axis=1)
+        ub = u[rows]
+        preds[rows] = _distance_scores(ub, m, bias, out=scores[: len(ub)]).argmax(axis=1)
     return preds

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import EPS_NORM, atomic_write, block_rows, check_seed, fmt_float
+from ._util import EPS_NORM, atomic_write, check_seed, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
 from .decoder import batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
@@ -281,22 +281,16 @@ def _epoch_metrics(
 ) -> tuple[float, float]:
     """Full-pass mean loss and accuracy under the trained head.
 
-    The decoder head's losses are taken ``block_rows(n)`` rows at a time,
-    the row blocks ``batch_loss_grad`` works through, so each chunk is one
-    of its blocks: the bits are those of one whole-split call, and memory
-    grows with block * n, not with the split's rows * n.  ``predict_batch``
-    scores the whole split in those blocks itself.  The softmax head takes
-    its predictions from the outputs first, then computes the loss alone in
-    the outputs' own buffer.
+    The decoder head's losses come from one ``batch_loss_grad`` call over
+    the whole split, which works through ``block_rows(n)``-row blocks
+    itself, so memory grows with block * n, not with the split's rows * n;
+    ``predict_batch`` scores the split in the same blocks.  The softmax head
+    takes its predictions from the outputs first, then computes the loss
+    alone in the outputs' own buffer.
     """
     z, _ = _forward_batch(p, x)
     if head == "decoder":
-        index = np.arange(len(ys))
-        losses = np.empty(len(ys))
-        step = block_rows(code.n)
-        for lo in range(0, len(ys), step):
-            rows = slice(lo, lo + step)
-            losses[rows], _ = _head_loss_grad(head, z[rows], code, ys[rows], index[rows], epoch, split)
+        losses, _ = _head_loss_grad(head, z, code, ys, np.arange(len(ys)), epoch, split)
         preds = predict_batch(z, decoding_matrix(code))
     else:
         preds = z.argmax(axis=1)

@@ -30,6 +30,7 @@ from ecoc.codes import (
 )
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
+    _bias,
     _distance_scores,
     batch_loss_grad,
     decoding_matrix,
@@ -66,11 +67,19 @@ def quantum_blocks():
     return mock.patch.object(_util, "ROW_BLOCK_ELEMS", 0)
 
 
+def with_row_term(d, u) -> np.ndarray:
+    """Kernel scores ``u . m - 0.5 ||m||^2`` with the row term the kernel
+    leaves out, ``-0.5 ||u||^2``, put back: ``-0.5 ||m - u||^2``."""
+    return d - 0.5 * (u * u).sum(axis=1)[:, None]
+
+
 def scores(z, code) -> np.ndarray:
-    """The decoder's score rows for a batch of outputs."""
+    """The decoder's score rows for a batch of outputs, as negative half
+    squared distances: the kernel's scores against the memoized bias, with
+    the row term put back (:func:`with_row_term`)."""
     u, _ = unit_rows(np.asarray(z, dtype=float))
     m = decoding_matrix(code)
-    return _distance_scores(u, m, np.einsum("ij,ij->i", m, m))
+    return with_row_term(_distance_scores(u, m, _bias(code)), u)
 
 
 def softmax(d) -> np.ndarray:
@@ -501,8 +510,12 @@ class TestDecodingMatrix:
         assert not m.flags.writeable
         assert decoding_matrix(code) is m
         assert np.allclose(np.linalg.norm(m, axis=1), 1.0)
+        bias = _bias(code)
+        assert not bias.flags.writeable
+        assert np.array_equal(bias, -0.5 * np.einsum("ij,ij->i", m, m))
         stored = plain_code([[1.0, 2.0], [3.0, 4.0]])
         assert decoding_matrix(stored) is stored.values
+        assert np.array_equal(_bias(stored), [-2.5, -12.5])
 
     def test_zero_norm_row_raises_on_every_call(self):
         code = CodeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), kind=CodeKind.GAUSSIAN)
@@ -523,14 +536,20 @@ class TestGramScores:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(score_inputs())
     def test_matches_broadcast_oracle(self, inputs):
+        """Kernel scores with the row term put back match the broadcast
+        distances; the kernel's own argmax, without the row term, and
+        ``nearest_codewords`` agree with the oracle's on every clear row,
+        also for prefix rows that are not unit length."""
         u, m, mm = inputs
         ref = distance_scores_broadcast(u, m)
         tol = 1e-12 * (1.0 + (u * u).sum(axis=1)[:, None] + mm)
-        assert (np.abs(_distance_scores(u, m, mm) - ref) <= tol).all()
+        d = _distance_scores(u, m, -0.5 * mm)
+        assert (np.abs(with_row_term(d, u) - ref) <= tol).all()
         # the argmax can move only where two oracle scores are within the
         # combined tolerance of both
         top2 = np.sort(ref, axis=1)[:, -2:]
         clear = top2[:, -1] - top2[:, 0] > 2 * tol.max(axis=1)
+        assert np.array_equal(d.argmax(axis=1)[clear], ref.argmax(axis=1)[clear])
         preds = nearest_codewords(u, m)
         assert np.array_equal(preds[clear], ref.argmax(axis=1)[clear])
 
@@ -549,9 +568,9 @@ class TestGramScores:
 
     def test_batch_loss_grad_memory_has_no_rows_by_classes_array(self):
         """Scores, softmax and the gradient are worked through one
-        block-sized (rows, n) buffer and its norm-term scratch: memory is a
-        few (s, k) arrays plus two blocks, with no (s, n) term.  A returned
-        (s, n) probability array alone would take 8 MB here."""
+        block-sized (rows, n) buffer: memory is a few (s, k) arrays plus one
+        block, with no (s, n) term.  A returned (s, n) probability array
+        alone would take 8 MB here."""
         code = gaussian_code(512, 50)
         s, n, k = 2048, code.n, code.k
         rng = np.random.default_rng(0)
@@ -563,4 +582,4 @@ class TestGramScores:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (4 * s * k + 2 * block_rows(n) * n) * 8
+        assert peak < (4 * s * k + block_rows(n) * n) * 8

@@ -590,15 +590,15 @@ class TestSoftmaxEvaluation:
 
 
 class TestDecoderEvaluation:
-    """The decoder head's evaluation pass takes its losses block_rows(n)
-    rows at a time through batch_loss_grad, and its predictions in one
-    predict_batch call."""
+    """The decoder head's evaluation pass takes its losses in one
+    batch_loss_grad call over the whole split, and its predictions in one
+    predict_batch call; both work through block_rows(n)-row blocks."""
 
     @pytest.mark.parametrize("s, n, k", [(1, 3, 2), (200, 1024, 9), (1300, 100, 7), (128, 1024, 5)])
-    def test_chunks_equal_one_whole_split_call(self, s, n, k):
+    def test_equals_one_whole_split_call(self, s, n, k):
         """Bit for bit the loss and accuracy of one call over the whole
-        split, whether the split is one chunk, ends in a short one or ends
-        on a chunk edge."""
+        split, whether the split is one row block, ends in a short one or
+        ends on a block edge."""
         rng = np.random.default_rng(s + n)
         p = init([6, k], seed=2)
         x = rng.standard_normal((s, 6))
@@ -610,7 +610,7 @@ class TestDecoderEvaluation:
         ref = (float(losses.sum() / s), np.count_nonzero(preds == ys) / s)
         assert repr(_epoch_metrics(p, x, ys, "decoder", code, 0, "eval")) == repr(ref)
 
-    def test_zero_output_in_a_later_chunk_names_the_split_row(self):
+    def test_zero_output_in_a_later_block_names_the_split_row(self):
         n = 1024
         assert _util.block_rows(n) == 64
         p = init([4, 6], seed=0)
@@ -622,9 +622,9 @@ class TestDecoderEvaluation:
         assert (err.value.epoch, err.value.where, err.value.row) == (2, "eval", 150)
 
     def test_memory_grows_with_block_not_split(self):
-        """4096 rows at n = 1024 hold the forward pass and a few block-sized
-        (rows, n) buffers; a whole-split (4096, n) probability array alone
-        would take 32 MB."""
+        """4096 rows at n = 1024 hold the forward pass, a few (s, k) arrays
+        and block-sized (rows, n) buffers; a whole-split (4096, n)
+        probability array alone would take 32 MB."""
         s, n = 4096, 1024
         p = init([8, 16, 16], seed=0)
         x = np.random.default_rng(0).standard_normal((s, 8))
