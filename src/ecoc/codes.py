@@ -271,10 +271,7 @@ def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
     one-hot codes, the columns of +-1 codes) the denominator is one positive
     constant.  Correctly rounded division by it is monotone, so the largest
     off-diagonal |Gram| entry over that constant is the largest quotient, bit
-    for bit, with no block-sized denominator.  Otherwise a block is masked
-    for zero norms only when its smallest denominator, ``sqrt`` of the
-    product of the smallest squared norms (monotone, being correctly
-    rounded), is at or below the threshold: a NaN norm masks too.
+    for bit, with no block-sized denominator.
     """
     m = vectors.shape[0]
     if m < 2:
@@ -296,8 +293,7 @@ def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
         np.sqrt(denom, out=denom)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(cos, denom, out=cos)
-        if not math.sqrt(float(sq[rows].min()) * float(sq[lo:].min())) > 1e-30:
-            cos[denom <= 1e-30] = 0.0
+        cos[denom <= 1e-30] = 0.0
         np.fill_diagonal(cos, 0.0)
         tops.append(float(cos.max()))
     return float(np.max(tops))  # propagates a NaN, as one max over all would

@@ -283,8 +283,10 @@ def _epoch_metrics(
 
     The decoder head's losses come from one ``batch_loss_grad`` call over
     the whole split, which works through ``block_rows(n)``-row blocks
-    itself, so memory grows with block * n, not with the split's rows * n;
-    ``predict_batch`` scores the split in the same blocks.  The softmax head
+    itself, so its score memory grows with block * n, not with the split's
+    rows * n; besides that it holds the split's (s, k) unit rows and an
+    (s, k) gradient that evaluation discards.  ``predict_batch`` scores the
+    split in the same blocks.  The softmax head
     takes its predictions from the outputs first, then computes the loss
     alone in the outputs' own buffer.
     """
