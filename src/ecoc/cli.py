@@ -78,6 +78,27 @@ class ExperimentConfig(TrainConfig):
             raise ValueError(
                 f"hidden_sizes must be >= 1 each, got {format_value(self.hidden_sizes)}"
             )
+        # The dataset and code keys that echo_lines keeps, checked before any
+        # data is read; a synthetic class needs 2 samples, one per split.
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        lows = {}
+        if self.data_csv is None:
+            lows.update(synth_depth=1, synth_branching=2, synth_samples_per_class=2)
+        if self.code_csv is None:
+            lows.update(code_bits=1, code_candidates=1)
+        for key, low in lows.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+        if self.data_csv is None:
+            if self.synth_dim < self.synth_depth:
+                raise ValueError(
+                    f"synth_dim must be >= synth_depth={self.synth_depth}, got {self.synth_dim}"
+                )
+            for key in ("synth_class_sep", "synth_noise_sigma"):
+                if not 0 <= getattr(self, key) < np.inf:
+                    raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
 
     def echo_lines(self) -> list[str]:
         """``key = value`` lines, sorted by key, that resolve back to self.
@@ -301,6 +322,9 @@ def _save_config_echo(cfg: ExperimentConfig, path: str) -> None:
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
     check_seed(args.seed, "--seed")
+    for flag, value in (("--bits", args.bits), ("--candidates", args.candidates)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     n = args.classes
     graph = None
     if args.strategy == "spectral":

@@ -5,10 +5,12 @@ codeword by negative half squared Euclidean distance, and pushed through a
 softmax; cross-entropy against the true class gives the loss.  Prediction
 is the nearest codeword, which is exactly the argmax of those scores.
 
-A score block is one GEMM plus a per-codeword bias,
-``u . m_c - 0.5 * ||m_c||^2`` (:func:`_distance_scores`): the distance's
-remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
-softmax and the argmax never see it.
+Scores are built in row blocks by one loop (:func:`_score_blocks`): a
+block is one GEMM plus a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``,
+written into one reused buffer.  The distance's remaining term,
+``-0.5 * ||u||^2``, is the same across a row, so the softmax and the argmax
+never see it.  Training turns each block into losses and gradients,
+prediction into an argmax.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -22,6 +24,8 @@ so ``grad_z . z = 0`` always; scaling ``z`` never changes the loss.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -71,22 +75,27 @@ def _codeword_bias(m: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ij,ij->i", m, m)
 
 
-def _distance_scores(
-    u: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Score matrix D (s x n), D[i, c] = u_i . m_c - 0.5 * ||m_c||^2.
+def _score_blocks(
+    u: np.ndarray, m: np.ndarray, bias: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Score rows of u against rows of m, one row block at a time.
 
-    One ``u @ m.T`` and one broadcast add of ``bias``
-    (:func:`_codeword_bias`), so memory grows with s * n.  That is
-    ``-0.5 * ||m_c - u_i||^2`` less its row term ``-0.5 * ||u_i||^2``,
-    which is the same across a row: it cancels in the softmax's
-    probabilities, losses and gradients and cannot move an argmax, also
-    for ablation prefixes of unit rows, which are not unit length.  D is
-    written into ``out`` (s, n) when it is given.
+    Yields ``(rows, d)`` per block of :func:`_util.block_rows` rows: ``d``
+    holds the block's (rows, n) scores ``u_i . m_c + bias_c``, one GEMM and
+    one broadcast add into one buffer reused for every block, so memory
+    grows with block * n; the caller may overwrite it.  With the bias of
+    :func:`_codeword_bias` that is the negative half squared distance less
+    its row term, which cancels in the softmax and cannot move an argmax,
+    also for ablation prefixes of unit rows, which are not unit length.
     """
-    d = np.matmul(u, m.T, out=out)
-    d += bias
-    return d
+    s, n = u.shape[0], m.shape[0]
+    step = _util.block_rows(n)
+    buf = np.empty((min(s, step), n))
+    for start in range(0, s, step):
+        rows = slice(start, min(s, start + step))
+        d = np.matmul(u[rows], m.T, out=buf[: rows.stop - start])
+        d += bias
+        yield rows, d
 
 
 def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) -> np.ndarray:
@@ -119,7 +128,7 @@ def batch_loss_grad(
 
     Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
     each z row (s, k); each row depends on that row of z alone.  Works
-    through row blocks (:func:`_util.block_rows`) in place: besides the
+    through the score blocks of :func:`_score_blocks` in place: besides the
     returned arrays and the unit rows, memory is one block-sized (rows, n)
     buffer, the scores that become ``probs - e_y``, and one (rows, k)
     temporary.
@@ -136,18 +145,12 @@ def batch_loss_grad(
     if s and (np.minimum.reduce(ys) < 0 or np.maximum.reduce(ys) >= n):
         raise ValueError(f"labels out of range for {n} classes")
     u, norms = unit_rows(z)
-    bias = _bias(code)
     losses = np.empty(s)
     grads = np.empty((s, k))
-    step = _util.block_rows(n)
-    scores = np.empty((min(s, step), n))
-    for start in range(0, s, step):
-        rows = slice(start, start + step)
-        ub = u[rows]
-        g = scores[: len(ub)]
-        _distance_scores(ub, m, bias, out=g)
+    for rows, g in _score_blocks(u, m, _bias(code)):
         losses[rows] = softmax_ce_in_place(g, ys[rows], grad=True)
         # d loss / d u = g @ m, radially projected and rescaled
+        ub = u[rows]
         a = np.matmul(g, m, out=grads[rows])
         t = a * ub
         radial = np.add.reduce(t, axis=1)
@@ -171,17 +174,10 @@ def nearest_codewords(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     ``predict_batch`` passes unit rows; bit ablation passes prefixes of
     them, which need not have unit length.  Ties go to the smallest class
-    id.  Scores are built in row blocks (:func:`_util.block_rows`) into one
-    reused buffer, against a bias computed once per call, so memory grows
-    with block * n.
+    id.  Scores come from :func:`_score_blocks`, against a bias computed
+    once per call, so memory grows with block * n.
     """
-    bias = _codeword_bias(m)
-    s, n = u.shape[0], m.shape[0]
-    step = _util.block_rows(n)
-    scores = np.empty((min(s, step), n))
-    preds = np.empty(s, dtype=np.int64)
-    for start in range(0, s, step):
-        rows = slice(start, start + step)
-        ub = u[rows]
-        preds[rows] = _distance_scores(ub, m, bias, out=scores[: len(ub)]).argmax(axis=1)
+    preds = np.empty(u.shape[0], dtype=np.int64)
+    for rows, d in _score_blocks(u, m, _codeword_bias(m)):
+        preds[rows] = d.argmax(axis=1)
     return preds

@@ -109,6 +109,14 @@ class TestGenCode:
         assert main(["gen-code", "--strategy", "gaussian", "--out", out]) == 2
         assert "--classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--bits", "--candidates"])
+    def test_count_below_one_names_the_flag(self, tmp_path, capsys, flag):
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "dense", "--classes", "4", "--bits", "3",
+                     flag, "0", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert not os.path.exists(out)
+
     def test_dense_is_reproducible(self, tmp_path):
         a = os.path.join(tmp_path, "a.csv")
         b = os.path.join(tmp_path, "b.csv")
@@ -421,6 +429,15 @@ class TestTrain:
         ("lr_decay_epoch", "-2", "must be >= 0, got -2"),
         ("lr_decay_factor", "1.5", "must be in (0, 1], got 1.5"),
         ("momentum", "1", "must be in [0, 1), got 1.0"),
+        ("synth_depth", "0", "must be >= 1, got 0"),
+        ("synth_branching", "1", "must be >= 2, got 1"),
+        ("synth_samples_per_class", "1", "must be >= 2, got 1"),
+        ("synth_dim", "0", "must be >= synth_depth=1, got 0"),
+        ("synth_class_sep", "-0.5", "must be finite and >= 0, got -0.5"),
+        ("synth_noise_sigma", "-1", "must be finite and >= 0, got -1.0"),
+        ("train_fraction", "1.5", "must be in (0, 1), got 1.5"),
+        ("code_bits", "0", "must be >= 1, got 0"),
+        ("code_candidates", "0", "must be >= 1, got 0"),
     ])
     def test_training_key_error_names_file_and_key(self, tmp_path, capsys, key, value, rule):
         out = os.path.join(tmp_path, "run")
@@ -447,8 +464,22 @@ class TestTrain:
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
                            **{key: value})
         assert main(["train", "--config", cfg]) == 2
-        name = key.removeprefix("synth_")
-        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: key {key!r} must be finite and >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("key, value", [("synth_depth", "0"), ("synth_dim", "0"),
+                                            ("code_bits", "0")])
+    def test_keys_of_an_unused_source_are_not_checked(self, tmp_path, key, value):
+        """synth_* keys are not read with data_csv, nor code_* keys with
+        code_csv, and config.echo leaves them out; a bad value there is
+        not an error."""
+        data, code = os.path.join(tmp_path, "data.csv"), os.path.join(tmp_path, "code.csv")
+        save_csv(synth_hierarchical(1, 2, 10, 4.0, 0.5, 3, seed=0), data)
+        assert main(["gen-code", "--strategy", "gaussian", "--classes", "2", "--bits", "4",
+                     "--out", code]) == 0
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
+                           data_csv=data, code_csv=code, **{key: value})
+        assert main(["train", "--config", cfg]) == 0
 
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--class-sep"])
     @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-1e3", "-1000.0"),
