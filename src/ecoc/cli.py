@@ -82,6 +82,10 @@ class ExperimentConfig(TrainConfig):
         # data is read; a synthetic class needs 2 samples, one per split.
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.attributes_csv is not None and self.data_csv is None:
+            raise ValueError(
+                "attributes_csv needs data_csv; a synthetic dataset has its own attributes"
+            )
         lows = {}
         if self.data_csv is None:
             lows.update(synth_depth=1, synth_branching=2, synth_samples_per_class=2)

@@ -172,7 +172,10 @@ def dense_candidate_stream(
     """Yield the deterministic candidate sequence used by dense_random_code.
 
     Each candidate is an ``n x k`` matrix of ``{-1, +1}`` entries, each +1
-    with probability 0.5.  Exposed so the selection can be re-audited
+    with probability 0.5: entry by entry, row-major, +1 where
+    ``default_rng(seed).integers(0, 2)`` draws 1.  They are read from the
+    generator's raw words by the rule that ``integers`` call follows (see
+    ``_pm1_candidates``).  Exposed so the selection can be re-audited
     against the exact list the generator saw.  A negative ``seed`` raises
     at the call, before any draw.
     """
@@ -187,19 +190,36 @@ def _pm1_candidates(
     of ``b = max(1, ROW_BLOCK_ELEMS // (n k))`` candidates (the last block
     may be shorter); checks ``seed`` at once.
 
-    One ``integers`` call per block draws the same entries as one call per
-    candidate: each entry takes one 32-bit output of the generator, and
-    PCG64 keeps the spare half of a 64-bit output across calls, so the
-    stream does not depend on where the blocks end, even for odd ``n k``.
+    Each entry is the top bit of one 32-bit half of a PCG64 output, low half
+    first: that bit set gives +1, clear gives -1.  This is what
+    ``integers(0, 2)`` draws, as numpy's bounded draw (Lemire's multiply
+    and shift) of a range of 2 never rejects and keeps just the top bit of
+    one 32-bit output, taking the halves of each 64-bit output low first.
+    One ``random_raw`` call per block gives the block's words; the odd
+    spare half of the last word is kept for the next block, as ``integers``
+    keeps it inside the generator, so the stream does not depend on where
+    the blocks end, even for odd ``n k``.  The sign bit is placed straight
+    into the float32 pattern of -1.0 (``0xBF800000``), so no integer array
+    is indexed.
     """
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    levels = np.array([-1.0, 1.0], dtype=dtype)
+    bitgen = np.random.PCG64(seed)
     per = max(1, _util.ROW_BLOCK_ELEMS // (n * k))
-    return (
-        levels.take(rng.integers(0, 2, size=(min(per, candidates - lo), n, k)))
-        for lo in range(0, candidates, per)
-    )
+
+    def blocks() -> Iterator[np.ndarray]:
+        spare = np.empty(0, "<u4")
+        for lo in range(0, candidates, per):
+            size = min(per, candidates - lo) * n * k
+            halves = bitgen.random_raw(-(-(size - spare.size) // 2))
+            halves = halves.astype("<u8", copy=False).view("<u4")  # low half first
+            if spare.size:
+                halves = np.concatenate((spare, halves))
+            words, spare = halves[:size], halves[size:].copy()
+            words &= 0x80000000
+            words ^= 0xBF800000
+            yield words.view("<f4").astype(dtype, copy=False).reshape(-1, n, k)
+
+    return blocks()
 
 
 # float32 holds every integer of magnitude below 2**24 exactly.

@@ -438,6 +438,9 @@ class TestTrain:
         ("train_fraction", "1.5", "must be in (0, 1), got 1.5"),
         ("code_bits", "0", "must be >= 1, got 0"),
         ("code_candidates", "0", "must be >= 1, got 0"),
+        # an existing path, so only the missing data_csv is at fault
+        ("attributes_csv", os.devnull,
+         "needs data_csv; a synthetic dataset has its own attributes"),
     ])
     def test_training_key_error_names_file_and_key(self, tmp_path, capsys, key, value, rule):
         out = os.path.join(tmp_path, "run")

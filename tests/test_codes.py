@@ -155,6 +155,18 @@ class TestDenseRandomCode:
         values = dense_random_code(n, k, candidates=count, seed=seed).values
         assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest
 
+    def test_codegen_dense_printed_line_pinned(self, tmp_path, capsys):
+        """The metrics line of the codegen benchmark's dense op, as the
+        one-``integers``-call-a-block draw printed it; the seed-7 row of
+        ``test_selection_pinned`` pins the same code's values."""
+        argv = ["gen-code", "--strategy", "dense", "--classes", "100", "--bits", "66",
+                "--candidates", "1000", "--seed", "7", "--out", str(tmp_path / "dense.csv")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "min_row_hamming=21 max_abs_row_corr=0.424242 max_abs_col_corr=0.320000 "
+            "max_abs_column_balance=0.200000"
+        )
+
     def test_large_code_has_distinct_rows(self):
         code = dense_random_code(100, 66, candidates=50, seed=0)
         assert code.values.shape == (100, 66)
@@ -655,6 +667,19 @@ def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
                         assert _close(got, expected)
 
 
+@pytest.mark.parametrize("seed", [0, 13, 2**40])
+@pytest.mark.parametrize("count", [7, 10])
+def test_integers_range_two_is_the_top_bit_of_each_raw_half(seed, count):
+    """numpy's bounded draw of a range of 2 is the top bit of one 32-bit
+    output, the halves of each 64-bit PCG64 output taken low half first:
+    the rule _pm1_candidates builds its entries by."""
+    drawn = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, count)
+    raw = np.random.PCG64(seed).random_raw(-(-count // 2))
+    halves = raw.astype("<u8").view("<u4")[:count]
+    assert np.array_equal(drawn, halves >> 31), "integers(0, 2) is not the raw top bit"
+
+
+@pytest.mark.parametrize("seed", [0, 13, 2**40])
 @pytest.mark.parametrize(
     "n, k, count, budget, sizes",
     [
@@ -662,22 +687,28 @@ def test_shared_norm_cosine_equals_triangle_oracle(kind, scale):
         (5, 5, 9, 4 * 25, [4, 4, 1]),
         (4, 6, 8, 4 * 24, [4, 4]),  # the last block ends on the last candidate
         (9, 9, 5, 81, [1] * 5),  # one candidate a block, odd n k
+        # 45 entries a block: the second block starts on the first's spare
+        # half, and the third block on a fresh word, in turn
+        (3, 5, 8, 3 * 15, [3, 3, 2]),
         (33, 40, 3, 1000, [1] * 3),  # a candidate above the budget: still one a block
     ],
 )
-def test_candidate_blocks_equal_one_draw_per_candidate(monkeypatch, n, k, count, budget, sizes):
+def test_candidate_blocks_equal_one_draw_per_candidate(
+    monkeypatch, n, k, count, budget, sizes, seed
+):
     """Blocks of ``ROW_BLOCK_ELEMS // (n k)`` candidates (at least one) hold,
     in order, the entries one ``integers(0, 2, (n, k))`` call per candidate
-    draws, across every block edge; dense_candidate_stream yields them one
-    float64 candidate at a time."""
+    draws, across every block edge, also where a block starts on the spare
+    half of its predecessor's last word; dense_candidate_stream yields them
+    one float64 candidate at a time."""
     monkeypatch.setattr(_util, "ROW_BLOCK_ELEMS", budget)
-    rng = np.random.default_rng(13)
+    rng = np.random.default_rng(seed)
     expected = np.stack([rng.integers(0, 2, size=(n, k)) * 2.0 - 1.0 for _ in range(count)])
-    blocks = list(codes._pm1_candidates(n, k, count, 13, np.float32))
+    blocks = list(codes._pm1_candidates(n, k, count, seed, np.float32))
     assert [len(b) for b in blocks] == sizes
     assert all(b.dtype == np.float32 and b.shape[1:] == (n, k) for b in blocks)
     assert np.array_equal(np.concatenate(blocks), expected)
-    stream = list(dense_candidate_stream(n, k, count, seed=13))
+    stream = list(dense_candidate_stream(n, k, count, seed=seed))
     assert all(c.dtype == np.float64 and c.shape == (n, k) for c in stream)
     assert np.array_equal(np.stack(stream), expected)
 
