@@ -48,14 +48,17 @@ def unit_rows(z: np.ndarray, noun: str | None = None) -> tuple[np.ndarray, np.nd
     ``noun`` (say ``"codewords"``), the message ends by naming the rows,
     as ``(codewords [2, 5])``.  Whether the overflow also warns is left to
     the caller's ``np.errstate``: the training loop sets it once, not per
-    batch.
+    batch.  A batch with both kinds of bad row reports its zero rows.
     """
     norms = np.sqrt(np.add.reduce(z * z, axis=1))
-    zero = norms <= EPS_NORM
-    if zero.any():
-        _reject_rows("cannot normalize a zero vector", zero, noun)
-    # a finite norm is below 2**512, so the sum is finite only if each is
-    if not np.isfinite(np.add.reduce(norms)):
+    # One test for the common case: the smallest norm is above EPS_NORM
+    # and the sum is finite, which a finite norm (below 2**512) cannot
+    # spoil; a NaN fails both.  The checks are rerun only to word a failure.
+    if not (np.minimum.reduce(norms, initial=np.inf) > EPS_NORM
+            and np.add.reduce(norms) < np.inf):
+        zero = norms <= EPS_NORM
+        if zero.any():
+            _reject_rows("cannot normalize a zero vector", zero, noun)
         _reject_rows("cannot normalize a vector whose norm is not finite", ~np.isfinite(norms), noun)
     return z / norms[:, None], norms
 

@@ -5,12 +5,13 @@ codeword by negative half squared Euclidean distance, and pushed through a
 softmax; cross-entropy against the true class gives the loss.  Prediction
 is the nearest codeword, which is exactly the argmax of those scores.
 
-Scores are built in row blocks by one loop (:func:`_score_blocks`): a
-block is one GEMM plus a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``,
-written into one reused buffer.  The distance's remaining term,
-``-0.5 * ||u||^2``, is the same across a row, so the softmax and the argmax
-never see it.  Training turns each block into losses and gradients,
-prediction into an argmax.
+Scores are built in row blocks (:func:`_scores`): a block is one GEMM plus
+a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``.  The distance's
+remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
+softmax and the argmax never see it.  One loop (:func:`_score_blocks`)
+writes the blocks of a larger batch into one reused buffer.  Training
+turns each block into losses and gradients, prediction into an argmax; a
+training batch that fits one block skips the loop.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -75,27 +76,35 @@ def _codeword_bias(m: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ij,ij->i", m, m)
 
 
+def _scores(
+    u: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Scores ``u_i . m_c + bias_c`` of rows of u against rows of m: one
+    GEMM, into ``out`` when given, and one broadcast add."""
+    d = np.matmul(u, m.T, out=out)
+    d += bias
+    return d
+
+
 def _score_blocks(
     u: np.ndarray, m: np.ndarray, bias: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Score rows of u against rows of m, one row block at a time.
 
     Yields ``(rows, d)`` per block of :func:`_util.block_rows` rows: ``d``
-    holds the block's (rows, n) scores ``u_i . m_c + bias_c``, one GEMM and
-    one broadcast add into one buffer reused for every block, so memory
-    grows with block * n; the caller may overwrite it.  With the bias of
-    :func:`_codeword_bias` that is the negative half squared distance less
-    its row term, which cancels in the softmax and cannot move an argmax,
-    also for ablation prefixes of unit rows, which are not unit length.
+    holds the block's (rows, n) :func:`_scores`, written into one buffer
+    reused for every block, so memory grows with block * n; the caller may
+    overwrite it.  With the bias of :func:`_codeword_bias` that is the
+    negative half squared distance less its row term, which cancels in the
+    softmax and cannot move an argmax, also for ablation prefixes of unit
+    rows, which are not unit length.
     """
     s, n = u.shape[0], m.shape[0]
     step = _util.block_rows(n)
     buf = np.empty((min(s, step), n))
     for start in range(0, s, step):
         rows = slice(start, min(s, start + step))
-        d = np.matmul(u[rows], m.T, out=buf[: rows.stop - start])
-        d += bias
-        yield rows, d
+        yield rows, _scores(u[rows], m, bias, out=buf[: rows.stop - start])
 
 
 def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) -> np.ndarray:
@@ -108,17 +117,46 @@ def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) 
     only the true class's entry of each row is divided by the row sum, the
     same division the full normalization does, so the loss has the same
     bits.
+
+    ``scores`` must be C-contiguous, as every caller's buffer is: the
+    true-class entries are picked by flat index, so any other array is
+    refused with ValueError rather than worked in a copy.  Labels must lie
+    in ``[0, n)``; callers check them.
     """
+    if not scores.flags.c_contiguous:
+        raise ValueError("scores must be C-contiguous")
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
     sums = np.add.reduce(scores, axis=1, keepdims=True)
-    idx = np.arange(scores.shape[0])
+    flat = scores.reshape(-1)
+    picks = np.arange(0, flat.size, scores.shape[1]) + ys
     if not grad:
-        return -np.log(scores[idx, ys] / sums[:, 0])
+        return -np.log(flat.take(picks) / sums[:, 0])
     scores /= sums
-    picked = scores[idx, ys]
-    scores[idx, ys] -= 1.0
+    picked = flat.take(picks)
+    flat[picks] = picked - 1.0
     return -np.log(picked)
+
+
+def _loss_grad_in_place(
+    g: np.ndarray, ys: np.ndarray, u: np.ndarray, norms: np.ndarray, m: np.ndarray,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and gradients w.r.t. z of the rows scored in ``g``, which
+    becomes ``probs - e_y``; the gradients go into ``out`` when given.
+
+    ``u`` and ``norms`` are those rows' unit vectors and norms.  The one
+    softmax-and-gradient step of :func:`batch_loss_grad`, whether a batch
+    is one block or many.
+    """
+    losses = softmax_ce_in_place(g, ys, grad=True)
+    # d loss / d u = g @ m, radially projected and rescaled
+    a = np.matmul(g, m, out=out)
+    t = a * u
+    radial = np.add.reduce(t, axis=1)
+    a -= np.multiply(radial[:, None], u, out=t)
+    a /= norms[:, None]
+    return losses, a
 
 
 def batch_loss_grad(
@@ -127,11 +165,14 @@ def batch_loss_grad(
     """Vectorized forward+backward over a batch.
 
     Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
-    each z row (s, k); each row depends on that row of z alone.  Works
-    through the score blocks of :func:`_score_blocks` in place: besides the
-    returned arrays and the unit rows, memory is one block-sized (rows, n)
-    buffer, the scores that become ``probs - e_y``, and one (rows, k)
-    temporary.
+    each z row (s, k); each row depends on that row of z alone.  A batch of
+    1 to :func:`_util.block_rows` rows, every batch at desk scale, is
+    scored as one block with no block scaffolding; an empty or a larger one
+    goes through the blocks of :func:`_score_blocks`.  Both paths take the
+    same steps on the same rows (:func:`_loss_grad_in_place`), so the bits
+    do not depend on the path.  Besides the returned arrays and the unit
+    rows, memory is one block-sized (rows, n) buffer, the scores that
+    become ``probs - e_y``, and one (rows, k) temporary.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -142,20 +183,20 @@ def batch_loss_grad(
     s = z.shape[0]
     if ys.shape != (s,):
         raise ValueError("labels must match batch size")
+    if s and ys.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {ys.dtype}")
     if s and (np.minimum.reduce(ys) < 0 or np.maximum.reduce(ys) >= n):
         raise ValueError(f"labels out of range for {n} classes")
     u, norms = unit_rows(z)
+    bias = _bias(code)
+    if 0 < s <= _util.block_rows(n):
+        return _loss_grad_in_place(_scores(u, m, bias), ys, u, norms, m)
     losses = np.empty(s)
     grads = np.empty((s, k))
-    for rows, g in _score_blocks(u, m, _bias(code)):
-        losses[rows] = softmax_ce_in_place(g, ys[rows], grad=True)
-        # d loss / d u = g @ m, radially projected and rescaled
-        ub = u[rows]
-        a = np.matmul(g, m, out=grads[rows])
-        t = a * ub
-        radial = np.add.reduce(t, axis=1)
-        a -= np.multiply(radial[:, None], ub, out=t)
-        a /= norms[rows, None]
+    for rows, g in _score_blocks(u, m, bias):
+        losses[rows], _ = _loss_grad_in_place(
+            g, ys[rows], u[rows], norms[rows], m, out=grads[rows]
+        )
     return losses, grads
 
 

@@ -165,26 +165,33 @@ def _forward_batch(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, list[np.nda
 
 def _backward_batch(
     p: NetParams, cache: list[np.ndarray], grad_z: np.ndarray,
-    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    out: tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Mean parameter gradients for a batch of per-sample output gradients,
-    one (weight, bias) pair per layer, written into ``out`` when given."""
+    one (weight, bias) pair per layer.
+
+    ``out`` is ``(flat, layers)``, a flat buffer and its per-layer views
+    (:func:`_layer_views`); fresh ones are made when it is not given.  Each
+    layer's sums over the batch go into its views, then one divide of
+    ``flat`` by the batch's own row count makes them means, the same bits
+    as dividing each array.
+    """
     if out is None:
-        out = [(np.empty(w.shape), np.empty(b.shape)) for w, b in p.layers]
-    batch = grad_z.shape[0]
+        flat = np.empty(sum(w.size + b.size for w, b in p.layers))
+        out = flat, _layer_views(flat, p.layers)
+    flat, grads = out
     delta = grad_z
     for i in range(len(p.layers) - 1, -1, -1):
-        gw, gb = out[i]
+        gw, gb = grads[i]
         np.matmul(delta.T, cache[i], out=gw)
-        gw /= batch
         np.add.reduce(delta, axis=0, out=gb)
-        gb /= batch
         if i > 0:
             delta = delta @ p.layers[i][0]
             # rectifier gate: the cached input to layer i is the rectified
             # output of layer i-1, zero exactly where the unit was off
             delta *= cache[i] > 0
-    return out
+    flat /= grad_z.shape[0]
+    return grads
 
 
 def _layer_views(
@@ -313,11 +320,13 @@ def train(
     Trains a copy of ``p`` and returns it; the caller's arrays are never
     written.  Per epoch: shuffle (keyed to (seed, epoch)), step over
     batches, then a full evaluation pass on the training set and, when
-    given, the eval set.  Emits one MetricsRow per epoch per split.  Raises
-    :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
-    :class:`ZeroOutputError` when the decoder head meets an all-zero output.
-    Floating-point warnings are off for the whole call: the finite-loss
-    checks, not numpy, report a diverging run.
+    given, the eval set.  Each step follows the batch's mean gradient: the
+    last batch of an epoch may be short, and its sums are divided by its
+    own row count, not by ``batch_size``.  Emits one MetricsRow per epoch
+    per split.  Raises :class:`TrainingDivergedError` as soon as any loss
+    goes non-finite, and :class:`ZeroOutputError` when the decoder head
+    meets an all-zero output.  Floating-point warnings are off for the
+    whole call: the finite-loss checks, not numpy, report a diverging run.
     """
     if dataset.n != code.n:
         raise ValueError(
@@ -335,11 +344,12 @@ def train(
     samples = x.shape[0]
     # The parameters (a copy: the caller's arrays stay as given), their
     # velocities and each step's gradients live in one flat buffer apiece,
-    # so a step updates the whole net with four in-place calls.
+    # so a step turns the gradient sums into means with one divide and
+    # updates the whole net with four in-place calls.
     flat = np.concatenate([a.ravel() for layer in p.layers for a in layer], dtype=np.float64)
     grad_flat = np.empty_like(flat)
     velocity = np.zeros_like(flat)
-    param_grads = _layer_views(grad_flat, p.layers)
+    grad_out = grad_flat, _layer_views(grad_flat, p.layers)
     p = NetParams(_layer_views(flat, p.layers))
     rows: list[MetricsRow] = []
 
@@ -363,8 +373,8 @@ def train(
             if not np.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
-            _backward_batch(p, cache, grads, out=param_grads)
-            bias_grad = param_grads[-1][1]  # read before it is scaled by lr
+            # the output layer's mean bias gradient, read before lr scales it
+            bias_grad = _backward_batch(p, cache, grads, out=grad_out)[-1][1]
             active = np.abs(_update_vector(head, z, yb, bias_grad)) > GRAD_ACTIVE_EPS
             ratio_sum += np.count_nonzero(active) / active.size
             batches += 1

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, config handling, exit codes."""
 
 import errno
+import hashlib
 import os
 import signal
 import stat
@@ -264,6 +265,26 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         for name, blob in snap.items():
             assert read_bytes(os.path.join(out_dir, name)) == blob, name
+
+    @pytest.mark.parametrize("seed, model_sha256, metrics_sha256", [
+        (0, "14839fd941d87bae05150f9690ae95c0f1f90ada19628f3553f31c04149f1809",
+         "6e4aefc20a21c8084c007f05d4d872c09fb2932aa86fd2467fc487fb1569e7a4"),
+        (1, "f64970db39b5cdc024647d368a0f0d7611c668448b7b6aa6c0119d88a2dfee0f",
+         "872144eae5458b5ebb494e614983e079b931c227269a8295ceeeab5a56672769"),
+    ])
+    def test_ragged_last_batch_pinned(self, tmp_path, seed, model_sha256, metrics_sha256):
+        """30 training rows in batches of 8 end each epoch on a 6-row
+        batch, whose mean gradient divides by 6, not by ``batch_size``.
+        The digests were recorded from a trainer that divided each gradient
+        array by its batch's row count (numpy with OpenBLAS on x86-64)."""
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, synth_branching="3",
+                           synth_samples_per_class="12", batch_size="8", epochs="3",
+                           seed=str(seed))
+        assert main(["train", "--config", cfg]) == 0
+        assert len(read_bytes(os.path.join(out_dir, "train.csv")).splitlines()) == 30
+        for name, digest in (("model.bin", model_sha256), ("metrics.csv", metrics_sha256)):
+            assert hashlib.sha256(read_bytes(os.path.join(out_dir, name))).hexdigest() == digest
 
     def test_config_echo_reproduces_run(self, tmp_path):
         out_dir = os.path.join(tmp_path, "run")

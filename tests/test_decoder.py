@@ -152,6 +152,28 @@ class TestNormalize:
         u, _ = unit_rows(rng.standard_normal((20, 5)) * 10)
         assert (np.abs(np.linalg.norm(u, axis=1) - 1.0) < 1e-12).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_zero_rows_reported_before_non_finite_ones(self, bad):
+        """A batch holding both kinds of bad row reports its zero rows, and
+        names only them, whichever comes first."""
+        z = np.array([[bad, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        for rows, named in ((z, 2), (z[::-1].copy(), 0)):
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=rf"^cannot normalize a zero vector \(means \[{named}\]\)$"
+            ):
+                unit_rows(rows, "means")
+
+    def test_overflowing_row_is_not_finite(self):
+        z = np.array([[1.0, 1.0], [1e200, 1e200]])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^cannot normalize a vector whose norm is not finite \(means \[1\]\)$"
+        ):
+            unit_rows(z, "means")
+
+    def test_no_rows(self):
+        u, norms = unit_rows(np.empty((0, 3)), "means")
+        assert u.shape == (0, 3) and norms.shape == (0,)
+
 
 class TestDistances:
     def test_exact_codeword_scores_zero_and_max(self):
@@ -228,6 +250,31 @@ class TestDecoderSoftmax:
         expected = e / np.add.reduce(e, axis=1, keepdims=True)
         expected[np.arange(shape[0]), ys] -= 1.0
         assert g.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_refuses_a_buffer_that_is_not_contiguous(self, grad):
+        """True-class entries are picked by flat index, so a column slice is
+        refused by name, and left as it was, rather than worked in a copy
+        that the caller would never see."""
+        d = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(ValueError, match="^scores must be C-contiguous$"):
+            softmax_ce_in_place(d[:, :3], np.array([0, 1, 2]), grad=grad)
+        assert np.array_equal(d, np.arange(12.0).reshape(3, 4))
+
+    def test_rows_of_a_buffer_are_worked_in_place(self):
+        """A row slice of a larger buffer, as a score block is, is
+        contiguous: its rows become ``probs - e_y`` where they lie, with the
+        bits of the same rows worked alone; the other rows are untouched."""
+        rng = np.random.default_rng(26)
+        buf = rng.standard_normal((6, 5))
+        ys = np.array([4, 0, 2])
+        alone = buf[2:5].copy()
+        expected_losses = softmax_ce_in_place(alone, ys, grad=True)
+        before = buf.copy()
+        losses = softmax_ce_in_place(buf[2:5], ys, grad=True)
+        assert losses.tobytes() == expected_losses.tobytes()
+        assert buf[2:5].tobytes() == alone.tobytes()
+        assert np.array_equal(buf[:2], before[:2]) and np.array_equal(buf[5:], before[5:])
 
 
 class TestForward:
@@ -416,6 +463,18 @@ class TestBatchOps:
         with pytest.raises(ValueError, match="labels"):
             batch_loss_grad(np.ones((2, 4)), code, np.array([0, 3]))
 
+    @pytest.mark.parametrize("ys", [[0.0, 1.0], [True, False]])
+    def test_labels_that_are_not_integers_rejected(self, ys):
+        code = gaussian_code(3, 4, seed=21)
+        with pytest.raises(ValueError, match="^labels must be integers, got (float64|bool)$"):
+            batch_loss_grad(np.ones((2, 4)), code, ys)
+
+    def test_empty_batch(self):
+        code = gaussian_code(3, 4, seed=22)
+        for ys in ([], np.empty(0, dtype=int)):
+            losses, grads = batch_loss_grad(np.empty((0, 4)), code, ys)
+            assert losses.shape == (0,) and grads.shape == (0, 4)
+
     def test_zero_row_rejected(self):
         code = gaussian_code(3, 4, seed=22)
         z = np.ones((2, 4))
@@ -498,6 +557,44 @@ class TestRowBlocks:
         for a, b in zip(default, quantum):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
         assert np.array_equal(default_preds, quantum_preds)
+
+
+def block_loop_loss_grad(z, code, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and gradients of ``batch_loss_grad`` rebuilt on the blocks
+    ``_score_blocks`` yields: each block's softmax in place, then its
+    gradient GEMM, radial projection and rescale on the block's rows."""
+    u, norms = unit_rows(np.asarray(z, dtype=float))
+    m = decoding_matrix(code)
+    losses, grads = np.empty(len(u)), np.empty(u.shape)
+    for rows, d in _score_blocks(u, m, _bias(code)):
+        losses[rows] = softmax_ce_in_place(d, ys[rows], grad=True)
+        a = d @ m
+        ub = u[rows]
+        a -= np.add.reduce(a * ub, axis=1)[:, None] * ub
+        grads[rows] = a / norms[rows, None]
+    return losses, grads
+
+
+class TestBlockLayouts:
+    @pytest.mark.parametrize("n, k", [(16, 8), (1024, 20)])
+    @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1"])
+    def test_bits_match_the_block_loop(self, n, k, size):
+        """A batch of 1 to ``block_rows(n)`` rows skips the block loop, an
+        empty or a larger one goes through it; either way losses and
+        gradients have the bits of the block-by-block reference."""
+        code = gaussian_code(n, k, seed=n)
+        step = block_rows(n)
+        s = {"0": 0, "1": 1, "block-1": step - 1, "block": step, "block+1": step + 1}[size]
+        rng = np.random.default_rng(s)
+        z = rng.standard_normal((s, k)) * rng.uniform(0.1, 10.0, (s, 1))
+        ys = rng.integers(0, n, size=s)
+        ref_losses, ref_grads = block_loop_loss_grad(z, code, ys)
+        with mock.patch("ecoc.decoder._score_blocks", wraps=_score_blocks) as blocks:
+            losses, grads = batch_loss_grad(z, code, ys)
+        assert blocks.called == (not 0 < s <= step)
+        assert losses.shape == (s,) and grads.shape == (s, k)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
 
 
 @st.composite

@@ -28,6 +28,7 @@ from ecoc.net import (
     _epoch_metrics,
     _forward_batch,
     _head_loss_grad,
+    _layer_views,
     _update_vector,
     init,
     load_model,
@@ -162,6 +163,30 @@ class TestNetBackward:
         for li, (gw, gb) in enumerate(grads):
             assert np.allclose(gw, np.mean([g[li][0] for g in singles], axis=0), atol=1e-12)
             assert np.allclose(gb, np.mean([g[li][1] for g in singles], axis=0), atol=1e-12)
+
+    def test_means_are_one_divide_of_the_sums(self):
+        """The gradients are the per-layer batch sums over the batch's row
+        count, with the bits of dividing each array, whether fresh arrays
+        are made or views into a given flat buffer are filled."""
+        rng = np.random.default_rng(8)
+        p = init([4, 8, 5, 3], seed=8)
+        x = rng.standard_normal((7, 4))
+        v = rng.standard_normal((7, 3))
+        _, cache = _forward_batch(p, x)
+        expected = []
+        delta = v
+        for i in range(len(p.layers) - 1, -1, -1):
+            expected.insert(0, (delta.T @ cache[i] / 7, np.add.reduce(delta, axis=0) / 7))
+            if i > 0:
+                delta = (delta @ p.layers[i][0]) * (cache[i] > 0)
+        flat = np.full(sum(w.size + b.size for w, b in p.layers), np.nan)
+        views = _layer_views(flat, p.layers)
+        given = _backward_batch(p, cache, v, out=(flat, views))
+        assert given is views
+        for grads in (_backward_batch(p, cache, v), given):
+            for (gw, gb), (ew, eb) in zip(grads, expected, strict=True):
+                assert gw.tobytes() == ew.tobytes() and gb.tobytes() == eb.tobytes()
+        assert np.array_equal(flat, np.concatenate([a.ravel() for pair in expected for a in pair]))
 
     def test_descent_shrinks_loss_and_gradient(self):
         """Plain gradient descent on a linear net with the distance-decoder
