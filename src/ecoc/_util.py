@@ -9,6 +9,8 @@ import shutil
 import tempfile
 import warnings
 from contextlib import contextmanager, suppress
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -22,6 +24,12 @@ ROW_BLOCK_ELEMS = 1 << 16
 _ROW_QUANTUM = 64
 # Bit pattern of -0.0, which equals its int64 cast but prints with a sign.
 _NEG_ZERO = np.uint64(1 << 63)
+# format_rows splices a row block from one template row when one value fills
+# at least this share of its entries.
+COMMON_SHARE = 0.9
+# ASCII separators that numpy's reader strips from a value as whitespace,
+# and float() does not.
+_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 _WIDE_DTYPE = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
@@ -123,6 +131,53 @@ def _distinct(block: np.ndarray) -> tuple[list, np.ndarray]:
     return distinct.tolist(), inverse.reshape(block.shape)
 
 
+def _common(block: np.ndarray) -> tuple[object, np.ndarray] | None:
+    """The entry that fills at least ``COMMON_SHARE`` of a non-empty block,
+    as a Python number, and the mask of its places; None if neither the
+    block's first entry nor the first entry that differs from it does.
+
+    Entries are compared by bit pattern, so ``-0.0`` is not ``0.0``.  A
+    first entry that misses the share but fills more than ``1 -
+    COMMON_SHARE`` of the block leaves no value enough places; otherwise
+    the first entry that differs from it is tried too, which finds the
+    common value of a one-hot block, whose first row starts with a 1.  A
+    block whose first two distinct entries are both rare is not spliced.
+    """
+    keys = block.view(np.uint64) if block.dtype.kind == "f" else block
+    need = COMMON_SHARE * block.size
+    first = 0
+    same = keys == keys.flat[first]
+    count = np.count_nonzero(same)
+    if count < need and count <= block.size - need:
+        first = int(np.argmin(same))
+        same = keys == keys.flat[first]
+        count = np.count_nonzero(same)
+    if count < need:
+        return None
+    return block.flat[first].item(), same
+
+
+def _spliced_rows(block: np.ndarray, common: object, same: np.ndarray) -> list[str]:
+    """CSV lines of a block in which ``common`` fills the ``same`` places:
+    one template row of its token, and for each row holding other entries
+    one join of template slices around their tokens."""
+    token = repr(common)
+    template = ",".join([token] * block.shape[1])
+    lines = [template] * block.shape[0]
+    # a flat index is ten times faster to find than a 2-d one
+    rows, cols = np.divmod(np.flatnonzero(~same), block.shape[1])
+    starts = (cols * (len(token) + 1)).tolist()
+    tokens = map(repr, block[rows, cols].tolist())
+    for row, cells in groupby(zip(rows.tolist(), starts, tokens), key=itemgetter(0)):
+        pieces, end = [], 0
+        for _, start, text in cells:
+            pieces += (template[end:start], text)
+            end = start + len(token)
+        pieces.append(template[end:])
+        lines[row] = "".join(pieces)
+    return lines
+
+
 def format_rows(
     values: np.ndarray, row_labels: np.ndarray | None = None
 ) -> Iterator[str]:
@@ -131,7 +186,10 @@ def format_rows(
 
     Float entries print as :func:`fmt_float` (``repr``), integer entries as
     ``str``.  ``row_labels``, if given, are integers written first on each
-    line.  Each block of about ``ROW_BLOCK_ELEMS`` entries formats every
+    line.  A block of about ``ROW_BLOCK_ELEMS`` entries in which one value
+    fills at least ``COMMON_SHARE`` of them (:func:`_common`: one-hot codes,
+    0/1 attributes, confusion counts at large n) is spliced from one
+    template row (:func:`_spliced_rows`); any other block formats each
     distinct value once (:func:`_distinct`) and indexes the strings.  Write
     the blocks as they come (``fh.writelines(format_rows(...))``) to keep
     memory bounded.
@@ -148,20 +206,48 @@ def format_rows(
     step = max(1, ROW_BLOCK_ELEMS // max(1, values.shape[1]))
     for start in range(0, values.shape[0], step):
         block = values[start : start + step]
-        distinct, inverse = _distinct(block)
-        # repr of a Python int is its str
-        text = np.array(list(map(repr, distinct)), dtype=object)
-        rows = [",".join(r) for r in text[inverse].tolist()]
+        common = _common(block) if block.size else None
+        if common is not None:
+            rows = _spliced_rows(block, *common)
+        else:
+            distinct, inverse = _distinct(block)
+            # repr of a Python int is its str
+            text = np.array(list(map(repr, distinct)), dtype=object)
+            rows = [",".join(r) for r in text[inverse].tolist()]
         if row_labels is not None:
             labels = row_labels[start : start + step].tolist()
             rows = [f"{label},{row}" for label, row in zip(labels, rows)]
         yield "\n".join(rows) + "\n"
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, which end at ``\\n``, ``\\r\\n`` or ``\\r``
+    only (not at the other breaks ``str.splitlines`` knows, such as a form
+    feed or U+2028); a final line end starts no empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def read_lines(path: str) -> list[str]:
-    """The lines of a text file, without their line endings."""
-    with open(path, "r", newline="") as fh:
-        return fh.read().splitlines()
+    """The lines of a text file, as :func:`split_lines` splits them.
+
+    Bytes the text encoding cannot decode raise ValueError naming
+    ``path:line``.
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}:{line}: cannot decode byte {byte:#04x} as {exc.encoding}: "
+                         f"{exc.reason}") from None
+    return split_lines(text)
 
 
 def check_rows(path: str, ok: np.ndarray, first_line: int, message: str) -> None:
@@ -178,16 +264,44 @@ def parse_rows(path: str, lines: list[str], first_line: int, noun: str, width: i
     of ``path``, as a ``(len(lines), width)`` float64 array.
 
     ``width`` defaults to the first row's; with ``width`` 0 an empty line is
-    a row of no values, as :func:`format_rows` writes it.  numpy applies
-    ``float`` to each string as a row goes into the array.  A row of another
-    width, a value ``float`` rejects or, with ``finite``, a non-finite value
-    raises ValueError naming ``path:line``; ``noun`` and ``unit`` word it.
+    a row of no values, as :func:`format_rows` writes it.  numpy's C reader
+    (``np.loadtxt``) parses the rows, converting each value as ``float``
+    does, so an accepted file gives the same bits.  Where it fails (it
+    raises or warns, skips a blank line, finds another width, or would strip
+    a character that ``float`` keeps), the per-line loop
+    :func:`_parse_rows_per_line` parses them with ``float``: it reads what
+    only ``float`` takes, such as ``1_0``, and words the errors.  A row of
+    another width, a value ``float`` rejects or, with ``finite``, a
+    non-finite value raises ValueError naming ``path:line``; ``noun`` and
+    ``unit`` word it.
     """
     if width is None:
         width = lines[0].count(",") + 1 if lines else 0
     elif lines and width > len(lines[0]) + 1:  # too many for line 1: fail before allocating
         found = lines[0].count(",") + 1
         raise ValueError(f"{path}:{first_line}: expected {width} {unit}, found {found}")
+    values = None
+    text = "\n".join(lines)
+    if lines and width and not any(c in text for c in _FLOAT_REJECTS):
+        with warnings.catch_warnings():
+            # numpy warns "input contained no data" when every line is blank
+            warnings.simplefilter("error")
+            try:
+                values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except (ValueError, Warning):
+                pass
+    if values is None or values.shape != (len(lines), width):
+        values = _parse_rows_per_line(path, lines, first_line, noun, width, unit)
+    if finite:
+        check_rows(path, np.isfinite(values).all(axis=1), first_line, f"non-finite {noun} value")
+    return values
+
+
+def _parse_rows_per_line(path: str, lines: list[str], first_line: int, noun: str, width: int,
+                         unit: str) -> np.ndarray:
+    """:func:`parse_rows`' per-line loop: the rows as float64, or ValueError
+    ``path:line`` at the first row of another width or with a value
+    ``float`` rejects."""
     values = np.empty((len(lines), width))
     for i, line in enumerate(lines):
         parts = line.split(",") if line or width else []
@@ -199,8 +313,6 @@ def parse_rows(path: str, lines: list[str], first_line: int, noun: str, width: i
             values[i] = parts
         except ValueError:
             raise ValueError(f"{path}:{first_line + i}: non-numeric {noun} value") from None
-    if finite:
-        check_rows(path, np.isfinite(values).all(axis=1), first_line, f"non-finite {noun} value")
     return values
 
 

@@ -18,7 +18,7 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write, check_seed, fmt_float, forked_writes
+from ._util import atomic_write, check_seed, fmt_float, forked_writes, read_lines, split_lines
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import Dataset
@@ -136,7 +136,7 @@ def format_value(value) -> str:
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` comments; duplicate keys rejected."""
     entries: dict[str, str] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -391,8 +391,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    with open(args.config, "r") as fh:
-        entries = parse_config_text(fh.read(), source=args.config)
+    entries = parse_config_text("\n".join(read_lines(args.config)), source=args.config)
     cfg = resolve_config(entries, source=args.config)
     rows = run_experiment(cfg)
     final = [r for r in rows if r.split == "eval"] or rows

@@ -202,6 +202,17 @@ class TestGenCode:
         assert "error: class 1 has no samples\n" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_spectral_data_row_with_a_next_line_character_exits_2(self, tmp_path, capsys):
+        """A U+0085 inside a row does not split it into two samples."""
+        data = os.path.join(tmp_path, "data.csv")
+        with open(data, "w") as fh:
+            fh.write("0,1.0,2.0\n1,3.0,4.0\x851,5.0,6.0\n0,7.0,8.0\n")
+        out = os.path.join(tmp_path, "code.csv")
+        assert main(["gen-code", "--strategy", "spectral", "--data", data,
+                     "--bits", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {data}:2: expected 3 columns, found 5\n"
+        assert not os.path.exists(out)
+
     def test_spectral_needs_a_source(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
@@ -430,6 +441,14 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", os.path.join(tmp_path, "nope.cfg")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_undecodable_config_names_path_and_line(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "exp.cfg")
+        with open(path, "wb") as fh:
+            fh.write(b"epochs = 1\nout_dir = \xff\n")
+        assert main(["train", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: cannot decode byte 0xff as utf-8: invalid start byte\n")
 
     def test_training_keys_checked_before_the_data(self, tmp_path, capsys):
         """A bad training value is reported before the data file is read."""
@@ -1177,6 +1196,13 @@ class TestConfigParsing:
     def test_duplicate_key(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_config_text("a = 1\na = 2\n")
+
+    def test_lines_end_only_at_line_ends(self):
+        """A form feed or U+2028 inside a line neither ends it nor shifts
+        the line numbers after it."""
+        assert parse_config_text("a = 1 \x0c\r\nb = x\u2028y\r") == {"a": "1", "b": "x\u2028y"}
+        with pytest.raises(ValueError, match=r"^config:2: expected 'key = value'"):
+            parse_config_text("a = 1\x0c\nnot a pair\n")
 
     def test_resolve_defaults(self, tmp_path):
         cfg = resolve_config({"out_dir": str(tmp_path)})

@@ -1,9 +1,11 @@
 """The shared CSV row formatter against the per-element writer it replaced,
-the shared row parser behind every matrix CSV reader, and the shared seed
-check of the library's random draws."""
+the shared row parser behind every matrix CSV reader against its per-line
+loop, the shared line reader, and the shared seed check of the library's
+random draws."""
 
 import os
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoc import _util, codes, datasets, net
-from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows
+from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows, split_lines
 from ecoc.codes import load_code_csv
 from ecoc.datasets import load_attributes_csv, load_csv
 from ecoc.spectral import load_similarity_csv
@@ -80,6 +82,49 @@ def _signed_zeros() -> np.ndarray:
     return values
 
 
+def _sparse(shape, common, exceptions, share, seed, dtype=np.float64) -> np.ndarray:
+    """``common`` everywhere but a ``share`` of places, which draw from
+    ``exceptions``."""
+    rng = np.random.default_rng(seed)
+    values = np.full(shape, common, dtype=dtype)
+    places = rng.random(shape) < share
+    values[places] = np.asarray(exceptions, dtype=dtype)[rng.integers(len(exceptions), size=places.sum())]
+    return values
+
+
+def _edge_columns() -> np.ndarray:
+    values = np.zeros((300, 250))
+    values[::3, 0], values[1::4, -1], values[7, [0, -1]] = 2.5, -1e300, (0.1, 5e-324)
+    return values
+
+
+def _neg_zero_among_zeros() -> np.ndarray:
+    values = np.zeros((300, 250))
+    values[np.random.default_rng(8).random(values.shape) < 0.05] = -0.0
+    return values
+
+
+def _alternating_blocks() -> np.ndarray:
+    """Blocks of 655 rows (at 100 columns) alternate between mostly 1.0 and
+    gaussian values."""
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((4 * 655, 100))
+    for start in (0, 2 * 655):
+        values[start : start + 655] = _sparse((655, 100), 1.0, [0.0, -0.0, 0.3], 0.04, start)
+    return values
+
+
+# Arrays of the test below, and how many of their blocks are spliced from a
+# template row; None for every block.
+SPLICED = {
+    "onehot": None, "no_columns": 0, "pm1": 0, "gaussian": 0, "counts": None,
+    "int64_extremes": 0, "signed_zeros": 0, "wide_span_floats": 0,
+    "edge_columns": None, "several_per_row": None, "neg_zero_among_zeros": None,
+    "zeros_among_neg_zeros": None, "int64_extreme_exceptions": None,
+    "uint64_common_max": None, "first_two_entries_rare": 1, "alternating": 2,
+}
+
+
 @pytest.mark.parametrize(
     "values, block",
     [
@@ -93,14 +138,45 @@ def _signed_zeros() -> np.ndarray:
         # integer-valued floats spanning more values than a block has entries
         (np.random.default_rng(5).integers(0, 2, size=(40, 8)) * 1e6, 16),
         (np.zeros((ROW_BLOCK_ELEMS + 1, 0)), ROW_BLOCK_ELEMS),
+        # exceptions to a common value in the first and last columns, and
+        # several to a row
+        (_edge_columns(), ROW_BLOCK_ELEMS),
+        (_sparse((400, 300), 0.0, np.random.default_rng(10).standard_normal(50), 0.08, 11),
+         ROW_BLOCK_ELEMS),
+        (_neg_zero_among_zeros(), ROW_BLOCK_ELEMS),
+        (-_neg_zero_among_zeros(), ROW_BLOCK_ELEMS),
+        (_sparse((300, 300), 0, [2**63 - 1, -(2**63), -1], 0.03, 12, np.int64), ROW_BLOCK_ELEMS),
+        (_sparse((300, 300), 2**64 - 1, [0, 2**63], 0.03, 13, np.uint64), ROW_BLOCK_ELEMS),
+        # a common value behind two rarer ones is not looked for
+        (np.vstack([[3.0, 5.0] + [0.0] * 298, np.zeros((299, 300))]), ROW_BLOCK_ELEMS),
+        (_alternating_blocks(), ROW_BLOCK_ELEMS),
     ],
     ids=["onehot", "pm1", "gaussian", "counts", "int64_extremes", "signed_zeros",
-         "wide_span_floats", "no_columns"],
+         "wide_span_floats", "no_columns", "edge_columns", "several_per_row",
+         "neg_zero_among_zeros", "zeros_among_neg_zeros", "int64_extreme_exceptions",
+         "uint64_common_max", "first_two_entries_rare", "alternating"],
 )
-def test_multi_block_arrays_match_per_element_writer(values, block):
+def test_multi_block_arrays_match_per_element_writer(request, values, block):
     # more rows than one block holds
     assert values.shape[0] > block // max(1, values.shape[1])
     labels = np.arange(values.shape[0])
+    blocks = -(-values.shape[0] // max(1, block // max(1, values.shape[1])))
+    spliced = SPLICED[request.node.callspec.id]
+    distinct = mock.Mock(wraps=_util._distinct)
+    with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block), \
+            mock.patch.object(_util, "_distinct", distinct):
+        assert text(values, labels) == format_rows_per_element(values, labels)
+    assert distinct.call_count == blocks - (blocks if spliced is None else spliced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(palette=float_palettes, rows=st.integers(1, 40), cols=st.integers(1, 12),
+       share=st.floats(0.0, 0.2), block=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_mostly_constant_rows_match_per_element_writer(palette, rows, cols, share, block, seed):
+    """Blocks around the share at which rows are spliced from a template
+    write what the per-element writer does, on either side of it."""
+    values = _sparse((rows, cols), palette[0], palette, share, seed)
+    labels = np.arange(rows)
     with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block):
         assert text(values, labels) == format_rows_per_element(values, labels)
 
@@ -236,6 +312,149 @@ def test_parse_rows_infers_width_and_numbers_lines_from_first_line():
         parse_rows("f.csv", ["1"], 7, "test", width=0)
     assert parse_rows("f.csv", [], 1, "test").shape == (0, 0)
     assert parse_rows("f.csv", ["inf"], 1, "test", finite=False)[0, 0] == np.inf
+
+
+# Lines on which numpy's reader and the per-line loop could part ways.
+READER_EDGE_CASES = {
+    "blank_middle": ["1.0,2.0", "", "3.0,4.0"],
+    "blank_last": ["1.0,2.0", ""],
+    "all_blank": ["", ""],
+    "whitespace_only": ["1.0,2.0", " \t "],
+    "padded": [" 1.0 ,\t2.0", "3.0\x0c,4.0\xa0", "\x0b5\x85,6\u2028\r"],
+    "ascii_separators": ["\x1c1.0,2.0\x1f", "3.0\x1d,\x1e4.0"],
+    "underscore": ["1_0,2.0"],
+    "fullwidth_digit": ["\uff11,2.0"],
+    "ragged_short": ["1.0,2.0", "3.0"],
+    "ragged_long": ["1.0,2.0", "3.0,4.0,5.0"],
+    "trailing_comma": ["1.0,2.0,", "3.0,4.0,"],
+    "empty_field": ["1.0,,2.0"],
+    "nan_inf": ["nan,-nan,NaN,+nan", "inf,-Infinity,+INF,infinity"],
+    "overflow": ["1e400,-1e999,1e-400,-1e-99999"],
+    "subnormals": ["5e-324,-4.9e-324,2.2250738585071e-308,1e-320"],
+    "signed_zeros": ["-0.0,0.0,-0,+0.0"],
+    "long_digits": ["0." + "3" * 200 + ",1e" + "0" * 150 + "1,-" + "9" * 400],
+    "int64_overflow": ["99999999999999999999,-9223372036854775809,9223372036854775807"],
+    "quote_and_hash": ['"1.0",#2'],
+    "hex": ["0x10,1.0"],
+    "nul": ["1\x00,2"],
+}
+# The cases numpy's reader takes on its own, with no help from the loop.
+NUMPY_READS = {"padded", "nan_inf", "overflow", "subnormals", "signed_zeros", "long_digits",
+               "int64_overflow"}
+
+
+def outcome(call):
+    """What ``call`` returns, or the text of the ValueError it raises; no
+    warning may escape it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ValueError as exc:
+            result = str(exc)
+    assert caught == []
+    return result
+
+
+def loop_outcome(call):
+    """:func:`outcome` of ``call`` with numpy's reader refusing every input,
+    so that the per-line loop parses the rows."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        return outcome(call)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize("case", sorted(READER_EDGE_CASES))
+def test_numpy_reader_gives_the_loops_values_or_error(case, finite):
+    lines = READER_EDGE_CASES[case]
+    loop = mock.Mock(wraps=_util._parse_rows_per_line)
+    with mock.patch.object(_util, "_parse_rows_per_line", loop):
+        got = outcome(lambda: parse_rows("m.csv", lines, 3, "test", finite=finite))
+    assert loop.called == (case not in NUMPY_READS)
+    assert_same_outcome(got, loop_outcome(lambda: parse_rows("m.csv", lines, 3, "test",
+                                                             finite=finite)))
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+@pytest.mark.parametrize("case", sorted(READER_EDGE_CASES))
+def test_load_csv_gives_the_loops_values_or_error(tmp_path, case, labelled):
+    lines = READER_EDGE_CASES[case]
+    if labelled:
+        lines = [f"{i % 2},{line}" for i, line in enumerate(lines)]
+    path = os.path.join(tmp_path, "data.csv")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    got, want = outcome(lambda: load_csv(path)), loop_outcome(lambda: load_csv(path))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_outcome(got.features, want.features)
+        assert got.labels.tolist() == want.labels.tolist() and got.n == want.n
+
+
+# pieces of values, some that both readers take, some that one or both refuse
+value_pieces = st.sampled_from([
+    "0", "1", "9", "-", "+", ".", "e", "E", "e-", "e+3", "nan", "inf", "Infinity", "_",
+    " ", "\t", "\x0c", "\x1c", "\x1f", "\r", "\n", "\x85", "\xa0", "\uff11", "x", "0x", "#",
+    '"', "1e400", "5e-324", "-0.0",
+])
+fuzz_values = st.one_of(
+    st.lists(value_pieces, max_size=4).map("".join),
+    st.floats().map(repr),
+    st.floats().map(lambda v: f"{v:.3e}"),
+    st.integers(-(2**70), 2**70).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(fuzz_values, min_size=1, max_size=4), min_size=1, max_size=5),
+       finite=st.booleans())
+def test_numpy_reader_matches_the_loop_on_fuzzed_rows(rows, finite):
+    lines = [",".join(row) for row in rows]
+    call = lambda: parse_rows("f.csv", lines, 1, "test", finite=finite)  # noqa: E731
+    assert_same_outcome(outcome(call), loop_outcome(call))
+
+
+def test_split_lines_ends_lines_only_at_line_ends():
+    others = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    assert split_lines(f"a{others}b\r\nc\rd\ne") == [f"a{others}b", "c", "d", "e"]
+    assert split_lines("a\n") == ["a"]
+    assert split_lines("a\r\n\r\n") == ["a", ""]
+    assert split_lines("") == []
+    assert split_lines("\r") == [""]
+
+
+def test_break_characters_inside_a_line_neither_split_nor_shift_it(tmp_path):
+    """A form feed inside line 1 once moved a fault on line 2 to line 3, and
+    a U+0085 inside a row once made two samples of it."""
+    path = os.path.join(tmp_path, "data.csv")
+    with open(path, "w") as fh:
+        fh.write("0,1.0\x0c,2.0\n1,oops,3.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: non-numeric feature value$"):
+        load_csv(path)
+    with open(path, "w") as fh:
+        fh.write("0,1.0,2.0\n1,3.0,4.0\x851,5.0,6.0\n0,7.0,8.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: expected 3 columns, found 5$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READER_FAULTS))
+def test_undecodable_byte_names_path_and_line(tmp_path, reader):
+    load = READER_FAULTS[reader][0]
+    path = os.path.join(tmp_path, f"{reader}.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"2,2,gaussian,raw\r0.0,1.0\r\n1.0,\xff\n")
+    message = f"{path}:3: cannot decode byte 0xff as utf-8: invalid start byte"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(path)
 
 
 @pytest.mark.parametrize(
