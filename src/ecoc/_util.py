@@ -22,15 +22,12 @@ EPS_NORM = 1e-12
 ROW_BLOCK_ELEMS = 1 << 16
 # block_rows gives whole multiples of this many rows.
 _ROW_QUANTUM = 64
-# Bit pattern of -0.0, which equals its int64 cast but prints with a sign.
-_NEG_ZERO = np.uint64(1 << 63)
 # format_rows splices a row block from one template row when one value fills
 # at least this share of its entries.
 COMMON_SHARE = 0.9
 # ASCII separators that numpy's reader strips from a value as whitespace,
 # and float() does not.
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
-_WIDE_DTYPE = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
 def block_rows(n: int) -> int:
@@ -99,36 +96,11 @@ def fmt_float(x: float) -> str:
 
 def _distinct(block: np.ndarray) -> tuple[list, np.ndarray]:
     """Distinct entries of a block, as Python numbers, and the index of each
-    entry among them.
-
-    A block of integers spanning no more values than it has entries (int
-    dtypes, or floats equal to their int64 cast and holding no ``-0.0``) is
-    indexed directly, by a presence table over its range; any other block
-    goes through ``np.unique``, floats keyed on their bit pattern so that
-    ``-0.0`` keeps its sign.
-    """
+    entry among them: one ``np.unique``, floats keyed on their bit pattern
+    so that ``-0.0`` keeps its sign."""
     is_float = block.dtype.kind == "f"
-    if block.size:
-        ints = block
-        if is_float:
-            with np.errstate(invalid="ignore"):
-                ints = block.astype(np.int64)
-            if not (ints == block).all() or (block.view(np.uint64) == _NEG_ZERO).any():
-                ints = None
-        if ints is not None:
-            lo, hi = int(ints.min()), int(ints.max())
-            if hi - lo < block.size:
-                offsets = ints - lo
-                present = np.zeros(hi - lo + 1, dtype=bool)
-                present[offsets] = True
-                rank = np.cumsum(present) - 1
-                distinct = [lo + j for j in np.flatnonzero(present).tolist()]
-                return list(map(float, distinct)) if is_float else distinct, rank[offsets]
-    if is_float:
-        keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        return keys.view(np.float64).tolist(), inverse.reshape(block.shape)
-    distinct, inverse = np.unique(block, return_inverse=True)
-    return distinct.tolist(), inverse.reshape(block.shape)
+    keys, inverse = np.unique(block.view(np.uint64) if is_float else block, return_inverse=True)
+    return (keys.view(np.float64) if is_float else keys).tolist(), inverse.reshape(block.shape)
 
 
 def _common(block: np.ndarray) -> tuple[object, np.ndarray] | None:
@@ -186,21 +158,22 @@ def format_rows(
 
     Float entries print as :func:`fmt_float` (``repr``), integer entries as
     ``str``.  ``row_labels``, if given, are integers written first on each
-    line.  A block of about ``ROW_BLOCK_ELEMS`` entries in which one value
-    fills at least ``COMMON_SHARE`` of them (:func:`_common`: one-hot codes,
-    0/1 attributes, confusion counts at large n) is spliced from one
-    template row (:func:`_spliced_rows`); any other block formats each
-    distinct value once (:func:`_distinct`) and indexes the strings.  Write
-    the blocks as they come (``fh.writelines(format_rows(...))``) to keep
-    memory bounded.
+    line.  Each block of about ``ROW_BLOCK_ELEMS`` entries takes one of two
+    rules.  A block in which one value fills at least ``COMMON_SHARE`` of
+    the entries (:func:`_common`: one-hot codes, 0/1 attributes, confusion
+    counts at large n) is spliced from one template row
+    (:func:`_spliced_rows`); any other block formats each distinct value
+    once, found by one ``np.unique`` (:func:`_distinct`), and indexes the
+    strings.  Write the blocks as they come
+    (``fh.writelines(format_rows(...))``) to keep memory bounded.
     """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {values.shape}")
     if values.dtype.kind not in "fiu":
         raise TypeError(f"cannot format values of dtype {values.dtype}")
-    # 64-bit entries, so a block's offsets from its minimum cannot overflow
-    values = values.astype(_WIDE_DTYPE[values.dtype.kind], copy=False)
+    if values.dtype.kind == "f":  # 64-bit floats, for the bit-pattern keys
+        values = values.astype(np.float64, copy=False)
     if row_labels is not None:
         row_labels = np.asarray(row_labels, dtype=np.int64)
     step = max(1, ROW_BLOCK_ELEMS // max(1, values.shape[1]))

@@ -326,9 +326,10 @@ def _save_config_echo(cfg: ExperimentConfig, path: str) -> None:
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
     check_seed(args.seed, "--seed")
-    for flag, value in (("--bits", args.bits), ("--candidates", args.candidates)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, floor in (("--classes", args.classes, 2), ("--bits", args.bits, 1),
+                               ("--candidates", args.candidates, 1)):
+        if value is not None and value < floor:
+            raise ValueError(f"{flag} must be >= {floor}, got {value}")
     n = args.classes
     graph = None
     if args.strategy == "spectral":

@@ -45,6 +45,14 @@ class BinarizationCollisionError(ValueError):
     """Thresholding collapsed two codewords into the same row."""
 
 
+class _CodeRowError(ValueError):
+    """:class:`CodeMatrix` refused the values of one row, ``row``."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class CodeMatrix:
     """An ``n x k`` real matrix whose row ``i`` is the codeword of class ``i``.
@@ -64,7 +72,10 @@ class CodeMatrix:
     Notes
     -----
     ``kind`` and ``binarization`` alone decide how the code is decoded
-    (:attr:`normalize_rows`), so a code's CSV file carries all of it.
+    (:attr:`normalize_rows`), so a code's CSV file carries all of it.  A
+    one-hot code must be the identity, because the softmax head trains
+    output ``i`` for class ``i`` whatever the rows say; binarized values
+    must be -1 or +1.
 
     Generators in this package guarantee pairwise-distinct rows (two classes
     sharing a codeword are indistinguishable); the constructor itself does
@@ -90,13 +101,18 @@ class CodeMatrix:
         if self.kind is CodeKind.ONE_HOT:
             if k != n:
                 raise ValueError(f"one-hot code must be square, got {n}x{k}")
-            if not np.isin(values, (0.0, 1.0)).all():
-                raise ValueError("one-hot code values must be 0 or 1")
-            if not np.array_equal(values.sum(axis=1), np.ones(n)):
-                raise ValueError("each one-hot row must contain exactly one 1")
+            # the identity, with no n x n temporary: n nonzeros, all on a
+            # diagonal of ones
+            diagonal = values.diagonal()
+            if np.count_nonzero(values) != n or not (diagonal == 1.0).all():
+                bad = (diagonal != 1.0) | (np.count_nonzero(values, axis=1) != 1)
+                raise _CodeRowError("a one-hot row must hold a single 1, in its class's column",
+                                    int(np.argmax(bad)))
         if self.binarization is not Binarization.RAW:
-            if not np.isin(values, (-1.0, 1.0)).all():
-                raise ValueError("binarized code values must be -1 or +1")
+            signs = np.isin(values, (-1.0, 1.0))
+            if not signs.all():
+                raise _CodeRowError("binarized code values must be -1 or +1",
+                                    int(np.argmin(signs.all(axis=1))))
         if values.flags.writeable:  # the caller's own array: keep a read-only copy
             values = frozen(values.copy())
         object.__setattr__(self, "values", values)
@@ -466,4 +482,9 @@ def load_code_csv(path: str) -> CodeMatrix:
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} codeword rows, found {len(body)}")
     values = parse_rows(path, body, 2, "code", k)
-    return CodeMatrix(frozen(values), kind=kind, binarization=binarization)
+    try:
+        return CodeMatrix(frozen(values), kind=kind, binarization=binarization)
+    except _CodeRowError as exc:
+        raise ValueError(f"{path}:{2 + exc.row}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

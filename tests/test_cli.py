@@ -110,12 +110,13 @@ class TestGenCode:
         assert main(["gen-code", "--strategy", "gaussian", "--out", out]) == 2
         assert "--classes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--bits", "--candidates"])
-    def test_count_below_one_names_the_flag(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, floor", [("--bits", 1), ("--candidates", 1),
+                                             ("--classes", 2)])
+    def test_count_below_one_names_the_flag(self, tmp_path, capsys, flag, floor):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "dense", "--classes", "4", "--bits", "3",
                      flag, "0", "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {flag} must be >= {floor}, got 0\n"
         assert not os.path.exists(out)
 
     def test_dense_is_reproducible(self, tmp_path):
@@ -523,6 +524,27 @@ class TestTrain:
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), os.path.join(tmp_path, "run"),
                            data_csv=data, code_csv=code, **{key: value})
         assert main(["train", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("rows, line", [("0,1,0\n0,0,1\n1,0,0\n", 2),
+                                            ("1,0,0\n1,0,0\n0,0,1\n", 3)],
+                             ids=["permuted", "repeated"])
+    def test_one_hot_code_other_than_the_identity_exits_2(self, tmp_path, capsys, rows, line):
+        """The softmax head trains output i for class i whatever the rows
+        say, so a permuted identity would train to full accuracy and
+        analyze to none; the code file is refused at its first bad row."""
+        data, code = os.path.join(tmp_path, "data.csv"), os.path.join(tmp_path, "code.csv")
+        assert main(["synth-data", "--depth", "1", "--branching", "3", "--samples-per-class",
+                     "20", "--dim", "4", "--class-sep", "8", "--seed", "0", "--out", data]) == 0
+        with open(code, "w") as fh:
+            fh.write("3,3,onehot,raw\n" + rows)
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=data, code_csv=code,
+                           epochs="20", learning_rate="0.5")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {code}:{line}: a one-hot row must hold a single 1, in its class's column\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--class-sep"])
     @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-1e3", "-1000.0"),

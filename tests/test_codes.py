@@ -471,6 +471,36 @@ class TestCodeMatrixValidation:
         with pytest.raises(ValueError):
             CodeMatrix(np.eye(3)[:, :2], kind=CodeKind.ONE_HOT)
 
+    @pytest.mark.parametrize("rows, bad", [
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 0),
+        ([[1, 0, 0], [1, 0, 0], [0, 0, 1]], 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+        ([[1, 0, 0], [0, 1, -1], [0, 0, 1]], 1),
+        ([[1, 0.5, 0], [0, 0.5, 0], [0, 0, 1]], 0),
+    ], ids=["permuted", "repeated", "two", "negative", "halves"])
+    def test_one_hot_must_be_the_identity(self, rows, bad):
+        """The softmax head trains output i for class i, so row i must hold
+        its one 1 in column i; the error names the first row that does not."""
+        message = "a one-hot row must hold a single 1, in its class's column"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+            CodeMatrix(np.array(rows, dtype=np.float64), kind=CodeKind.ONE_HOT)
+        assert exc.value.row == bad
+
+    def test_one_hot_check_allocates_no_n_by_n_temporary(self):
+        """The identity check adds less than an n x n bool array (1 MiB) to
+        the peak of the checks every code gets."""
+        values = np.eye(1024)
+        values.setflags(write=False)  # kept without a copy
+        peaks = {}
+        for kind in (CodeKind.GAUSSIAN, CodeKind.ONE_HOT):
+            tracemalloc.start()
+            try:
+                CodeMatrix(values, kind=kind)
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[CodeKind.ONE_HOT] - peaks[CodeKind.GAUSSIAN] < 1024 * 1024 // 8
+
     def test_binary_kinds_must_hold_signs(self):
         with pytest.raises(ValueError):
             CodeMatrix(
@@ -580,6 +610,23 @@ class TestCodeCsv:
             fh.write(text)
         message = f"{path}:1: bad header: need at least 2 classes and 1 code bit, got {counts}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_code_csv(path)
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("3,2,gaussian,zero\n1.0,-1.0\n-1.0,1.0\n0.5,1.0\n", ":4",
+         "binarized code values must be -1 or +1"),
+        ("3,3,onehot,raw\n1.0,0.0,0.0\n1.0,1.0,0.0\n0.0,0.0,1.0\n", ":3",
+         "a one-hot row must hold a single 1, in its class's column"),
+        ("2,3,onehot,raw\n1.0,0.0,0.0\n0.0,1.0,0.0\n", "",
+         "one-hot code must be square, got 2x3"),
+    ], ids=["binarized", "onehot", "onehot_not_square"])
+    def test_refused_values_name_the_path(self, tmp_path, text, where, message):
+        """A value check of the code matrix names the file, and the line of
+        the first bad row where the check is per row."""
+        path = os.path.join(tmp_path, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
             load_code_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):

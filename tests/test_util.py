@@ -122,6 +122,7 @@ SPLICED = {
     "edge_columns": None, "several_per_row": None, "neg_zero_among_zeros": None,
     "zeros_among_neg_zeros": None, "int64_extreme_exceptions": None,
     "uint64_common_max": None, "first_two_entries_rare": 1, "alternating": 2,
+    "attributes01": 0, "counts_half": 0,
 }
 
 
@@ -150,11 +151,14 @@ SPLICED = {
         # a common value behind two rarer ones is not looked for
         (np.vstack([[3.0, 5.0] + [0.0] * 298, np.zeros((299, 300))]), ROW_BLOCK_ELEMS),
         (_alternating_blocks(), ROW_BLOCK_ELEMS),
+        (np.random.default_rng(14).integers(0, 2, size=(300, 341)), ROW_BLOCK_ELEMS),
+        (np.random.default_rng(15).poisson(0.5, size=(400, 400)), ROW_BLOCK_ELEMS),
     ],
     ids=["onehot", "pm1", "gaussian", "counts", "int64_extremes", "signed_zeros",
          "wide_span_floats", "no_columns", "edge_columns", "several_per_row",
          "neg_zero_among_zeros", "zeros_among_neg_zeros", "int64_extreme_exceptions",
-         "uint64_common_max", "first_two_entries_rare", "alternating"],
+         "uint64_common_max", "first_two_entries_rare", "alternating", "attributes01",
+         "counts_half"],
 )
 def test_multi_block_arrays_match_per_element_writer(request, values, block):
     # more rows than one block holds
@@ -179,21 +183,6 @@ def test_mostly_constant_rows_match_per_element_writer(palette, rows, cols, shar
     labels = np.arange(rows)
     with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block):
         assert text(values, labels) == format_rows_per_element(values, labels)
-
-
-def test_small_integer_blocks_skip_the_sort():
-    """One-hot, +-1, 0/1 attribute and confusion-count blocks are indexed
-    directly; none reaches ``np.unique``."""
-    rng = np.random.default_rng(6)
-    blocks = [
-        np.eye(300),
-        np.where(rng.standard_normal((300, 100)) > 0, 1.0, -1.0),
-        rng.integers(0, 2, size=(300, 341)),
-        rng.poisson(0.5, size=(400, 400)),
-    ]
-    with mock.patch.object(np, "unique", side_effect=AssertionError("np.unique called")):
-        for values in blocks:
-            list(format_rows(values, np.arange(values.shape[0])))
 
 
 def test_negative_zero_keeps_its_sign():
