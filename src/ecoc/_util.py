@@ -44,14 +44,27 @@ def block_rows(n: int) -> int:
     return max(_ROW_QUANTUM, rows)
 
 
+class BadRowsError(ValueError):
+    """Rows that a check refused.  ``rows`` lists their indices and ``row``
+    is the first.  ``check`` names the check they failed: ``"zero"`` or
+    ``"non-finite"`` norm (:func:`unit_rows`), ``"one-hot"`` or ``"sign"``
+    (``CodeMatrix``).  ``noun``, if given (say ``"codewords"``), names what
+    the rows are, and the message ends by naming them, as
+    ``(codewords [2, 5])``."""
+
+    def __init__(self, message: str, check: str, bad: np.ndarray, noun: str | None = None):
+        self.rows = np.flatnonzero(bad).tolist()
+        self.row, self.check, self.noun = self.rows[0], check, noun
+        super().__init__(message if noun is None else f"{message} ({noun} {self.rows})")
+
+
 def unit_rows(z: np.ndarray, noun: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row of z divided by its L2 norm, plus the norms.
 
-    Rejects with ValueError (near-)zero rows, and rows whose norm is not
-    finite: rows holding inf or NaN, and finite rows whose squares overflow
-    (entries above about 1e154), which would divide to zero.  Given
-    ``noun`` (say ``"codewords"``), the message ends by naming the rows,
-    as ``(codewords [2, 5])``.  Whether the overflow also warns is left to
+    Rejects with :class:`BadRowsError` (near-)zero rows, and rows whose norm
+    is not finite: rows holding inf or NaN, and finite rows whose squares
+    overflow (entries above about 1e154), which would divide to zero.
+    ``noun`` words the message.  Whether the overflow also warns is left to
     the caller's ``np.errstate``: the training loop sets it once, not per
     batch.  A batch with both kinds of bad row reports its zero rows.
     """
@@ -63,16 +76,10 @@ def unit_rows(z: np.ndarray, noun: str | None = None) -> tuple[np.ndarray, np.nd
             and np.add.reduce(norms) < np.inf):
         zero = norms <= EPS_NORM
         if zero.any():
-            _reject_rows("cannot normalize a zero vector", zero, noun)
-        _reject_rows("cannot normalize a vector whose norm is not finite", ~np.isfinite(norms), noun)
+            raise BadRowsError("cannot normalize a zero vector", "zero", zero, noun)
+        raise BadRowsError("cannot normalize a vector whose norm is not finite", "non-finite",
+                           ~np.isfinite(norms), noun)
     return z / norms[:, None], norms
-
-
-def _reject_rows(message: str, bad: np.ndarray, noun: str | None) -> None:
-    """Raise ValueError ``message``, naming the ``bad`` rows after ``noun``."""
-    if noun is not None:
-        message += f" ({noun} {np.flatnonzero(bad).tolist()})"
-    raise ValueError(message)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -83,10 +90,25 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class BadKeyError(ValueError):
+    """A refused value of the config key or flag ``key``; the message is
+    ``key problem``."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"{key} {problem}")
+        self.key, self.problem = key, problem
+
+
 def check_seed(seed: int, name: str = "seed") -> None:
     """Reject a negative seed by name, before numpy's RNG sees it."""
     if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
+        raise BadKeyError(name, f"must be >= 0, got {seed}")
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, with no temporary the size of
+    ``a``: a NaN makes both extremes NaN, and an infinity one of them."""
+    return bool(np.isfinite(np.min(a, initial=0.0)) and np.isfinite(np.max(a, initial=0.0)))
 
 
 def fmt_float(x: float) -> str:

@@ -18,7 +18,8 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write, check_seed, fmt_float, forked_writes, read_lines, split_lines
+from ._util import (BadKeyError, atomic_write, check_seed, fmt_float, forked_writes, read_lines,
+                    split_lines)
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import Dataset
@@ -75,17 +76,15 @@ class ExperimentConfig(TrainConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(
-                f"hidden_sizes must be >= 1 each, got {format_value(self.hidden_sizes)}"
-            )
+            raise BadKeyError("hidden_sizes",
+                              f"must be >= 1 each, got {format_value(self.hidden_sizes)}")
         # The dataset and code keys that echo_lines keeps, checked before any
         # data is read; a synthetic class needs 2 samples, one per split.
         if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise BadKeyError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
         if self.attributes_csv is not None and self.data_csv is None:
-            raise ValueError(
-                "attributes_csv needs data_csv; a synthetic dataset has its own attributes"
-            )
+            raise BadKeyError("attributes_csv",
+                              "needs data_csv; a synthetic dataset has its own attributes")
         lows = {}
         if self.data_csv is None:
             lows.update(synth_depth=1, synth_branching=2, synth_samples_per_class=2)
@@ -94,15 +93,14 @@ class ExperimentConfig(TrainConfig):
         for key, low in lows.items():
             value = getattr(self, key)
             if value is not None and value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
+                raise BadKeyError(key, f"must be >= {low}, got {value}")
         if self.data_csv is None:
             if self.synth_dim < self.synth_depth:
-                raise ValueError(
-                    f"synth_dim must be >= synth_depth={self.synth_depth}, got {self.synth_dim}"
-                )
+                raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
+                                               f"got {self.synth_dim}")
             for key in ("synth_class_sep", "synth_noise_sigma"):
                 if not 0 <= getattr(self, key) < np.inf:
-                    raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+                    raise BadKeyError(key, f"must be finite and >= 0, got {getattr(self, key)}")
 
     def echo_lines(self) -> list[str]:
         """``key = value`` lines, sorted by key, that resolve back to self.
@@ -150,18 +148,17 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     return entries
 
 
-def _parse_value(field: Field, raw: str | None, source: str):
+def _parse_value(field: Field, raw: str | None):
     """One config value, typed by its field; an absent key takes the default.
     An empty value also takes it for int, float and bool keys, and means no
-    hidden layers for ``hidden_sizes``."""
+    hidden layers for ``hidden_sizes``.  A value the key cannot take raises
+    :class:`BadKeyError`."""
     key = field.name
     if raw is None:
         return field.default
     if key in _CHOICES:
         if raw not in _CHOICES[key]:
-            raise ValueError(
-                f"{source}: key {key!r} must be one of {', '.join(_CHOICES[key])}, got {raw!r}"
-            )
+            raise BadKeyError(key, f"must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
         return raw
     kind = field.type.removesuffix(" | None")
     if kind == "str":
@@ -170,37 +167,37 @@ def _parse_value(field: Field, raw: str | None, source: str):
         try:
             return tuple(int(v.strip()) for v in raw.split(",")) if raw else ()
         except ValueError:
-            raise ValueError(f"{source}: key {key!r} must be comma-separated integers") from None
+            raise BadKeyError(key, "must be comma-separated integers") from None
     if raw == "":
         return field.default
     if kind == "bool":
         if raw not in ("true", "false"):
-            raise ValueError(f"{source}: key {key!r} must be true or false, got {raw!r}")
+            raise BadKeyError(key, f"must be true or false, got {raw!r}")
         return raw == "true"
     parse, noun = _NUMBERS[kind]
     try:
         return parse(raw)
     except ValueError:
-        raise ValueError(f"{source}: key {key!r} must be {noun}, got {raw!r}") from None
+        raise BadKeyError(key, f"must be {noun}, got {raw!r}") from None
 
 
 def resolve_config(entries: dict[str, str], source: str = "config") -> ExperimentConfig:
-    table = fields(ExperimentConfig)
-    values = {f.name: _parse_value(f, entries.get(f.name), source) for f in table}
-    unknown = sorted(set(entries) - set(values))
-    if unknown:
-        raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
-    if not values["out_dir"]:
-        raise ValueError(f"{source}: key 'out_dir' is required")
-    for key in ("data_csv", "attributes_csv", "code_csv"):
-        path = values[key]
-        if path is not None and not os.path.exists(path):
-            raise ValueError(f"{source}: {key} path does not exist: {path}")
+    """The :class:`ExperimentConfig` of a config file's entries; ``source``
+    names the file in errors, and a refused key as ``source: key 'k' ...``."""
     try:
+        values = {f.name: _parse_value(f, entries.get(f.name)) for f in fields(ExperimentConfig)}
+        unknown = sorted(set(entries) - set(values))
+        if unknown:
+            raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
+        if not values["out_dir"]:
+            raise BadKeyError("out_dir", "is required")
+        for key in ("data_csv", "attributes_csv", "code_csv"):
+            path = values[key]
+            if path is not None and not os.path.exists(path):
+                raise ValueError(f"{source}: {key} path does not exist: {path}")
         return ExperimentConfig(**values)
-    except ValueError as exc:  # TrainConfig's checks read "<key> must ..."
-        key, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{source}: key {key!r} {rest}") from None
+    except BadKeyError as exc:
+        raise ValueError(f"{source}: key {exc.key!r} {exc.problem}") from None
 
 
 # ------------------------------------------------------------- experiment ---

@@ -45,14 +45,6 @@ class BinarizationCollisionError(ValueError):
     """Thresholding collapsed two codewords into the same row."""
 
 
-class _CodeRowError(ValueError):
-    """:class:`CodeMatrix` refused the values of one row, ``row``."""
-
-    def __init__(self, message: str, row: int) -> None:
-        super().__init__(message)
-        self.row = row
-
-
 @dataclass(frozen=True)
 class CodeMatrix:
     """An ``n x k`` real matrix whose row ``i`` is the codeword of class ``i``.
@@ -96,7 +88,7 @@ class CodeMatrix:
             raise ValueError(f"need at least 2 classes, got n={n}")
         if k < 1:
             raise ValueError(f"need at least 1 code bit, got k={k}")
-        if not np.isfinite(values).all():
+        if not _util.all_finite(values):
             raise ValueError("code values must be finite")
         if self.kind is CodeKind.ONE_HOT:
             if k != n:
@@ -106,13 +98,13 @@ class CodeMatrix:
             diagonal = values.diagonal()
             if np.count_nonzero(values) != n or not (diagonal == 1.0).all():
                 bad = (diagonal != 1.0) | (np.count_nonzero(values, axis=1) != 1)
-                raise _CodeRowError("a one-hot row must hold a single 1, in its class's column",
-                                    int(np.argmax(bad)))
+                raise _util.BadRowsError(
+                    "a one-hot row must hold a single 1, in its class's column", "one-hot", bad)
         if self.binarization is not Binarization.RAW:
             signs = np.isin(values, (-1.0, 1.0))
             if not signs.all():
-                raise _CodeRowError("binarized code values must be -1 or +1",
-                                    int(np.argmin(signs.all(axis=1))))
+                raise _util.BadRowsError("binarized code values must be -1 or +1", "sign",
+                                         ~signs.all(axis=1))
         if values.flags.writeable:  # the caller's own array: keep a read-only copy
             values = frozen(values.copy())
         object.__setattr__(self, "values", values)
@@ -484,7 +476,7 @@ def load_code_csv(path: str) -> CodeMatrix:
     values = parse_rows(path, body, 2, "code", k)
     try:
         return CodeMatrix(frozen(values), kind=kind, binarization=binarization)
-    except _CodeRowError as exc:
+    except _util.BadRowsError as exc:
         raise ValueError(f"{path}:{2 + exc.row}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

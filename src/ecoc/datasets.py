@@ -15,7 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from ._util import atomic_write, check_rows, check_seed, format_rows, parse_rows, read_lines
+from ._util import (all_finite, atomic_write, check_rows, check_seed, format_rows, parse_rows,
+                    read_lines)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class Dataset:
             raise ValueError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be one id per feature row")
-        if not np.isfinite(features).all():
+        if not all_finite(features):
             raise ValueError("feature values must be finite")
         if self.n < 1:
             raise ValueError(f"class count must be >= 1, got {self.n}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import EPS_NORM, atomic_write, check_seed, fmt_float
+from ._util import BadKeyError, BadRowsError, all_finite, atomic_write, check_seed, fmt_float
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
 from .decoder import batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
@@ -95,23 +95,20 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise BadKeyError(key, f"must be >= 1, got {getattr(self, key)}")
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise BadKeyError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
         if self.lr_decay_epoch is not None and self.lr_decay_epoch < 0:
-            raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
+            raise BadKeyError("lr_decay_epoch", f"must be >= 0, got {self.lr_decay_epoch}")
         if not 0 < self.lr_decay_factor <= 1:
-            raise ValueError(
-                f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
-            )
+            raise BadKeyError("lr_decay_factor", f"must be in (0, 1], got {self.lr_decay_factor}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise BadKeyError("momentum", f"must be in [0, 1), got {self.momentum}")
         check_seed(self.seed)
         if self.head not in HEADS:
-            raise ValueError(f"head must be one of {', '.join(HEADS)}, got {self.head!r}")
+            raise BadKeyError("head", f"must be one of {', '.join(HEADS)}, got {self.head!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def _update_vector(
 
 def _head_loss_grad(
     head: str, z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
-    rows: np.ndarray, epoch: int, where: int | str,
+    rows: np.ndarray | None, epoch: int, where: int | str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row losses and loss gradients w.r.t. z under ``head``; ``z`` is
     left as it is.
@@ -264,20 +261,19 @@ def _head_loss_grad(
     gradient: its head memory is that one (s, n) buffer.  The decoder head
     is ``batch_loss_grad``, with a zero output row reported as a
     :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
-    ``rows``, and an output whose norm is not finite as a
-    :class:`TrainingDivergedError`.
+    ``rows`` (its own index when ``rows`` is None), and an output whose
+    norm is not finite as a :class:`TrainingDivergedError`.
     """
     if head == "decoder":
         try:
             return batch_loss_grad(z, code, ys)
-        except ValueError:
-            norms = np.linalg.norm(z, axis=1)
-            zero = np.flatnonzero(norms <= EPS_NORM)
-            if zero.size:
-                raise ZeroOutputError(epoch, where, int(rows[zero[0]])) from None
-            if not np.isfinite(norms).all():
+        except BadRowsError as exc:
+            if exc.noun is not None:  # the codewords' rows, not the outputs'
+                raise
+            if exc.check != "zero":
                 raise TrainingDivergedError(epoch) from None
-            raise
+            row = exc.row if rows is None else int(rows[exc.row])
+            raise ZeroOutputError(epoch, where, row) from None
     grads = z.copy()
     return softmax_ce_in_place(grads, ys, grad=True), grads
 
@@ -299,7 +295,7 @@ def _epoch_metrics(
     """
     z, _ = _forward_batch(p, x)
     if head == "decoder":
-        losses, _ = _head_loss_grad(head, z, code, ys, np.arange(len(ys)), epoch, split)
+        losses, _ = _head_loss_grad(head, z, code, ys, None, epoch, split)
         preds = predict_batch(z, decoding_matrix(code))
     else:
         preds = z.argmax(axis=1)
@@ -323,15 +319,21 @@ def train(
     given, the eval set.  Each step follows the batch's mean gradient: the
     last batch of an epoch may be short, and its sums are divided by its
     own row count, not by ``batch_size``.  Emits one MetricsRow per epoch
-    per split.  Raises :class:`TrainingDivergedError` as soon as any loss
-    goes non-finite, and :class:`ZeroOutputError` when the decoder head
-    meets an all-zero output.  Floating-point warnings are off for the
-    whole call: the finite-loss checks, not numpy, report a diverging run.
+    per split.  A dataset or eval set whose class count differs from the
+    code's, or an eval set whose feature width differs from the dataset's,
+    is refused with ValueError before the first step.  Raises
+    :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
+    :class:`ZeroOutputError` when the decoder head meets an all-zero
+    output.  Floating-point warnings are off for the whole call: the
+    finite-loss checks, not numpy, report a diverging run.
     """
-    if dataset.n != code.n:
+    for name, data in (("dataset", dataset), ("eval set", eval_set)):
+        if data is not None and data.n != code.n:
+            raise ValueError(f"{name} has {data.n} classes but code has {code.n} codewords")
+    width = dataset.features.shape[1]
+    if eval_set is not None and eval_set.features.shape[1] != width:
         raise ValueError(
-            f"dataset has {dataset.n} classes but code has {code.n} codewords"
-        )
+            f"eval set has {eval_set.features.shape[1]} features but dataset has {width}")
     out_size = p.layers[-1][0].shape[0]
     head, expected = resolve_head(cfg.head, code)
     if out_size != expected:
@@ -461,7 +463,7 @@ def load_model(path: str) -> NetParams:
         off += 8 * fan_out * fan_in
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
         off += 8 * fan_out
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        if not (all_finite(w) and all_finite(b)):
             raise ValueError(f"{path}: non-finite parameter in layer {len(layers)}")
         layers.append((w.reshape(fan_out, fan_in).copy(), b.copy()))
     return NetParams(layers)

@@ -15,7 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import atomic_write, block_rows, format_rows, frozen, parse_rows, read_lines, unit_rows
+from ._util import (all_finite, atomic_write, block_rows, format_rows, frozen, parse_rows,
+                    read_lines, unit_rows)
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import label_blocks
 
@@ -59,7 +60,7 @@ class SimilarityGraph:
             raise ValueError(f"weights must be square, got shape {w.shape}")
         if w.shape[0] < 2:
             raise ValueError(f"need at least 2 classes, got n={w.shape[0]}")
-        if not np.isfinite(w).all():
+        if not all_finite(w):
             raise ValueError("similarity weights must be finite")
         if not _symmetric(w):
             raise ValueError("similarity weights must be exactly symmetric")
@@ -151,7 +152,7 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ValueError("matrix entries must be finite")
     if np.abs(a - a.T).max(initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")

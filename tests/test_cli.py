@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import math
 import os
 import signal
 import stat
@@ -9,12 +10,14 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ecoc import cli, datasets, net
-from ecoc.cli import main, parse_config_text, resolve_config
+from ecoc._util import BadKeyError, check_seed
+from ecoc.cli import ExperimentConfig, format_value, main, parse_config_text, resolve_config
 from ecoc.codes import CodeKind, CodeMatrix, gaussian_code, load_code_csv, save_code_csv
 from ecoc.datasets import (Dataset, load_csv, save_attributes_csv, save_csv, split,
                            synth_hierarchical)
@@ -1315,3 +1318,135 @@ class TestConfigParsing:
     def test_missing_data_path_reported(self, tmp_path):
         with pytest.raises(ValueError, match="data_csv"):
             resolve_config({"out_dir": str(tmp_path), "data_csv": "/nope.csv"})
+
+
+# Single bad values to try on each config key, by its annotation.  A path
+# value names this file, which exists.
+BAD_VALUES = {
+    "int": (-1, 0, 1),
+    "int | None": (-1, 0, 1),
+    "float": (-1.0, 0.0, 1.0, math.inf, math.nan),
+    "tuple[int, ...]": ((0,), (4, -1)),
+    "str": ("x",),
+    "str | None": (__file__,),
+}
+# Every refusal of one of those values, by key and config text: what
+# resolve_config writes after "<source>: key '<key>' ".  These lines are
+# pinned byte for byte.
+REFUSALS = {
+    ("attributes_csv", __file__): "needs data_csv; a synthetic dataset has its own attributes",
+    ("batch_size", "-1"): "must be >= 1, got -1",
+    ("batch_size", "0"): "must be >= 1, got 0",
+    ("code_bits", "-1"): "must be >= 1, got -1",
+    ("code_bits", "0"): "must be >= 1, got 0",
+    ("code_candidates", "-1"): "must be >= 1, got -1",
+    ("code_candidates", "0"): "must be >= 1, got 0",
+    ("epochs", "-1"): "must be >= 1, got -1",
+    ("epochs", "0"): "must be >= 1, got 0",
+    ("head", "x"): "must be one of auto, decoder, softmax, got 'x'",
+    ("hidden_sizes", "0"): "must be >= 1 each, got 0",
+    ("hidden_sizes", "4,-1"): "must be >= 1 each, got 4,-1",
+    ("learning_rate", "-1.0"): "must be finite and > 0, got -1.0",
+    ("learning_rate", "0.0"): "must be finite and > 0, got 0.0",
+    ("learning_rate", "inf"): "must be finite and > 0, got inf",
+    ("learning_rate", "nan"): "must be finite and > 0, got nan",
+    ("lr_decay_epoch", "-1"): "must be >= 0, got -1",
+    ("lr_decay_factor", "-1.0"): "must be in (0, 1], got -1.0",
+    ("lr_decay_factor", "0.0"): "must be in (0, 1], got 0.0",
+    ("lr_decay_factor", "inf"): "must be in (0, 1], got inf",
+    ("lr_decay_factor", "nan"): "must be in (0, 1], got nan",
+    ("momentum", "-1.0"): "must be in [0, 1), got -1.0",
+    ("momentum", "1.0"): "must be in [0, 1), got 1.0",
+    ("momentum", "inf"): "must be in [0, 1), got inf",
+    ("momentum", "nan"): "must be in [0, 1), got nan",
+    ("seed", "-1"): "must be >= 0, got -1",
+    ("synth_branching", "-1"): "must be >= 2, got -1",
+    ("synth_branching", "0"): "must be >= 2, got 0",
+    ("synth_branching", "1"): "must be >= 2, got 1",
+    ("synth_class_sep", "-1.0"): "must be finite and >= 0, got -1.0",
+    ("synth_class_sep", "inf"): "must be finite and >= 0, got inf",
+    ("synth_class_sep", "nan"): "must be finite and >= 0, got nan",
+    ("synth_depth", "-1"): "must be >= 1, got -1",
+    ("synth_depth", "0"): "must be >= 1, got 0",
+    ("synth_dim", "-1"): "must be >= synth_depth=2, got -1",
+    ("synth_dim", "0"): "must be >= synth_depth=2, got 0",
+    ("synth_dim", "1"): "must be >= synth_depth=2, got 1",
+    ("synth_noise_sigma", "-1.0"): "must be finite and >= 0, got -1.0",
+    ("synth_noise_sigma", "inf"): "must be finite and >= 0, got inf",
+    ("synth_noise_sigma", "nan"): "must be finite and >= 0, got nan",
+    ("synth_samples_per_class", "-1"): "must be >= 2, got -1",
+    ("synth_samples_per_class", "0"): "must be >= 2, got 0",
+    ("synth_samples_per_class", "1"): "must be >= 2, got 1",
+    ("train_fraction", "-1.0"): "must be in (0, 1), got -1.0",
+    ("train_fraction", "0.0"): "must be in (0, 1), got 0.0",
+    ("train_fraction", "1.0"): "must be in (0, 1), got 1.0",
+    ("train_fraction", "inf"): "must be in (0, 1), got inf",
+    ("train_fraction", "nan"): "must be in (0, 1), got nan",
+}
+TRAIN_KEYS = {f.name for f in fields(net.TrainConfig)}
+
+
+def refused(key: str, value) -> bool:
+    try:
+        ExperimentConfig(**{key: value})
+    except ValueError:
+        return True
+    return False
+
+
+# Each (key, value) of BAD_VALUES that ExperimentConfig refuses, walked
+# from its fields, so a new key or check joins the table below.
+CONFIG_REFUSALS = [(f.name, v) for f in fields(ExperimentConfig)
+                   for v in BAD_VALUES.get(f.type, ()) if refused(f.name, v)]
+
+
+def test_every_config_refusal_is_in_the_table():
+    assert {(key, format_value(value)) for key, value in CONFIG_REFUSALS} == set(REFUSALS)
+
+
+@pytest.mark.parametrize("key, value", CONFIG_REFUSALS,
+                         ids=[f"{k}={format_value(v)}" for k, v in CONFIG_REFUSALS])
+def test_config_refusal_names_its_key(key, value):
+    """Each check raises the key error naming the field it refuses, with
+    the message it has always had; resolve_config writes its line from
+    that key."""
+    raw = format_value(value)
+    problem = REFUSALS[key, raw]
+    builds = [lambda: ExperimentConfig(**{key: value})]
+    if key in TRAIN_KEYS:
+        required = dict(epochs=1, batch_size=1, learning_rate=0.1)
+        builds.append(lambda: net.TrainConfig(**dict(required, **{key: value})))
+    for build in builds:
+        with pytest.raises(BadKeyError) as exc:
+            build()
+        assert (exc.value.key, exc.value.problem) == (key, problem)
+        assert str(exc.value) == f"{key} {problem}"
+    with pytest.raises(ValueError) as exc:
+        resolve_config({key: raw, "out_dir": "run"}, source="exp.cfg")
+    assert str(exc.value) == f"exp.cfg: key {key!r} {problem}"
+
+
+@pytest.mark.parametrize("name", ["seed", "--seed"])
+def test_check_seed_names_its_key(name):
+    with pytest.raises(BadKeyError) as exc:
+        check_seed(-1, name)
+    assert (exc.value.key, str(exc.value)) == (name, f"{name} must be >= 0, got -1")
+    check_seed(0, name)
+
+
+@pytest.mark.parametrize("entries, line", [
+    ({"epochs": "three"}, "key 'epochs' must be an integer, got 'three'"),
+    ({"code_bits": "1.5"}, "key 'code_bits' must be an integer, got '1.5'"),
+    ({"learning_rate": "fast"}, "key 'learning_rate' must be a number, got 'fast'"),
+    ({"shuffle": "yes"}, "key 'shuffle' must be true or false, got 'yes'"),
+    ({"hidden_sizes": "8,a"}, "key 'hidden_sizes' must be comma-separated integers"),
+    ({"code_strategy": "magic"},
+     "key 'code_strategy' must be one of onehot, gaussian, dense, spectral, got 'magic'"),
+    ({"out_dir": ""}, "key 'out_dir' is required"),
+])
+def test_config_value_errors_name_file_and_key(entries, line):
+    """A value of the wrong type, or a missing out_dir, is refused through
+    the same key error, with the line it has always had."""
+    with pytest.raises(ValueError) as exc:
+        resolve_config(dict({"out_dir": "run"}, **entries), source="exp.cfg")
+    assert str(exc.value) == f"exp.cfg: {line}"

@@ -486,20 +486,33 @@ class TestCodeMatrixValidation:
             CodeMatrix(np.array(rows, dtype=np.float64), kind=CodeKind.ONE_HOT)
         assert exc.value.row == bad
 
+    @pytest.mark.parametrize("values, kind, binarization, rows, check", [
+        ([[1, 0, 0], [1, 0, 0], [0, 0, 2]], CodeKind.ONE_HOT, Binarization.RAW, [1, 2], "one-hot"),
+        ([[1, -1], [0.5, 1], [1, 1], [-1, 2]], CodeKind.DENSE_RANDOM, Binarization.ZERO, [1, 3],
+         "sign"),
+    ], ids=["one-hot", "sign"])
+    def test_row_refusals_carry_every_row_and_the_check(self, values, kind, binarization, rows,
+                                                         check):
+        """A refused code raises the shared row error: every bad row, the
+        first as ``row`` (which ``load_code_csv`` maps to its line), and the
+        check that failed."""
+        with pytest.raises(_util.BadRowsError) as exc:
+            CodeMatrix(np.array(values, dtype=np.float64), kind=kind, binarization=binarization)
+        assert (exc.value.rows, exc.value.row, exc.value.check) == (rows, rows[0], check)
+
     def test_one_hot_check_allocates_no_n_by_n_temporary(self):
-        """The identity check adds less than an n x n bool array (1 MiB) to
-        the peak of the checks every code gets."""
+        """Neither the checks every code gets (finite values) nor the
+        identity check allocate an eighth of an n x n bool array (1 MiB)."""
         values = np.eye(1024)
         values.setflags(write=False)  # kept without a copy
-        peaks = {}
         for kind in (CodeKind.GAUSSIAN, CodeKind.ONE_HOT):
             tracemalloc.start()
             try:
                 CodeMatrix(values, kind=kind)
-                peaks[kind] = tracemalloc.get_traced_memory()[1]
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[CodeKind.ONE_HOT] - peaks[CodeKind.GAUSSIAN] < 1024 * 1024 // 8
+            assert peak < 1024 * 1024 // 8, kind
 
     def test_binary_kinds_must_hold_signs(self):
         with pytest.raises(ValueError):

@@ -121,10 +121,12 @@ class TestNormalize:
         assert np.array_equal(unit_rows(u)[0], u)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+        with pytest.raises(ValueError, match="cannot normalize a zero vector") as err:
             unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+        assert (err.value.rows, err.value.row, err.value.check) == ([1], 1, "zero")
+        with pytest.raises(ValueError, match="cannot normalize a zero vector") as err:
             predict_batch(np.zeros((1, 2)), np.eye(2))
+        assert (err.value.rows, err.value.check) == ([0], "zero")
 
     def test_non_finite_norm_rejected(self):
         """Rows whose squares overflow, or that hold inf or NaN, have no
@@ -135,17 +137,34 @@ class TestNormalize:
         assert np.array_equal(norms, np.sqrt((big * big).sum(axis=1)))
         assert np.array_equal(u, big / norms[:, None])
         for bad in (1e200, np.inf, np.nan):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite$"):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite$") as e:
                 unit_rows(np.array([[1.0, 2.0], [bad, 0.0]]))
+            assert (e.value.rows, e.value.row, e.value.check) == ([1], 1, "non-finite")
 
     def test_noun_names_the_rows(self):
         zero = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match=r"^cannot normalize a zero vector \(means \[0, 2\]\)$"):
+        message = r"^cannot normalize a zero vector \(means \[0, 2\]\)$"
+        with pytest.raises(ValueError, match=message) as err:
             unit_rows(zero, "means")
+        assert (err.value.rows, err.value.check, err.value.noun) == ([0, 2], "zero", "means")
         big = np.array([[1.0, 0.0], [1e200, 1.0], [np.nan, 1.0]])
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=r"not finite \(means \[1, 2\]\)$"):
+            with pytest.raises(ValueError, match=r"not finite \(means \[1, 2\]\)$") as err:
                 unit_rows(big, "means")
+        assert (err.value.rows, err.value.check, err.value.noun) == ([1, 2], "non-finite", "means")
+
+    @pytest.mark.parametrize("rows, bad, check", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-13]], [0, 2], "zero"),
+        ([[1.0, 0.0], [np.inf, 0.0], [1e200, 1.0], [np.nan, 0.0]], [1, 2, 3], "non-finite"),
+        ([[np.nan, 1.0], [0.0, 0.0], [1e200, 0.0], [0.0, 0.0], [-np.inf, 0.0]], [1, 3], "zero"),
+    ], ids=["zero", "non-finite", "both"])
+    def test_row_error_carries_the_rows_and_the_check(self, rows, bad, check):
+        """The error lists every refused row and names the check they
+        failed, so a caller needs no norms of its own; zero rows win."""
+        with np.errstate(over="ignore"), pytest.raises(_util.BadRowsError) as err:
+            unit_rows(np.array(rows))
+        assert (err.value.rows, err.value.row, err.value.check) == (bad, bad[0], check)
+        assert err.value.noun is None and "(" not in str(err.value)
 
     def test_result_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -160,8 +179,9 @@ class TestNormalize:
         for rows, named in ((z, 2), (z[::-1].copy(), 0)):
             with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match=rf"^cannot normalize a zero vector \(means \[{named}\]\)$"
-            ):
+            ) as err:
                 unit_rows(rows, "means")
+            assert (err.value.rows, err.value.row, err.value.check) == ([named], named, "zero")
 
     def test_overflowing_row_is_not_finite(self):
         z = np.array([[1.0, 1.0], [1e200, 1e200]])

@@ -6,6 +6,7 @@ import struct
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ecoc import _util, decoder
+from ecoc import _util, decoder, net
 from ecoc.codes import Binarization, binarize, dense_random_code, gaussian_code, one_hot
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
@@ -316,6 +317,33 @@ class TestTrain:
         assert [r.split for r in rows[:2]] == ["train", "eval"]
         assert all(r.grad_nonzero_ratio is None for r in rows if r.split == "eval")
         assert all(r.grad_nonzero_ratio is not None for r in rows if r.split == "train")
+
+    @pytest.mark.parametrize("head", ["softmax", "decoder"])
+    @pytest.mark.parametrize("fault, message", [
+        ("label 4 last", "eval set has 5 classes but code has 4 codewords"),
+        ("label 4 first", "eval set has 5 classes but code has 4 codewords"),
+        ("width 3", "eval set has 3 features but dataset has 4"),
+    ], ids=["label-4-last", "label-4-first", "width-3"])
+    def test_mismatched_eval_set_refused_before_the_first_step(self, monkeypatch, head, fault,
+                                                                message):
+        """An eval set that does not fit the code or the training set is
+        refused, naming both values, before any step.  A 5-class eval set
+        against a 4-class code would otherwise index past the softmax
+        outputs (label 4 on the last row), read the next row's output as
+        its loss (label 4 elsewhere), or fail only after a full epoch
+        (decoder head)."""
+        ds = separable_dataset()
+        ev = Dataset(ds.features[1::2], ds.labels[1::2], ds.n)
+        if fault == "width 3":
+            ev = Dataset(ev.features[:, :3], ev.labels, ev.n)
+        else:
+            labels = ev.labels.copy()
+            labels[-1 if fault.endswith("last") else 0] = 4
+            ev = Dataset(ev.features, labels, 5)
+        monkeypatch.setattr(net, "_forward_batch", mock.Mock(side_effect=AssertionError))
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, head=head)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(init([4, 4], seed=0), ds, one_hot(4), cfg, eval_set=ev)
 
     def test_zero_output_in_batch_names_epoch_batch_and_row(self):
         # a step of 1e-20 leaves the biases far below the zero-norm cutoff,

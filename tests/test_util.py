@@ -5,6 +5,7 @@ random draws."""
 
 import os
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoc import _util, codes, datasets, net
+from ecoc import _util, codes, datasets, net, spectral
 from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows, split_lines
 from ecoc.codes import load_code_csv
 from ecoc.datasets import load_attributes_csv, load_csv
@@ -462,3 +463,46 @@ def test_undecodable_byte_names_path_and_line(tmp_path, reader):
 def test_library_rejects_negative_seed_by_name(call):
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "values, finite",
+    [([], True), ([1.7e308, -1.7e308, 0.0], True), ([1.0, np.nan], False),
+     ([np.inf, 1.0], False), ([-np.inf], False), ([np.nan, np.inf, -np.inf], False)],
+)
+def test_all_finite(values, finite):
+    assert _util.all_finite(np.array(values, dtype=np.float64)) is finite
+
+
+def test_all_finite_allocates_no_temporary():
+    a = np.ones((512, 512))
+    a[-1, -1] = np.nan
+    tracemalloc.start()
+    try:
+        assert not _util.all_finite(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+# Each check that refuses a non-finite entry, and its message.
+FINITE_CHECKS = {
+    "CodeMatrix": (codes.CodeMatrix, "code values must be finite"),
+    "Dataset": (lambda a: datasets.Dataset(a, np.zeros(len(a), dtype=np.int64), 1),
+                "feature values must be finite"),
+    "SimilarityGraph": (spectral.SimilarityGraph, "similarity weights must be finite"),
+    "symmetric_eigen": (spectral.symmetric_eigen, "matrix entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FINITE_CHECKS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("place", [(0, 1), (2, 0), (2, 2)])
+def test_non_finite_entry_refused_with_its_message(check, value, place):
+    make, message = FINITE_CHECKS[check]
+    a = np.ones((3, 3)) - np.eye(3)
+    make(a)  # the finite matrix passes
+    a[place] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(a)
