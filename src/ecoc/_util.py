@@ -105,6 +105,28 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise BadKeyError(name, f"must be >= 0, got {seed}")
 
 
+def check_code_size(n: int, k: int | None = None) -> None:
+    """Reject fewer than 2 classes, then (if ``k`` is given) fewer than 1
+    code bit: the size rule of every code and similarity graph, checked
+    before anything is allocated."""
+    if n < 2:
+        raise ValueError(f"need at least 2 classes, got n={n}")
+    if k is not None and k < 1:
+        raise ValueError(f"need at least 1 code bit, got k={k}")
+
+
+def check_labels(labels: np.ndarray, n: int, noun: str = "labels") -> None:
+    """Reject class ids that are not of an integer dtype (floats, even whole
+    ones, and bools), then any id outside [0, n); ``noun`` names them in
+    the message.  An empty array passes, whatever its dtype."""
+    if not labels.size:
+        return
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{noun} must be integers, got {labels.dtype}")
+    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= n:
+        raise ValueError(f"{noun} out of range for {n} classes")
+
+
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite, with no temporary the size of
     ``a``: a NaN makes both extremes NaN, and an infinity one of them."""

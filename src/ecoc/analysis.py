@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write, fmt_float, format_rows
+from ._util import atomic_write, check_labels, fmt_float, format_rows
 from .codes import CodeMatrix
 from .datasets import Dataset
 from .decoder import decoding_matrix, nearest_codewords, unit_rows
@@ -41,16 +41,17 @@ class ConfusionMatrix:
 
 
 def confusion(preds: np.ndarray, labels: np.ndarray, n: int) -> ConfusionMatrix:
-    """Count (true, predicted) pairs into an n x n grid."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    """Count (true, predicted) pairs into an n x n grid; both must be
+    integer class ids in [0, n)."""
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("preds and labels must be equal-length vectors")
-    for name, ids in (("pred", preds), ("label", labels)):
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValueError(f"{name} ids must lie in [0, {n})")
+    check_labels(preds, n, "pred ids")
+    check_labels(labels, n, "label ids")
     counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (labels, preds), 1)
+    if labels.size:  # empty ids of any dtype pass the checks, but only integers index
+        np.add.at(counts, (labels, preds), 1)
     return ConfusionMatrix(counts)
 
 

@@ -17,7 +17,8 @@ from typing import Iterator
 import numpy as np
 
 from . import _util
-from ._util import atomic_write, block_rows, check_seed, format_rows, frozen, parse_rows, read_lines
+from ._util import (atomic_write, block_rows, check_code_size, check_seed, format_rows, frozen,
+                    parse_rows, read_lines)
 
 
 class CodeKind(Enum):
@@ -84,10 +85,7 @@ class CodeMatrix:
         if values.ndim != 2:
             raise ValueError(f"code values must be 2-d, got shape {values.shape}")
         n, k = values.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 classes, got n={n}")
-        if k < 1:
-            raise ValueError(f"need at least 1 code bit, got k={k}")
+        check_code_size(n, k)
         if not _util.all_finite(values):
             raise ValueError("code values must be finite")
         if self.kind is CodeKind.ONE_HOT:
@@ -139,8 +137,7 @@ def one_hot(n: int) -> CodeMatrix:
 
     Requires ``n >= 2``.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 classes, got n={n}")
+    check_code_size(n)
     return CodeMatrix(frozen(np.eye(n)), kind=CodeKind.ONE_HOT, binarization=Binarization.RAW)
 
 
@@ -159,10 +156,7 @@ def gaussian_code(n: int, k: int, seed: int = 0) -> CodeMatrix:
     Deterministic for a fixed ``seed``.  On the (measure-zero) event of
     duplicate rows the seed is incremented, up to 10 retries.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 classes, got n={n}")
-    if k < 1:
-        raise ValueError(f"need at least 1 code bit, got k={k}")
+    check_code_size(n, k)
     check_seed(seed)
     for attempt in range(11):
         rng = np.random.default_rng(seed + attempt)
@@ -339,10 +333,7 @@ def dense_random_code(
     ``ceil(log2(n))`` bits cannot give ``n`` distinct rows: that raises
     ValueError before any draw.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 classes, got n={n}")
-    if k < 1:
-        raise ValueError(f"need at least 1 code bit, got k={k}")
+    check_code_size(n, k)
     if candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {candidates}")
     if (n - 1).bit_length() > k:
@@ -374,8 +365,7 @@ def dense_random_code(
 
 def default_code_length(n: int) -> int:
     """Recommended bit count for ``n`` classes: floor(10 * log2(n))."""
-    if n < 2:
-        raise ValueError(f"need at least 2 classes, got n={n}")
+    check_code_size(n)
     return math.floor(10 * math.log2(n))
 
 

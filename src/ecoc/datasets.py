@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from ._util import (all_finite, atomic_write, check_rows, check_seed, format_rows, parse_rows,
-                    read_lines)
+from ._util import (all_finite, atomic_write, check_labels, check_rows, check_seed, format_rows,
+                    parse_rows, read_lines)
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -40,10 +40,9 @@ class Dataset:
             raise ValueError("feature values must be finite")
         if self.n < 1:
             raise ValueError(f"class count must be >= 1, got {self.n}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n):
-            raise ValueError(f"labels must lie in [0, {self.n})")
+        check_labels(labels, self.n)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         if self.attributes is not None:
             attrs = np.asarray(self.attributes, dtype=np.float64)
             if attrs.ndim != 2 or attrs.shape[0] != self.n:

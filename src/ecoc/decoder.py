@@ -129,7 +129,10 @@ def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) 
     np.exp(scores, out=scores)
     sums = np.add.reduce(scores, axis=1, keepdims=True)
     flat = scores.reshape(-1)
-    picks = np.arange(0, flat.size, scores.shape[1]) + ys
+    # an id in [0, n) casts to an index exactly, a uint64 one too (whose
+    # plain sum with int64 is float64)
+    picks = np.add(np.arange(0, flat.size, scores.shape[1]), ys, dtype=np.intp,
+                   casting="unsafe")
     if not grad:
         return -np.log(flat.take(picks) / sums[:, 0])
     scores /= sums
@@ -183,10 +186,7 @@ def batch_loss_grad(
     s = z.shape[0]
     if ys.shape != (s,):
         raise ValueError("labels must match batch size")
-    if s and ys.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {ys.dtype}")
-    if s and (np.minimum.reduce(ys) < 0 or np.maximum.reduce(ys) >= n):
-        raise ValueError(f"labels out of range for {n} classes")
+    _util.check_labels(ys, n)
     u, norms = unit_rows(z)
     bias = _bias(code)
     if 0 < s <= _util.block_rows(n):

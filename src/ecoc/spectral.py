@@ -11,12 +11,11 @@ rather than thresholded; the decoder reads them as partition likelihoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from ._util import (all_finite, atomic_write, block_rows, format_rows, frozen, parse_rows,
-                    read_lines, unit_rows)
+from ._util import (all_finite, atomic_write, block_rows, check_code_size, check_labels,
+                    format_rows, frozen, parse_rows, read_lines, unit_rows)
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import label_blocks
 
@@ -25,21 +24,19 @@ class ConvergenceError(RuntimeError):
     """The eigensolver failed to converge."""
 
 
-def _tile_pairs(n: int) -> Iterator[tuple[slice, slice]]:
-    """Index ranges ``(rows, cols)`` of the square tiles (:func:`block_rows`
-    on a side) on and above the diagonal of an n x n matrix; ``[cols,
-    rows]`` is each one's mirror image.  Two tiles fit in cache, where a
-    whole-matrix transpose strides across all of it."""
+def _asymmetry(a: np.ndarray) -> float:
+    """``max |a - a.T|`` of a square matrix, bit for bit, taken one
+    mirror-image pair of square tiles (:func:`block_rows` on a side) at a
+    time: two tiles fit in cache, where a whole-matrix transpose strides
+    across all of it, and no n x n temporary is made."""
+    n = len(a)
     step = block_rows(n)
+    worst = 0.0
     for lo in range(0, n, step):
         for col in range(lo, n, step):
-            yield slice(lo, lo + step), slice(col, col + step)
-
-
-def _symmetric(w: np.ndarray) -> bool:
-    """``array_equal(w, w.T)``, one mirror-image pair of tiles at a time."""
-    return all(np.array_equal(w[rows, cols], w[cols, rows].T)
-               for rows, cols in _tile_pairs(len(w)))
+            diff = a[lo : lo + step, col : col + step] - a[col : col + step, lo : lo + step].T
+            worst = max(worst, float(np.abs(diff, out=diff).max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -58,19 +55,18 @@ class SimilarityGraph:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got shape {w.shape}")
-        if w.shape[0] < 2:
-            raise ValueError(f"need at least 2 classes, got n={w.shape[0]}")
+        check_code_size(w.shape[0])
         if not all_finite(w):
             raise ValueError("similarity weights must be finite")
-        if not _symmetric(w):
+        if _asymmetry(w) > 0:
             raise ValueError("similarity weights must be exactly symmetric")
-        if (w < 0).any():
+        if np.min(w) < 0:
             raise ValueError("similarity weights must be non-negative")
         if np.diag(w).any():
             raise ValueError("similarity diagonal must be zero")
-        if (w.sum(axis=1) <= 0).any():
-            isolated = np.flatnonzero(w.sum(axis=1) <= 0)
-            raise ValueError(f"nodes with zero degree: {isolated.tolist()}")
+        isolated = w.sum(axis=1) <= 0
+        if isolated.any():
+            raise ValueError(f"nodes with zero degree: {np.flatnonzero(isolated).tolist()}")
         if w.flags.writeable:  # the caller's own array: keep a read-only copy
             w = frozen(w.copy())
         object.__setattr__(self, "weights", w)
@@ -98,30 +94,29 @@ def similarity_from_class_means(
     on it.  Every class 0..n-1 needs at least one sample and a mean with a
     nonzero, finite norm (:func:`unit_rows` names the classes that fail);
     one stable sort by label finds each class's rows, in ``labels == c`` order.
+    A missing class is reported before labels that are not integer ids in
+    [0, n) are refused, and both before any (n, dims) or n x n array is made.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (samples, dims) matching labels")
+    check_code_size(n)
     # if n > samples, some class at or below samples has none: bounds stay small
     order, bounds = label_blocks(labels, min(n, labels.size + 1))
     empty = np.flatnonzero(bounds[1:] == bounds[:-1])
     if empty.size:
         raise ValueError(f"class {empty[0]} has no samples")
+    check_labels(labels, n)
     means = np.empty((n, features.shape[1]))
     for c, (start, end) in enumerate(zip(bounds, bounds[1:])):
         means[c] = features[order[start:end]].mean(axis=0)
     with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
         unit, _ = unit_rows(means, "class means")
-    # W is built in the Gram's own buffer.  Each mirror-image pair of tiles
-    # becomes (a + b.T) / 2, written to both, so W is exactly symmetric
-    # whatever the Gram's own rounding.
+    # W is built in the Gram's own buffer.  numpy takes a matrix times its
+    # own transpose as one triangle, mirrored (BLAS syrk), so the Gram is
+    # exactly symmetric; SimilarityGraph refuses it otherwise.
     w = unit @ unit.T
-    for rows, cols in _tile_pairs(n):
-        half = w[rows, cols] + w[cols, rows].T
-        half /= 2
-        w[rows, cols] = half
-        w[cols, rows] = half.T
     w += 1.0
     w /= 2
     np.maximum(w, 0.0, out=w)
@@ -154,7 +149,7 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not all_finite(a):
         raise ValueError("matrix entries must be finite")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+    if _asymmetry(a) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
@@ -171,8 +166,7 @@ def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
     flipped, if needed, so its first entry with magnitude above 1e-12 is
     positive; the sign is otherwise arbitrary.
     """
-    if k < 1:
-        raise ValueError(f"need at least 1 code bit, got k={k}")
+    check_code_size(g.n, k)
     if k > g.n - 1:
         raise ValueError(f"spectral code supports at most n-1={g.n - 1} bits, got k={k}")
     eig = symmetric_eigen(normalized_laplacian(g))
@@ -190,17 +184,21 @@ def save_similarity_csv(g: SimilarityGraph, path: str) -> None:
 
 
 def load_similarity_csv(path: str) -> SimilarityGraph:
-    """Read a similarity matrix; tolerate asymmetry up to 1e-9 by averaging."""
+    """Read a similarity matrix; tolerate asymmetry up to 1e-9 by averaging.
+    Every refusal, :class:`SimilarityGraph`'s too, names ``path``."""
     lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty similarity file")
     w = parse_rows(path, lines, 1, "similarity")
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {w.shape}")
-    if np.abs(w - w.T).max(initial=0.0) > 1e-9:
+    if _asymmetry(w) > 1e-9:
         raise ValueError(f"{path}: matrix asymmetric beyond 1e-9")
     w = (w + w.T) / 2
     if np.abs(np.diag(w)).max(initial=0.0) > 1e-9:
         raise ValueError(f"{path}: diagonal entries must be zero")
     np.fill_diagonal(w, 0.0)
-    return SimilarityGraph(frozen(w))
+    try:
+        return SimilarityGraph(frozen(w))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

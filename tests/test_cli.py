@@ -217,6 +217,35 @@ class TestGenCode:
         assert capsys.readouterr().err == f"error: {data}:2: expected 3 columns, found 5\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("rows, problem", [
+        ("0,-1,1\n-1,0,1\n1,1,0\n", "similarity weights must be non-negative"),
+        ("0,1,0\n1,0,0\n0,0,0\n", "nodes with zero degree: [2]"),
+    ], ids=["negative", "isolated"])
+    def test_similarity_graph_refusal_names_the_file(self, tmp_path, capsys, rows, problem):
+        sim, out = os.path.join(tmp_path, "sim.csv"), os.path.join(tmp_path, "code.csv")
+        with open(sim, "w") as fh:
+            fh.write(rows)
+        assert main(["gen-code", "--strategy", "spectral", "--similarity", sim,
+                     "--bits", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {sim}: {problem}\n"
+        assert not os.path.exists(out)
+
+    def test_classes_must_match_the_similarity_size(self, tmp_path, capsys):
+        sim, out = os.path.join(tmp_path, "sim.csv"), os.path.join(tmp_path, "code.csv")
+        save_similarity_csv(SimilarityGraph(np.ones((2, 2)) - np.eye(2)), sim)
+        assert main(["gen-code", "--strategy", "spectral", "--similarity", sim,
+                     "--classes", "3", "--bits", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --classes=3 does not match similarity size 2\n"
+        assert not os.path.exists(out)
+
+    def test_classes_must_match_the_dataset(self, tmp_path, capsys):
+        data, out = os.path.join(tmp_path, "data.csv"), os.path.join(tmp_path, "code.csv")
+        save_csv(synth_hierarchical(1, 3, 4, 4.0, 0.5, 3, seed=0), data)
+        assert main(["gen-code", "--strategy", "spectral", "--data", data,
+                     "--classes", "4", "--bits", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --classes=4 does not match dataset classes 3\n"
+        assert not os.path.exists(out)
+
     def test_spectral_needs_a_source(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "code.csv")
         assert main(["gen-code", "--strategy", "spectral", "--classes", "4",
@@ -1113,6 +1142,54 @@ class TestAnalyze:
                      "--code", os.path.join(run_dir, "code.csv"),
                      "--mode", "correlate", "--out", out]) == 2
         assert "--attributes" in capsys.readouterr().err
+
+
+    def test_empty_values_take_the_defaults(self, tmp_path):
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir, epochs="",
+                           learning_rate="", shuffle="")
+        assert main(["train", "--config", cfg]) == 0
+        echo = open(os.path.join(out_dir, "config.echo")).read().splitlines()
+        for line in ("epochs = 30", "learning_rate = 0.1", "shuffle = true"):
+            assert line in echo
+
+    @pytest.fixture()
+    def three_classes(self, tmp_path) -> str:
+        data = os.path.join(tmp_path, "data.csv")
+        save_csv(synth_hierarchical(1, 3, 10, 4.0, 0.5, 3, seed=0), data)
+        return data
+
+    def test_attribute_rows_must_match_the_classes(self, tmp_path, capsys, three_classes):
+        attrs, out = os.path.join(tmp_path, "attrs.csv"), os.path.join(tmp_path, "run")
+        with open(attrs, "w") as fh:
+            fh.write("a\n1\n0\n")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=three_classes,
+                           attributes_csv=attrs)
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: attributes_csv has 2 rows for 3 classes\n"
+        assert not os.path.exists(out)
+
+    def test_codewords_must_match_the_classes(self, tmp_path, capsys, three_classes):
+        code, out = os.path.join(tmp_path, "code.csv"), os.path.join(tmp_path, "run")
+        save_code_csv(gaussian_code(4, 2, seed=0), code)
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=three_classes,
+                           code_csv=code)
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: code has 4 codewords for 3 classes\n"
+        assert not os.path.exists(out)
+
+    def test_zero_codeword_is_refused_by_row(self, tmp_path, capsys, three_classes):
+        """A raw gaussian code is decoded on unit rows, and a zero row has
+        none: the run stops before its first step and writes nothing."""
+        code, out = os.path.join(tmp_path, "code.csv"), os.path.join(tmp_path, "run")
+        with open(code, "w") as fh:
+            fh.write("3,2,gaussian,raw\n0.5,1.0\n0.0,0.0\n-1.0,0.25\n")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=three_classes,
+                           code_csv=code)
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot normalize a zero vector (codewords [1])\n")
+        assert os.listdir(out) == []
 
 
 class TestOverflowingNorms:

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ecoc import _util
+from ecoc import _util, spectral
 from ecoc.codes import CodeKind
 from ecoc.spectral import (
     ConvergenceError,
@@ -107,8 +107,9 @@ class TestSimilarityFromClassMeans:
 
     @pytest.mark.parametrize("n", [64, 150])
     def test_tiles_give_the_whole_matrix_bytes(self, n):
-        """Built in 64-row tiles (the last one short at n = 150), W has the
-        bytes of the whole-matrix ``(cos + cos.T) / 2`` form."""
+        """With 64-row tiles (the last one short at n = 150) for the
+        symmetry check, W has the bytes of the whole-matrix
+        ``(cos + cos.T) / 2`` form: the Gram is exactly symmetric already."""
         rng = np.random.default_rng(n)
         feats = rng.standard_normal((3 * n, 5))
         labels = np.arange(3 * n) % n
@@ -162,6 +163,52 @@ class TestSimilarityGraphValidation:
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         w.setflags(write=False)
         assert SimilarityGraph(w).weights is w
+
+
+class TestAsymmetry:
+    """One tiled ``max |a - a.T|`` serves all three symmetry checks."""
+
+    @pytest.mark.parametrize("i, j", [(0, 149), (149, 0), (70, 140), (100, 63), (5, 6)])
+    def test_tiles_give_the_whole_matrix_value(self, i, j):
+        """Across 64-row tiles (the last one short at n = 150), the tiled
+        value has the bits of the whole-matrix one."""
+        a = np.random.default_rng(i + j).standard_normal((150, 150))
+        a = a + a.T
+        a[i, j] += 0.375
+        a[j, i] -= 1e-3
+        with mock.patch.object(_util, "ROW_BLOCK_ELEMS", 0):
+            assert spectral._asymmetry(a) == np.abs(a - a.T).max()
+        assert spectral._asymmetry(a) == np.abs(a - a.T).max()
+
+    def test_symmetric_matrix_gives_zero(self):
+        assert spectral._asymmetry(random_similarity(150, 3).weights) == 0.0
+        assert spectral._asymmetry(np.empty((0, 0))) == 0.0
+
+    def test_similarity_graph_needs_exact_symmetry(self):
+        w = random_similarity(4, 1).weights.copy()
+        w[1, 2] = np.nextafter(w[2, 1], 2.0)
+        with pytest.raises(ValueError, match="^similarity weights must be exactly symmetric$"):
+            SimilarityGraph(w)
+
+    @pytest.mark.parametrize("gap, ok", [(1e-12, True), (2e-12, False)])
+    def test_eigen_tolerance(self, gap, ok):
+        a = np.array([[2.0, 0.5], [0.5 + gap, 1.0]])
+        if ok:
+            symmetric_eigen(a)
+        else:
+            with pytest.raises(ValueError, match="^matrix is not symmetric within 1e-12$"):
+                symmetric_eigen(a)
+
+    @pytest.mark.parametrize("gap, ok", [("0.5000000005", True), ("0.500000002", False)])
+    def test_csv_tolerance(self, tmp_path, gap, ok):
+        path = str(tmp_path / "sim.csv")
+        with open(path, "w") as fh:
+            fh.write(f"0.0,0.5\n{gap},0.0\n")
+        if ok:
+            assert load_similarity_csv(path).weights[0, 1] == (0.5 + float(gap)) / 2
+        else:
+            with pytest.raises(ValueError, match="asymmetric beyond 1e-9$"):
+                load_similarity_csv(path)
 
 
 class TestNormalizedLaplacian:
