@@ -1,5 +1,5 @@
-"""Small shared helpers: row normalization, atomic and forked file writes,
-float formatting, CSV rows."""
+"""Small shared helpers: row normalization, config key declarations and
+checks, atomic and forked file writes, float formatting, CSV rows."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import shutil
 import tempfile
 import warnings
 from contextlib import contextmanager, suppress
+from dataclasses import MISSING, Field, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -97,6 +98,49 @@ class BadKeyError(ValueError):
     def __init__(self, key: str, problem: str):
         super().__init__(f"{key} {problem}")
         self.key, self.problem = key, problem
+
+
+def declared(allowed: str | tuple[str, ...], default=MISSING) -> Field:
+    """A config dataclass field whose allowed values are ``allowed``: an
+    interval such as ``"[1, inf)"`` or ``"(0, 1]"``, or a tuple of choices.
+    :func:`check_declared` checks a value against it."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
+def check_declared(f: Field, value, key: str | None = None) -> None:
+    """Refuse a value of the field ``f`` outside its declared allowed values
+    (see :func:`declared`) with :class:`BadKeyError` naming ``key``, the
+    field's name by default.  None, and any value of an undeclared field,
+    pass; each entry of a ``tuple[int, ...]`` value must lie in the
+    interval.
+
+    The words come from the field's declared type, not the value's: an
+    interval unbounded above reads ``must be >= 1`` for an int,
+    ``must be finite and > 0`` for a float and ``must be >= 1 each`` for a
+    tuple; a bounded one reads ``must be in (0, 1]``.
+    """
+    allowed = f.metadata.get("allowed")
+    if value is None or allowed is None:
+        return
+    key = key or f.name
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            raise BadKeyError(key, f"must be one of {', '.join(allowed)}, got {value!r}")
+        return
+    low, high = allowed[1:-1].split(", ")
+    closed_low, closed_high = allowed[0] == "[", allowed[-1] == "]"
+    kind = f.type.removesuffix(" | None")
+    each = kind == "tuple[int, ...]"
+    if all((float(low) <= v if closed_low else float(low) < v)
+           and (v <= float(high) if closed_high else v < float(high))
+           for v in (value if each else (value,))):
+        return
+    shown = ",".join(map(str, value)) if each else value
+    if high != "inf":
+        raise BadKeyError(key, f"must be in {allowed}, got {shown}")
+    finite = "finite and " if kind == "float" else ""
+    raise BadKeyError(key, f"must be {finite}{'>=' if closed_low else '>'} {low}"
+                           f"{' each' if each else ''}, got {shown}")
 
 
 def check_seed(seed: int, name: str = "seed") -> None:

@@ -18,20 +18,14 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from ._util import (BadKeyError, atomic_write, check_seed, fmt_float, forked_writes, read_lines,
-                    split_lines)
+from ._util import (BadKeyError, atomic_write, check_declared, check_seed, declared, fmt_float,
+                    forked_writes, read_lines, split_lines)
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import Dataset
 from .net import TrainConfig
 from .spectral import SimilarityGraph
 
-# Allowed values of the choice keys; every other key is typed by its annotation.
-_CHOICES = {
-    "code_strategy": tuple(k.value for k in CodeKind),
-    "code_binarize": tuple(b.value for b in Binarization),
-    "head": net.HEADS,
-}
 # Parser and error noun of the numeric annotations.
 _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
@@ -39,85 +33,79 @@ _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 # ---------------------------------------------------------------- config ----
 
 
+def _cli_default(name: str, default) -> Field:
+    """TrainConfig's required field ``name``, declared as there, with the
+    CLI's default."""
+    return declared(TrainConfig.__dataclass_fields__[name].metadata["allowed"], default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(TrainConfig):
     """Fully resolved settings for one training run.
 
     Each field is one ``train`` config key: its name, annotation and default
-    are the key's name, type and default.  The training keys are the
-    inherited :class:`TrainConfig` fields, checked on construction before
-    ``hidden_sizes``; only their CLI defaults are declared here.
+    are the key's name, type and default, and its declaration
+    (``_util.declared``) its allowed values.  The training keys are the
+    inherited :class:`TrainConfig` fields; only the CLI's defaults of its
+    required keys are given here.  Construction checks each key in force
+    (:meth:`_in_force`) against its declaration, in field order, then the
+    two rules that tie keys together: ``attributes_csv`` needs ``data_csv``,
+    and ``synth_dim`` must be at least ``synth_depth``.
     """
 
     # training: the CLI's defaults for TrainConfig's required keys
-    epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 0.1
+    epochs: int = _cli_default("epochs", 30)
+    batch_size: int = _cli_default("batch_size", 16)
+    learning_rate: float = _cli_default("learning_rate", 0.1)
     # dataset: either a CSV path or synthetic generation parameters
     data_csv: str | None = None
     attributes_csv: str | None = None
-    synth_depth: int = 2
-    synth_branching: int = 4
-    synth_samples_per_class: int = 50
-    synth_class_sep: float = 4.0
-    synth_noise_sigma: float = 1.0
+    synth_depth: int = declared("[1, inf)", 2)
+    synth_branching: int = declared("[2, inf)", 4)
+    synth_samples_per_class: int = declared("[2, inf)", 50)  # a sample in each split
+    synth_class_sep: float = declared("[0, inf)", 4.0)
+    synth_noise_sigma: float = declared("[0, inf)", 1.0)
     synth_dim: int = 8
-    train_fraction: float = 0.8
+    train_fraction: float = declared("(0, 1)", 0.8)
     # code: either a CSV path or a generation strategy
     code_csv: str | None = None
-    code_strategy: str = "gaussian"
-    code_bits: int | None = None
-    code_binarize: str = "raw"
-    code_candidates: int = 10000
+    code_strategy: str = declared(tuple(k.value for k in CodeKind), "gaussian")
+    code_bits: int | None = declared("[1, inf)", None)
+    code_binarize: str = declared(tuple(b.value for b in Binarization), "raw")
+    code_candidates: int = declared("[1, inf)", 10000)
     # net
-    hidden_sizes: tuple[int, ...] = (32,)
+    hidden_sizes: tuple[int, ...] = declared("[1, inf)", (32,))
     out_dir: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(h < 1 for h in self.hidden_sizes):
-            raise BadKeyError("hidden_sizes",
-                              f"must be >= 1 each, got {format_value(self.hidden_sizes)}")
-        # The dataset and code keys that echo_lines keeps, checked before any
-        # data is read; a synthetic class needs 2 samples, one per split.
-        if not 0 < self.train_fraction < 1:
-            raise BadKeyError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
         if self.attributes_csv is not None and self.data_csv is None:
             raise BadKeyError("attributes_csv",
                               "needs data_csv; a synthetic dataset has its own attributes")
-        lows = {}
-        if self.data_csv is None:
-            lows.update(synth_depth=1, synth_branching=2, synth_samples_per_class=2)
-        if self.code_csv is None:
-            lows.update(code_bits=1, code_candidates=1)
-        for key, low in lows.items():
-            value = getattr(self, key)
-            if value is not None and value < low:
-                raise BadKeyError(key, f"must be >= {low}, got {value}")
-        if self.data_csv is None:
-            if self.synth_dim < self.synth_depth:
-                raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
-                                               f"got {self.synth_dim}")
-            for key in ("synth_class_sep", "synth_noise_sigma"):
-                if not 0 <= getattr(self, key) < np.inf:
-                    raise BadKeyError(key, f"must be finite and >= 0, got {getattr(self, key)}")
+        if self._in_force("synth_dim") and self.synth_dim < self.synth_depth:
+            raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
+                                           f"got {self.synth_dim}")
+
+    def _in_force(self, name: str) -> bool:
+        """Whether the key ``name`` is read, and so checked and echoed: not a
+        ``synth_*`` key when ``data_csv`` is set, nor a ``code_*`` key other
+        than ``code_csv`` when ``code_csv`` is set."""
+        if name.startswith("synth_"):
+            return self.data_csv is None
+        if name.startswith("code_") and name != "code_csv":
+            return self.code_csv is None
+        return True
 
     def echo_lines(self) -> list[str]:
-        """``key = value`` lines, sorted by key, that resolve back to self.
-        Unset keys are left out, as are ``synth_*`` keys when ``data_csv`` is
-        set and ``code_*`` keys when ``code_csv`` is set."""
-        lines = []
-        for name in sorted(f.name for f in fields(self)):
-            value = getattr(self, name)
-            if (
-                value is None
-                or (self.data_csv is not None and name.startswith("synth_"))
-                or (self.code_csv is not None and name.startswith("code_")
-                    and name != "code_csv")
-            ):
-                continue
-            lines.append(f"{name} = {format_value(value)}")
-        return lines
+        """``key = value`` lines, sorted by key, that resolve back to self:
+        one for each key in force that is set."""
+        return [f"{name} = {format_value(getattr(self, name))}"
+                for name in sorted(f.name for f in fields(self))
+                if getattr(self, name) is not None and self._in_force(name)]
+
+
+# The config's fields by key.
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def format_value(value) -> str:
@@ -151,15 +139,11 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 def _parse_value(field: Field, raw: str | None):
     """One config value, typed by its field; an absent key takes the default.
     An empty value also takes it for int, float and bool keys, and means no
-    hidden layers for ``hidden_sizes``.  A value the key cannot take raises
-    :class:`BadKeyError`."""
+    hidden layers for ``hidden_sizes``.  A value not of the key's type
+    raises :class:`BadKeyError`; :class:`ExperimentConfig` checks the rest."""
     key = field.name
     if raw is None:
         return field.default
-    if key in _CHOICES:
-        if raw not in _CHOICES[key]:
-            raise BadKeyError(key, f"must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
-        return raw
     kind = field.type.removesuffix(" | None")
     if kind == "str":
         return raw
@@ -185,7 +169,7 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
     """The :class:`ExperimentConfig` of a config file's entries; ``source``
     names the file in errors, and a refused key as ``source: key 'k' ...``."""
     try:
-        values = {f.name: _parse_value(f, entries.get(f.name)) for f in fields(ExperimentConfig)}
+        values = {key: _parse_value(f, entries.get(key)) for key, f in _FIELDS.items()}
         unknown = sorted(set(entries) - set(values))
         if unknown:
             raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
@@ -226,7 +210,7 @@ def _build_code(
     elif strategy == "dense":
         k = bits if bits is not None else codes.default_code_length(n)
         code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
-    else:  # spectral: argparse and _CHOICES admit only CodeKind values
+    else:  # spectral: the code_strategy declaration admits only CodeKind values
         k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
         if k > n - 1:
             raise ValueError(
@@ -323,10 +307,10 @@ def _save_config_echo(cfg: ExperimentConfig, path: str) -> None:
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
     check_seed(args.seed, "--seed")
-    for flag, value, floor in (("--classes", args.classes, 2), ("--bits", args.bits, 1),
-                               ("--candidates", args.candidates, 1)):
-        if value is not None and value < floor:
-            raise ValueError(f"{flag} must be >= {floor}, got {value}")
+    if args.classes is not None and args.classes < 2:
+        raise ValueError(f"--classes must be >= 2, got {args.classes}")
+    check_declared(_FIELDS["code_bits"], args.bits, "--bits")
+    check_declared(_FIELDS["code_candidates"], args.candidates, "--candidates")
     n = args.classes
     graph = None
     if args.strategy == "spectral":
@@ -370,16 +354,19 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
-    check_seed(args.seed, "--seed")
-    ds = datasets.synth_hierarchical(
-        depth=args.depth,
-        branching=args.branching,
-        samples_per_class=args.samples_per_class,
-        class_sep=args.class_sep,
-        noise_sigma=args.noise_sigma,
-        p=args.dim,
-        seed=args.seed,
-    )
+    try:
+        ds = datasets.synth_hierarchical(
+            depth=args.depth,
+            branching=args.branching,
+            samples_per_class=args.samples_per_class,
+            class_sep=args.class_sep,
+            noise_sigma=args.noise_sigma,
+            p=args.dim,
+            seed=args.seed,
+        )
+    except BadKeyError as exc:  # name the flag that set the refused parameter
+        flag = "--dim" if exc.key == "p" else "--" + exc.key.replace("_", "-")
+        raise BadKeyError(flag, exc.problem) from None
     datasets.save_csv(ds, args.out)
     print(f"wrote {args.out}: {ds.samples} samples, {ds.n} classes, dim {args.dim}")
     if args.attributes_out is not None:
@@ -400,14 +387,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_js(text: str) -> list[int]:
-    """Prefix lengths from the comma-separated ``--js`` value."""
+def _parse_js(text: str, k: int) -> list[int]:
+    """Prefix lengths, each in 1..k, from the comma-separated ``--js`` value."""
     js = []
     for entry in text.split(","):
         try:
             js.append(int(entry))
         except ValueError:
             raise ValueError(f"--js entry {entry!r} is not an integer") from None
+        if not 1 <= js[-1] <= k:
+            raise ValueError(f"--js entry {js[-1]} outside 1..{k}")
     return js
 
 
@@ -435,7 +424,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}: accuracy {cm.accuracy:.4f}")
     else:  # ablate
         if args.js is not None:
-            js = _parse_js(args.js)
+            js = _parse_js(args.js, code.k)
         else:
             js = list(range(1, code.k + 1))
         pairs = analysis.bit_ablation(params, ds, code, js)
@@ -467,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-code", help="generate a code matrix CSV")
-    g.add_argument("--strategy", required=True, choices=_CHOICES["code_strategy"])
+    g.add_argument("--strategy", required=True,
+                   choices=_FIELDS["code_strategy"].metadata["allowed"])
     g.add_argument("--classes", type=int, default=None, help="number of classes n")
     g.add_argument("--bits", type=int, default=None, help="code length k")
     g.add_argument("--seed", type=int, default=ExperimentConfig.seed)
@@ -476,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dense strategy pool size",
     )
     g.add_argument(
-        "--binarize", choices=_CHOICES["code_binarize"], default=ExperimentConfig.code_binarize
+        "--binarize", choices=_FIELDS["code_binarize"].metadata["allowed"],
+        default=ExperimentConfig.code_binarize,
     )
     g.add_argument("--similarity", default=None, help="similarity CSV (spectral)")
     g.add_argument("--data", default=None, help="dataset CSV to derive similarity (spectral)")
@@ -484,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_code)
 
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
-    for f in fields(ExperimentConfig):
+    for f in _FIELDS.values():
         if f.name.startswith("synth_"):
             flag = "--" + f.name.removeprefix("synth_").replace("_", "-")
             s.add_argument(flag, type=_NUMBERS[f.type][0], default=f.default)

@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from ._util import (all_finite, atomic_write, check_labels, check_rows, check_seed, format_rows,
-                    parse_rows, read_lines)
+from ._util import (BadKeyError, all_finite, atomic_write, check_labels, check_rows, check_seed,
+                    format_rows, parse_rows, read_lines)
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,21 @@ def synth_hierarchical(
 
     The walk runs a level at a time, one normal draw per level and one for
     all the noise: the stream, and so the bytes, of a node-by-node walk that
-    redraws a direction of norm <= 1e-12 from the next p values.
+    redraws a direction of norm <= 1e-12 from the next p values.  A
+    parameter out of range raises a ``ValueError`` (``BadKeyError``) whose
+    ``key`` is the parameter's name.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise BadKeyError("depth", f"must be >= 1, got {depth}")
     if branching < 2:
-        raise ValueError(f"branching must be >= 2, got {branching}")
+        raise BadKeyError("branching", f"must be >= 2, got {branching}")
     if p < depth:
-        raise ValueError(f"feature dim must be >= depth, got p={p} depth={depth}")
+        raise BadKeyError("p", f"must be >= depth={depth}, got {p}")
     if samples_per_class < 1:
-        raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
+        raise BadKeyError("samples_per_class", f"must be >= 1, got {samples_per_class}")
     for name, value in (("class_sep", class_sep), ("noise_sigma", noise_sigma)):
         if not 0 <= value < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            raise BadKeyError(name, f"must be finite and >= 0, got {value}")
     check_seed(seed)
 
     rng = np.random.default_rng(seed)

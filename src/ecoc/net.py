@@ -9,11 +9,12 @@ order, so two identical runs produce bitwise-identical metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._util import BadKeyError, BadRowsError, all_finite, atomic_write, check_seed, fmt_float
+from ._util import (BadRowsError, all_finite, atomic_write, check_declared, check_seed, declared,
+                    fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
 from .decoder import batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
@@ -67,10 +68,6 @@ class NetParams:
         return [self.layers[0][0].shape[1]] + [w.shape[0] for w, _ in self.layers]
 
 
-# Settings of TrainConfig.head.
-HEADS = ("auto", "decoder", "softmax")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for :func:`train`.
@@ -81,34 +78,30 @@ class TrainConfig:
     ``"softmax"`` for the plain cross-entropy baseline, ``"auto"`` for
     softmax on one-hot codes and the decoder otherwise.  ``momentum`` is the
     heavy-ball coefficient ``mu`` of ``v = mu * v - lr * g``; 0 (the
-    default) is plain SGD.
+    default) is plain SGD.  Each field declares its allowed values, and
+    construction refuses a value outside them with a ``ValueError`` naming
+    the field.
     """
 
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    lr_decay_epoch: int | None = None
-    lr_decay_factor: float = 0.1
-    seed: int = 0
+    epochs: int = declared("[1, inf)")
+    batch_size: int = declared("[1, inf)")
+    learning_rate: float = declared("(0, inf)")
+    lr_decay_epoch: int | None = declared("[0, inf)", None)
+    lr_decay_factor: float = declared("(0, 1]", 0.1)
+    seed: int = declared("[0, inf)", 0)
     shuffle: bool = True
-    head: str = "auto"
-    momentum: float = 0.0
+    head: str = declared(("auto", "decoder", "softmax"), "auto")
+    momentum: float = declared("[0, 1)", 0.0)
 
     def __post_init__(self) -> None:
-        for key in ("epochs", "batch_size"):
-            if getattr(self, key) < 1:
-                raise BadKeyError(key, f"must be >= 1, got {getattr(self, key)}")
-        if not 0 < self.learning_rate < np.inf:
-            raise BadKeyError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
-        if self.lr_decay_epoch is not None and self.lr_decay_epoch < 0:
-            raise BadKeyError("lr_decay_epoch", f"must be >= 0, got {self.lr_decay_epoch}")
-        if not 0 < self.lr_decay_factor <= 1:
-            raise BadKeyError("lr_decay_factor", f"must be in (0, 1], got {self.lr_decay_factor}")
-        if not 0 <= self.momentum < 1:
-            raise BadKeyError("momentum", f"must be in [0, 1), got {self.momentum}")
-        check_seed(self.seed)
-        if self.head not in HEADS:
-            raise BadKeyError("head", f"must be one of {', '.join(HEADS)}, got {self.head!r}")
+        for f in fields(self):
+            if self._in_force(f.name):
+                check_declared(f, getattr(self, f.name))
+
+    def _in_force(self, name: str) -> bool:
+        """Whether the key ``name`` is read, and so checked: every training
+        key is."""
+        return True
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, config handling, exit codes."""
 
+import argparse
 import errno
 import hashlib
 import math
@@ -544,7 +545,7 @@ class TestTrain:
         assert err == f"error: {cfg}: key {key!r} must be finite and >= 0, got {value}\n"
 
     @pytest.mark.parametrize("key, value", [("synth_depth", "0"), ("synth_dim", "0"),
-                                            ("code_bits", "0")])
+                                            ("code_bits", "0"), ("code_strategy", "magic")])
     def test_keys_of_an_unused_source_are_not_checked(self, tmp_path, key, value):
         """synth_* keys are not read with data_csv, nor code_* keys with
         code_csv, and config.echo leaves them out; a bad value there is
@@ -584,12 +585,11 @@ class TestTrain:
     def test_negative_number_spellings_reach_the_range_check(self, tmp_path, capsys, flag,
                                                              value, shown):
         """argparse would read ``-inf`` and ``-1e3`` as option names; they
-        are values, and the range check names the parameter."""
+        are values, and the range check names the flag."""
         out = os.path.join(tmp_path, "data.csv")
         assert main(["synth-data", "--depth", "1", "--branching", "2", flag, value,
                      "--out", out]) == 2
-        name = flag.removeprefix("--").replace("-", "_")
-        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {flag} must be finite and >= 0, got {shown}\n"
         assert not os.path.exists(out)
 
     def test_label_beyond_int64_exits_2(self, tmp_path, capsys):
@@ -1414,10 +1414,12 @@ REFUSALS = {
     ("attributes_csv", __file__): "needs data_csv; a synthetic dataset has its own attributes",
     ("batch_size", "-1"): "must be >= 1, got -1",
     ("batch_size", "0"): "must be >= 1, got 0",
+    ("code_binarize", "x"): "must be one of raw, zero, median, got 'x'",
     ("code_bits", "-1"): "must be >= 1, got -1",
     ("code_bits", "0"): "must be >= 1, got 0",
     ("code_candidates", "-1"): "must be >= 1, got -1",
     ("code_candidates", "0"): "must be >= 1, got 0",
+    ("code_strategy", "x"): "must be one of onehot, gaussian, dense, spectral, got 'x'",
     ("epochs", "-1"): "must be >= 1, got -1",
     ("epochs", "0"): "must be >= 1, got 0",
     ("head", "x"): "must be one of auto, decoder, softmax, got 'x'",
@@ -1527,3 +1529,137 @@ def test_config_value_errors_name_file_and_key(entries, line):
     with pytest.raises(ValueError) as exc:
         resolve_config(dict({"out_dir": "run"}, **entries), source="exp.cfg")
     assert str(exc.value) == f"exp.cfg: {line}"
+
+
+def test_first_refusal_follows_field_order():
+    """Several bad keys: the first field among them is reported, whatever
+    its kind (epochs comes before code_strategy)."""
+    with pytest.raises(ValueError) as exc:
+        resolve_config({"epochs": "0", "code_strategy": "magic", "out_dir": "run"},
+                       source="exp.cfg")
+    assert str(exc.value) == "exp.cfg: key 'epochs' must be >= 1, got 0"
+
+
+# Numeric and tuple keys with no declared allowed values, and why.
+UNDECLARED = {"synth_dim": "bounded only by synth_depth, a rule across keys"}
+
+
+def test_every_bounded_key_declares_its_allowed_values():
+    """Every int, float and tuple key declares an interval unless it is
+    named above; every str key declares its choices unless it holds a path;
+    a choice key's default is one of its choices."""
+    for f in fields(ExperimentConfig):
+        kind, allowed = f.type.removesuffix(" | None"), f.metadata.get("allowed")
+        if kind in ("int", "float", "tuple[int, ...]"):
+            assert isinstance(allowed, str) != (f.name in UNDECLARED), f.name
+        elif kind == "str":
+            is_path = f.name.endswith("_csv") or f.name == "out_dir"
+            assert isinstance(allowed, tuple) != is_path, f.name
+            assert allowed is None or f.default in allowed, f.name
+        else:
+            assert allowed is None, f.name
+
+
+def declared_edges() -> list[tuple[str, object, bool]]:
+    """(key, value, passes) next to each finite end of each declared
+    interval: the nearest value inside it passes and the nearest outside
+    is refused (±1 for ints, the next double for floats; an open end is
+    itself outside)."""
+    cases = []
+    for f in fields(ExperimentConfig):
+        allowed = f.metadata.get("allowed")
+        if not isinstance(allowed, str):
+            continue
+        kind = f.type.removesuffix(" | None")
+        ends = zip(allowed[1:-1].split(", "), (allowed[0] == "[", allowed[-1] == "]"), (-1, 1))
+        for text, closed, outward in ends:
+            end = float(text)
+            if math.isinf(end):
+                continue
+            if kind == "float":
+                beyond, within = (float(np.nextafter(end, outward * math.inf)),
+                                  float(np.nextafter(end, -outward * math.inf)))
+            else:
+                end, beyond, within = int(end), int(end) + outward, int(end) - outward
+            inside, outside = (end, beyond) if closed else (within, end)
+            if kind == "tuple[int, ...]":
+                inside, outside = (inside,), (outside,)
+            cases += [(f.name, inside, True), (f.name, outside, False)]
+    return cases
+
+
+@pytest.mark.parametrize("key, value, passes", declared_edges(),
+                         ids=[f"{k}={format_value(v)}" for k, v, _ in declared_edges()])
+def test_declared_edges(key, value, passes):
+    """A value just inside a declared end is taken; one just outside is
+    refused in the wording the REFUSALS table pins for that key."""
+    if passes:
+        ExperimentConfig(**{key: value})
+        return
+    rule = next(problem for (k, _), problem in REFUSALS.items() if k == key)
+    with pytest.raises(BadKeyError) as exc:
+        ExperimentConfig(**{key: value})
+    assert (exc.value.key, exc.value.problem) == (
+        key, f"{rule.rsplit(', got ', 1)[0]}, got {format_value(value)}")
+
+
+def test_wording_follows_the_declared_type():
+    """A float key given an int still reads "finite"; an int key never does."""
+    required = dict(epochs=1, batch_size=1, learning_rate=0.1)
+    for key, value, problem in [("learning_rate", 0, "must be finite and > 0, got 0"),
+                                ("momentum", 1, "must be in [0, 1), got 1"),
+                                ("epochs", 0.0, "must be >= 1, got 0.0")]:
+        with pytest.raises(BadKeyError) as exc:
+            net.TrainConfig(**dict(required, **{key: value}))
+        assert (exc.value.key, exc.value.problem) == (key, problem)
+
+
+# A tiny valid command line per subcommand that has int, float or choice
+# flags; "{out}" is the output path and "{run}" a trained run's directory.
+FLAG_WALK_BASES = {
+    "gen-code": "gen-code --strategy gaussian --classes 4 --bits 2 --out {out}",
+    "synth-data": "synth-data --depth 1 --branching 2 --samples-per-class 2 --dim 2 --out {out}",
+    "analyze": "analyze --code {run}/code.csv --model {run}/model.bin --data {run}/eval.csv "
+               "--mode ablate --js 1 --out {out}",
+}
+FLAG_WALK_VALUES = ["", "x", "nan", "inf", "-inf", "-1", "0", "1.5"]
+
+
+def walked_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) of every int, float and choice option the parser
+    declares, and analyze's --js, which it parses itself."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [(name, action.option_strings[0]) for name, parser in sub.choices.items()
+             for action in parser._actions
+             if action.type in (int, float) or action.choices is not None]
+    return flags + [("analyze", "--js")]
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A finished 2-epoch run with a k = 4 code."""
+    tmp = tmp_path_factory.mktemp("flag_walk")
+    out = os.path.join(tmp, "run")
+    assert main(["train", "--config", write_config(os.path.join(tmp, "exp.cfg"), out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", FLAG_WALK_VALUES)
+@pytest.mark.parametrize("command, flag", walked_flags())
+def test_flag_value_runs_or_names_the_flag(tmp_path, capsys, trained_run, command, flag, value):
+    """Each bad value of each flag, on a valid command line: exit 0, or
+    exit 2 with a last stderr line that names the flag, no traceback and
+    no output file."""
+    out = os.path.join(tmp_path, "out.csv")
+    argv = FLAG_WALK_BASES[command].format(out=out, run=trained_run).split() + [flag, value]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != 0:
+        assert code == 2
+        assert flag in err.splitlines()[-1]
+        assert not os.path.exists(out)

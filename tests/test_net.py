@@ -250,6 +250,15 @@ class TestTrain:
             train(init([4, 8, 4], seed=0), ds, one_hot(4), cfg)
         assert err.value.epoch >= 0
 
+    def test_non_finite_evaluation_loss_is_divergence(self):
+        """One step per epoch at a huge rate: the step's loss is finite, and
+        only the train split's evaluation loss after it is not."""
+        ds = separable_dataset()
+        cfg = TrainConfig(epochs=1, batch_size=ds.samples, learning_rate=1e10, head="softmax")
+        with pytest.raises(TrainingDivergedError) as err:
+            train(init([4, 8, 4], seed=0), ds, one_hot(4), cfg)
+        assert err.value.epoch == 0
+
     def test_decoder_output_overflow_is_divergence(self):
         """Finite outputs near 1e200 overflow their squares, so they have no
         computable direction: the decoder head reports divergence instead of

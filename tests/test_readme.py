@@ -73,7 +73,7 @@ def config_key_rows() -> list[list[str]]:
     table = section.split("\n|", 1)[1].split("\n\n", 1)[0]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in ("|" + table).splitlines()]
-    assert rows[0] == ["Key", "Type", "Default"] and set(rows[1]) == {"---"}
+    assert rows[0] == ["Key", "Type", "Allowed", "Default"] and set(rows[1]) == {"---"}
     return rows[2:]
 
 
@@ -85,5 +85,13 @@ def test_config_key_table_matches_experiment_config():
             return "required"
         return f"`{format_value(default)}`"
 
-    documented = [(key, default) for key, _, default in config_key_rows()]
-    assert documented == [(f"`{f.name}`", shown(f.default)) for f in fields(ExperimentConfig)]
+    def allowed(values) -> str:
+        if values is None:
+            return "—"
+        if isinstance(values, str):
+            return f"`{values}`"
+        return ", ".join(f"`{v}`" for v in values[:-1]) + f" or `{values[-1]}`"
+
+    documented = [(key, values, default) for key, _, values, default in config_key_rows()]
+    assert documented == [(f"`{f.name}`", allowed(f.metadata.get("allowed")), shown(f.default))
+                          for f in fields(ExperimentConfig)]

@@ -506,3 +506,21 @@ def test_non_finite_entry_refused_with_its_message(check, value, place):
     a[place] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(a)
+
+
+@pytest.mark.parametrize("old", [None, b"0,1\n"], ids=["absent", "existing"])
+def test_atomic_write_failure_leaves_the_target_and_no_temp_file(tmp_path, old):
+    """An exception inside the block propagates; the target keeps its old
+    bytes, or stays absent, and the temp file is removed."""
+    path = os.path.join(tmp_path, "out.csv")
+    if old is not None:
+        with open(path, "wb") as fh:
+            fh.write(old)
+    with pytest.raises(KeyboardInterrupt):
+        with _util.atomic_write(path) as fh:
+            fh.write("2,3\n")
+            raise KeyboardInterrupt
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.csv"])
+    if old is not None:
+        with open(path, "rb") as fh:
+            assert fh.read() == old
