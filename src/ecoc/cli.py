@@ -234,15 +234,28 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                 )
             ds = datasets.with_attributes(ds, attrs, names)
         return ds
-    return datasets.synth_hierarchical(
-        depth=cfg.synth_depth,
-        branching=cfg.synth_branching,
-        samples_per_class=cfg.synth_samples_per_class,
-        class_sep=cfg.synth_class_sep,
-        noise_sigma=cfg.synth_noise_sigma,
-        p=cfg.synth_dim,
-        seed=cfg.seed,
-    )
+    try:
+        return datasets.synth_hierarchical(
+            depth=cfg.synth_depth,
+            branching=cfg.synth_branching,
+            samples_per_class=cfg.synth_samples_per_class,
+            class_sep=cfg.synth_class_sep,
+            noise_sigma=cfg.synth_noise_sigma,
+            p=cfg.synth_dim,
+            seed=cfg.seed,
+        )
+    except BadKeyError as exc:  # name the key that set the refused parameter
+        raise BadKeyError(_synth_key(exc.key), exc.problem) from None
+
+
+def _synth_key(param: str) -> str:
+    """The config key that sets the ``synth_hierarchical`` parameter ``param``."""
+    return {"p": "synth_dim", "seed": "seed"}.get(param, "synth_" + param)
+
+
+def _synth_flag(key: str) -> str:
+    """The ``synth-data`` flag of the config key ``key``."""
+    return "--" + key.removeprefix("synth_").replace("_", "-")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
@@ -365,8 +378,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     except BadKeyError as exc:  # name the flag that set the refused parameter
-        flag = "--dim" if exc.key == "p" else "--" + exc.key.replace("_", "-")
-        raise BadKeyError(flag, exc.problem) from None
+        raise BadKeyError(_synth_flag(_synth_key(exc.key)), exc.problem) from None
     datasets.save_csv(ds, args.out)
     print(f"wrote {args.out}: {ds.samples} samples, {ds.n} classes, dim {args.dim}")
     if args.attributes_out is not None:
@@ -477,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
     for f in _FIELDS.values():
         if f.name.startswith("synth_"):
-            flag = "--" + f.name.removeprefix("synth_").replace("_", "-")
-            s.add_argument(flag, type=_NUMBERS[f.type][0], default=f.default)
+            s.add_argument(_synth_flag(f.name), type=_NUMBERS[f.type][0], default=f.default)
     s.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     s.add_argument("--out", required=True)
     s.add_argument("--attributes-out", default=None)

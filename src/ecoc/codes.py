@@ -168,32 +168,18 @@ def gaussian_code(n: int, k: int, seed: int = 0) -> CodeMatrix:
     )
 
 
-def dense_candidate_stream(
-    n: int, k: int, candidates: int, seed: int = 0
-) -> Iterator[np.ndarray]:
-    """Yield the deterministic candidate sequence used by dense_random_code.
-
-    Each candidate is an ``n x k`` matrix of ``{-1, +1}`` entries, each +1
-    with probability 0.5: entry by entry, row-major, +1 where
-    ``default_rng(seed).integers(0, 2)`` draws 1.  They are read from the
-    generator's raw words by the rule that ``integers`` call follows (see
-    ``_pm1_candidates``).  Exposed so the selection can be re-audited
-    against the exact list the generator saw.  A negative ``seed`` raises
-    at the call, before any draw.
-    """
-    blocks = _pm1_candidates(n, k, candidates, seed, np.float64)
-    return (cand for block in blocks for cand in block)
-
-
 def _pm1_candidates(
     n: int, k: int, candidates: int, seed: int, dtype: type
 ) -> Iterator[np.ndarray]:
-    """dense_candidate_stream's draws as ``dtype``, in ``(b, n, k)`` blocks
-    of ``b = max(1, ROW_BLOCK_ELEMS // (n k))`` candidates (the last block
-    may be shorter); checks ``seed`` at once.
+    """The candidates dense_random_code scans, as ``dtype``, in ``(b, n,
+    k)`` blocks of ``b = max(1, ROW_BLOCK_ELEMS // (n k))`` candidates (the
+    last block may be shorter); checks ``seed`` at once.
 
-    Each entry is the top bit of one 32-bit half of a PCG64 output, low half
-    first: that bit set gives +1, clear gives -1.  This is what
+    Each candidate is an ``n x k`` matrix of ``{-1, +1}`` entries, each +1
+    with probability 0.5: entry by entry, row-major, +1 where
+    ``default_rng(seed).integers(0, 2)`` draws 1.  Each entry is the top
+    bit of one 32-bit half of a PCG64 output, low half first: that bit set
+    gives +1, clear gives -1.  This is what
     ``integers(0, 2)`` draws, as numpy's bounded draw (Lemire's multiply
     and shift) of a range of 2 never rejects and keeps just the top bit of
     one 32-bit output, taking the halves of each 64-bit output low first.

@@ -92,7 +92,9 @@ def synth_hierarchical(
     all the noise: the stream, and so the bytes, of a node-by-node walk that
     redraws a direction of norm <= 1e-12 from the next p values.  A
     parameter out of range raises a ``ValueError`` (``BadKeyError``) whose
-    ``key`` is the parameter's name.
+    ``key`` is the parameter's name, before any array is made; a
+    ``samples_per_class`` that makes more feature values, ``n *
+    samples_per_class * p``, than ``np.intp`` can index is one.
     """
     if depth < 1:
         raise BadKeyError("depth", f"must be >= 1, got {depth}")
@@ -102,6 +104,12 @@ def synth_hierarchical(
         raise BadKeyError("p", f"must be >= depth={depth}, got {p}")
     if samples_per_class < 1:
         raise BadKeyError("samples_per_class", f"must be >= 1, got {samples_per_class}")
+    # branching >= 2, so past depth 64 the product is past any limit too
+    limit = np.iinfo(np.intp).max
+    if branching ** min(depth, 64) * samples_per_class * p > limit:
+        raise BadKeyError("samples_per_class", f"gives {branching}**{depth} classes x "
+                          f"{samples_per_class} x p={p} feature values, more than an array "
+                          f"can index ({limit})")
     for name, value in (("class_sep", class_sep), ("noise_sigma", noise_sigma)):
         if not 0 <= value < np.inf:
             raise BadKeyError(name, f"must be finite and >= 0, got {value}")

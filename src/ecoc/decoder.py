@@ -10,8 +10,10 @@ a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``.  The distance's
 remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
 softmax and the argmax never see it.  One loop (:func:`_score_blocks`)
 writes the blocks of a larger batch into one reused buffer.  Training
-turns each block into losses and gradients, prediction into an argmax; a
-training batch that fits one block skips the loop.
+turns each block into losses and gradients, prediction into an argmax, and
+evaluation (:func:`loss_and_predictions`) into one argmax and then a
+loss-only softmax in the same buffer; a training batch that fits one block
+skips the loop.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -198,6 +200,30 @@ def batch_loss_grad(
             g, ys[rows], u[rows], norms[rows], m, out=grads[rows]
         )
     return losses, grads
+
+
+def loss_and_predictions(
+    z: np.ndarray, code: CodeMatrix, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and nearest-codeword classes of a batch: the losses
+    of :func:`batch_loss_grad` and the predictions of :func:`predict_batch`
+    against ``decoding_matrix(code)``, bit for bit, from one scoring.
+
+    ``z`` is normalized once; each block of :func:`_score_blocks` gives its
+    argmax first, then its loss-only softmax cross-entropy in the same
+    buffer, so no gradient is built.  ``z`` must be a 2-d float64 array of
+    ``code.k`` columns and ``ys`` valid class ids, one per row: the caller
+    checks them.  A zero or non-finite row raises :class:`_util.BadRowsError`
+    from :func:`unit_rows`.
+    """
+    m = decoding_matrix(code)
+    u, _ = unit_rows(z)
+    losses = np.empty(len(u))
+    preds = np.empty(len(u), dtype=np.int64)
+    for rows, d in _score_blocks(u, m, _bias(code)):
+        preds[rows] = d.argmax(axis=1)
+        losses[rows] = softmax_ce_in_place(d, ys[rows])
+    return losses, preds
 
 
 def predict_batch(z: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ order, so two identical runs produce bitwise-identical metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from ._util import (BadRowsError, all_finite, atomic_write, check_declared, chec
                     fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import batch_loss_grad, decoding_matrix, predict_batch, softmax_ce_in_place
+from .decoder import batch_loss_grad, loss_and_predictions, softmax_ce_in_place
 
 GRAD_ACTIVE_EPS = 1e-8
 
@@ -242,31 +243,39 @@ def _update_vector(
     return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
 
 
+def _raise_output_rows(exc: BadRowsError, epoch: int, where: int | str, row: int) -> NoReturn:
+    """Raise the training error for decoder output rows that
+    :func:`unit_rows` refused: a zero row as a :class:`ZeroOutputError`
+    naming the epoch, ``where`` and ``row``, its index in the rows of the
+    split, and a row whose norm is not finite as a
+    :class:`TrainingDivergedError`.  A refusal of the codewords' rows is
+    raised as it is."""
+    if exc.noun is not None:  # the codewords' rows, not the outputs'
+        raise exc
+    if exc.check != "zero":
+        raise TrainingDivergedError(epoch) from None
+    raise ZeroOutputError(epoch, where, row) from None
+
+
 def _head_loss_grad(
     head: str, z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
-    rows: np.ndarray | None, epoch: int, where: int | str,
+    rows: np.ndarray, epoch: int, batch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and loss gradients w.r.t. z under ``head``; ``z`` is
-    left as it is.
+    """Per-row losses and loss gradients w.r.t. z of training batch
+    ``batch``, drawn from the training rows ``rows``, under ``head``; ``z``
+    is left as it is.
 
     The softmax head is plain cross-entropy on the raw outputs (the one-hot
     baseline), worked in place in one copy of ``z`` that ends as the
     gradient: its head memory is that one (s, n) buffer.  The decoder head
-    is ``batch_loss_grad``, with a zero output row reported as a
-    :class:`ZeroOutputError` naming the epoch, ``where`` and its index in
-    ``rows`` (its own index when ``rows`` is None), and an output whose
-    norm is not finite as a :class:`TrainingDivergedError`.
+    is ``batch_loss_grad``, with a refused output row raised by
+    :func:`_raise_output_rows`.
     """
     if head == "decoder":
         try:
             return batch_loss_grad(z, code, ys)
         except BadRowsError as exc:
-            if exc.noun is not None:  # the codewords' rows, not the outputs'
-                raise
-            if exc.check != "zero":
-                raise TrainingDivergedError(epoch) from None
-            row = exc.row if rows is None else int(rows[exc.row])
-            raise ZeroOutputError(epoch, where, row) from None
+            _raise_output_rows(exc, epoch, batch, int(rows[exc.row]))
     grads = z.copy()
     return softmax_ce_in_place(grads, ys, grad=True), grads
 
@@ -277,19 +286,20 @@ def _epoch_metrics(
 ) -> tuple[float, float]:
     """Full-pass mean loss and accuracy under the trained head.
 
-    The decoder head's losses come from one ``batch_loss_grad`` call over
-    the whole split, which works through ``block_rows(n)``-row blocks
-    itself, so its score memory grows with block * n, not with the split's
-    rows * n; besides that it holds the split's (s, k) unit rows and an
-    (s, k) gradient that evaluation discards.  ``predict_batch`` scores the
-    split in the same blocks.  The softmax head
-    takes its predictions from the outputs first, then computes the loss
-    alone in the outputs' own buffer.
+    Either head takes its predictions first and then the loss alone, with
+    no gradient.  The decoder head scores the split once, in
+    ``block_rows(n)``-row blocks (``loss_and_predictions``): its score
+    memory grows with block * n, not with the split's rows * n, beside the
+    split's (s, k) unit rows; a refused output row is raised by
+    :func:`_raise_output_rows`.  The softmax head takes its predictions
+    from the outputs, then computes the loss in the outputs' own buffer.
     """
     z, _ = _forward_batch(p, x)
     if head == "decoder":
-        losses, _ = _head_loss_grad(head, z, code, ys, None, epoch, split)
-        preds = predict_batch(z, decoding_matrix(code))
+        try:
+            losses, preds = loss_and_predictions(z, code, ys)
+        except BadRowsError as exc:
+            _raise_output_rows(exc, epoch, split, exc.row)
     else:
         preds = z.argmax(axis=1)
         losses = softmax_ce_in_place(z, ys)

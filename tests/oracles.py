@@ -17,6 +17,11 @@ from a dense per-sample mismatch matrix (``update_vector_zeros_array``),
 and its evaluation metrics from whole normalized probability rows
 (``softmax_metrics_copy_normalize_scatter``).
 
+``dense_candidate_stream`` is not an independent reference: it yields,
+one float64 candidate at a time, the very candidates ``dense_random_code``
+scans (``codes._pm1_candidates``), so a selection can be re-audited by
+brute force against the exact list the generator saw.
+
 The code metrics have two references each.  ``min_row_hamming_brute`` and
 ``max_abs_col_cosine_brute`` loop over pairs.  ``min_row_hamming_one_hot``
 (signs one-hot over {-1, 0, +1}, one n x 3k product) and
@@ -47,9 +52,11 @@ measures them) rather than a code:
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+
+from ecoc.codes import _pm1_candidates
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4
@@ -183,6 +190,16 @@ def distance_scores_broadcast(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Score matrix D[i, c] = -0.5 * ||m_c - u_i||^2 from the full (s, n, k)
     difference tensor: exact formula, memory s * n * k."""
     return -0.5 * ((u[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
+
+
+def dense_candidate_stream(
+    n: int, k: int, candidates: int, seed: int = 0
+) -> Iterator[np.ndarray]:
+    """The candidates ``dense_random_code(n, k, candidates, seed)`` scans,
+    in order, one float64 ``n x k`` matrix at a time.  A negative ``seed``
+    raises at the call, before any draw."""
+    blocks = _pm1_candidates(n, k, candidates, seed, np.float64)
+    return (cand for block in blocks for cand in block)
 
 
 def min_row_hamming_brute(values: np.ndarray) -> int:

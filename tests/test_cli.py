@@ -544,6 +544,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: key {key!r} must be finite and >= 0, got {value}\n"
 
+    @pytest.mark.parametrize("value", [2**64, 2**63 - 1])
+    def test_samples_past_an_array_index_name_the_key(self, tmp_path, capsys, value):
+        """2 classes x value x 3 feature values cannot be indexed: refused
+        by key, exit 2, before any array is made, by train and synth-data."""
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out,
+                           synth_samples_per_class=str(value))
+        problem = (f"gives 2**1 classes x {value} x p=3 feature values, more than an array "
+                   f"can index ({2**63 - 1})")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: synth_samples_per_class {problem}\n"
+        assert not os.path.exists(out)
+        data = os.path.join(tmp_path, "data.csv")
+        assert main(["synth-data", "--depth", "1", "--branching", "2", "--dim", "3",
+                     "--samples-per-class", str(value), "--out", data]) == 2
+        assert capsys.readouterr().err == f"error: --samples-per-class {problem}\n"
+        assert not os.path.exists(data)
+
     @pytest.mark.parametrize("key, value", [("synth_depth", "0"), ("synth_dim", "0"),
                                             ("code_bits", "0"), ("code_strategy", "magic")])
     def test_keys_of_an_unused_source_are_not_checked(self, tmp_path, key, value):

@@ -22,7 +22,6 @@ from ecoc.codes import (
     binarize,
     code_metrics,
     default_code_length,
-    dense_candidate_stream,
     dense_random_code,
     gaussian_code,
     load_code_csv,
@@ -30,6 +29,7 @@ from ecoc.codes import (
     save_code_csv,
 )
 from oracles import (
+    dense_candidate_stream,
     max_abs_col_cosine_brute,
     max_abs_pair_cosine_triu,
     min_row_hamming_brute,

@@ -133,6 +133,25 @@ class TestSynthHierarchical:
                                    match=f"^{name} must be finite and >= 0, got {value}$"):
                     synth_hierarchical(**dict(good, **{name: value}))
 
+    @pytest.mark.parametrize("depth, samples, p, refused", [
+        (1, 2**62 // 3, 3, False), (1, 2**62 // 3 + 1, 3, True), (2, 1, 2**61, True),
+        (70, 1, 70, True), (10**9, 1, 10**9, True),
+    ])
+    def test_feature_count_must_fit_an_array_index(self, monkeypatch, depth, samples, p,
+                                                   refused):
+        """branching**depth * samples_per_class * p past np.intp is refused
+        by samples_per_class before any draw, also at a depth whose class
+        count would take long to compute; one value fewer passes the check."""
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(ValueError if refused else AssertionError) as exc:
+            synth_hierarchical(depth, 2, samples, 1.0, 0.0, p)
+        if refused:
+            assert exc.value.key == "samples_per_class"
+            assert str(exc.value).endswith(f"more than an array can index ({2**63 - 1})")
+
     def test_top_split_is_linearly_visible(self):
         """With noise well below the top-level separation, a nearest-center
         rule on the first attribute's groups is perfect."""

@@ -1,11 +1,12 @@
 """Distance-decoder head: scores, softmax, analytic gradient, prediction.
 
-Every test drives the batch operations training and analysis run
-(``batch_loss_grad``, ``predict_batch`` and the score and softmax steps
-inside them), on one-row and multi-row batches; the single-sample
-references in ``oracles`` check them row by row.
+Every test drives the batch operations training, evaluation and analysis
+run (``batch_loss_grad``, ``loss_and_predictions``, ``predict_batch`` and
+the score and softmax steps inside them), on one-row and multi-row batches;
+the single-sample references in ``oracles`` check them row by row.
 """
 
+import functools
 import inspect
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ from ecoc.codes import (
     CodeKind,
     CodeMatrix,
     binarize,
+    dense_random_code,
     gaussian_code,
     one_hot,
 )
@@ -35,6 +37,7 @@ from ecoc.decoder import (
     _score_blocks,
     batch_loss_grad,
     decoding_matrix,
+    loss_and_predictions,
     nearest_codewords,
     predict_batch,
     softmax_ce_in_place,
@@ -434,11 +437,14 @@ def assert_rows_match_oracles(z, code, ys, tol=1e-12):
     """batch_loss_grad, predict_batch and the score and softmax kernels
     against the single-sample references, row by row: losses within ``tol``
     absolute, probabilities and gradients within ``tol`` absolute and
-    relative."""
+    relative.  loss_and_predictions gives the first two's losses and
+    predictions bit for bit."""
     losses, grads = batch_loss_grad(z, code, ys)
     probs = softmax(scores(z, code))
     m = decoding_matrix(code)
     preds = predict_batch(z, m)
+    eval_losses, eval_preds = loss_and_predictions(np.asarray(z, dtype=float), code, ys)
+    assert eval_losses.tobytes() == losses.tobytes() and np.array_equal(eval_preds, preds)
     mm_max = (m * m).sum(axis=1).max()
     rows, n = probs.shape
     assert losses.shape == (rows,) and grads.shape == z.shape and n == code.n
@@ -615,6 +621,68 @@ class TestBlockLayouts:
         assert losses.shape == (s,) and grads.shape == (s, k)
         assert losses.tobytes() == ref_losses.tobytes()
         assert grads.tobytes() == ref_grads.tobytes()
+
+
+@functools.cache
+def decoder_code(kind: str, n: int) -> CodeMatrix:
+    """A code of each kind the decoder head trains against, n classes:
+    raw gaussian, binarized gaussian, spectral, dense random, and one-hot
+    (decoded under ``head = decoder``)."""
+    k = min(32, n - 1)
+    if kind == "gaussian":
+        return gaussian_code(n, k, seed=n)
+    if kind == "binarized":
+        return binarize(gaussian_code(n, k, seed=n), Binarization.ZERO)
+    if kind == "spectral":
+        return spectral_code(random_similarity(n, n), k)
+    if kind == "dense":
+        return dense_random_code(n, k, candidates=3, seed=n)
+    return one_hot(n)
+
+
+class TestLossAndPredictions:
+    @pytest.mark.parametrize("kind", ["gaussian", "binarized", "spectral", "dense", "onehot"])
+    @pytest.mark.parametrize("n, s", [(1024, 1), (1024, 63), (1024, 64), (1024, 65),
+                                      (1024, 129), (6, 40)])
+    def test_bits_match_the_two_calls(self, kind, n, s):
+        """Losses, their sum and predictions have the bits of
+        ``batch_loss_grad`` and ``predict_batch``, one block or many
+        (``block_rows(1024)`` is 64); under one-hot codes the last row ties
+        classes 5 and 2, and goes to 2."""
+        code = decoder_code(kind, n)
+        rng = np.random.default_rng(s)
+        z = rng.standard_normal((s, code.k)) * rng.uniform(0.1, 10.0, (s, 1))
+        ys = rng.integers(0, n, size=s)
+        if kind == "onehot":
+            z[-1] = 0.0
+            z[-1, [2, 5]] = 3.0
+        losses, preds = loss_and_predictions(z, code, ys)
+        ref_losses, _ = batch_loss_grad(z, code, ys)
+        ref_preds = predict_batch(z, decoding_matrix(code))
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert repr(float(losses.sum())) == repr(float(ref_losses.sum()))
+        assert preds.dtype == ref_preds.dtype and np.array_equal(preds, ref_preds)
+        if kind == "onehot":
+            assert preds[-1] == 2
+
+    def test_scores_once_per_block(self):
+        """One pass of the block loop, and no gradient: 129 rows at
+        n = 1024 are three blocks."""
+        code = decoder_code("gaussian", 1024)
+        z = np.random.default_rng(0).standard_normal((129, code.k))
+        with mock.patch("ecoc.decoder._score_blocks", wraps=_score_blocks) as blocks, \
+                mock.patch("ecoc.decoder._loss_grad_in_place") as grads:
+            loss_and_predictions(z, code, np.arange(129))
+        assert blocks.call_count == 1 and not grads.called
+
+    @pytest.mark.parametrize("row, check", [(70, "zero"), (3, "non-finite")])
+    def test_bad_row_raised_by_index(self, row, check):
+        code = decoder_code("gaussian", 1024)
+        z = np.ones((129, code.k))
+        z[row] = 0.0 if check == "zero" else np.inf
+        with pytest.raises(_util.BadRowsError) as err:
+            loss_and_predictions(z, code, np.arange(129))
+        assert (err.value.row, err.value.check, err.value.noun) == (row, check, None)
 
 
 @st.composite

@@ -652,9 +652,9 @@ class TestSoftmaxEvaluation:
 
 
 class TestDecoderEvaluation:
-    """The decoder head's evaluation pass takes its losses in one
-    batch_loss_grad call over the whole split, and its predictions in one
-    predict_batch call; both work through block_rows(n)-row blocks."""
+    """The decoder head's evaluation pass scores the split once, in
+    block_rows(n)-row blocks, and gives the bits of one batch_loss_grad and
+    one predict_batch call over the whole split."""
 
     @pytest.mark.parametrize("s, n, k", [(1, 3, 2), (200, 1024, 9), (1300, 100, 7), (128, 1024, 5)])
     def test_equals_one_whole_split_call(self, s, n, k):
@@ -731,6 +731,7 @@ class TestNoWritesIntoInputs:
         _, grads = batch_loss_grad(z, code, np.arange(70) % 9)
         _freeze(grads)
         _backward_batch(p, cache, grads)
+        decoder.loss_and_predictions(z, code, np.arange(70) % 9)
 
     def test_softmax_head(self):
         p, z, cache = self._forward([4, 32, 9])
@@ -757,22 +758,22 @@ class TestNoWritesIntoInputs:
 
 
 def test_train_decoder_call_structure(monkeypatch):
-    """Per epoch: one batch_loss_grad per batch plus one for the evaluation
-    pass, one predict_batch for the evaluation pass, and one decoding_matrix
-    call inside each of those plus one beside the evaluation's
-    predict_batch; batch_loss_grad sees each training row once per epoch
-    in its batch and once in the evaluation.  Counted through every ecoc
-    module attribute bound to each function, as the per-module tracer
-    does."""
-    watched = (decoder.batch_loss_grad, decoder.predict_batch, decoder.decoding_matrix)
+    """Per epoch: one batch_loss_grad per batch and one
+    loss_and_predictions for the evaluation pass, no predict_batch, and one
+    decoding_matrix call inside each of those; batch_loss_grad sees each
+    training row once per epoch in its batch, loss_and_predictions once in
+    the evaluation.  Counted through every ecoc module attribute bound to
+    each function, as the per-module tracer does."""
+    watched = (decoder.batch_loss_grad, decoder.loss_and_predictions, decoder.predict_batch,
+               decoder.decoding_matrix)
     counts = dict.fromkeys((f.__name__ for f in watched), 0)
-    loss_rows = []
+    rows_seen = dict.fromkeys(("batch_loss_grad", "loss_and_predictions"), 0)
 
     def counting(fn):
         def wrapper(*args, **kwargs):
             counts[fn.__name__] += 1
-            if fn.__name__ == "batch_loss_grad":
-                loss_rows.append(len(args[0]))
+            if fn.__name__ in rows_seen:
+                rows_seen[fn.__name__] += len(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -786,8 +787,9 @@ def test_train_decoder_call_structure(monkeypatch):
     cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
     train(init([4, 3], seed=0), ds, gaussian_code(4, 3, seed=0), cfg)
     # 16 samples: 2 batches per epoch
-    assert counts == {"batch_loss_grad": 6, "predict_batch": 2, "decoding_matrix": 6 + 2}
-    assert sum(loss_rows) == 2 * (16 + 16)
+    assert counts == {"batch_loss_grad": 4, "loss_and_predictions": 2, "predict_batch": 0,
+                      "decoding_matrix": 4 + 2}
+    assert rows_seen == {"batch_loss_grad": 2 * 16, "loss_and_predictions": 2 * 16}
 
 
 class TestModelFile:

@@ -19,7 +19,7 @@ from ecoc._util import ROW_BLOCK_ELEMS, format_rows, parse_rows, split_lines
 from ecoc.codes import load_code_csv
 from ecoc.datasets import load_attributes_csv, load_csv
 from ecoc.spectral import load_similarity_csv
-from oracles import format_rows_per_element
+from oracles import dense_candidate_stream, format_rows_per_element
 
 SPECIAL_FLOATS = [
     0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 2.2250738585072e-308,
@@ -452,7 +452,7 @@ def test_undecodable_byte_names_path_and_line(tmp_path, reader):
     [
         lambda: codes.gaussian_code(4, 2, seed=-1),
         lambda: codes.dense_random_code(4, 3, candidates=5, seed=-1),
-        lambda: codes.dense_candidate_stream(4, 3, 5, seed=-1),  # raises before next()
+        lambda: dense_candidate_stream(4, 3, 5, seed=-1),  # raises before next()
         lambda: datasets.synth_hierarchical(1, 2, 2, 1.0, 0.5, 2, seed=-1),
         lambda: datasets.split(datasets.synth_hierarchical(1, 2, 2, 1.0, 0.5, 2), 0.5, seed=-1),
         lambda: net.init([2, 3], seed=-1),
