@@ -49,8 +49,10 @@ class ExperimentConfig(TrainConfig):
     inherited :class:`TrainConfig` fields; only the CLI's defaults of its
     required keys are given here.  Construction checks each key in force
     (:meth:`_in_force`) against its declaration, in field order, then the
-    two rules that tie keys together: ``attributes_csv`` needs ``data_csv``,
-    and ``synth_dim`` must be at least ``synth_depth``.
+    three rules that tie keys together: ``attributes_csv`` needs
+    ``data_csv``, ``synth_dim`` must be at least ``synth_depth``, and the
+    synthetic features must fit one array
+    (:func:`datasets.check_synth_size`).
     """
 
     # training: the CLI's defaults for TrainConfig's required keys
@@ -85,6 +87,10 @@ class ExperimentConfig(TrainConfig):
         if self._in_force("synth_dim") and self.synth_dim < self.synth_depth:
             raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
                                            f"got {self.synth_dim}")
+        if self._in_force("synth_samples_per_class"):
+            datasets.check_synth_size(self.synth_depth, self.synth_branching,
+                                      self.synth_samples_per_class, self.synth_dim,
+                                      key="synth_samples_per_class")
 
     def _in_force(self, name: str) -> bool:
         """Whether the key ``name`` is read, and so checked and echoed: not a
@@ -234,28 +240,15 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                 )
             ds = datasets.with_attributes(ds, attrs, names)
         return ds
-    try:
-        return datasets.synth_hierarchical(
-            depth=cfg.synth_depth,
-            branching=cfg.synth_branching,
-            samples_per_class=cfg.synth_samples_per_class,
-            class_sep=cfg.synth_class_sep,
-            noise_sigma=cfg.synth_noise_sigma,
-            p=cfg.synth_dim,
-            seed=cfg.seed,
-        )
-    except BadKeyError as exc:  # name the key that set the refused parameter
-        raise BadKeyError(_synth_key(exc.key), exc.problem) from None
-
-
-def _synth_key(param: str) -> str:
-    """The config key that sets the ``synth_hierarchical`` parameter ``param``."""
-    return {"p": "synth_dim", "seed": "seed"}.get(param, "synth_" + param)
-
-
-def _synth_flag(key: str) -> str:
-    """The ``synth-data`` flag of the config key ``key``."""
-    return "--" + key.removeprefix("synth_").replace("_", "-")
+    return datasets.synth_hierarchical(
+        depth=cfg.synth_depth,
+        branching=cfg.synth_branching,
+        samples_per_class=cfg.synth_samples_per_class,
+        class_sep=cfg.synth_class_sep,
+        noise_sigma=cfg.synth_noise_sigma,
+        p=cfg.synth_dim,
+        seed=cfg.seed,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
@@ -378,7 +371,8 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     except BadKeyError as exc:  # name the flag that set the refused parameter
-        raise BadKeyError(_synth_flag(_synth_key(exc.key)), exc.problem) from None
+        flag = "--dim" if exc.key == "p" else "--" + exc.key.replace("_", "-")
+        raise BadKeyError(flag, exc.problem) from None
     datasets.save_csv(ds, args.out)
     print(f"wrote {args.out}: {ds.samples} samples, {ds.n} classes, dim {args.dim}")
     if args.attributes_out is not None:
@@ -489,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
     for f in _FIELDS.values():
         if f.name.startswith("synth_"):
-            s.add_argument(_synth_flag(f.name), type=_NUMBERS[f.type][0], default=f.default)
+            flag = "--" + f.name.removeprefix("synth_").replace("_", "-")
+            s.add_argument(flag, type=_NUMBERS[f.type][0], default=f.default)
     s.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     s.add_argument("--out", required=True)
     s.add_argument("--attributes-out", default=None)

@@ -70,6 +70,24 @@ def label_blocks(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(labels[order], np.arange(n + 1))
 
 
+def check_synth_size(
+    depth: int, branching: int, samples_per_class: int, p: int,
+    key: str = "samples_per_class",
+) -> None:
+    """Refuse, with a :class:`BadKeyError` naming ``key``, synthetic data
+    of ``branching**depth`` classes (branching >= 2) x ``samples_per_class``
+    x ``p`` float64 features whose bytes pass ``np.intp``'s maximum, the
+    most one numpy array can hold.  The product is taken in Python ints, so
+    it cannot wrap."""
+    depth, branching, samples_per_class, p = map(int, (depth, branching, samples_per_class, p))
+    limit = np.iinfo(np.intp).max
+    # past depth 64 the class count alone is past the limit
+    if branching ** min(depth, 64) * samples_per_class * p * 8 > limit:
+        raise BadKeyError(key, f"gives {branching}**{depth} classes x {samples_per_class} x "
+                               f"p={p} feature values of 8 bytes, more than an array can "
+                               f"hold ({limit} bytes)")
+
+
 def synth_hierarchical(
     depth: int,
     branching: int,
@@ -93,8 +111,7 @@ def synth_hierarchical(
     redraws a direction of norm <= 1e-12 from the next p values.  A
     parameter out of range raises a ``ValueError`` (``BadKeyError``) whose
     ``key`` is the parameter's name, before any array is made; a
-    ``samples_per_class`` that makes more feature values, ``n *
-    samples_per_class * p``, than ``np.intp`` can index is one.
+    ``samples_per_class`` refused by :func:`check_synth_size` is one.
     """
     if depth < 1:
         raise BadKeyError("depth", f"must be >= 1, got {depth}")
@@ -104,12 +121,7 @@ def synth_hierarchical(
         raise BadKeyError("p", f"must be >= depth={depth}, got {p}")
     if samples_per_class < 1:
         raise BadKeyError("samples_per_class", f"must be >= 1, got {samples_per_class}")
-    # branching >= 2, so past depth 64 the product is past any limit too
-    limit = np.iinfo(np.intp).max
-    if branching ** min(depth, 64) * samples_per_class * p > limit:
-        raise BadKeyError("samples_per_class", f"gives {branching}**{depth} classes x "
-                          f"{samples_per_class} x p={p} feature values, more than an array "
-                          f"can index ({limit})")
+    check_synth_size(depth, branching, samples_per_class, p)
     for name, value in (("class_sep", class_sep), ("noise_sigma", noise_sigma)):
         if not 0 <= value < np.inf:
             raise BadKeyError(name, f"must be finite and >= 0, got {value}")

@@ -164,6 +164,24 @@ def _loss_grad_in_place(
     return losses, a
 
 
+def _checked_batch(
+    z: np.ndarray, code: CodeMatrix, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``z`` as float64, ``ys`` as an array and ``decoding_matrix(code)``,
+    once ``z`` is 2-d with ``code.k`` columns and ``ys`` holds one valid
+    class id per row; else ValueError."""
+    z = np.asarray(z, dtype=np.float64)
+    ys = np.asarray(ys)
+    m = decoding_matrix(code)
+    n, k = m.shape
+    if z.ndim != 2 or z.shape[1] != k:
+        raise ValueError(f"batch shape {z.shape} does not match code bits {k}")
+    if ys.shape != (z.shape[0],):
+        raise ValueError("labels must match batch size")
+    _util.check_labels(ys, n)
+    return z, ys, m
+
+
 def batch_loss_grad(
     z: np.ndarray, code: CodeMatrix, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,16 +197,9 @@ def batch_loss_grad(
     rows, memory is one block-sized (rows, n) buffer, the scores that
     become ``probs - e_y``, and one (rows, k) temporary.
     """
-    z = np.asarray(z, dtype=np.float64)
-    ys = np.asarray(ys)
-    m = decoding_matrix(code)
-    n, k = m.shape
-    if z.ndim != 2 or z.shape[1] != k:
-        raise ValueError(f"batch shape {z.shape} does not match code bits {k}")
-    s = z.shape[0]
-    if ys.shape != (s,):
-        raise ValueError("labels must match batch size")
-    _util.check_labels(ys, n)
+    z, ys, m = _checked_batch(z, code, ys)
+    s, k = z.shape
+    n = m.shape[0]
     u, norms = unit_rows(z)
     bias = _bias(code)
     if 0 < s <= _util.block_rows(n):
@@ -211,12 +222,11 @@ def loss_and_predictions(
 
     ``z`` is normalized once; each block of :func:`_score_blocks` gives its
     argmax first, then its loss-only softmax cross-entropy in the same
-    buffer, so no gradient is built.  ``z`` must be a 2-d float64 array of
-    ``code.k`` columns and ``ys`` valid class ids, one per row: the caller
-    checks them.  A zero or non-finite row raises :class:`_util.BadRowsError`
-    from :func:`unit_rows`.
+    buffer, so no gradient is built.  Shapes and labels are checked as
+    :func:`batch_loss_grad` checks them; a zero or non-finite row raises
+    :class:`_util.BadRowsError` from :func:`unit_rows`.
     """
-    m = decoding_matrix(code)
+    z, ys, m = _checked_batch(z, code, ys)
     u, _ = unit_rows(z)
     losses = np.empty(len(u))
     preds = np.empty(len(u), dtype=np.int64)

@@ -243,17 +243,21 @@ def _update_vector(
     return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
 
 
-def _raise_output_rows(exc: BadRowsError, epoch: int, where: int | str, row: int) -> NoReturn:
+def _raise_output_rows(
+    exc: BadRowsError, epoch: int, where: int | str, rows: np.ndarray | None
+) -> NoReturn:
     """Raise the training error for decoder output rows that
     :func:`unit_rows` refused: a zero row as a :class:`ZeroOutputError`
-    naming the epoch, ``where`` and ``row``, its index in the rows of the
-    split, and a row whose norm is not finite as a
-    :class:`TrainingDivergedError`.  A refusal of the codewords' rows is
+    naming the epoch, ``where`` and its index in the rows of the split,
+    ``rows[exc.row]`` (``exc.row`` itself when ``rows`` is None), and a row
+    whose norm is not finite as a :class:`TrainingDivergedError`.  A
+    refusal of the codewords' rows, whose ``exc.row`` is a class id, is
     raised as it is."""
     if exc.noun is not None:  # the codewords' rows, not the outputs'
         raise exc
     if exc.check != "zero":
         raise TrainingDivergedError(epoch) from None
+    row = exc.row if rows is None else int(rows[exc.row])
     raise ZeroOutputError(epoch, where, row) from None
 
 
@@ -275,7 +279,7 @@ def _head_loss_grad(
         try:
             return batch_loss_grad(z, code, ys)
         except BadRowsError as exc:
-            _raise_output_rows(exc, epoch, batch, int(rows[exc.row]))
+            _raise_output_rows(exc, epoch, batch, rows)
     grads = z.copy()
     return softmax_ce_in_place(grads, ys, grad=True), grads
 
@@ -299,7 +303,7 @@ def _epoch_metrics(
         try:
             losses, preds = loss_and_predictions(z, code, ys)
         except BadRowsError as exc:
-            _raise_output_rows(exc, epoch, split, exc.row)
+            _raise_output_rows(exc, epoch, split, None)
     else:
         preds = z.argmax(axis=1)
         losses = softmax_ce_in_place(z, ys)

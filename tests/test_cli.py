@@ -544,17 +544,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: key {key!r} must be finite and >= 0, got {value}\n"
 
-    @pytest.mark.parametrize("value", [2**64, 2**63 - 1])
+    @pytest.mark.parametrize("value", [2**64, 2**63 - 1, 2**59])
     def test_samples_past_an_array_index_name_the_key(self, tmp_path, capsys, value):
-        """2 classes x value x 3 feature values cannot be indexed: refused
-        by key, exit 2, before any array is made, by train and synth-data."""
+        """2 classes x value x 3 float64 feature values do not fit one
+        array, also at 2**59, whose values alone an index could count:
+        refused by key, exit 2, before any array is made, by train and
+        synth-data."""
         out = os.path.join(tmp_path, "run")
         cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out,
                            synth_samples_per_class=str(value))
-        problem = (f"gives 2**1 classes x {value} x p=3 feature values, more than an array "
-                   f"can index ({2**63 - 1})")
+        problem = (f"gives 2**1 classes x {value} x p=3 feature values of 8 bytes, more than "
+                   f"an array can hold ({2**63 - 1} bytes)")
         assert main(["train", "--config", cfg]) == 2
-        assert capsys.readouterr().err == f"error: synth_samples_per_class {problem}\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: key 'synth_samples_per_class' {problem}\n")
         assert not os.path.exists(out)
         data = os.path.join(tmp_path, "data.csv")
         assert main(["synth-data", "--depth", "1", "--branching", "2", "--dim", "3",
@@ -1207,6 +1210,20 @@ class TestAnalyze:
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "error: cannot normalize a zero vector (codewords [1])\n")
+        assert os.listdir(out) == []
+
+    def test_zero_codeword_past_the_batch_is_refused_by_row(self, tmp_path, capsys,
+                                                            three_classes):
+        """The codeword's row index is not a row of the one-row batch that
+        first meets it."""
+        code, out = os.path.join(tmp_path, "code.csv"), os.path.join(tmp_path, "run")
+        with open(code, "w") as fh:
+            fh.write("3,2,gaussian,raw\n0.5,1.0\n-1.0,0.25\n0.0,0.0\n")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, data_csv=three_classes,
+                           code_csv=code, batch_size="1")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot normalize a zero vector (codewords [2])\n")
         assert os.listdir(out) == []
 
 

@@ -133,24 +133,28 @@ class TestSynthHierarchical:
                                    match=f"^{name} must be finite and >= 0, got {value}$"):
                     synth_hierarchical(**dict(good, **{name: value}))
 
-    @pytest.mark.parametrize("depth, samples, p, refused", [
-        (1, 2**62 // 3, 3, False), (1, 2**62 // 3 + 1, 3, True), (2, 1, 2**61, True),
-        (70, 1, 70, True), (10**9, 1, 10**9, True),
+    @pytest.mark.parametrize("depth, branching, samples, p, refused", [
+        (1, 2, (2**63 - 1) // 48, 3, False), (1, 2, (2**63 - 1) // 48 + 1, 3, True),
+        (1, 2, 2**59, 3, True), (2, 2, 1, 2**58, True), (70, 2, 1, 70, True),
+        (10**9, 2, 1, 10**9, True), (64, np.int64(2), 1, 64, True),
     ])
-    def test_feature_count_must_fit_an_array_index(self, monkeypatch, depth, samples, p,
-                                                   refused):
-        """branching**depth * samples_per_class * p past np.intp is refused
-        by samples_per_class before any draw, also at a depth whose class
-        count would take long to compute; one value fewer passes the check."""
+    def test_feature_count_must_fit_an_array_index(self, monkeypatch, depth, branching,
+                                                   samples, p, refused):
+        """branching**depth * samples_per_class * p float64 values past
+        np.intp bytes are refused by samples_per_class before any draw, also
+        where the value count alone fits an index, at a depth whose class
+        count would take long to compute, and for a numpy branching whose
+        own power wraps to 0; one sample fewer passes the check."""
         def no_rng(*args, **kwargs):
             raise AssertionError("a generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         with pytest.raises(ValueError if refused else AssertionError) as exc:
-            synth_hierarchical(depth, 2, samples, 1.0, 0.0, p)
+            synth_hierarchical(depth, branching, samples, 1.0, 0.0, p)
         if refused:
             assert exc.value.key == "samples_per_class"
-            assert str(exc.value).endswith(f"more than an array can index ({2**63 - 1})")
+            assert str(exc.value).endswith(
+                f"more than an array can hold ({2**63 - 1} bytes)")
 
     def test_top_split_is_linearly_visible(self):
         """With noise well below the top-level separation, a nearest-center

@@ -212,10 +212,12 @@ class TestDistances:
 
     def test_shape_mismatch_rejected(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match=r"batch shape \(1, 3\) does not match code bits 2"):
-            batch_loss_grad(np.ones((1, 3)), code, [0])
-        with pytest.raises(ValueError, match="does not match code bits"):
-            batch_loss_grad(np.ones(2), code, [0])
+        for entry in (batch_loss_grad, loss_and_predictions):
+            with pytest.raises(ValueError,
+                               match=r"batch shape \(1, 3\) does not match code bits 2"):
+                entry(np.ones((1, 3)), code, [0])
+            with pytest.raises(ValueError, match="does not match code bits"):
+                entry(np.ones(2), code, [0])
 
     def test_row_normalization_applied(self):
         raw = CodeMatrix(np.array([[2.0, 0.0], [0.0, 0.5]]), kind=CodeKind.GAUSSIAN)
@@ -314,10 +316,13 @@ class TestForward:
         assert loss_ == pytest.approx(-math.log(probs[1]), abs=1e-12)
 
     def test_label_out_of_range(self):
+        """Both batch entries check labels: a label n on a row but the last
+        would otherwise read the next row's score as its loss."""
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        for ys in ([2], [0, -1]):
-            with pytest.raises(ValueError, match="labels out of range for 2 classes"):
-                batch_loss_grad(np.ones((len(ys), 2)), code, np.array(ys))
+        for ys in ([2], [0, -1], [2, 0]):
+            for entry in (batch_loss_grad, loss_and_predictions):
+                with pytest.raises(ValueError, match="labels out of range for 2 classes"):
+                    entry(np.ones((len(ys), 2)), code, np.array(ys))
 
     def test_scale_invariance(self):
         code = gaussian_code(5, 4, seed=3)
