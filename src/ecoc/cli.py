@@ -88,9 +88,8 @@ class ExperimentConfig(TrainConfig):
             raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
                                            f"got {self.synth_dim}")
         if self._in_force("synth_samples_per_class"):
-            datasets.check_synth_size(self.synth_depth, self.synth_branching,
-                                      self.synth_samples_per_class, self.synth_dim,
-                                      key="synth_samples_per_class")
+            keys = ("synth_depth", "synth_branching", "synth_samples_per_class", "synth_dim")
+            datasets.check_synth_size(*(getattr(self, key) for key in keys), keys=keys)
 
     def _in_force(self, name: str) -> bool:
         """Whether the key ``name`` is read, and so checked and echoed: not a

@@ -72,20 +72,31 @@ def label_blocks(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def check_synth_size(
     depth: int, branching: int, samples_per_class: int, p: int,
-    key: str = "samples_per_class",
+    keys: tuple[str, str, str, str] = ("depth", "branching", "samples_per_class", "p"),
 ) -> None:
-    """Refuse, with a :class:`BadKeyError` naming ``key``, synthetic data
-    of ``branching**depth`` classes (branching >= 2) x ``samples_per_class``
+    """Refuse, with a :class:`BadKeyError`, synthetic data of
+    ``branching**depth`` classes (branching >= 2) x ``samples_per_class``
     x ``p`` float64 features whose bytes pass ``np.intp``'s maximum, the
     most one numpy array can hold.  The product is taken in Python ints, so
-    it cannot wrap."""
+    it cannot wrap.
+
+    The error names the key whose factor carries the product past the
+    limit, multiplying 8 bytes by one ``branching`` (its key), the other
+    ``depth - 1`` (the depth's), ``samples_per_class`` and ``p``, in that
+    order; ``keys`` gives their names in argument order."""
     depth, branching, samples_per_class, p = map(int, (depth, branching, samples_per_class, p))
     limit = np.iinfo(np.intp).max
     # past depth 64 the class count alone is past the limit
-    if branching ** min(depth, 64) * samples_per_class * p * 8 > limit:
-        raise BadKeyError(key, f"gives {branching}**{depth} classes x {samples_per_class} x "
-                               f"p={p} feature values of 8 bytes, more than an array can "
-                               f"hold ({limit} bytes)")
+    depth_key, branching_key, samples_key, p_key = keys
+    factors = ((branching_key, branching), (depth_key, branching ** (min(depth, 64) - 1)),
+               (samples_key, samples_per_class), (p_key, p))
+    product = 8
+    for key, factor in factors:
+        product *= factor
+        if product > limit:
+            raise BadKeyError(key, f"gives {branching}**{depth} classes x {samples_per_class} x "
+                                   f"p={p} feature values of 8 bytes, more than an array can "
+                                   f"hold ({limit} bytes)")
 
 
 def synth_hierarchical(
@@ -110,8 +121,8 @@ def synth_hierarchical(
     all the noise: the stream, and so the bytes, of a node-by-node walk that
     redraws a direction of norm <= 1e-12 from the next p values.  A
     parameter out of range raises a ``ValueError`` (``BadKeyError``) whose
-    ``key`` is the parameter's name, before any array is made; a
-    ``samples_per_class`` refused by :func:`check_synth_size` is one.
+    ``key`` is the parameter's name, before any array is made; so is the
+    one that :func:`check_synth_size` blames for too many values.
     """
     if depth < 1:
         raise BadKeyError("depth", f"must be >= 1, got {depth}")

@@ -15,6 +15,13 @@ evaluation (:func:`loss_and_predictions`) into one argmax and then a
 loss-only softmax in the same buffer; a training batch that fits one block
 skips the loop.
 
+The public entries :func:`batch_loss_grad` and :func:`loss_and_predictions`
+check shapes and labels and fetch the decoding matrix, then call a private
+kernel of the same name with a leading underscore, which takes ``(z, ys,
+m, bias)`` and checks nothing.  ``net.train`` checks its inputs and
+fetches the matrix once per run and calls the kernels at every step, so
+each numeric op has one implementation either way.
+
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
 softmax stages give ``d loss / d u = M^T g`` (the ``u``-proportional parts
@@ -65,11 +72,12 @@ def _bias(code: CodeMatrix) -> np.ndarray:
     """Score bias of ``decoding_matrix(code)``, memoized beside it; call
     :func:`decoding_matrix` first.
 
-    Training calls :func:`batch_loss_grad` once per batch, so recomputing
-    the bias there would be paid per step: at n = 16, k = 8 and 16 rows it
-    adds about 4 us to a 38 us call.  :func:`nearest_codewords` is called
-    once per split or ablation prefix, on matrices that may be prefixes, so
-    it computes its own."""
+    Every call of :func:`batch_loss_grad` and :func:`loss_and_predictions`
+    reads it here rather than recomputing it: at n = 16, k = 8 and 16 rows
+    that would add about 4 us to a 38 us call.  ``net.train`` reads it once
+    per run and hands it to the kernels.  :func:`nearest_codewords` is
+    called once per split or ablation prefix, on matrices that may be
+    prefixes, so it computes its own."""
     return code.__dict__["_decoding_bias"]
 
 
@@ -151,7 +159,7 @@ def _loss_grad_in_place(
     becomes ``probs - e_y``; the gradients go into ``out`` when given.
 
     ``u`` and ``norms`` are those rows' unit vectors and norms.  The one
-    softmax-and-gradient step of :func:`batch_loss_grad`, whether a batch
+    softmax-and-gradient step of :func:`_batch_loss_grad`, whether a batch
     is one block or many.
     """
     losses = softmax_ce_in_place(g, ys, grad=True)
@@ -188,20 +196,34 @@ def batch_loss_grad(
     """Vectorized forward+backward over a batch.
 
     Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
-    each z row (s, k); each row depends on that row of z alone.  A batch of
-    1 to :func:`_util.block_rows` rows, every batch at desk scale, is
-    scored as one block with no block scaffolding; an empty or a larger one
-    goes through the blocks of :func:`_score_blocks`.  Both paths take the
-    same steps on the same rows (:func:`_loss_grad_in_place`), so the bits
-    do not depend on the path.  Besides the returned arrays and the unit
-    rows, memory is one block-sized (rows, n) buffer, the scores that
-    become ``probs - e_y``, and one (rows, k) temporary.
+    each z row (s, k); each row depends on that row of z alone.  Shapes and
+    labels are checked (:func:`_checked_batch`), then the batch is worked
+    by :func:`_batch_loss_grad`.
     """
     z, ys, m = _checked_batch(z, code, ys)
+    return _batch_loss_grad(z, ys, m, _bias(code))
+
+
+def _batch_loss_grad(
+    z: np.ndarray, ys: np.ndarray, m: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_loss_grad` of float64 rows ``z`` against decoding rows
+    ``m`` and their score ``bias``, with no check of shapes or labels: the
+    training step, whose inputs ``net.train`` checks once.
+
+    A batch of 1 to :func:`_util.block_rows` rows, every batch at desk
+    scale, is scored as one block with no block scaffolding; an empty or a
+    larger one goes through the blocks of :func:`_score_blocks`.  Both
+    paths take the same steps on the same rows (:func:`_loss_grad_in_place`),
+    so the bits do not depend on the path.  Besides the returned arrays and
+    the unit rows, memory is one block-sized (rows, n) buffer, the scores
+    that become ``probs - e_y``, and one (rows, k) temporary.  A zero or
+    non-finite row of ``z`` raises :class:`_util.BadRowsError` from
+    :func:`unit_rows`.
+    """
     s, k = z.shape
     n = m.shape[0]
     u, norms = unit_rows(z)
-    bias = _bias(code)
     if 0 < s <= _util.block_rows(n):
         return _loss_grad_in_place(_scores(u, m, bias), ys, u, norms, m)
     losses = np.empty(s)
@@ -219,18 +241,29 @@ def loss_and_predictions(
     """Per-row losses and nearest-codeword classes of a batch: the losses
     of :func:`batch_loss_grad` and the predictions of :func:`predict_batch`
     against ``decoding_matrix(code)``, bit for bit, from one scoring.
+    Shapes and labels are checked as :func:`batch_loss_grad` checks them,
+    then the batch is scored by :func:`_loss_and_predictions`.
+    """
+    z, ys, m = _checked_batch(z, code, ys)
+    return _loss_and_predictions(z, ys, m, _bias(code))
+
+
+def _loss_and_predictions(
+    z: np.ndarray, ys: np.ndarray, m: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`loss_and_predictions` of float64 rows ``z`` against decoding
+    rows ``m`` and their score ``bias``, with no check of shapes or labels:
+    the evaluation pass of ``net.train``.
 
     ``z`` is normalized once; each block of :func:`_score_blocks` gives its
     argmax first, then its loss-only softmax cross-entropy in the same
-    buffer, so no gradient is built.  Shapes and labels are checked as
-    :func:`batch_loss_grad` checks them; a zero or non-finite row raises
+    buffer, so no gradient is built.  A zero or non-finite row raises
     :class:`_util.BadRowsError` from :func:`unit_rows`.
     """
-    z, ys, m = _checked_batch(z, code, ys)
     u, _ = unit_rows(z)
     losses = np.empty(len(u))
     preds = np.empty(len(u), dtype=np.int64)
-    for rows, d in _score_blocks(u, m, _bias(code)):
+    for rows, d in _score_blocks(u, m, bias):
         preds[rows] = d.argmax(axis=1)
         losses[rows] = softmax_ce_in_place(d, ys[rows])
     return losses, preds

@@ -9,18 +9,26 @@ order, so two identical runs produce bitwise-identical metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NoReturn
 
 import numpy as np
 
-from ._util import (BadRowsError, all_finite, atomic_write, check_declared, check_seed, declared,
-                    fmt_float)
+from ._util import (BadRowsError, all_finite, atomic_write, check_declared, check_labels,
+                    check_seed, declared, fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import batch_loss_grad, loss_and_predictions, softmax_ce_in_place
+from .decoder import (_batch_loss_grad, _bias, _loss_and_predictions, decoding_matrix,
+                      softmax_ce_in_place)
+# unused here, but kept as ``net.batch_loss_grad``, the name perfbench's
+# tracer self-test reaches the decoder entry through
+from .decoder import batch_loss_grad  # noqa: F401
 
 GRAD_ACTIVE_EPS = 1e-8
+
+# A decoder head's decoding matrix and its score bias (``decoder._bias``).
+Decoding = tuple[np.ndarray, np.ndarray]
 
 _MODEL_MAGIC = b"ECOCNET\x01"
 
@@ -137,13 +145,20 @@ def init(layer_sizes: list[int], seed: int = 0) -> NetParams:
 
 
 def _forward_batch(p: NetParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batch forward pass; cache holds the input to each layer."""
+    """Batch forward pass; cache holds the input to each layer.  Input that
+    is not 2-d with the net's input width raises ValueError."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p.layers[0][0].shape[1]:
         raise ValueError(
             f"input shape {a.shape} does not match net input size "
             f"{p.layers[0][0].shape[1]}"
         )
+    return _forward(p, a)
+
+
+def _forward(p: NetParams, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`_forward_batch` of 2-d float64 rows ``a`` of the net's input
+    width, unchecked: :func:`train` checks the width once per run."""
     cache = []
     for i, (w, b) in enumerate(p.layers):
         cache.append(a)
@@ -250,11 +265,7 @@ def _raise_output_rows(
     :func:`unit_rows` refused: a zero row as a :class:`ZeroOutputError`
     naming the epoch, ``where`` and its index in the rows of the split,
     ``rows[exc.row]`` (``exc.row`` itself when ``rows`` is None), and a row
-    whose norm is not finite as a :class:`TrainingDivergedError`.  A
-    refusal of the codewords' rows, whose ``exc.row`` is a class id, is
-    raised as it is."""
-    if exc.noun is not None:  # the codewords' rows, not the outputs'
-        raise exc
+    whose norm is not finite as a :class:`TrainingDivergedError`."""
     if exc.check != "zero":
         raise TrainingDivergedError(epoch) from None
     row = exc.row if rows is None else int(rows[exc.row])
@@ -262,22 +273,22 @@ def _raise_output_rows(
 
 
 def _head_loss_grad(
-    head: str, z: np.ndarray, code: CodeMatrix, ys: np.ndarray,
+    head: str, z: np.ndarray, ys: np.ndarray, decoding: Decoding | None,
     rows: np.ndarray, epoch: int, batch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row losses and loss gradients w.r.t. z of training batch
     ``batch``, drawn from the training rows ``rows``, under ``head``; ``z``
-    is left as it is.
+    is left as it is, and nothing is checked.
 
     The softmax head is plain cross-entropy on the raw outputs (the one-hot
     baseline), worked in place in one copy of ``z`` that ends as the
     gradient: its head memory is that one (s, n) buffer.  The decoder head
-    is ``batch_loss_grad``, with a refused output row raised by
-    :func:`_raise_output_rows`.
+    is the kernel of ``batch_loss_grad`` against ``decoding``, with a
+    refused output row raised by :func:`_raise_output_rows`.
     """
     if head == "decoder":
         try:
-            return batch_loss_grad(z, code, ys)
+            return _batch_loss_grad(z, ys, *decoding)
         except BadRowsError as exc:
             _raise_output_rows(exc, epoch, batch, rows)
     grads = z.copy()
@@ -285,23 +296,25 @@ def _head_loss_grad(
 
 
 def _epoch_metrics(
-    p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, code: CodeMatrix,
+    p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, decoding: Decoding | None,
     epoch: int, split: str,
 ) -> tuple[float, float]:
-    """Full-pass mean loss and accuracy under the trained head.
+    """Full-pass mean loss and accuracy under the trained head, of float64
+    rows ``x`` of the net's input width and their labels, unchecked.
 
     Either head takes its predictions first and then the loss alone, with
-    no gradient.  The decoder head scores the split once, in
-    ``block_rows(n)``-row blocks (``loss_and_predictions``): its score
-    memory grows with block * n, not with the split's rows * n, beside the
-    split's (s, k) unit rows; a refused output row is raised by
-    :func:`_raise_output_rows`.  The softmax head takes its predictions
-    from the outputs, then computes the loss in the outputs' own buffer.
+    no gradient.  The decoder head scores the split once against
+    ``decoding``, in ``block_rows(n)``-row blocks (the kernel of
+    ``loss_and_predictions``): its score memory grows with block * n, not
+    with the split's rows * n, beside the split's (s, k) unit rows; a
+    refused output row is raised by :func:`_raise_output_rows`.  The
+    softmax head takes its predictions from the outputs, then computes the
+    loss in the outputs' own buffer.
     """
-    z, _ = _forward_batch(p, x)
+    z, _ = _forward(p, x)
     if head == "decoder":
         try:
-            losses, preds = loss_and_predictions(z, code, ys)
+            losses, preds = _loss_and_predictions(z, ys, *decoding)
         except BadRowsError as exc:
             _raise_output_rows(exc, epoch, split, None)
     else:
@@ -326,27 +339,41 @@ def train(
     given, the eval set.  Each step follows the batch's mean gradient: the
     last batch of an epoch may be short, and its sums are divided by its
     own row count, not by ``batch_size``.  Emits one MetricsRow per epoch
-    per split.  A dataset or eval set whose class count differs from the
-    code's, or an eval set whose feature width differs from the dataset's,
-    is refused with ValueError before the first step.  Raises
-    :class:`TrainingDivergedError` as soon as any loss goes non-finite, and
-    :class:`ZeroOutputError` when the decoder head meets an all-zero
-    output.  Floating-point warnings are off for the whole call: the
-    finite-loss checks, not numpy, report a diverging run.
+    per split.
+
+    Inputs are checked once, before the first step; the steps and the
+    evaluation passes then run unchecked kernels.  A dataset or eval set
+    whose class count differs from the code's, an eval set whose feature
+    width differs from the dataset's, or a net whose input or output size
+    does not fit the data or the head, is refused with ValueError naming
+    both sizes; so is a label outside the code's classes, and a zero
+    codeword when the decoder head fetches ``decoding_matrix(code)``.
+    Raises :class:`TrainingDivergedError` as soon as any loss goes
+    non-finite, and :class:`ZeroOutputError` when the decoder head meets an
+    all-zero output.  Floating-point warnings are off for the whole call:
+    the finite-loss checks, not numpy, report a diverging run.
     """
     for name, data in (("dataset", dataset), ("eval set", eval_set)):
-        if data is not None and data.n != code.n:
+        if data is None:
+            continue
+        if data.n != code.n:
             raise ValueError(f"{name} has {data.n} classes but code has {code.n} codewords")
+        # checked when the Dataset was made, but its array may have been written since
+        check_labels(data.labels, code.n, f"{name} labels")
     width = dataset.features.shape[1]
     if eval_set is not None and eval_set.features.shape[1] != width:
         raise ValueError(
             f"eval set has {eval_set.features.shape[1]} features but dataset has {width}")
+    in_size = p.layers[0][0].shape[1]
+    if in_size != width:
+        raise ValueError(f"dataset has {width} features but net input size is {in_size}")
     out_size = p.layers[-1][0].shape[0]
     head, expected = resolve_head(cfg.head, code)
     if out_size != expected:
         raise ValueError(
             f"net output size {out_size} does not match {head} head size {expected}"
         )
+    decoding = (decoding_matrix(code), _bias(code)) if head == "decoder" else None
 
     x = dataset.features
     ys = dataset.labels
@@ -360,6 +387,9 @@ def train(
     velocity = np.zeros_like(flat)
     grad_out = grad_flat, _layer_views(grad_flat, p.layers)
     p = NetParams(_layer_views(flat, p.layers))
+    # each batch's update vector, whose active coordinates are counted once
+    # an epoch's steps are done
+    updates = np.empty((len(range(0, samples, cfg.batch_size)), out_size))
     rows: list[MetricsRow] = []
 
     for epoch in range(cfg.epochs):
@@ -372,21 +402,17 @@ def train(
             order = np.arange(samples)
         x_epoch, ys_epoch = x[order], ys[order]
 
-        ratio_sum = 0.0
-        batches = 0
-        for start in range(0, samples, cfg.batch_size):
+        for number, start in enumerate(range(0, samples, cfg.batch_size)):
             batch = slice(start, start + cfg.batch_size)
-            xb, yb = x_epoch[batch], ys_epoch[batch]
-            z, cache = _forward_batch(p, xb)
-            losses, grads = _head_loss_grad(head, z, code, yb, order[batch], epoch, batches)
-            if not np.isfinite(np.add.reduce(losses)):
+            yb = ys_epoch[batch]
+            z, cache = _forward(p, x_epoch[batch])
+            losses, grads = _head_loss_grad(head, z, yb, decoding, order[batch], epoch, number)
+            if not math.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
             # the output layer's mean bias gradient, read before lr scales it
             bias_grad = _backward_batch(p, cache, grads, out=grad_out)[-1][1]
-            active = np.abs(_update_vector(head, z, yb, bias_grad)) > GRAD_ACTIVE_EPS
-            ratio_sum += np.count_nonzero(active) / active.size
-            batches += 1
+            updates[number] = _update_vector(head, z, yb, bias_grad)
 
             # v = momentum * v - lr * g, then w = w + v
             velocity *= cfg.momentum
@@ -394,12 +420,18 @@ def train(
             velocity -= grad_flat
             flat += velocity
 
-        splits = (("train", dataset, ratio_sum / batches), ("eval", eval_set, None))
+        # each batch's share of active coordinates, added one at a time in
+        # batch order: numpy's pairwise sum would move the ratio's last bits
+        ratio_sum = 0.0
+        for count in np.count_nonzero(np.abs(updates) > GRAD_ACTIVE_EPS, axis=1).tolist():
+            ratio_sum += count / out_size
+        splits = (("train", dataset, ratio_sum / len(updates)), ("eval", eval_set, None))
         for split, data, ratio in splits:
             if data is None:
                 continue
-            loss, acc = _epoch_metrics(p, data.features, data.labels, head, code, epoch, split)
-            if not np.isfinite(loss):
+            loss, acc = _epoch_metrics(p, data.features, data.labels, head, decoding, epoch,
+                                       split)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             rows.append(MetricsRow(epoch, split, loss, acc, ratio))
     return p, rows

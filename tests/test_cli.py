@@ -544,25 +544,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: key {key!r} must be finite and >= 0, got {value}\n"
 
-    @pytest.mark.parametrize("value", [2**64, 2**63 - 1, 2**59])
-    def test_samples_past_an_array_index_name_the_key(self, tmp_path, capsys, value):
-        """2 classes x value x 3 float64 feature values do not fit one
-        array, also at 2**59, whose values alone an index could count:
-        refused by key, exit 2, before any array is made, by train and
-        synth-data."""
+    @pytest.mark.parametrize("key, value", [
+        ("synth_samples_per_class", 2**64), ("synth_samples_per_class", 2**63 - 1),
+        ("synth_samples_per_class", 2**59), ("synth_dim", 2**64), ("synth_branching", 2**64),
+    ])
+    def test_samples_past_an_array_index_name_the_key(self, tmp_path, capsys, key, value):
+        """2 classes x 10 samples x 3 float64 feature values, with one of
+        the three set to ``value``, do not fit one array, also at 2**59
+        samples, whose values alone an index could count: refused by the
+        key or flag set to ``value``, exit 2, before any array is made, by
+        train and synth-data."""
         out = os.path.join(tmp_path, "run")
-        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out,
-                           synth_samples_per_class=str(value))
-        problem = (f"gives 2**1 classes x {value} x p=3 feature values of 8 bytes, more than "
-                   f"an array can hold ({2**63 - 1} bytes)")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, **{key: str(value)})
+        sizes = {"synth_branching": 2, "synth_samples_per_class": 10, "synth_dim": 3, key: value}
+        problem = (f"gives {sizes['synth_branching']}**1 classes x "
+                   f"{sizes['synth_samples_per_class']} x p={sizes['synth_dim']} feature values "
+                   f"of 8 bytes, more than an array can hold ({2**63 - 1} bytes)")
         assert main(["train", "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg}: key 'synth_samples_per_class' {problem}\n")
+        assert capsys.readouterr().err == f"error: {cfg}: key {key!r} {problem}\n"
         assert not os.path.exists(out)
         data = os.path.join(tmp_path, "data.csv")
-        assert main(["synth-data", "--depth", "1", "--branching", "2", "--dim", "3",
-                     "--samples-per-class", str(value), "--out", data]) == 2
-        assert capsys.readouterr().err == f"error: --samples-per-class {problem}\n"
+        flags = {"synth_branching": "--branching",
+                 "synth_samples_per_class": "--samples-per-class", "synth_dim": "--dim"}
+        assert main(["synth-data", "--depth", "1", "--out", data,
+                     *(a for k, flag in flags.items() for a in (flag, str(sizes[k])))]) == 2
+        assert capsys.readouterr().err == f"error: {flags[key]} {problem}\n"
         assert not os.path.exists(data)
 
     @pytest.mark.parametrize("key, value", [("synth_depth", "0"), ("synth_dim", "0"),

@@ -133,26 +133,29 @@ class TestSynthHierarchical:
                                    match=f"^{name} must be finite and >= 0, got {value}$"):
                     synth_hierarchical(**dict(good, **{name: value}))
 
-    @pytest.mark.parametrize("depth, branching, samples, p, refused", [
-        (1, 2, (2**63 - 1) // 48, 3, False), (1, 2, (2**63 - 1) // 48 + 1, 3, True),
-        (1, 2, 2**59, 3, True), (2, 2, 1, 2**58, True), (70, 2, 1, 70, True),
-        (10**9, 2, 1, 10**9, True), (64, np.int64(2), 1, 64, True),
+    @pytest.mark.parametrize("depth, branching, samples, p, key", [
+        (1, 2, (2**63 - 1) // 48, 3, None), (1, 2, (2**63 - 1) // 48 + 1, 3, "p"),
+        (1, 2, 2**59, 3, "samples_per_class"), (2, 2, 1, 2**58, "p"), (70, 2, 1, 70, "depth"),
+        (10**9, 2, 1, 10**9, "depth"), (64, np.int64(2), 1, 64, "depth"),
+        (2, 2**64, 1, 2, "branching"),
     ])
     def test_feature_count_must_fit_an_array_index(self, monkeypatch, depth, branching,
-                                                   samples, p, refused):
+                                                   samples, p, key):
         """branching**depth * samples_per_class * p float64 values past
-        np.intp bytes are refused by samples_per_class before any draw, also
-        where the value count alone fits an index, at a depth whose class
-        count would take long to compute, and for a numpy branching whose
-        own power wraps to 0; one sample fewer passes the check."""
+        np.intp bytes are refused before any draw, also where the value
+        count alone fits an index, at a depth whose class count would take
+        long to compute, and for a numpy branching whose own power wraps to
+        0; one sample fewer passes the check.  The error names the key whose
+        factor carries the bytes past the limit, taken in the order
+        branching, the other levels (depth), samples_per_class, p."""
         def no_rng(*args, **kwargs):
             raise AssertionError("a generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        with pytest.raises(ValueError if refused else AssertionError) as exc:
+        with pytest.raises(AssertionError if key is None else ValueError) as exc:
             synth_hierarchical(depth, branching, samples, 1.0, 0.0, p)
-        if refused:
-            assert exc.value.key == "samples_per_class"
+        if key is not None:
+            assert exc.value.key == key
             assert str(exc.value).endswith(
                 f"more than an array can hold ({2**63 - 1} bytes)")
 

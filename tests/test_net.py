@@ -43,6 +43,12 @@ from ecoc.spectral import SimilarityGraph, spectral_code
 from oracles import FD_REL_TOL, max_relative_error, sparsity_ratio, update_vector_zeros_array
 
 
+def decoding(code):
+    """The decoding matrix and score bias that ``train`` fetches once per
+    run for a decoder head, through the public memoized fetch."""
+    return decoder.decoding_matrix(code), decoder._bias(code)
+
+
 def separable_dataset(seed: int = 0) -> Dataset:
     """Four widely separated classes, negligible noise."""
     return synth_hierarchical(
@@ -332,27 +338,36 @@ class TestTrain:
         ("label 4 last", "eval set has 5 classes but code has 4 codewords"),
         ("label 4 first", "eval set has 5 classes but code has 4 codewords"),
         ("width 3", "eval set has 3 features but dataset has 4"),
-    ], ids=["label-4-last", "label-4-first", "width-3"])
+        ("net width 5", "dataset has 4 features but net input size is 5"),
+        ("written eval set", "eval set labels out of range for 4 classes"),
+        ("written dataset", "dataset labels out of range for 4 classes"),
+    ], ids=["label-4-last", "label-4-first", "width-3", "net-width-5", "written-eval-set",
+            "written-dataset"])
     def test_mismatched_eval_set_refused_before_the_first_step(self, monkeypatch, head, fault,
                                                                 message):
-        """An eval set that does not fit the code or the training set is
-        refused, naming both values, before any step.  A 5-class eval set
-        against a 4-class code would otherwise index past the softmax
-        outputs (label 4 on the last row), read the next row's output as
-        its loss (label 4 elsewhere), or fail only after a full epoch
-        (decoder head)."""
+        """An eval set that does not fit the code or the training set, a
+        net whose input size does not fit the training set, or a label of n
+        written into a Dataset after it was made, is refused, naming both
+        values or the split, before any step.  A 5-class eval set against a
+        4-class code would otherwise index past the softmax outputs (label
+        4 on the last row), read the next row's output as its loss (label 4
+        elsewhere), or fail only after a full epoch (decoder head); the
+        steps and evaluation passes check neither widths nor labels."""
         ds = separable_dataset()
-        ev = Dataset(ds.features[1::2], ds.labels[1::2], ds.n)
+        ev = Dataset(ds.features[1::2], ds.labels[1::2].copy(), ds.n)
+        in_size = 5 if fault == "net width 5" else 4
         if fault == "width 3":
             ev = Dataset(ev.features[:, :3], ev.labels, ev.n)
-        else:
+        elif fault.startswith("label"):
             labels = ev.labels.copy()
             labels[-1 if fault.endswith("last") else 0] = 4
             ev = Dataset(ev.features, labels, 5)
-        monkeypatch.setattr(net, "_forward_batch", mock.Mock(side_effect=AssertionError))
+        elif fault.startswith("written"):
+            (ds if fault.endswith("dataset") else ev).labels[0] = 4
+        monkeypatch.setattr(net, "_forward", mock.Mock(side_effect=AssertionError))
         cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, head=head)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train(init([4, 4], seed=0), ds, one_hot(4), cfg, eval_set=ev)
+            train(init([in_size, 4], seed=0), ds, one_hot(4), cfg, eval_set=ev)
 
     def test_zero_output_in_batch_names_epoch_batch_and_row(self):
         # a step of 1e-20 leaves the biases far below the zero-norm cutoff,
@@ -469,11 +484,36 @@ class TestTrain:
         TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=0)
 
 
+def reference_head_loss_grad(head, z, code, ys):
+    """Per-row losses and gradients of a training batch through the checked
+    public entries: ``batch_loss_grad`` for the decoder head, and the
+    softmax cross-entropy of a copy of ``z`` for the one-hot baseline."""
+    if head == "decoder":
+        return batch_loss_grad(z, code, ys)
+    grads = z.copy()
+    return decoder.softmax_ce_in_place(grads, ys, grad=True), grads
+
+
+def reference_metrics(p, x, ys, head, code):
+    """Mean loss and accuracy of a split through the checked forward pass
+    and the checked public ``loss_and_predictions`` (decoder head), or the
+    softmax cross-entropy of the outputs (one-hot baseline)."""
+    z, _ = _forward_batch(p, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if head == "decoder":
+            losses, preds = decoder.loss_and_predictions(z, code, ys)
+        else:
+            preds = z.argmax(axis=1)
+            losses = decoder.softmax_ce_in_place(z, ys)
+    return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
+
+
 def reference_train(p, dataset, code, cfg, eval_set=None):
-    """``train`` as it stepped with out-of-place arrays: a gather per batch,
-    mean gradients as ``sum / batch``, and new parameter and velocity arrays
-    ``v = momentum * v - lr * g``, ``w + v`` at every step.  Metrics rows
-    come from the library's evaluation pass."""
+    """``train`` as it stepped with out-of-place arrays and checked calls: a
+    gather per batch, the checked forward pass and head entries, mean
+    gradients as ``sum / batch``, each batch's active coordinates counted
+    as it is taken, and new parameter and velocity arrays ``v = momentum *
+    v - lr * g``, ``w + v`` at every step."""
     head, _ = resolve_head(cfg.head, code)
     x, ys = dataset.features, dataset.labels
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
@@ -492,7 +532,7 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
             xb, yb = x[idx], ys[idx]
             z, cache = _forward_batch(p, xb)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _, grads = _head_loss_grad(head, z, code, yb, idx, epoch, batches)
+                _, grads = reference_head_loss_grad(head, z, code, yb)
             param_grads = []
             delta = grads
             for i in range(len(p.layers) - 1, -1, -1):
@@ -515,12 +555,10 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
                 new_velocity.append((vw, vb))
             velocity = new_velocity
             p = NetParams(new_layers)
-        loss, acc = _epoch_metrics(p, x, ys, head, code, epoch, "train")
+        loss, acc = reference_metrics(p, x, ys, head, code)
         rows.append(MetricsRow(epoch, "train", loss, acc, ratio_sum / batches))
         if eval_set is not None:
-            loss, acc = _epoch_metrics(
-                p, eval_set.features, eval_set.labels, head, code, epoch, "eval"
-            )
+            loss, acc = reference_metrics(p, eval_set.features, eval_set.labels, head, code)
             rows.append(MetricsRow(epoch, "eval", loss, acc, None))
     return p, rows
 
@@ -553,6 +591,18 @@ class TestInPlaceStepBitIdentical:
         for (w, b), (rw, rb) in zip(got.layers, ref.layers):
             assert np.array_equal(w, rw)
             assert np.array_equal(b, rb)
+
+    def test_ratio_sums_in_batch_order(self):
+        """40 one-row batches of 7 softmax outputs: each share, 0 or 2/7,
+        is inexact, so only the reference's order of additions gives the
+        reference's grad_nonzero_ratio bits; numpy's pairwise sum of the
+        same shares does not."""
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((40, 4)), np.arange(40) % 7, 7)
+        cfg = TrainConfig(epochs=3, batch_size=1, learning_rate=0.05, seed=2, head="softmax")
+        _, rows = train(init([4, 8, 7], seed=3), ds, one_hot(7), cfg)
+        _, ref_rows = reference_train(init([4, 8, 7], seed=3), ds, one_hot(7), cfg)
+        assert rows == ref_rows
 
 
 class TestGradRatioInstrument:
@@ -628,7 +678,7 @@ class TestSoftmaxEvaluation:
         ys = rng.integers(n, size=s)
         ref = oracles.softmax_metrics_copy_normalize_scatter(net_outputs(p, x), ys)
         with np.errstate(divide="ignore"):  # train's error state: log(0) at scale 300
-            got = _epoch_metrics(p, x, ys, "softmax", one_hot(n), 0, "eval")
+            got = _epoch_metrics(p, x, ys, "softmax", None, 0, "eval")
         assert repr(got) == repr(ref)
 
     def test_memory_is_the_forward_pass(self):
@@ -644,7 +694,7 @@ class TestSoftmaxEvaluation:
         del z, cache
         tracemalloc.start()
         try:
-            _epoch_metrics(p, x, ys, "softmax", code, 0, "eval")
+            _epoch_metrics(p, x, ys, "softmax", None, 0, "eval")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -670,7 +720,7 @@ class TestDecoderEvaluation:
         losses, _ = batch_loss_grad(z, code, ys)
         preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
         ref = (float(losses.sum() / s), np.count_nonzero(preds == ys) / s)
-        assert repr(_epoch_metrics(p, x, ys, "decoder", code, 0, "eval")) == repr(ref)
+        assert repr(_epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")) == repr(ref)
 
     def test_zero_output_in_a_later_block_names_the_split_row(self):
         n = 1024
@@ -679,8 +729,9 @@ class TestDecoderEvaluation:
         p = NetParams([(w, np.zeros_like(b)) for w, b in p.layers])
         x = np.random.default_rng(1).standard_normal((200, 4))
         x[150] = 0.0
+        code = gaussian_code(n, 6, seed=1)
         with pytest.raises(ZeroOutputError) as err:
-            _epoch_metrics(p, x, np.arange(200), "decoder", gaussian_code(n, 6, seed=1), 2, "eval")
+            _epoch_metrics(p, x, np.arange(200), "decoder", decoding(code), 2, "eval")
         assert (err.value.epoch, err.value.where, err.value.row) == (2, "eval", 150)
 
     def test_memory_grows_with_block_not_split(self):
@@ -695,10 +746,10 @@ class TestDecoderEvaluation:
         z, cache = _forward_batch(p, x)
         bound = z.nbytes + sum(a.nbytes for a in cache[1:]) + 4 * _util.block_rows(n) * n * 8
         del z, cache
-        _epoch_metrics(p, x, ys, "decoder", code, 0, "eval")  # memoizes the decoding matrix
+        _epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")  # memoizes the matrix
         tracemalloc.start()
         try:
-            _epoch_metrics(p, x, ys, "decoder", code, 0, "eval")
+            _epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -736,7 +787,7 @@ class TestNoWritesIntoInputs:
     def test_softmax_head(self):
         p, z, cache = self._forward([4, 32, 9])
         ys = np.arange(70) % 9
-        _, grads = _head_loss_grad("softmax", z, one_hot(9), ys, np.arange(70), 0, 0)
+        _, grads = _head_loss_grad("softmax", z, ys, None, np.arange(70), 0, 0)
         _freeze(grads)
         _backward_batch(p, cache, grads)
         _update_vector("softmax", z, ys, grads)
@@ -758,16 +809,17 @@ class TestNoWritesIntoInputs:
 
 
 def test_train_decoder_call_structure(monkeypatch):
-    """Per epoch: one batch_loss_grad per batch and one
-    loss_and_predictions for the evaluation pass, no predict_batch, and one
-    decoding_matrix call inside each of those; batch_loss_grad sees each
-    training row once per epoch in its batch, loss_and_predictions once in
-    the evaluation.  Counted through every ecoc module attribute bound to
-    each function, as the per-module tracer does."""
+    """Per epoch: one unchecked _batch_loss_grad per batch and one
+    _loss_and_predictions per evaluated split; none of the checked public
+    entries, and one decoding_matrix call for the whole run.
+    _batch_loss_grad sees each training row once per epoch in its batch,
+    _loss_and_predictions once in the evaluation.  Counted through every
+    ecoc module attribute bound to each function, as the per-module tracer
+    does."""
     watched = (decoder.batch_loss_grad, decoder.loss_and_predictions, decoder.predict_batch,
-               decoder.decoding_matrix)
+               decoder.decoding_matrix, decoder._batch_loss_grad, decoder._loss_and_predictions)
     counts = dict.fromkeys((f.__name__ for f in watched), 0)
-    rows_seen = dict.fromkeys(("batch_loss_grad", "loss_and_predictions"), 0)
+    rows_seen = dict.fromkeys(("_batch_loss_grad", "_loss_and_predictions"), 0)
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -787,9 +839,9 @@ def test_train_decoder_call_structure(monkeypatch):
     cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
     train(init([4, 3], seed=0), ds, gaussian_code(4, 3, seed=0), cfg)
     # 16 samples: 2 batches per epoch
-    assert counts == {"batch_loss_grad": 4, "loss_and_predictions": 2, "predict_batch": 0,
-                      "decoding_matrix": 4 + 2}
-    assert rows_seen == {"batch_loss_grad": 2 * 16, "loss_and_predictions": 2 * 16}
+    assert counts == {"batch_loss_grad": 0, "loss_and_predictions": 0, "predict_batch": 0,
+                      "decoding_matrix": 1, "_batch_loss_grad": 4, "_loss_and_predictions": 2}
+    assert rows_seen == {"_batch_loss_grad": 2 * 16, "_loss_and_predictions": 2 * 16}
 
 
 class TestModelFile:
