@@ -149,14 +149,25 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise BadKeyError(name, f"must be >= 0, got {seed}")
 
 
-def check_code_size(n: int, k: int | None = None) -> None:
+def check_code_size(n: int, k: int | None = None, k_key: str = "k") -> None:
     """Reject fewer than 2 classes, then (if ``k`` is given) fewer than 1
-    code bit: the size rule of every code and similarity graph, checked
-    before anything is allocated."""
+    code bit, and n x k float64 code values whose bytes pass ``np.intp``'s
+    maximum, the most one numpy array can hold: the size rule of every code
+    and similarity graph, checked before anything is allocated.  The last
+    is a :class:`BadKeyError` keyed by the factor that carries ``8 * n *
+    k``, taken in Python ints, past the limit: ``n``, or ``k_key``, which
+    a one-hot code, whose k is its n, sets to ``n``."""
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
-    if k is not None and k < 1:
+    if k is None:
+        return
+    if k < 1:
         raise ValueError(f"need at least 1 code bit, got k={k}")
+    limit = np.iinfo(np.intp).max
+    if 8 * int(n) * int(k) > limit:
+        raise BadKeyError("n" if 8 * int(n) > limit else k_key,
+                          f"gives {n} x {k} code values of 8 bytes, more than an array can "
+                          f"hold ({limit} bytes)")
 
 
 def check_labels(labels: np.ndarray, n: int, noun: str = "labels") -> None:

@@ -204,24 +204,29 @@ def _build_code(
     bits_flag: str = "--bits",
 ) -> CodeMatrix:
     """Shared by gen-code and train; `flag` and `bits_flag` name the caller's
-    strategy and bit-count options in errors.  Spectral codes need `graph`."""
-    if strategy == "onehot":
-        if bits is not None and bits != n:
-            raise ValueError(f"{flag}=onehot fixes the bit count at n={n}, got {bits}")
-        code = codes.one_hot(n)
-    elif strategy == "gaussian":
-        k = bits if bits is not None else codes.default_code_length(n)
-        code = codes.gaussian_code(n, k, seed=seed)
-    elif strategy == "dense":
-        k = bits if bits is not None else codes.default_code_length(n)
-        code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
-    else:  # spectral: the code_strategy declaration admits only CodeKind values
-        k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
-        if k > n - 1:
-            raise ValueError(
-                f"{bits_flag}: spectral codes support at most n-1={n - 1} bits, got {k}"
-            )
-        code = spectral.spectral_code(graph, k)
+    strategy and bit-count options in errors, and a class count too large
+    for a code is blamed on `--classes`: train's comes from data already in
+    memory.  Spectral codes need `graph`."""
+    try:
+        if strategy == "onehot":
+            if bits is not None and bits != n:
+                raise ValueError(f"{flag}=onehot fixes the bit count at n={n}, got {bits}")
+            code = codes.one_hot(n)
+        elif strategy == "gaussian":
+            k = bits if bits is not None else codes.default_code_length(n)
+            code = codes.gaussian_code(n, k, seed=seed)
+        elif strategy == "dense":
+            k = bits if bits is not None else codes.default_code_length(n)
+            code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
+        else:  # spectral: the code_strategy declaration admits only CodeKind values
+            k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
+            if k > n - 1:
+                raise ValueError(
+                    f"{bits_flag}: spectral codes support at most n-1={n - 1} bits, got {k}"
+                )
+            code = spectral.spectral_code(graph, k)
+    except BadKeyError as exc:  # name the option that set the refused size
+        raise BadKeyError(bits_flag if exc.key == "k" else "--classes", exc.problem) from None
 
     if binarize_mode != "raw":
         code = codes.binarize(code, Binarization(binarize_mode))
@@ -277,10 +282,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
             bits_flag="code_bits",
         )
 
-    _, out_size = net.resolve_head(cfg.head, code)
-    layer_sizes = [full.features.shape[1], *cfg.hidden_sizes, out_size]
-
-    params = net.init(layer_sizes, seed=cfg.seed + 1)
+    layer_sizes = [full.features.shape[1], *cfg.hidden_sizes,
+                   net.resolve_head(cfg.head, code).size]
+    try:
+        params = net.init(layer_sizes, seed=cfg.seed + 1)
+    except BadKeyError as exc:  # the data and the code fit in memory, so a hidden size is at fault
+        raise BadKeyError("hidden_sizes", exc.problem) from None
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
 
@@ -383,7 +390,10 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     entries = parse_config_text("\n".join(read_lines(args.config)), source=args.config)
     cfg = resolve_config(entries, source=args.config)
-    rows = run_experiment(cfg)
+    try:
+        rows = run_experiment(cfg)
+    except BadKeyError as exc:  # a size refused once the data is known
+        raise ValueError(f"{args.config}: key {exc.key!r} {exc.problem}") from None
     final = [r for r in rows if r.split == "eval"] or rows
     print(
         f"wrote {cfg.out_dir}: {len(rows)} metric rows; "

@@ -137,7 +137,7 @@ def one_hot(n: int) -> CodeMatrix:
 
     Requires ``n >= 2``.
     """
-    check_code_size(n)
+    check_code_size(n, n, "n")
     return CodeMatrix(frozen(np.eye(n)), kind=CodeKind.ONE_HOT, binarization=Binarization.RAW)
 
 

@@ -11,16 +11,16 @@ remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
 softmax and the argmax never see it.  One loop (:func:`_score_blocks`)
 writes the blocks of a larger batch into one reused buffer.  Training
 turns each block into losses and gradients, prediction into an argmax, and
-evaluation (:func:`loss_and_predictions`) into one argmax and then a
-loss-only softmax in the same buffer; a training batch that fits one block
-skips the loop.
+evaluation into one argmax and then a loss-only softmax in the same
+buffer; a training batch that fits one block skips the loop.
 
-The public entries :func:`batch_loss_grad` and :func:`loss_and_predictions`
-check shapes and labels and fetch the decoding matrix, then call a private
-kernel of the same name with a leading underscore, which takes ``(z, ys,
-m, bias)`` and checks nothing.  ``net.train`` checks its inputs and
-fetches the matrix once per run and calls the kernels at every step, so
-each numeric op has one implementation either way.
+:func:`batch_loss_grad` is the one checked entry: it checks shapes and
+labels and fetches the decoding matrix, then calls the kernel
+:func:`_batch_loss_grad`, which takes ``(z, ys, m, bias)`` and checks
+nothing.  ``net.train`` checks its inputs once per run, and its head
+fetches the matrix once and calls that kernel at every step and
+:func:`_loss_and_predictions` at every evaluation, so each numeric op has
+one implementation either way.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -72,12 +72,12 @@ def _bias(code: CodeMatrix) -> np.ndarray:
     """Score bias of ``decoding_matrix(code)``, memoized beside it; call
     :func:`decoding_matrix` first.
 
-    Every call of :func:`batch_loss_grad` and :func:`loss_and_predictions`
-    reads it here rather than recomputing it: at n = 16, k = 8 and 16 rows
-    that would add about 4 us to a 38 us call.  ``net.train`` reads it once
-    per run and hands it to the kernels.  :func:`nearest_codewords` is
-    called once per split or ablation prefix, on matrices that may be
-    prefixes, so it computes its own."""
+    Every call of :func:`batch_loss_grad` reads it here rather than
+    recomputing it: at n = 16, k = 8 and 16 rows that would add about 4 us
+    to a 38 us call.  ``net.train``'s decoder head reads it once per run
+    and hands it to the kernels.  :func:`nearest_codewords` is called once
+    per split or ablation prefix, on matrices that may be prefixes, so it
+    computes its own."""
     return code.__dict__["_decoding_bias"]
 
 
@@ -172,12 +172,17 @@ def _loss_grad_in_place(
     return losses, a
 
 
-def _checked_batch(
+def batch_loss_grad(
     z: np.ndarray, code: CodeMatrix, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``z`` as float64, ``ys`` as an array and ``decoding_matrix(code)``,
-    once ``z`` is 2-d with ``code.k`` columns and ``ys`` holds one valid
-    class id per row; else ValueError."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized forward+backward over a batch.
+
+    Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
+    each z row (s, k); each row depends on that row of z alone.  ``z`` must
+    be 2-d with ``code.k`` columns and ``ys`` hold one valid class id per
+    row, else ValueError; then the batch is worked by
+    :func:`_batch_loss_grad`.
+    """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
     m = decoding_matrix(code)
@@ -187,20 +192,6 @@ def _checked_batch(
     if ys.shape != (z.shape[0],):
         raise ValueError("labels must match batch size")
     _util.check_labels(ys, n)
-    return z, ys, m
-
-
-def batch_loss_grad(
-    z: np.ndarray, code: CodeMatrix, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward+backward over a batch.
-
-    Returns (losses, grads): per-sample loss (s,) and loss gradients w.r.t.
-    each z row (s, k); each row depends on that row of z alone.  Shapes and
-    labels are checked (:func:`_checked_batch`), then the batch is worked
-    by :func:`_batch_loss_grad`.
-    """
-    z, ys, m = _checked_batch(z, code, ys)
     return _batch_loss_grad(z, ys, m, _bias(code))
 
 
@@ -235,25 +226,13 @@ def _batch_loss_grad(
     return losses, grads
 
 
-def loss_and_predictions(
-    z: np.ndarray, code: CodeMatrix, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and nearest-codeword classes of a batch: the losses
-    of :func:`batch_loss_grad` and the predictions of :func:`predict_batch`
-    against ``decoding_matrix(code)``, bit for bit, from one scoring.
-    Shapes and labels are checked as :func:`batch_loss_grad` checks them,
-    then the batch is scored by :func:`_loss_and_predictions`.
-    """
-    z, ys, m = _checked_batch(z, code, ys)
-    return _loss_and_predictions(z, ys, m, _bias(code))
-
-
 def _loss_and_predictions(
     z: np.ndarray, ys: np.ndarray, m: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`loss_and_predictions` of float64 rows ``z`` against decoding
-    rows ``m`` and their score ``bias``, with no check of shapes or labels:
-    the evaluation pass of ``net.train``.
+    """Per-row losses and nearest-codeword classes of float64 rows ``z``
+    against decoding rows ``m`` and their score ``bias``, with no check of
+    shapes or labels: the bits of :func:`batch_loss_grad`'s losses and of
+    :func:`predict_batch`, from one scoring.
 
     ``z`` is normalized once; each block of :func:`_score_blocks` gives its
     argmax first, then its loss-only softmax cross-entropy in the same

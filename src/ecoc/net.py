@@ -15,8 +15,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from ._util import (BadRowsError, all_finite, atomic_write, check_declared, check_labels,
-                    check_seed, declared, fmt_float)
+from ._util import (BadKeyError, BadRowsError, all_finite, atomic_write, check_declared,
+                    check_labels, check_seed, declared, fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
 from .decoder import (_batch_loss_grad, _bias, _loss_and_predictions, decoding_matrix,
@@ -26,9 +26,6 @@ from .decoder import (_batch_loss_grad, _bias, _loss_and_predictions, decoding_m
 from .decoder import batch_loss_grad  # noqa: F401
 
 GRAD_ACTIVE_EPS = 1e-8
-
-# A decoder head's decoding matrix and its score bias (``decoder._bias``).
-Decoding = tuple[np.ndarray, np.ndarray]
 
 _MODEL_MAGIC = b"ECOCNET\x01"
 
@@ -83,13 +80,13 @@ class TrainConfig:
 
     ``lr_decay_epoch`` applies a one-time learning-rate cut: from that epoch
     on (epochs count from 0), the rate is ``learning_rate * lr_decay_factor``.
-    ``head`` picks the loss: ``"decoder"`` for the distance head,
-    ``"softmax"`` for the plain cross-entropy baseline, ``"auto"`` for
-    softmax on one-hot codes and the decoder otherwise.  ``momentum`` is the
-    heavy-ball coefficient ``mu`` of ``v = mu * v - lr * g``; 0 (the
-    default) is plain SGD.  Each field declares its allowed values, and
-    construction refuses a value outside them with a ``ValueError`` naming
-    the field.
+    ``head`` names the head :func:`resolve_head` makes: ``"decoder"``, the
+    distance head, ``"softmax"``, the one-hot cross-entropy baseline, or
+    ``"auto"``, softmax on one-hot codes and the decoder otherwise.
+    ``momentum`` is the heavy-ball coefficient ``mu`` of ``v = mu * v - lr
+    * g``; 0 (the default) is plain SGD.  Each field declares its allowed
+    values, and construction refuses a value outside them with a
+    ``ValueError`` naming the field.
     """
 
     epochs: int = declared("[1, inf)")
@@ -130,11 +127,19 @@ class MetricsRow:
 
 
 def init(layer_sizes: list[int], seed: int = 0) -> NetParams:
-    """Gaussian init: weights ~ N(0, 1/fan_in), biases zero."""
+    """Gaussian init: weights ~ N(0, 1/fan_in), biases zero.  A weight
+    matrix whose float64 bytes pass ``np.intp``'s maximum, the most one
+    array can hold, is refused before anything is allocated, with a
+    :class:`BadKeyError` keyed ``layer_sizes``."""
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
     if any(s < 1 for s in layer_sizes):
         raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
+    limit = np.iinfo(np.intp).max
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        if 8 * int(fan_in) * int(fan_out) > limit:
+            raise BadKeyError("layer_sizes", f"gives {fan_out} x {fan_in} weight values of 8 "
+                                             f"bytes, more than an array can hold ({limit} bytes)")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
@@ -219,43 +224,75 @@ def net_outputs(p: NetParams, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def resolve_head(head: str, code: CodeMatrix) -> tuple[str, int]:
-    """Concrete head for a :class:`TrainConfig` head setting, and its output size.
+class _SoftmaxHead:
+    """Plain cross-entropy on the raw outputs, one per class: the one-hot
+    baseline, which trains against class indicators and so refuses a code
+    that is not one-hot.  A step works in one copy of the outputs, which
+    becomes the gradient; evaluation takes the argmax, then the loss in the
+    outputs' own buffer.  Its update vectors are the hard label/prediction
+    mismatches ``e_pred - e_true``: at most two active coordinates per
+    sample, and none once the sample is classified correctly."""
 
-    ``"auto"`` picks softmax for one-hot codes and the decoder otherwise.  A
-    softmax head has one output per class, a decoder head one per code bit.
-    The softmax head trains against class indicators, so it rejects codes
-    that are not one-hot.
+    name = "softmax"
+
+    def __init__(self, code: CodeMatrix):
+        if code.kind is not CodeKind.ONE_HOT:
+            raise ValueError(
+                f"head 'softmax' requires a one-hot code, got a {code.kind.value} code")
+        self.size = code.n
+
+    def loss_grad(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grads = z.copy()
+        return softmax_ce_in_place(grads, ys, grad=True), grads
+
+    def loss_and_predictions(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        preds = z.argmax(axis=1)
+        return softmax_ce_in_place(z, ys), preds
+
+    def update_vector(self, z: np.ndarray, ys: np.ndarray, bias_grad: np.ndarray) -> np.ndarray:
+        n = z.shape[1]
+        preds = z.argmax(axis=1)
+        return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
+
+
+class _DecoderHead:
+    """The distance decoder, one output per code bit.  It fetches
+    ``decoding_matrix(code)`` and its score bias once, when it is made, and
+    hands them to the decoder's unchecked kernels, which raise
+    :class:`_util.BadRowsError` for a zero or non-finite output row.  Its
+    update vectors are the loss gradients, whose batch mean is the output
+    layer's bias gradient."""
+
+    name = "decoder"
+
+    def __init__(self, code: CodeMatrix):
+        self.size = code.k
+        self.m, self.bias = decoding_matrix(code), _bias(code)
+
+    def loss_grad(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _batch_loss_grad(z, ys, self.m, self.bias)
+
+    def loss_and_predictions(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _loss_and_predictions(z, ys, self.m, self.bias)
+
+    def update_vector(self, z: np.ndarray, ys: np.ndarray, bias_grad: np.ndarray) -> np.ndarray:
+        return bias_grad
+
+
+def resolve_head(head: str, code: CodeMatrix) -> _SoftmaxHead | _DecoderHead:
+    """The head for a :class:`TrainConfig` head setting and ``code``:
+    ``"auto"`` picks softmax for one-hot codes and the decoder otherwise.
+
+    A head has a ``name``, an output ``size`` and three unchecked methods:
+    ``loss_grad(z, ys)``, a training batch's per-row losses and gradients
+    w.r.t. ``z``; ``loss_and_predictions(z, ys)``, an evaluated split's
+    per-row losses and predicted classes; and ``update_vector(z, ys,
+    bias_grad)``, the batch mean of the update vectors whose active
+    coordinates ``grad_nonzero_ratio`` counts.
     """
     if head == "auto":
         head = "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
-    if head == "softmax" and code.kind is not CodeKind.ONE_HOT:
-        raise ValueError(
-            f"head 'softmax' requires a one-hot code, got a {code.kind.value} code"
-        )
-    return head, code.n if head == "softmax" else code.k
-
-
-def _update_vector(
-    head: str, z: np.ndarray, ys: np.ndarray, bias_grad: np.ndarray
-) -> np.ndarray:
-    """Batch mean of the per-sample output-layer update vectors whose
-    support is counted.
-
-    For the decoder head these are the true loss gradients (dense in
-    general); their batch mean is the output layer's bias gradient, which
-    the backward pass has already computed and which is passed as
-    ``bias_grad``.  For the softmax baseline each is the hard
-    label/prediction mismatch ``e_pred - e_true``: at most two active
-    coordinates per sample, and the zero vector once the sample is
-    classified correctly.  Their mean is a difference of class counts over
-    the batch size.
-    """
-    if head == "decoder":
-        return bias_grad
-    n = z.shape[1]
-    preds = z.argmax(axis=1)
-    return (np.bincount(preds, minlength=n) - np.bincount(ys, minlength=n)) / len(ys)
+    return _SoftmaxHead(code) if head == "softmax" else _DecoderHead(code)
 
 
 def _raise_output_rows(
@@ -272,54 +309,16 @@ def _raise_output_rows(
     raise ZeroOutputError(epoch, where, row) from None
 
 
-def _head_loss_grad(
-    head: str, z: np.ndarray, ys: np.ndarray, decoding: Decoding | None,
-    rows: np.ndarray, epoch: int, batch: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and loss gradients w.r.t. z of training batch
-    ``batch``, drawn from the training rows ``rows``, under ``head``; ``z``
-    is left as it is, and nothing is checked.
-
-    The softmax head is plain cross-entropy on the raw outputs (the one-hot
-    baseline), worked in place in one copy of ``z`` that ends as the
-    gradient: its head memory is that one (s, n) buffer.  The decoder head
-    is the kernel of ``batch_loss_grad`` against ``decoding``, with a
-    refused output row raised by :func:`_raise_output_rows`.
-    """
-    if head == "decoder":
-        try:
-            return _batch_loss_grad(z, ys, *decoding)
-        except BadRowsError as exc:
-            _raise_output_rows(exc, epoch, batch, rows)
-    grads = z.copy()
-    return softmax_ce_in_place(grads, ys, grad=True), grads
-
-
-def _epoch_metrics(
-    p: NetParams, x: np.ndarray, ys: np.ndarray, head: str, decoding: Decoding | None,
-    epoch: int, split: str,
-) -> tuple[float, float]:
-    """Full-pass mean loss and accuracy under the trained head, of float64
-    rows ``x`` of the net's input width and their labels, unchecked.
-
-    Either head takes its predictions first and then the loss alone, with
-    no gradient.  The decoder head scores the split once against
-    ``decoding``, in ``block_rows(n)``-row blocks (the kernel of
-    ``loss_and_predictions``): its score memory grows with block * n, not
-    with the split's rows * n, beside the split's (s, k) unit rows; a
-    refused output row is raised by :func:`_raise_output_rows`.  The
-    softmax head takes its predictions from the outputs, then computes the
-    loss in the outputs' own buffer.
-    """
+def _epoch_metrics(p: NetParams, x: np.ndarray, ys: np.ndarray, head: _SoftmaxHead | _DecoderHead,
+                   epoch: int, split: str) -> tuple[float, float]:
+    """Full-pass mean loss and accuracy under ``head`` of float64 rows ``x``
+    of the net's input width and their labels, unchecked; a refused output
+    row is raised by :func:`_raise_output_rows`."""
     z, _ = _forward(p, x)
-    if head == "decoder":
-        try:
-            losses, preds = _loss_and_predictions(z, ys, *decoding)
-        except BadRowsError as exc:
-            _raise_output_rows(exc, epoch, split, None)
-    else:
-        preds = z.argmax(axis=1)
-        losses = softmax_ce_in_place(z, ys)
+    try:
+        losses, preds = head.loss_and_predictions(z, ys)
+    except BadRowsError as exc:
+        _raise_output_rows(exc, epoch, split, None)
     return float(losses.sum() / len(ys)), np.count_nonzero(preds == ys) / len(ys)
 
 
@@ -368,12 +367,10 @@ def train(
     if in_size != width:
         raise ValueError(f"dataset has {width} features but net input size is {in_size}")
     out_size = p.layers[-1][0].shape[0]
-    head, expected = resolve_head(cfg.head, code)
-    if out_size != expected:
+    head = resolve_head(cfg.head, code)
+    if out_size != head.size:
         raise ValueError(
-            f"net output size {out_size} does not match {head} head size {expected}"
-        )
-    decoding = (decoding_matrix(code), _bias(code)) if head == "decoder" else None
+            f"net output size {out_size} does not match {head.name} head size {head.size}")
 
     x = dataset.features
     ys = dataset.labels
@@ -406,13 +403,16 @@ def train(
             batch = slice(start, start + cfg.batch_size)
             yb = ys_epoch[batch]
             z, cache = _forward(p, x_epoch[batch])
-            losses, grads = _head_loss_grad(head, z, yb, decoding, order[batch], epoch, number)
+            try:
+                losses, grads = head.loss_grad(z, yb)
+            except BadRowsError as exc:
+                _raise_output_rows(exc, epoch, number, order[batch])
             if not math.isfinite(np.add.reduce(losses)):
                 raise TrainingDivergedError(epoch)
 
             # the output layer's mean bias gradient, read before lr scales it
             bias_grad = _backward_batch(p, cache, grads, out=grad_out)[-1][1]
-            updates[number] = _update_vector(head, z, yb, bias_grad)
+            updates[number] = head.update_vector(z, yb, bias_grad)
 
             # v = momentum * v - lr * g, then w = w + v
             velocity *= cfg.momentum
@@ -429,8 +429,7 @@ def train(
         for split, data, ratio in splits:
             if data is None:
                 continue
-            loss, acc = _epoch_metrics(p, data.features, data.labels, head, decoding, epoch,
-                                       split)
+            loss, acc = _epoch_metrics(p, data.features, data.labels, head, epoch, split)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             rows.append(MetricsRow(epoch, split, loss, acc, ratio))

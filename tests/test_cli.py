@@ -571,6 +571,25 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {flags[key]} {problem}\n"
         assert not os.path.exists(data)
 
+    @pytest.mark.parametrize("key, value, shape", [
+        ("code_bits", str(2**64), f"2 x {2**64} code"),
+        ("code_bits", str(2**63 - 1), f"2 x {2**63 - 1} code"),
+        ("hidden_sizes", str(2**64), f"{2**64} x 3 weight"),
+        ("hidden_sizes", f"8,{2**63 - 1}", f"{2**63 - 1} x 8 weight"),
+    ])
+    def test_code_or_layer_past_an_array_index_names_the_key(self, tmp_path, capsys, key,
+                                                             value, shape):
+        """A code of 2 classes x code_bits, or a weight matrix with a hidden
+        size, whose float64 values do not fit one array: refused by the key,
+        exit 2, before the array or out_dir is made."""
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, **{key: value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: key {key!r} gives {shape} values of 8 bytes, more than an array "
+            f"can hold ({2**63 - 1} bytes)\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("key, value", [("synth_depth", "0"), ("synth_dim", "0"),
                                             ("code_bits", "0"), ("code_strategy", "magic")])
     def test_keys_of_an_unused_source_are_not_checked(self, tmp_path, key, value):
@@ -1207,7 +1226,7 @@ class TestAnalyze:
 
     def test_zero_codeword_is_refused_by_row(self, tmp_path, capsys, three_classes):
         """A raw gaussian code is decoded on unit rows, and a zero row has
-        none: the run stops before its first step and writes nothing."""
+        none: the run stops before out_dir is made."""
         code, out = os.path.join(tmp_path, "code.csv"), os.path.join(tmp_path, "run")
         with open(code, "w") as fh:
             fh.write("3,2,gaussian,raw\n0.5,1.0\n0.0,0.0\n-1.0,0.25\n")
@@ -1216,7 +1235,7 @@ class TestAnalyze:
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "error: cannot normalize a zero vector (codewords [1])\n")
-        assert os.listdir(out) == []
+        assert not os.path.exists(out)
 
     def test_zero_codeword_past_the_batch_is_refused_by_row(self, tmp_path, capsys,
                                                             three_classes):
@@ -1230,7 +1249,7 @@ class TestAnalyze:
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "error: cannot normalize a zero vector (codewords [2])\n")
-        assert os.listdir(out) == []
+        assert not os.path.exists(out)
 
 
 class TestOverflowingNorms:
@@ -1264,7 +1283,7 @@ class TestOverflowingNorms:
         proc = run_in_subprocess("train", "--config", cfg)
         assert proc.returncode == 2
         assert proc.stderr == f"{self.NOT_FINITE} (codewords [0, 1, 2, 3])\n"
-        assert os.listdir(out_dir) == []
+        assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("mode", ["confusion", "ablate"])
     def test_analyze(self, tmp_path, big_code, mode):
@@ -1704,3 +1723,18 @@ def test_flag_value_runs_or_names_the_flag(tmp_path, capsys, trained_run, comman
         assert code == 2
         assert flag in err.splitlines()[-1]
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", [2**64, 2**63 - 1])
+@pytest.mark.parametrize("flag, shape", [("--bits", "4 x {}"), ("--classes", "{} x 2")])
+def test_code_past_an_array_index_names_the_flag(tmp_path, capsys, flag, shape, value):
+    """The walk's gen-code line with a class or bit count whose 4 x k or
+    n x 2 float64 code does not fit one array: refused by the flag, exit 2,
+    before the code or the output file is made."""
+    out = os.path.join(tmp_path, "out.csv")
+    argv = FLAG_WALK_BASES["gen-code"].format(out=out).split() + [flag, str(value)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} gives {shape.format(value)} code values of 8 bytes, more than an "
+        f"array can hold ({2**63 - 1} bytes)\n")
+    assert not os.path.exists(out)

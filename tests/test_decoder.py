@@ -1,9 +1,10 @@
 """Distance-decoder head: scores, softmax, analytic gradient, prediction.
 
 Every test drives the batch operations training, evaluation and analysis
-run (``batch_loss_grad``, ``loss_and_predictions``, ``predict_batch`` and
-the score and softmax steps inside them), on one-row and multi-row batches;
-the single-sample references in ``oracles`` check them row by row.
+run (``batch_loss_grad``, the evaluation kernel ``_loss_and_predictions``,
+``predict_batch`` and the score and softmax steps inside them), on one-row
+and multi-row batches; the single-sample references in ``oracles`` check
+them row by row.
 """
 
 import functools
@@ -34,10 +35,10 @@ from ecoc.codes import (
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
     _bias,
+    _loss_and_predictions,
     _score_blocks,
     batch_loss_grad,
     decoding_matrix,
-    loss_and_predictions,
     nearest_codewords,
     predict_batch,
     softmax_ce_in_place,
@@ -212,12 +213,11 @@ class TestDistances:
 
     def test_shape_mismatch_rejected(self):
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
-        for entry in (batch_loss_grad, loss_and_predictions):
-            with pytest.raises(ValueError,
-                               match=r"batch shape \(1, 3\) does not match code bits 2"):
-                entry(np.ones((1, 3)), code, [0])
-            with pytest.raises(ValueError, match="does not match code bits"):
-                entry(np.ones(2), code, [0])
+        with pytest.raises(ValueError,
+                           match=r"batch shape \(1, 3\) does not match code bits 2"):
+            batch_loss_grad(np.ones((1, 3)), code, [0])
+        with pytest.raises(ValueError, match="does not match code bits"):
+            batch_loss_grad(np.ones(2), code, [0])
 
     def test_row_normalization_applied(self):
         raw = CodeMatrix(np.array([[2.0, 0.0], [0.0, 0.5]]), kind=CodeKind.GAUSSIAN)
@@ -316,13 +316,12 @@ class TestForward:
         assert loss_ == pytest.approx(-math.log(probs[1]), abs=1e-12)
 
     def test_label_out_of_range(self):
-        """Both batch entries check labels: a label n on a row but the last
+        """The checked entry checks labels: a label n on a row but the last
         would otherwise read the next row's score as its loss."""
         code = plain_code([[1.0, 0.0], [0.0, 1.0]])
         for ys in ([2], [0, -1], [2, 0]):
-            for entry in (batch_loss_grad, loss_and_predictions):
-                with pytest.raises(ValueError, match="labels out of range for 2 classes"):
-                    entry(np.ones((len(ys), 2)), code, np.array(ys))
+            with pytest.raises(ValueError, match="labels out of range for 2 classes"):
+                batch_loss_grad(np.ones((len(ys), 2)), code, np.array(ys))
 
     def test_scale_invariance(self):
         code = gaussian_code(5, 4, seed=3)
@@ -442,13 +441,14 @@ def assert_rows_match_oracles(z, code, ys, tol=1e-12):
     """batch_loss_grad, predict_batch and the score and softmax kernels
     against the single-sample references, row by row: losses within ``tol``
     absolute, probabilities and gradients within ``tol`` absolute and
-    relative.  loss_and_predictions gives the first two's losses and
+    relative.  The evaluation kernel gives the first two's losses and
     predictions bit for bit."""
     losses, grads = batch_loss_grad(z, code, ys)
     probs = softmax(scores(z, code))
     m = decoding_matrix(code)
     preds = predict_batch(z, m)
-    eval_losses, eval_preds = loss_and_predictions(np.asarray(z, dtype=float), code, ys)
+    eval_losses, eval_preds = _loss_and_predictions(np.asarray(z, dtype=float), np.asarray(ys),
+                                                    m, _bias(code))
     assert eval_losses.tobytes() == losses.tobytes() and np.array_equal(eval_preds, preds)
     mm_max = (m * m).sum(axis=1).max()
     rows, n = probs.shape
@@ -661,7 +661,7 @@ class TestLossAndPredictions:
         if kind == "onehot":
             z[-1] = 0.0
             z[-1, [2, 5]] = 3.0
-        losses, preds = loss_and_predictions(z, code, ys)
+        losses, preds = _loss_and_predictions(z, ys, decoding_matrix(code), _bias(code))
         ref_losses, _ = batch_loss_grad(z, code, ys)
         ref_preds = predict_batch(z, decoding_matrix(code))
         assert losses.tobytes() == ref_losses.tobytes()
@@ -677,7 +677,7 @@ class TestLossAndPredictions:
         z = np.random.default_rng(0).standard_normal((129, code.k))
         with mock.patch("ecoc.decoder._score_blocks", wraps=_score_blocks) as blocks, \
                 mock.patch("ecoc.decoder._loss_grad_in_place") as grads:
-            loss_and_predictions(z, code, np.arange(129))
+            _loss_and_predictions(z, np.arange(129), decoding_matrix(code), _bias(code))
         assert blocks.call_count == 1 and not grads.called
 
     @pytest.mark.parametrize("row, check", [(70, "zero"), (3, "non-finite")])
@@ -686,7 +686,7 @@ class TestLossAndPredictions:
         z = np.ones((129, code.k))
         z[row] = 0.0 if check == "zero" else np.inf
         with pytest.raises(_util.BadRowsError) as err:
-            loss_and_predictions(z, code, np.arange(129))
+            _loss_and_predictions(z, np.arange(129), decoding_matrix(code), _bias(code))
         assert (err.value.row, err.value.check, err.value.noun) == (row, check, None)
 
 

@@ -28,9 +28,7 @@ from ecoc.net import (
     _backward_batch,
     _epoch_metrics,
     _forward_batch,
-    _head_loss_grad,
     _layer_views,
-    _update_vector,
     init,
     load_model,
     net_outputs,
@@ -41,12 +39,6 @@ from ecoc.net import (
 )
 from ecoc.spectral import SimilarityGraph, spectral_code
 from oracles import FD_REL_TOL, max_relative_error, sparsity_ratio, update_vector_zeros_array
-
-
-def decoding(code):
-    """The decoding matrix and score bias that ``train`` fetches once per
-    run for a decoder head, through the public memoized fetch."""
-    return decoder.decoding_matrix(code), decoder._bias(code)
 
 
 def separable_dataset(seed: int = 0) -> Dataset:
@@ -446,7 +438,30 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, head="softmax")
         with pytest.raises(ValueError, match=message):
             train(init([4, 4], seed=0), separable_dataset(), code, cfg)
-        assert resolve_head("softmax", one_hot(4)) == ("softmax", 4)
+        head = resolve_head("softmax", one_hot(4))
+        assert (head.name, head.size) == ("softmax", 4)
+
+    @pytest.mark.parametrize("code", [
+        one_hot(4),
+        gaussian_code(4, 6, seed=1),
+        binarize(gaussian_code(4, 6, seed=1), Binarization.ZERO),
+        dense_random_code(4, 5, candidates=20, seed=0),
+        spectral_code(SimilarityGraph(np.ones((4, 4)) - np.eye(4)), 3),
+    ], ids=["onehot", "gaussian", "binarized", "dense", "spectral"])
+    @pytest.mark.parametrize("setting", ["auto", "decoder", "softmax"])
+    def test_resolved_head_name_and_size(self, setting, code):
+        """``auto`` resolves a one-hot code to softmax, with one output per
+        class, and any other code to the decoder, with one per bit; the
+        decoder takes every code, and softmax refuses all but one-hot."""
+        is_one_hot = code.kind.value == "onehot"
+        if setting == "softmax" and not is_one_hot:
+            message = f"head 'softmax' requires a one-hot code, got a {code.kind.value} code"
+            with pytest.raises(ValueError, match=message):
+                resolve_head(setting, code)
+            return
+        head = resolve_head(setting, code)
+        softmax = setting == "softmax" or (setting == "auto" and is_one_hot)
+        assert (head.name, head.size) == (("softmax", 4) if softmax else ("decoder", code.k))
 
     def test_explicit_decoder_head_on_one_hot(self):
         ds = separable_dataset()
@@ -496,12 +511,14 @@ def reference_head_loss_grad(head, z, code, ys):
 
 def reference_metrics(p, x, ys, head, code):
     """Mean loss and accuracy of a split through the checked forward pass
-    and the checked public ``loss_and_predictions`` (decoder head), or the
-    softmax cross-entropy of the outputs (one-hot baseline)."""
+    and the checked public ``batch_loss_grad`` and ``predict_batch``
+    (decoder head), or the softmax cross-entropy of the outputs (one-hot
+    baseline)."""
     z, _ = _forward_batch(p, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if head == "decoder":
-            losses, preds = decoder.loss_and_predictions(z, code, ys)
+            losses, _ = batch_loss_grad(z, code, ys)
+            preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
         else:
             preds = z.argmax(axis=1)
             losses = decoder.softmax_ce_in_place(z, ys)
@@ -514,7 +531,8 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
     gradients as ``sum / batch``, each batch's active coordinates counted
     as it is taken, and new parameter and velocity arrays ``v = momentum *
     v - lr * g``, ``w + v`` at every step."""
-    head, _ = resolve_head(cfg.head, code)
+    resolved = resolve_head(cfg.head, code)
+    head = resolved.name
     x, ys = dataset.features, dataset.labels
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
     rows = []
@@ -544,7 +562,7 @@ def reference_train(p, dataset, code, cfg, eval_set=None):
                     delta *= cache[i] > 0
             # the decoder's mean update vector is grads.sum(axis=0) / len(yb)
             bias_grad = param_grads[-1][1]
-            active = np.abs(_update_vector(head, z, yb, bias_grad)) > GRAD_ACTIVE_EPS
+            active = np.abs(resolved.update_vector(z, yb, bias_grad)) > GRAD_ACTIVE_EPS
             ratio_sum += np.count_nonzero(active) / active.size
             batches += 1
             new_layers, new_velocity = [], []
@@ -658,7 +676,7 @@ class TestGradRatioInstrument:
             z = rng.standard_normal((s, n))
             ys = rng.integers(0, n, size=s)
             ys[: s // 2] = z[: s // 2].argmax(axis=1)  # some rows classified right
-            got = _update_vector("softmax", z, ys, np.empty((s, n)))
+            got = resolve_head("softmax", one_hot(n)).update_vector(z, ys, np.empty((s, n)))
             assert np.array_equal(got, update_vector_zeros_array(z, ys))
 
 
@@ -678,7 +696,7 @@ class TestSoftmaxEvaluation:
         ys = rng.integers(n, size=s)
         ref = oracles.softmax_metrics_copy_normalize_scatter(net_outputs(p, x), ys)
         with np.errstate(divide="ignore"):  # train's error state: log(0) at scale 300
-            got = _epoch_metrics(p, x, ys, "softmax", None, 0, "eval")
+            got = _epoch_metrics(p, x, ys, resolve_head("softmax", one_hot(n)), 0, "eval")
         assert repr(got) == repr(ref)
 
     def test_memory_is_the_forward_pass(self):
@@ -688,13 +706,13 @@ class TestSoftmaxEvaluation:
         p = init([16, 32, n], seed=0)
         x = np.random.default_rng(0).standard_normal((s, 16))
         ys = np.arange(s) % n
-        code = one_hot(n)
+        head = resolve_head("softmax", one_hot(n))
         z, cache = _forward_batch(p, x)
         bound = 1.25 * z.nbytes + sum(a.nbytes for a in cache[1:])
         del z, cache
         tracemalloc.start()
         try:
-            _epoch_metrics(p, x, ys, "softmax", None, 0, "eval")
+            _epoch_metrics(p, x, ys, head, 0, "eval")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -720,7 +738,8 @@ class TestDecoderEvaluation:
         losses, _ = batch_loss_grad(z, code, ys)
         preds = decoder.predict_batch(z, decoder.decoding_matrix(code))
         ref = (float(losses.sum() / s), np.count_nonzero(preds == ys) / s)
-        assert repr(_epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")) == repr(ref)
+        head = resolve_head("decoder", code)
+        assert repr(_epoch_metrics(p, x, ys, head, 0, "eval")) == repr(ref)
 
     def test_zero_output_in_a_later_block_names_the_split_row(self):
         n = 1024
@@ -731,7 +750,7 @@ class TestDecoderEvaluation:
         x[150] = 0.0
         code = gaussian_code(n, 6, seed=1)
         with pytest.raises(ZeroOutputError) as err:
-            _epoch_metrics(p, x, np.arange(200), "decoder", decoding(code), 2, "eval")
+            _epoch_metrics(p, x, np.arange(200), resolve_head("decoder", code), 2, "eval")
         assert (err.value.epoch, err.value.where, err.value.row) == (2, "eval", 150)
 
     def test_memory_grows_with_block_not_split(self):
@@ -746,10 +765,11 @@ class TestDecoderEvaluation:
         z, cache = _forward_batch(p, x)
         bound = z.nbytes + sum(a.nbytes for a in cache[1:]) + 4 * _util.block_rows(n) * n * 8
         del z, cache
-        _epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")  # memoizes the matrix
+        head = resolve_head("decoder", code)
+        _epoch_metrics(p, x, ys, head, 0, "eval")
         tracemalloc.start()
         try:
-            _epoch_metrics(p, x, ys, "decoder", decoding(code), 0, "eval")
+            _epoch_metrics(p, x, ys, head, 0, "eval")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -782,15 +802,16 @@ class TestNoWritesIntoInputs:
         _, grads = batch_loss_grad(z, code, np.arange(70) % 9)
         _freeze(grads)
         _backward_batch(p, cache, grads)
-        decoder.loss_and_predictions(z, code, np.arange(70) % 9)
+        resolve_head("decoder", code).loss_and_predictions(z, np.arange(70) % 9)
 
     def test_softmax_head(self):
         p, z, cache = self._forward([4, 32, 9])
         ys = np.arange(70) % 9
-        _, grads = _head_loss_grad("softmax", z, ys, None, np.arange(70), 0, 0)
+        head = resolve_head("softmax", one_hot(9))
+        _, grads = head.loss_grad(z, ys)
         _freeze(grads)
         _backward_batch(p, cache, grads)
-        _update_vector("softmax", z, ys, grads)
+        head.update_vector(z, ys, grads)
 
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -816,8 +837,8 @@ def test_train_decoder_call_structure(monkeypatch):
     _loss_and_predictions once in the evaluation.  Counted through every
     ecoc module attribute bound to each function, as the per-module tracer
     does."""
-    watched = (decoder.batch_loss_grad, decoder.loss_and_predictions, decoder.predict_batch,
-               decoder.decoding_matrix, decoder._batch_loss_grad, decoder._loss_and_predictions)
+    watched = (decoder.batch_loss_grad, decoder.predict_batch, decoder.decoding_matrix,
+               decoder._batch_loss_grad, decoder._loss_and_predictions)
     counts = dict.fromkeys((f.__name__ for f in watched), 0)
     rows_seen = dict.fromkeys(("_batch_loss_grad", "_loss_and_predictions"), 0)
 
@@ -839,8 +860,8 @@ def test_train_decoder_call_structure(monkeypatch):
     cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
     train(init([4, 3], seed=0), ds, gaussian_code(4, 3, seed=0), cfg)
     # 16 samples: 2 batches per epoch
-    assert counts == {"batch_loss_grad": 0, "loss_and_predictions": 0, "predict_batch": 0,
-                      "decoding_matrix": 1, "_batch_loss_grad": 4, "_loss_and_predictions": 2}
+    assert counts == {"batch_loss_grad": 0, "predict_batch": 0, "decoding_matrix": 1,
+                      "_batch_loss_grad": 4, "_loss_and_predictions": 2}
     assert rows_seen == {"_batch_loss_grad": 2 * 16, "_loss_and_predictions": 2 * 16}
 
 

@@ -139,6 +139,18 @@ REFUSALS = {
                                              np.zeros(3, int)),
         "labels must match batch size"),
     "init zero width": (lambda path: net.init([4, 0]), "layer sizes must be >= 1, got [4, 0]"),
+    "init past an array": (lambda path: net.init([4, 2**62, 3]),
+                           "layer_sizes gives 4611686018427387904 x 4 weight values of 8 bytes, "
+                           "more than an array can hold (9223372036854775807 bytes)"),
+    "gaussian_code classes past an array": (
+        lambda path: codes.gaussian_code(2**61, 2),
+        "n gives 2305843009213693952 x 2 code values of 8 bytes, more than an array can hold (9223372036854775807 bytes)"),
+    "gaussian_code bits past an array": (
+        lambda path: codes.gaussian_code(4, 2**62),
+        "k gives 4 x 4611686018427387904 code values of 8 bytes, more than an array can hold (9223372036854775807 bytes)"),
+    "one_hot past an array": (
+        lambda path: codes.one_hot(2**31),
+        "n gives 2147483648 x 2147483648 code values of 8 bytes, more than an array can hold (9223372036854775807 bytes)"),
     "SimilarityGraph not square": (lambda path: spectral.SimilarityGraph(np.zeros((2, 3))),
                                    "weights must be square, got shape (2, 3)"),
     "symmetric_eigen not square": (lambda path: spectral.symmetric_eigen(np.zeros((2, 3))),
