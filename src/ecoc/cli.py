@@ -244,15 +244,19 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                 )
             ds = datasets.with_attributes(ds, attrs, names)
         return ds
-    return datasets.synth_hierarchical(
-        depth=cfg.synth_depth,
-        branching=cfg.synth_branching,
-        samples_per_class=cfg.synth_samples_per_class,
-        class_sep=cfg.synth_class_sep,
-        noise_sigma=cfg.synth_noise_sigma,
-        p=cfg.synth_dim,
-        seed=cfg.seed,
-    )
+    try:
+        return datasets.synth_hierarchical(
+            depth=cfg.synth_depth,
+            branching=cfg.synth_branching,
+            samples_per_class=cfg.synth_samples_per_class,
+            class_sep=cfg.synth_class_sep,
+            noise_sigma=cfg.synth_noise_sigma,
+            p=cfg.synth_dim,
+            seed=cfg.seed,
+        )
+    except BadKeyError as exc:  # name the config key that set the refused parameter
+        raise BadKeyError("synth_dim" if exc.key == "p" else "synth_" + exc.key,
+                          exc.problem) from None
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:

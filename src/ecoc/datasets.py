@@ -122,7 +122,9 @@ def synth_hierarchical(
     redraws a direction of norm <= 1e-12 from the next p values.  A
     parameter out of range raises a ``ValueError`` (``BadKeyError``) whose
     ``key`` is the parameter's name, before any array is made; so is the
-    one that :func:`check_synth_size` blames for too many values.
+    one that :func:`check_synth_size` blames for too many values.  Centers
+    past the float64 range are refused by ``class_sep``, and then feature
+    values past it by ``noise_sigma``, with no numpy warning.
     """
     if depth < 1:
         raise BadKeyError("depth", f"must be >= 1, got {depth}")
@@ -150,10 +152,18 @@ def synth_hierarchical(
             # redrawn from the next p values: every later direction moves up a row
             v = np.vstack([np.delete(v, np.argmin(norms > 1e-12), 0), rng.standard_normal((1, p))])
         magnitude = class_sep * 2.0 ** -(d - 1)
-        centers = np.repeat(centers, branching, axis=0) + magnitude * (v / norms[:, None])
+        with np.errstate(over="ignore"):  # refused by key below, with no warning
+            centers = np.repeat(centers, branching, axis=0) + magnitude * (v / norms[:, None])
+    if not all_finite(centers):
+        raise BadKeyError("class_sep",
+                          f"gives class centers past the float64 range, got {class_sep}")
 
     labels = np.repeat(np.arange(n), samples_per_class)
-    features = centers[labels] + rng.standard_normal((n * samples_per_class, p)) * noise_sigma
+    with np.errstate(over="ignore"):
+        features = centers[labels] + rng.standard_normal((n * samples_per_class, p)) * noise_sigma
+    if not all_finite(features):
+        raise BadKeyError("noise_sigma",
+                          f"gives feature values past the float64 range, got {noise_sigma}")
 
     # Leaves are numbered by their path digits in base `branching`: at tree
     # level L, with s = branching**(depth-L-1), class c descends from node

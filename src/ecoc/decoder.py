@@ -5,22 +5,27 @@ codeword by negative half squared Euclidean distance, and pushed through a
 softmax; cross-entropy against the true class gives the loss.  Prediction
 is the nearest codeword, which is exactly the argmax of those scores.
 
-Scores are built in row blocks (:func:`_scores`): a block is one GEMM plus
-a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``.  The distance's
-remaining term, ``-0.5 * ||u||^2``, is the same across a row, so the
-softmax and the argmax never see it.  One loop (:func:`_score_blocks`)
-writes the blocks of a larger batch into one reused buffer.  Training
-turns each block into losses and gradients, prediction into an argmax, and
-evaluation into one argmax and then a loss-only softmax in the same
-buffer; a training batch that fits one block skips the loop.
+Scores are built in row blocks (:func:`_scores`): a block is one GEMM, an
+``ndarray.dot``, plus a per-codeword bias, ``u . m_c - 0.5 * ||m_c||^2``.
+The distance's remaining term, ``-0.5 * ||u||^2``, is the same across a
+row, so the softmax and the argmax never see it.  One loop
+(:func:`_score_blocks`) writes the blocks of a larger batch into one
+reused buffer.  Training turns each block into true-class probabilities
+and gradients (:func:`_loss_grad_in_place`), prediction into an argmax,
+and evaluation into one argmax and then a loss-only softmax in the same
+buffer, shifted by the entry at the argmax (:func:`_losses_and_argmax`);
+a training batch that fits one block skips the loop.  All of them share
+one softmax, :func:`_true_class_probs`, which finds each row's true class
+by its flat index in the block (:func:`_picks`).
 
 :func:`batch_loss_grad` is the one checked entry: it checks shapes and
 labels and fetches the decoding matrix, then calls the kernel
-:func:`_batch_loss_grad`, which takes ``(z, ys, m, bias)`` and checks
-nothing.  ``net.train`` checks its inputs once per run, and its head
-fetches the matrix once and calls that kernel at every step and
-:func:`_loss_and_predictions` at every evaluation, so each numeric op has
-one implementation either way.
+:func:`_batch_loss_grad`, which takes ``(z, picks, m, bias)``, checks
+nothing and returns probabilities, whose ``-log`` is the loss.
+``net.train`` checks its inputs once per run, and its head fetches the
+matrix once, makes each epoch's picks once, and calls that kernel at every
+step and :func:`_loss_and_predictions` at every evaluation, so each
+numeric op has one implementation either way.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -73,11 +78,12 @@ def _bias(code: CodeMatrix) -> np.ndarray:
     :func:`decoding_matrix` first.
 
     Every call of :func:`batch_loss_grad` reads it here rather than
-    recomputing it: at n = 16, k = 8 and 16 rows that would add about 4 us
-    to a 38 us call.  ``net.train``'s decoder head reads it once per run
-    and hands it to the kernels.  :func:`nearest_codewords` is called once
-    per split or ablation prefix, on matrices that may be prefixes, so it
-    computes its own."""
+    recomputing it: at n = 16, k = 8 and 16 rows that would add about
+    2.5 us to a 27 us call (2-vCPU VM, numpy 2.4, one OpenBLAS thread).
+    ``net.train``'s decoder head reads it once per run and hands it to the
+    kernels.  :func:`nearest_codewords` is called once per split or
+    ablation prefix, on matrices that may be prefixes, so it computes its
+    own."""
     return code.__dict__["_decoding_bias"]
 
 
@@ -91,7 +97,7 @@ def _scores(
 ) -> np.ndarray:
     """Scores ``u_i . m_c + bias_c`` of rows of u against rows of m: one
     GEMM, into ``out`` when given, and one broadcast add."""
-    d = np.matmul(u, m.T, out=out)
+    d = u.dot(m.T, out=out)
     d += bias
     return d
 
@@ -120,13 +126,10 @@ def _score_blocks(
 def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) -> np.ndarray:
     """Softmax cross-entropy of score rows against labels, in place.
 
-    Returns the per-row loss ``-log probs[y]``.  With ``grad``, overwrites
-    ``scores`` with the loss gradient w.r.t. the scores, ``probs - e_y``,
-    from the max-shifted softmax probabilities.  Without it, computes the
-    loss alone: ``scores`` is left holding the shifted exponentials, and
-    only the true class's entry of each row is divided by the row sum, the
-    same division the full normalization does, so the loss has the same
-    bits.
+    Returns the per-row loss ``-log probs[y]`` of the probabilities that
+    :func:`_true_class_probs` gives; with ``grad``, ``scores`` becomes the
+    loss gradient w.r.t. the scores, ``probs - e_y``, and without it the
+    shifted exponentials.
 
     ``scores`` must be C-contiguous, as every caller's buffer is: the
     true-class entries are picked by flat index, so any other array is
@@ -135,41 +138,84 @@ def softmax_ce_in_place(scores: np.ndarray, ys: np.ndarray, grad: bool = False) 
     """
     if not scores.flags.c_contiguous:
         raise ValueError("scores must be C-contiguous")
-    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    picks = _picks(np.arange(0, scores.size, scores.shape[1]), ys)
+    return -np.log(_true_class_probs(scores, picks, grad))
+
+
+def _picks(offsets: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Flat index ``offset + y`` of each label's entry in a C-contiguous
+    buffer of score rows, given the flat offset of the row its scores lie
+    in."""
+    # an id in [0, n) casts to an index exactly, a uint64 one too (whose
+    # plain sum with int64 is float64)
+    return np.add(offsets, ys, dtype=np.intp, casting="unsafe")
+
+
+def _true_class_probs(
+    scores: np.ndarray, picks: np.ndarray, grad: bool, top: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax probability ``p`` of each row's true class, in place: the
+    one softmax of training, evaluation and :func:`softmax_ce_in_place`.
+
+    ``picks`` holds the flat index of each row's true-class entry in
+    ``scores``, which must be C-contiguous (:func:`_picks`).  Rows are
+    shifted by their maximum, or by ``top``, a (rows, 1) column holding
+    each row's entry at its argmax; where that entry is ``+0.0`` and the
+    reduction's ``-0.0``, or the reverse, only the sign of shifted zeros
+    differs, whose exponential is 1 either way.  With ``grad``, ``scores``
+    becomes ``probs - e_y``, the gradient of ``-log p`` w.r.t. the scores.
+    Without it, ``scores`` is left holding the shifted exponentials, and
+    only the true class's entry of each row is divided by the row sum, the
+    same division the full normalization does, so ``p`` has the same bits.
+    ``p`` is 0 where the true class's exponential underflows, and NaN in a
+    row holding a NaN or ``+inf``.
+    """
+    if top is None:
+        top = np.maximum.reduce(scores, axis=1, keepdims=True)
+    scores -= top
     np.exp(scores, out=scores)
     sums = np.add.reduce(scores, axis=1, keepdims=True)
     flat = scores.reshape(-1)
-    # an id in [0, n) casts to an index exactly, a uint64 one too (whose
-    # plain sum with int64 is float64)
-    picks = np.add(np.arange(0, flat.size, scores.shape[1]), ys, dtype=np.intp,
-                   casting="unsafe")
     if not grad:
-        return -np.log(flat.take(picks) / sums[:, 0])
+        return flat.take(picks) / sums[:, 0]
     scores /= sums
-    picked = flat.take(picks)
-    flat[picks] = picked - 1.0
-    return -np.log(picked)
+    p = flat.take(picks)
+    flat[picks] = p - 1.0
+    return p
+
+
+def _losses_and_argmax(d: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row softmax cross-entropy losses and argmax of the C-contiguous
+    score rows ``d``, which are left holding shifted exponentials: the
+    evaluation of both heads.  The softmax shifts each row by its entry
+    at the argmax, so no second reduction finds the maximum."""
+    offsets = np.arange(0, d.size, d.shape[1])
+    preds = d.argmax(axis=1)
+    top = d.reshape(-1).take(offsets + preds)[:, None]
+    return -np.log(_true_class_probs(d, _picks(offsets, ys), False, top)), preds
 
 
 def _loss_grad_in_place(
-    g: np.ndarray, ys: np.ndarray, u: np.ndarray, norms: np.ndarray, m: np.ndarray,
+    g: np.ndarray, picks: np.ndarray, u: np.ndarray, norms: np.ndarray, m: np.ndarray,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Losses and gradients w.r.t. z of the rows scored in ``g``, which
-    becomes ``probs - e_y``; the gradients go into ``out`` when given.
+    """True-class probabilities and loss gradients w.r.t. z of the rows
+    scored in ``g``, which becomes ``probs - e_y``; the gradients go into
+    ``out`` when given.
 
-    ``u`` and ``norms`` are those rows' unit vectors and norms.  The one
-    softmax-and-gradient step of :func:`_batch_loss_grad`, whether a batch
-    is one block or many.
+    ``picks`` indexes the true classes' entries of ``g`` (:func:`_picks`);
+    ``u`` and ``norms`` are the rows' unit vectors and norms.  The block
+    kernel of :func:`_batch_loss_grad`, for a one-block batch and for each
+    block of a larger one.
     """
-    losses = softmax_ce_in_place(g, ys, grad=True)
+    p = _true_class_probs(g, picks, True)
     # d loss / d u = g @ m, radially projected and rescaled
-    a = np.matmul(g, m, out=out)
+    a = g.dot(m, out=out)
     t = a * u
     radial = np.add.reduce(t, axis=1)
     a -= np.multiply(radial[:, None], u, out=t)
     a /= norms[:, None]
-    return losses, a
+    return p, a
 
 
 def batch_loss_grad(
@@ -181,7 +227,8 @@ def batch_loss_grad(
     each z row (s, k); each row depends on that row of z alone.  ``z`` must
     be 2-d with ``code.k`` columns and ``ys`` hold one valid class id per
     row, else ValueError; then the batch is worked by
-    :func:`_batch_loss_grad`.
+    :func:`_batch_loss_grad`, and the loss is ``-log`` of the true-class
+    probability it returns.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -192,38 +239,49 @@ def batch_loss_grad(
     if ys.shape != (z.shape[0],):
         raise ValueError("labels must match batch size")
     _util.check_labels(ys, n)
-    return _batch_loss_grad(z, ys, m, _bias(code))
+    probs, grads = _batch_loss_grad(z, _block_picks(np.arange(len(ys)), ys, n), m, _bias(code))
+    return -np.log(probs), grads
+
+
+def _block_picks(rows: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
+    """The ``picks`` of :func:`_batch_loss_grad`: the flat index of each
+    label's entry in its score block, ``(row mod block_rows(n)) * n + y``,
+    given the row of its batch that each label belongs to."""
+    return _picks(rows % _util.block_rows(n) * n, ys)
 
 
 def _batch_loss_grad(
-    z: np.ndarray, ys: np.ndarray, m: np.ndarray, bias: np.ndarray
+    z: np.ndarray, picks: np.ndarray, m: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_loss_grad` of float64 rows ``z`` against decoding rows
-    ``m`` and their score ``bias``, with no check of shapes or labels: the
-    training step, whose inputs ``net.train`` checks once.
+    """True-class probabilities and loss gradients of float64 rows ``z``
+    against decoding rows ``m`` and their score ``bias``, with no check of
+    shapes or labels: the training step, whose inputs ``net.train`` checks
+    once.  :func:`batch_loss_grad` is its checked entry, which takes
+    ``-log`` of the probabilities.
 
-    A batch of 1 to :func:`_util.block_rows` rows, every batch at desk
-    scale, is scored as one block with no block scaffolding; an empty or a
-    larger one goes through the blocks of :func:`_score_blocks`.  Both
-    paths take the same steps on the same rows (:func:`_loss_grad_in_place`),
-    so the bits do not depend on the path.  Besides the returned arrays and
-    the unit rows, memory is one block-sized (rows, n) buffer, the scores
-    that become ``probs - e_y``, and one (rows, k) temporary.  A zero or
-    non-finite row of ``z`` raises :class:`_util.BadRowsError` from
-    :func:`unit_rows`.
+    ``picks`` gives each row's true class as the flat index of its entry in
+    the row's score block (:func:`_block_picks`), so the step takes no
+    ``arange``; ``net.train`` makes them once per epoch.  A batch of 1 to
+    :func:`_util.block_rows` rows, every batch at desk scale, is scored as
+    one block with no block scaffolding; an empty or a larger one goes
+    through the blocks of :func:`_score_blocks`.  Both paths take the same
+    steps on the same rows (:func:`_loss_grad_in_place`), so the bits do
+    not depend on the path.  Besides the returned arrays and the unit rows,
+    memory is one block-sized (rows, n) buffer, the scores that become
+    ``probs - e_y``, and one (rows, k) temporary.  A zero or non-finite row
+    of ``z`` raises :class:`_util.BadRowsError` from :func:`unit_rows`.
     """
     s, k = z.shape
-    n = m.shape[0]
     u, norms = unit_rows(z)
-    if 0 < s <= _util.block_rows(n):
-        return _loss_grad_in_place(_scores(u, m, bias), ys, u, norms, m)
-    losses = np.empty(s)
+    if 0 < s <= _util.block_rows(m.shape[0]):
+        return _loss_grad_in_place(_scores(u, m, bias), picks, u, norms, m)
+    probs = np.empty(s)
     grads = np.empty((s, k))
     for rows, g in _score_blocks(u, m, bias):
-        losses[rows], _ = _loss_grad_in_place(
-            g, ys[rows], u[rows], norms[rows], m, out=grads[rows]
+        probs[rows], _ = _loss_grad_in_place(
+            g, picks[rows], u[rows], norms[rows], m, out=grads[rows]
         )
-    return losses, grads
+    return probs, grads
 
 
 def _loss_and_predictions(
@@ -235,16 +293,16 @@ def _loss_and_predictions(
     :func:`predict_batch`, from one scoring.
 
     ``z`` is normalized once; each block of :func:`_score_blocks` gives its
-    argmax first, then its loss-only softmax cross-entropy in the same
-    buffer, so no gradient is built.  A zero or non-finite row raises
-    :class:`_util.BadRowsError` from :func:`unit_rows`.
+    argmax and then its loss-only softmax cross-entropy in the same buffer
+    (:func:`_losses_and_argmax`), so no gradient is built.  A zero or
+    non-finite row raises :class:`_util.BadRowsError` from
+    :func:`unit_rows`.
     """
     u, _ = unit_rows(z)
     losses = np.empty(len(u))
     preds = np.empty(len(u), dtype=np.int64)
     for rows, d in _score_blocks(u, m, bias):
-        preds[rows] = d.argmax(axis=1)
-        losses[rows] = softmax_ce_in_place(d, ys[rows])
+        losses[rows], preds[rows] = _losses_and_argmax(d, ys[rows])
     return losses, preds
 
 

@@ -19,8 +19,8 @@ from ._util import (BadKeyError, BadRowsError, all_finite, atomic_write, check_d
                     check_labels, check_seed, declared, fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import (_batch_loss_grad, _bias, _loss_and_predictions, decoding_matrix,
-                      softmax_ce_in_place)
+from .decoder import (_batch_loss_grad, _bias, _block_picks, _loss_and_predictions,
+                      _losses_and_argmax, _picks, _true_class_probs, decoding_matrix)
 # unused here, but kept as ``net.batch_loss_grad``, the name perfbench's
 # tracer self-test reaches the decoder entry through
 from .decoder import batch_loss_grad  # noqa: F401
@@ -167,7 +167,7 @@ def _forward(p: NetParams, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]
     cache = []
     for i, (w, b) in enumerate(p.layers):
         cache.append(a)
-        a = a @ w.T
+        a = a.dot(w.T)
         a += b
         if i < len(p.layers) - 1:
             np.maximum(a, 0.0, out=a)
@@ -194,10 +194,10 @@ def _backward_batch(
     delta = grad_z
     for i in range(len(p.layers) - 1, -1, -1):
         gw, gb = grads[i]
-        np.matmul(delta.T, cache[i], out=gw)
+        delta.T.dot(cache[i], out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = delta @ p.layers[i][0]
+            delta = delta.dot(p.layers[i][0])
             # rectifier gate: the cached input to layer i is the rectified
             # output of layer i-1, zero exactly where the unit was off
             delta *= cache[i] > 0
@@ -228,10 +228,12 @@ class _SoftmaxHead:
     """Plain cross-entropy on the raw outputs, one per class: the one-hot
     baseline, which trains against class indicators and so refuses a code
     that is not one-hot.  A step works in one copy of the outputs, which
-    becomes the gradient; evaluation takes the argmax, then the loss in the
-    outputs' own buffer.  Its update vectors are the hard label/prediction
-    mismatches ``e_pred - e_true``: at most two active coordinates per
-    sample, and none once the sample is classified correctly."""
+    becomes the gradient, and picks each row's true class at ``row * n +
+    y`` of it; evaluation takes the argmax, then the loss in the outputs'
+    own buffer, shifted by the entry at the argmax.  Its update vectors are
+    the hard label/prediction mismatches ``e_pred - e_true``: at most two
+    active coordinates per sample, and none once the sample is classified
+    correctly."""
 
     name = "softmax"
 
@@ -241,13 +243,15 @@ class _SoftmaxHead:
                 f"head 'softmax' requires a one-hot code, got a {code.kind.value} code")
         self.size = code.n
 
-    def loss_grad(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def picks(self, ys: np.ndarray, batch_size: int) -> np.ndarray:
+        return _picks(np.arange(len(ys)) % batch_size * self.size, ys)
+
+    def probs_grad(self, z: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grads = z.copy()
-        return softmax_ce_in_place(grads, ys, grad=True), grads
+        return _true_class_probs(grads, picks, True), grads
 
     def loss_and_predictions(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        preds = z.argmax(axis=1)
-        return softmax_ce_in_place(z, ys), preds
+        return _losses_and_argmax(z, ys)
 
     def update_vector(self, z: np.ndarray, ys: np.ndarray, bias_grad: np.ndarray) -> np.ndarray:
         n = z.shape[1]
@@ -259,9 +263,10 @@ class _DecoderHead:
     """The distance decoder, one output per code bit.  It fetches
     ``decoding_matrix(code)`` and its score bias once, when it is made, and
     hands them to the decoder's unchecked kernels, which raise
-    :class:`_util.BadRowsError` for a zero or non-finite output row.  Its
-    update vectors are the loss gradients, whose batch mean is the output
-    layer's bias gradient."""
+    :class:`_util.BadRowsError` for a zero or non-finite output row.  A
+    step picks each row's true class in the row's score block
+    (``decoder._block_picks``).  Its update vectors are the loss gradients,
+    whose batch mean is the output layer's bias gradient."""
 
     name = "decoder"
 
@@ -269,8 +274,11 @@ class _DecoderHead:
         self.size = code.k
         self.m, self.bias = decoding_matrix(code), _bias(code)
 
-    def loss_grad(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _batch_loss_grad(z, ys, self.m, self.bias)
+    def picks(self, ys: np.ndarray, batch_size: int) -> np.ndarray:
+        return _block_picks(np.arange(len(ys)) % batch_size, ys, len(self.m))
+
+    def probs_grad(self, z: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _batch_loss_grad(z, picks, self.m, self.bias)
 
     def loss_and_predictions(self, z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _loss_and_predictions(z, ys, self.m, self.bias)
@@ -283,12 +291,15 @@ def resolve_head(head: str, code: CodeMatrix) -> _SoftmaxHead | _DecoderHead:
     """The head for a :class:`TrainConfig` head setting and ``code``:
     ``"auto"`` picks softmax for one-hot codes and the decoder otherwise.
 
-    A head has a ``name``, an output ``size`` and three unchecked methods:
-    ``loss_grad(z, ys)``, a training batch's per-row losses and gradients
-    w.r.t. ``z``; ``loss_and_predictions(z, ys)``, an evaluated split's
-    per-row losses and predicted classes; and ``update_vector(z, ys,
-    bias_grad)``, the batch mean of the update vectors whose active
-    coordinates ``grad_nonzero_ratio`` counts.
+    A head has a ``name``, an output ``size`` and four unchecked methods:
+    ``picks(ys, batch_size)``, the flat index of each label's true-class
+    entry in its step's score buffer, for an epoch's labels taken in
+    batches of ``batch_size``; ``probs_grad(z, picks)``, a training batch's per-row true-class
+    probabilities, whose ``-log`` is the loss, and loss gradients w.r.t.
+    ``z``; ``loss_and_predictions(z, ys)``, an evaluated split's per-row
+    losses and predicted classes; and ``update_vector(z, ys, bias_grad)``,
+    the batch mean of the update vectors whose active coordinates
+    ``grad_nonzero_ratio`` counts.
     """
     if head == "auto":
         head = "softmax" if code.kind is CodeKind.ONE_HOT else "decoder"
@@ -349,8 +360,15 @@ def train(
     codeword when the decoder head fetches ``decoding_matrix(code)``.
     Raises :class:`TrainingDivergedError` as soon as any loss goes
     non-finite, and :class:`ZeroOutputError` when the decoder head meets an
-    all-zero output.  Floating-point warnings are off for the whole call:
-    the finite-loss checks, not numpy, report a diverging run.
+    all-zero output.  A step takes no ``log``: the head hands it each
+    row's true-class probability ``p``, and it stops when the smallest is
+    not ``> 0``.  That is exactly when the batch's loss sum ``sum(-log
+    p)`` is not finite: ``p`` lies in ``[0, 1]`` or is NaN, a positive
+    ``p`` gives a ``-log p`` of at most about 745, which no batch's sum
+    can overflow, and ``-log p`` is infinite or NaN where ``p`` is 0 or
+    NaN.  Evaluation checks its mean loss.  Floating-point
+    warnings are off for the whole call: these checks, not numpy, report a
+    diverging run.
     """
     for name, data in (("dataset", dataset), ("eval set", eval_set)):
         if data is None:
@@ -398,21 +416,21 @@ def train(
         else:
             order = np.arange(samples)
         x_epoch, ys_epoch = x[order], ys[order]
+        picks = head.picks(ys_epoch, cfg.batch_size)
 
         for number, start in enumerate(range(0, samples, cfg.batch_size)):
             batch = slice(start, start + cfg.batch_size)
-            yb = ys_epoch[batch]
             z, cache = _forward(p, x_epoch[batch])
             try:
-                losses, grads = head.loss_grad(z, yb)
+                probs, grads = head.probs_grad(z, picks[batch])
             except BadRowsError as exc:
                 _raise_output_rows(exc, epoch, number, order[batch])
-            if not math.isfinite(np.add.reduce(losses)):
+            if not np.minimum.reduce(probs) > 0.0:
                 raise TrainingDivergedError(epoch)
 
             # the output layer's mean bias gradient, read before lr scales it
             bias_grad = _backward_batch(p, cache, grads, out=grad_out)[-1][1]
-            updates[number] = head.update_vector(z, yb, bias_grad)
+            updates[number] = head.update_vector(z, ys_epoch[batch], bias_grad)
 
             # v = momentum * v - lr * g, then w = w + v
             velocity *= cfg.momentum

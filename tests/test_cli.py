@@ -571,6 +571,30 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {flags[key]} {problem}\n"
         assert not os.path.exists(data)
 
+    @pytest.mark.parametrize("depth, key, value, problem", [
+        ("2", "noise_sigma", "1e308", "gives feature values past the float64 range, got 1e+308"),
+        ("3", "class_sep", "1.7e308",
+         "gives class centers past the float64 range, got 1.7e+308"),
+    ])
+    def test_values_past_float64_name_the_key(self, tmp_path, capsys, depth, key, value,
+                                             problem):
+        """Finite settings whose centers or features overflow float64 are
+        refused by the key or flag that set them, exit 2, with nothing
+        written and no numpy warning, by train and synth-data."""
+        out = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, synth_depth=depth,
+                           synth_branching="4", synth_samples_per_class="4", synth_dim="8",
+                           **{f"synth_{key}": value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: key 'synth_{key}' {problem}\n"
+        assert not os.path.exists(out)
+        data = os.path.join(tmp_path, "data.csv")
+        flag = "--" + key.replace("_", "-")
+        assert main(["synth-data", "--depth", depth, "--branching", "4", "--samples-per-class",
+                     "4", "--dim", "8", flag, value, "--out", data]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {problem}\n"
+        assert not os.path.exists(data)
+
     @pytest.mark.parametrize("key, value, shape", [
         ("code_bits", str(2**64), f"2 x {2**64} code"),
         ("code_bits", str(2**63 - 1), f"2 x {2**63 - 1} code"),

@@ -159,6 +159,25 @@ class TestSynthHierarchical:
             assert str(exc.value).endswith(
                 f"more than an array can hold ({2**63 - 1} bytes)")
 
+    @pytest.mark.parametrize("depth, class_sep, noise_sigma, key", [
+        (2, 1.0, 1e308, "noise_sigma"), (3, 1.7e308, 0.0, "class_sep"),
+        (3, 1.7e308, 1e308, "class_sep"),
+    ])
+    def test_values_past_float64_are_refused_by_key(self, depth, class_sep, noise_sigma, key):
+        """Centers that overflow are refused by ``class_sep``, before any
+        noise; then features that overflow by ``noise_sigma``; with no numpy
+        warning, which the suite would raise."""
+        with pytest.raises(ValueError) as exc:
+            synth_hierarchical(depth, 4, 4, class_sep, noise_sigma, 8, seed=0)
+        value = class_sep if key == "class_sep" else noise_sigma
+        noun = "class centers" if key == "class_sep" else "feature values"
+        assert exc.value.key == key
+        assert str(exc.value) == f"{key} gives {noun} past the float64 range, got {value}"
+
+    def test_large_finite_values_pass(self):
+        ds = synth_hierarchical(1, 4, 4, 1e308, 1.0, 8, seed=0)
+        assert np.isfinite(ds.features).all() and np.abs(ds.features).max() > 1e307
+
     def test_top_split_is_linearly_visible(self):
         """With noise well below the top-level separation, a nearest-center
         rule on the first attribute's groups is perfect."""

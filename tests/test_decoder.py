@@ -670,6 +670,27 @@ class TestLossAndPredictions:
         if kind == "onehot":
             assert preds[-1] == 2
 
+    @pytest.mark.parametrize("bias", [[-1.0, 0.0, -1.0, 0.0, -1.0], [0.0] * 5])
+    def test_edge_rows_match_the_argmax_and_softmax_oracle(self, bias):
+        """Score rows with a repeated maximum, a maximum of 0.0 beside
+        other zeros, and all entries equal: losses (bits) and predictions
+        equal ``argmax`` plus ``softmax_ce_in_place`` over the same scores,
+        which shifts by a second reduction; the kernel shifts by the entry
+        at the argmax.  Codeword 4 repeats codeword 0.  (A score is never
+        -0.0 here: BLAS returns +0.0 for a zero product, and +0.0 plus
+        either zero bias is +0.0.)"""
+        m = np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0]])
+        bias = np.array(bias)
+        z = np.array([[1.0, 0, 0], [0, 0, 1], [0, 2, 0], [0, 3, -4], [-5, 0, 0]])
+        ys = np.array([4, 1, 0, 3, 2])
+        d = block_scores(unit_rows(z)[0], m, bias)
+        top = d.max(axis=1, keepdims=True)
+        assert ((d == top).sum(axis=1) > 1).any() and (top == 0.0).any()
+        assert bias.any() or (d[1] == d[1, 0]).all()
+        losses, preds = _loss_and_predictions(z, ys, m, bias)
+        assert np.array_equal(preds, d.argmax(axis=1))
+        assert losses.tobytes() == softmax_ce_in_place(d, ys).tobytes()
+
     def test_scores_once_per_block(self):
         """One pass of the block loop, and no gradient: 129 rows at
         n = 1024 are three blocks."""

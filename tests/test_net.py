@@ -1,6 +1,7 @@
 """Feedforward net: init, batch forward/backward, the SGD trainer, model files."""
 
 import inspect
+import math
 import os
 import struct
 import sys
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import oracles
 from ecoc import _util, decoder, net
-from ecoc.codes import Binarization, binarize, dense_random_code, gaussian_code, one_hot
+from ecoc.codes import (Binarization, CodeKind, CodeMatrix, binarize, dense_random_code,
+                        gaussian_code, one_hot)
 from ecoc.datasets import Dataset, synth_hierarchical
 from ecoc.decoder import batch_loss_grad
 from ecoc.net import (
@@ -107,6 +109,54 @@ class TestNetForward:
             _forward_batch(p, np.ones((1, 5)))
         with pytest.raises(ValueError, match="input"):
             _forward_batch(p, np.ones(4))
+
+
+PRODUCT_SIZES = (1, 2, 3, 7, 8, 9, 16, 17, 64, 65, 100)
+
+
+class TestProductIdentity:
+    """The forward and backward passes and the decoder's scores and
+    gradient take their 2-d products with ``ndarray.dot``, into a buffer
+    where one exists, and their bits were pinned when they used ``@``.  So
+    a numpy or BLAS build whose ``dot`` sums in another order than its
+    ``matmul`` fails here, not as a silent change in ``model.bin``."""
+
+    @staticmethod
+    def operand(rng, rows, cols, transposed):
+        """A (rows, cols) operand of mixed magnitudes, so that summing in
+        another order moves bits: C-ordered, or a transposed view."""
+        shape = (cols, rows) if transposed else (rows, cols)
+        a = rng.standard_normal(shape) * np.exp2(rng.integers(-20, 21, shape))
+        return a.T if transposed else a
+
+    def test_dot_equals_matmul(self):
+        rng = np.random.default_rng(35)
+        cases = 0
+        for rows in PRODUCT_SIZES:
+            for inner in PRODUCT_SIZES:
+                for cols in PRODUCT_SIZES:
+                    for ta in (False, True):
+                        for tb in (False, True):
+                            a = self.operand(rng, rows, inner, ta)
+                            b = self.operand(rng, inner, cols, tb)
+                            ref = (a @ b).tobytes()
+                            out = np.empty((rows, cols))
+                            assert a.dot(b).tobytes() == ref, (rows, inner, cols, ta, tb)
+                            assert a.dot(b, out=out) is out and out.tobytes() == ref
+                            cases += 1
+        assert cases == 4 * len(PRODUCT_SIZES) ** 3
+
+    def test_dot_with_own_transpose_equals_matmul(self):
+        """``a.dot(a.T)``, which BLAS may work as a symmetric rank-k update."""
+        rng = np.random.default_rng(36)
+        for rows in PRODUCT_SIZES:
+            for inner in PRODUCT_SIZES:
+                for transposed in (False, True):
+                    a = self.operand(rng, rows, inner, transposed)
+                    ref = (a @ a.T).tobytes()
+                    out = np.empty((rows, rows))
+                    assert a.dot(a.T).tobytes() == ref, (rows, inner, transposed)
+                    assert a.dot(a.T, out=out) is out and out.tobytes() == ref
 
 
 class TestNetBackward:
@@ -222,6 +272,41 @@ class TestNetBackward:
         assert norm1 < norm0 / 10
 
 
+def record_steps(monkeypatch) -> list[tuple[bool, np.ndarray]]:
+    """Record each training step the head takes, as ``train`` calls it:
+    whether the batch's outputs were all finite, and the true-class
+    probabilities the head handed back."""
+    steps = []
+    resolve = net.resolve_head
+
+    def recording(setting, code):
+        head = resolve(setting, code)
+        step = head.probs_grad
+
+        def probs_grad(z, picks):
+            probs, grads = step(z, picks)
+            steps.append((bool(np.isfinite(z).all()), probs.copy()))
+            return probs, grads
+
+        head.probs_grad = probs_grad
+        return head
+
+    monkeypatch.setattr(net, "resolve_head", recording)
+    return steps
+
+
+def assert_stopped_at(steps, batch: int, outputs_finite: bool) -> None:
+    """Training stopped at step ``batch`` of epoch 0, the first step whose
+    loss sum ``sum(-log p)`` is not finite, and so the first whose smallest
+    ``p`` is not ``> 0``."""
+    assert len(steps) == batch + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = [np.add.reduce(-np.log(probs)) for _, probs in steps]
+    assert [math.isfinite(x) for x in sums] == [True] * batch + [False]
+    assert [bool(np.minimum.reduce(probs) > 0) for _, probs in steps] == [True] * batch + [False]
+    assert steps[-1][0] == outputs_finite
+
+
 class TestTrain:
     def test_learns_separable_task(self):
         ds = separable_dataset()
@@ -240,13 +325,49 @@ class TestTrain:
         _, rows_b = train(init([4, 8, 6], seed=2), ds, code, cfg)
         assert rows_a == rows_b
 
-    def test_divergence_detected(self):
-        # runaway updates blow the softmax cross-entropy head up to non-finite
+    def test_divergence_detected(self, monkeypatch):
+        """Runaway updates blow the softmax cross-entropy head up: the
+        second step's outputs are finite, but some true-class probabilities
+        underflow to exactly 0.0, so ``-log p`` is the only infinity."""
+        steps = record_steps(monkeypatch)
         ds = separable_dataset()
         cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e6, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
             train(init([4, 8, 4], seed=0), ds, one_hot(4), cfg)
-        assert err.value.epoch >= 0
+        assert err.value.epoch == 0
+        assert_stopped_at(steps, batch=1, outputs_finite=True)
+        assert (steps[-1][1] == 0.0).any() and not np.isnan(steps[-1][1]).any()
+
+    @pytest.mark.parametrize("case", ["softmax-nan", "decoder-underflow"])
+    def test_divergence_stops_at_the_pinned_step(self, monkeypatch, case):
+        """The step at which training stops, pinned from the loss-sum rule
+        (stop when ``sum(-log p)`` is not finite) that ``p > 0`` replaced.
+        ``softmax-nan``: a rate of 1e300 overflows the second step's outputs,
+        so its probabilities are NaN.  ``decoder-underflow``: every output is
+        the finite bias ``e_2``, which the first steps turn toward codeword
+        0 of a code whose codewords are 760 apart; row 17, the one sample of
+        class 1, lies opposite, and in the third batch its probability
+        underflows to exactly 0.0 while the outputs stay finite."""
+        steps = record_steps(monkeypatch)
+        ds = separable_dataset()
+        if case == "softmax-nan":
+            p, code, batch, finite = init([4, 8, 4], seed=0), one_hot(4), 1, False
+            cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e300, seed=0)
+        else:
+            ys = np.zeros(ds.samples, dtype=np.int64)
+            ys[17] = 1
+            ds = Dataset(ds.features, ys, 4)
+            e = np.eye(8)
+            code = CodeMatrix(380.0 * np.array([e[0], -e[0], e[1], -e[1]]),
+                              kind=CodeKind.DENSE_RANDOM)
+            p, batch, finite = NetParams([(np.zeros((8, 4)), e[2].copy())]), 2, True
+            cfg = TrainConfig(epochs=40, batch_size=8, learning_rate=1e-3, seed=0)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch 0 \(non-finite loss\)$"):
+            train(p, ds, code, cfg)
+        assert_stopped_at(steps, batch, finite)
+        if case == "decoder-underflow":
+            assert np.count_nonzero(steps[-1][1] == 0.0) == 1
 
     def test_non_finite_evaluation_loss_is_divergence(self):
         """One step per epoch at a huge rate: the step's loss is finite, and
@@ -699,6 +820,37 @@ class TestSoftmaxEvaluation:
             got = _epoch_metrics(p, x, ys, resolve_head("softmax", one_hot(n)), 0, "eval")
         assert repr(got) == repr(ref)
 
+    def test_edge_rows_match_the_argmax_and_softmax_oracle(self):
+        """Rows with a repeated maximum, a maximum of 0.0 beside -0.0 (and
+        the reverse), all entries equal, and a +inf, -inf or NaN entry:
+        losses (bits) and predictions equal ``argmax`` plus
+        ``softmax_ce_in_place``, which shifts by a second reduction.
+        Evaluation shifts by the entry at the argmax instead; in one of the
+        two signed-zero rows that entry's sign differs from the
+        reduction's, and only the sign of a shifted zero moves, whose
+        exponential is 1 either way."""
+        z = np.array([
+            [1.0, 3.0, 3.0, 2.0],
+            [-0.0, 0.0, -1.0, -2.0],
+            [0.0, -0.0, -1.0, -2.0],
+            [2.0, 2.0, 2.0, 2.0],
+            [np.inf, 0.0, 1.0, 2.0],
+            [1.0, np.inf, 0.0, 2.0],
+            [1.0, -np.inf, 0.0, 2.0],
+            [np.nan, 0.0, 1.0, 2.0],
+            [0.0, 1.0, np.nan, 2.0],
+        ])
+        ys = np.array([2, 1, 0, 3, 0, 2, 1, 0, 3])
+        tops = z.reshape(-1).take(np.arange(0, z.size, 4) + z.argmax(axis=1))
+        assert np.signbit(tops[1]) != np.signbit(tops[2])
+        with np.errstate(invalid="ignore", divide="ignore"):  # train's error state
+            ref_losses = decoder.softmax_ce_in_place(z.copy(), ys)
+            losses, preds = resolve_head("softmax", one_hot(4)).loss_and_predictions(z.copy(), ys)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert np.array_equal(preds, z.argmax(axis=1))
+        assert np.isnan(losses[4:6]).all() and np.isnan(losses[7:]).all()
+        assert np.isinf(losses[6]) and np.isfinite(losses[:4]).all()
+
     def test_memory_is_the_forward_pass(self):
         """At 1024 x 1024, evaluation holds the (s, n) outputs and the
         forward cache; no probability or gradient copy."""
@@ -808,7 +960,7 @@ class TestNoWritesIntoInputs:
         p, z, cache = self._forward([4, 32, 9])
         ys = np.arange(70) % 9
         head = resolve_head("softmax", one_hot(9))
-        _, grads = head.loss_grad(z, ys)
+        _, grads = head.probs_grad(z, head.picks(ys, len(ys)))
         _freeze(grads)
         _backward_batch(p, cache, grads)
         head.update_vector(z, ys, grads)
