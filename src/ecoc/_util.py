@@ -92,8 +92,9 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 class BadKeyError(ValueError):
-    """A refused value of the config key or flag ``key``; the message is
-    ``key problem``."""
+    """A refused value of the parameter or config key ``key``; the message
+    is ``key problem``.  The CLI names a library parameter by the config
+    key or flag that sets it."""
 
     def __init__(self, key: str, problem: str):
         super().__init__(f"{key} {problem}")
@@ -107,12 +108,11 @@ def declared(allowed: str | tuple[str, ...], default=MISSING) -> Field:
     return field(default=default, metadata={"allowed": allowed})
 
 
-def check_declared(f: Field, value, key: str | None = None) -> None:
+def check_declared(f: Field, value) -> None:
     """Refuse a value of the field ``f`` outside its declared allowed values
-    (see :func:`declared`) with :class:`BadKeyError` naming ``key``, the
-    field's name by default.  None, and any value of an undeclared field,
-    pass; each entry of a ``tuple[int, ...]`` value must lie in the
-    interval.
+    (see :func:`declared`) with :class:`BadKeyError` naming the field.
+    None, and any value of an undeclared field, pass; each entry of a
+    ``tuple[int, ...]`` value must lie in the interval.
 
     The words come from the field's declared type, not the value's: an
     interval unbounded above reads ``must be >= 1`` for an int,
@@ -122,10 +122,9 @@ def check_declared(f: Field, value, key: str | None = None) -> None:
     allowed = f.metadata.get("allowed")
     if value is None or allowed is None:
         return
-    key = key or f.name
     if isinstance(allowed, tuple):
         if value not in allowed:
-            raise BadKeyError(key, f"must be one of {', '.join(allowed)}, got {value!r}")
+            raise BadKeyError(f.name, f"must be one of {', '.join(allowed)}, got {value!r}")
         return
     low, high = allowed[1:-1].split(", ")
     closed_low, closed_high = allowed[0] == "[", allowed[-1] == "]"
@@ -137,16 +136,16 @@ def check_declared(f: Field, value, key: str | None = None) -> None:
         return
     shown = ",".join(map(str, value)) if each else value
     if high != "inf":
-        raise BadKeyError(key, f"must be in {allowed}, got {shown}")
+        raise BadKeyError(f.name, f"must be in {allowed}, got {shown}")
     finite = "finite and " if kind == "float" else ""
-    raise BadKeyError(key, f"must be {finite}{'>=' if closed_low else '>'} {low}"
-                           f"{' each' if each else ''}, got {shown}")
+    raise BadKeyError(f.name, f"must be {finite}{'>=' if closed_low else '>'} {low}"
+                              f"{' each' if each else ''}, got {shown}")
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a negative seed by name, before numpy's RNG sees it."""
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, keyed ``seed``, before numpy's RNG sees it."""
     if seed < 0:
-        raise BadKeyError(name, f"must be >= 0, got {seed}")
+        raise BadKeyError("seed", f"must be >= 0, got {seed}")
 
 
 def check_code_size(n: int, k: int | None = None, k_key: str = "k") -> None:

@@ -14,12 +14,12 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, dataclass, fields, replace
 
 import numpy as np
 
-from ._util import (BadKeyError, atomic_write, check_declared, check_seed, declared, fmt_float,
-                    forked_writes, read_lines, split_lines)
+from ._util import (BadKeyError, atomic_write, declared, fmt_float, forked_writes, read_lines,
+                    split_lines)
 from . import analysis, codes, datasets, net, spectral
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import Dataset
@@ -29,14 +29,34 @@ from .spectral import SimilarityGraph
 # Parser and error noun of the numeric annotations.
 _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
+# The config key of each library parameter that a key sets under another
+# name; the class count ``n`` has a gen-code flag but no key.
+_KEYS = {
+    "depth": "synth_depth",
+    "branching": "synth_branching",
+    "samples_per_class": "synth_samples_per_class",
+    "class_sep": "synth_class_sep",
+    "noise_sigma": "synth_noise_sigma",
+    "p": "synth_dim",
+    "k": "code_bits",
+    "layer_sizes": "hidden_sizes",
+    "n": "classes",
+}
+
+
+def _flag(key: str) -> str:
+    """The flag of the config key ``key``: ``--``, then the key without its
+    ``synth_`` or ``code_`` prefix, with ``-`` for ``_``."""
+    return "--" + key.removeprefix("synth_").removeprefix("code_").replace("_", "-")
+
+
+def _refusal(source: str, exc: BadKeyError) -> str:
+    """A refused value of the config file ``source``, as ``source: key 'k'
+    problem``, naming a library parameter by its key."""
+    return f"{source}: key {_KEYS.get(exc.key, exc.key)!r} {exc.problem}"
+
 
 # ---------------------------------------------------------------- config ----
-
-
-def _cli_default(name: str, default) -> Field:
-    """TrainConfig's required field ``name``, declared as there, with the
-    CLI's default."""
-    return declared(TrainConfig.__dataclass_fields__[name].metadata["allowed"], default)
 
 
 @dataclass(frozen=True)
@@ -46,19 +66,15 @@ class ExperimentConfig(TrainConfig):
     Each field is one ``train`` config key: its name, annotation and default
     are the key's name, type and default, and its declaration
     (``_util.declared``) its allowed values.  The training keys are the
-    inherited :class:`TrainConfig` fields; only the CLI's defaults of its
-    required keys are given here.  Construction checks each key in force
-    (:meth:`_in_force`) against its declaration, in field order, then the
-    three rules that tie keys together: ``attributes_csv`` needs
+    inherited :class:`TrainConfig` fields.  Construction checks each key in
+    force (:meth:`_in_force`) against its declaration, in field order, then
+    the three rules that tie keys together: ``attributes_csv`` needs
     ``data_csv``, ``synth_dim`` must be at least ``synth_depth``, and the
     synthetic features must fit one array
-    (:func:`datasets.check_synth_size`).
+    (:func:`datasets.check_synth_size`, which names the generator's
+    parameter).
     """
 
-    # training: the CLI's defaults for TrainConfig's required keys
-    epochs: int = _cli_default("epochs", 30)
-    batch_size: int = _cli_default("batch_size", 16)
-    learning_rate: float = _cli_default("learning_rate", 0.1)
     # dataset: either a CSV path or synthetic generation parameters
     data_csv: str | None = None
     attributes_csv: str | None = None
@@ -88,8 +104,8 @@ class ExperimentConfig(TrainConfig):
             raise BadKeyError("synth_dim", f"must be >= synth_depth={self.synth_depth}, "
                                            f"got {self.synth_dim}")
         if self._in_force("synth_samples_per_class"):
-            keys = ("synth_depth", "synth_branching", "synth_samples_per_class", "synth_dim")
-            datasets.check_synth_size(*(getattr(self, key) for key in keys), keys=keys)
+            datasets.check_synth_size(self.synth_depth, self.synth_branching,
+                                      self.synth_samples_per_class, self.synth_dim)
 
     def _in_force(self, name: str) -> bool:
         """Whether the key ``name`` is read, and so checked and echoed: not a
@@ -186,50 +202,32 @@ def resolve_config(entries: dict[str, str], source: str = "config") -> Experimen
                 raise ValueError(f"{source}: {key} path does not exist: {path}")
         return ExperimentConfig(**values)
     except BadKeyError as exc:
-        raise ValueError(f"{source}: key {exc.key!r} {exc.problem}") from None
+        raise ValueError(_refusal(source, exc)) from None
 
 
 # ------------------------------------------------------------- experiment ---
 
 
-def _build_code(
-    strategy: str,
-    n: int,
-    bits: int | None,
-    seed: int,
-    candidates: int,
-    binarize_mode: str,
-    graph: SimilarityGraph | None,
-    flag: str = "--strategy",
-    bits_flag: str = "--bits",
-) -> CodeMatrix:
-    """Shared by gen-code and train; `flag` and `bits_flag` name the caller's
-    strategy and bit-count options in errors, and a class count too large
-    for a code is blamed on `--classes`: train's comes from data already in
-    memory.  Spectral codes need `graph`."""
-    try:
-        if strategy == "onehot":
-            if bits is not None and bits != n:
-                raise ValueError(f"{flag}=onehot fixes the bit count at n={n}, got {bits}")
-            code = codes.one_hot(n)
-        elif strategy == "gaussian":
-            k = bits if bits is not None else codes.default_code_length(n)
-            code = codes.gaussian_code(n, k, seed=seed)
-        elif strategy == "dense":
-            k = bits if bits is not None else codes.default_code_length(n)
-            code = codes.dense_random_code(n, k, candidates=candidates, seed=seed)
-        else:  # spectral: the code_strategy declaration admits only CodeKind values
-            k = bits if bits is not None else min(codes.default_code_length(n), n - 1)
-            if k > n - 1:
-                raise ValueError(
-                    f"{bits_flag}: spectral codes support at most n-1={n - 1} bits, got {k}"
-                )
-            code = spectral.spectral_code(graph, k)
-    except BadKeyError as exc:  # name the option that set the refused size
-        raise BadKeyError(bits_flag if exc.key == "k" else "--classes", exc.problem) from None
-
-    if binarize_mode != "raw":
-        code = codes.binarize(code, Binarization(binarize_mode))
+def _build_code(cfg: ExperimentConfig, n: int, graph: SimilarityGraph | None) -> CodeMatrix:
+    """The code of ``cfg``'s ``code_*`` keys for ``n`` classes, shared by
+    gen-code and train; a spectral code needs ``graph``."""
+    k = cfg.code_bits
+    if cfg.code_strategy == "onehot":
+        if k is not None and k != n:
+            raise BadKeyError("k", f"must equal n={n} for a one-hot code, got {k}")
+        code = codes.one_hot(n)
+    elif cfg.code_strategy == "spectral":
+        if k is None:
+            k = min(codes.default_code_length(n), n - 1)
+        code = spectral.spectral_code(graph, k)
+    else:
+        k = codes.default_code_length(n) if k is None else k
+        if cfg.code_strategy == "gaussian":
+            code = codes.gaussian_code(n, k, seed=cfg.seed)
+        else:  # dense: the code_strategy declaration admits only CodeKind values
+            code = codes.dense_random_code(n, k, candidates=cfg.code_candidates, seed=cfg.seed)
+    if cfg.code_binarize != "raw":
+        code = codes.binarize(code, Binarization(cfg.code_binarize))
     return code
 
 
@@ -242,21 +240,17 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                 raise ValueError(
                     f"attributes_csv has {attrs.shape[0]} rows for {ds.n} classes"
                 )
-            ds = datasets.with_attributes(ds, attrs, names)
+            ds = replace(ds, attributes=attrs, attribute_names=names)
         return ds
-    try:
-        return datasets.synth_hierarchical(
-            depth=cfg.synth_depth,
-            branching=cfg.synth_branching,
-            samples_per_class=cfg.synth_samples_per_class,
-            class_sep=cfg.synth_class_sep,
-            noise_sigma=cfg.synth_noise_sigma,
-            p=cfg.synth_dim,
-            seed=cfg.seed,
-        )
-    except BadKeyError as exc:  # name the config key that set the refused parameter
-        raise BadKeyError("synth_dim" if exc.key == "p" else "synth_" + exc.key,
-                          exc.problem) from None
+    return datasets.synth_hierarchical(
+        depth=cfg.synth_depth,
+        branching=cfg.synth_branching,
+        samples_per_class=cfg.synth_samples_per_class,
+        class_sep=cfg.synth_class_sep,
+        noise_sigma=cfg.synth_noise_sigma,
+        p=cfg.synth_dim,
+        seed=cfg.seed,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
@@ -274,24 +268,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[net.MetricsRow]:
             graph = spectral.similarity_from_class_means(
                 train_set.features, train_set.labels, full.n
             )
-        code = _build_code(
-            cfg.code_strategy,
-            full.n,
-            cfg.code_bits,
-            cfg.seed,
-            cfg.code_candidates,
-            cfg.code_binarize,
-            graph,
-            flag="code_strategy",
-            bits_flag="code_bits",
-        )
+        code = _build_code(cfg, full.n, graph)
 
     layer_sizes = [full.features.shape[1], *cfg.hidden_sizes,
                    net.resolve_head(cfg.head, code).size]
-    try:
-        params = net.init(layer_sizes, seed=cfg.seed + 1)
-    except BadKeyError as exc:  # the data and the code fit in memory, so a hidden size is at fault
-        raise BadKeyError("hidden_sizes", exc.problem) from None
+    # the data and the code fit in memory, so a weight matrix past an array
+    # is blamed on hidden_sizes
+    params = net.init(layer_sizes, seed=cfg.seed + 1)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
 
@@ -322,14 +305,13 @@ def _save_config_echo(cfg: ExperimentConfig, path: str) -> None:
 
 
 def cmd_gen_code(args: argparse.Namespace) -> int:
-    check_seed(args.seed, "--seed")
+    cfg = ExperimentConfig(seed=args.seed, code_strategy=args.strategy, code_bits=args.bits,
+                           code_binarize=args.binarize, code_candidates=args.candidates)
     if args.classes is not None and args.classes < 2:
         raise ValueError(f"--classes must be >= 2, got {args.classes}")
-    check_declared(_FIELDS["code_bits"], args.bits, "--bits")
-    check_declared(_FIELDS["code_candidates"], args.candidates, "--candidates")
     n = args.classes
     graph = None
-    if args.strategy == "spectral":
+    if cfg.code_strategy == "spectral":
         if args.similarity is not None:
             graph = spectral.load_similarity_csv(args.similarity)
             if n is not None and n != graph.n:
@@ -344,15 +326,7 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
         n = graph.n
     elif n is None:
         raise ValueError("--classes is required for data-independent strategies")
-    code = _build_code(
-        args.strategy,
-        n,
-        args.bits,
-        args.seed,
-        args.candidates,
-        args.binarize,
-        graph,
-    )
+    code = _build_code(cfg, n, graph)
 
     codes.save_code_csv(code, args.out)
     m = codes.code_metrics(code)
@@ -370,19 +344,15 @@ def cmd_gen_code(args: argparse.Namespace) -> int:
 
 
 def cmd_synth_data(args: argparse.Namespace) -> int:
-    try:
-        ds = datasets.synth_hierarchical(
-            depth=args.depth,
-            branching=args.branching,
-            samples_per_class=args.samples_per_class,
-            class_sep=args.class_sep,
-            noise_sigma=args.noise_sigma,
-            p=args.dim,
-            seed=args.seed,
-        )
-    except BadKeyError as exc:  # name the flag that set the refused parameter
-        flag = "--dim" if exc.key == "p" else "--" + exc.key.replace("_", "-")
-        raise BadKeyError(flag, exc.problem) from None
+    ds = datasets.synth_hierarchical(
+        depth=args.depth,
+        branching=args.branching,
+        samples_per_class=args.samples_per_class,
+        class_sep=args.class_sep,
+        noise_sigma=args.noise_sigma,
+        p=args.dim,
+        seed=args.seed,
+    )
     datasets.save_csv(ds, args.out)
     print(f"wrote {args.out}: {ds.samples} samples, {ds.n} classes, dim {args.dim}")
     if args.attributes_out is not None:
@@ -394,10 +364,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     entries = parse_config_text("\n".join(read_lines(args.config)), source=args.config)
     cfg = resolve_config(entries, source=args.config)
-    try:
-        rows = run_experiment(cfg)
-    except BadKeyError as exc:  # a size refused once the data is known
-        raise ValueError(f"{args.config}: key {exc.key!r} {exc.problem}") from None
+    rows = run_experiment(cfg)
     final = [r for r in rows if r.split == "eval"] or rows
     print(
         f"wrote {cfg.out_dir}: {len(rows)} metric rows; "
@@ -496,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
     for f in _FIELDS.values():
         if f.name.startswith("synth_"):
-            flag = "--" + f.name.removeprefix("synth_").replace("_", "-")
-            s.add_argument(flag, type=_NUMBERS[f.type][0], default=f.default)
+            s.add_argument(_flag(f.name), type=_NUMBERS[f.type][0], default=f.default)
     s.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     s.add_argument("--out", required=True)
     s.add_argument("--attributes-out", default=None)
@@ -523,6 +489,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BadKeyError as exc:  # a refused parameter, named as the command's user set it
+        if args.command == "train":
+            message = _refusal(args.config, exc)
+        else:
+            message = f"{_flag(_KEYS.get(exc.key, exc.key))} {exc.problem}"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

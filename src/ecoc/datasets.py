@@ -70,26 +70,22 @@ def label_blocks(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(labels[order], np.arange(n + 1))
 
 
-def check_synth_size(
-    depth: int, branching: int, samples_per_class: int, p: int,
-    keys: tuple[str, str, str, str] = ("depth", "branching", "samples_per_class", "p"),
-) -> None:
+def check_synth_size(depth: int, branching: int, samples_per_class: int, p: int) -> None:
     """Refuse, with a :class:`BadKeyError`, synthetic data of
     ``branching**depth`` classes (branching >= 2) x ``samples_per_class``
     x ``p`` float64 features whose bytes pass ``np.intp``'s maximum, the
     most one numpy array can hold.  The product is taken in Python ints, so
     it cannot wrap.
 
-    The error names the key whose factor carries the product past the
-    limit, multiplying 8 bytes by one ``branching`` (its key), the other
-    ``depth - 1`` (the depth's), ``samples_per_class`` and ``p``, in that
-    order; ``keys`` gives their names in argument order."""
+    The error is keyed by the parameter whose factor carries the product
+    past the limit, multiplying 8 bytes by one ``branching`` (its own), the
+    other ``depth - 1`` (the depth's), ``samples_per_class`` and ``p``, in
+    that order."""
     depth, branching, samples_per_class, p = map(int, (depth, branching, samples_per_class, p))
     limit = np.iinfo(np.intp).max
     # past depth 64 the class count alone is past the limit
-    depth_key, branching_key, samples_key, p_key = keys
-    factors = ((branching_key, branching), (depth_key, branching ** (min(depth, 64) - 1)),
-               (samples_key, samples_per_class), (p_key, p))
+    factors = (("branching", branching), ("depth", branching ** (min(depth, 64) - 1)),
+               ("samples_per_class", samples_per_class), ("p", p))
     product = 8
     for key, factor in factors:
         product *= factor
@@ -241,13 +237,6 @@ def load_attributes_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     binary = np.isin(values, (0.0, 1.0)).all(axis=1)
     check_rows(path, binary, 2, "attribute entries must be 0 or 1")
     return names, values
-
-
-def with_attributes(
-    dataset: Dataset, attributes: np.ndarray, names: tuple[str, ...] | None = None
-) -> Dataset:
-    """Copy of the dataset with the given per-class attribute table attached."""
-    return replace(dataset, attributes=attributes, attribute_names=names)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -89,9 +89,9 @@ class TrainConfig:
     ``ValueError`` naming the field.
     """
 
-    epochs: int = declared("[1, inf)")
-    batch_size: int = declared("[1, inf)")
-    learning_rate: float = declared("(0, inf)")
+    epochs: int = declared("[1, inf)", 30)
+    batch_size: int = declared("[1, inf)", 16)
+    learning_rate: float = declared("(0, inf)", 0.1)
     lr_decay_epoch: int | None = declared("[0, inf)", None)
     lr_decay_factor: float = declared("(0, 1]", 0.1)
     seed: int = declared("[0, inf)", 0)
@@ -348,8 +348,9 @@ def train(
     batches, then a full evaluation pass on the training set and, when
     given, the eval set.  Each step follows the batch's mean gradient: the
     last batch of an epoch may be short, and its sums are divided by its
-    own row count, not by ``batch_size``.  Emits one MetricsRow per epoch
-    per split.
+    own row count, not by ``batch_size``.  A ``batch_size`` at or past the
+    sample count, however large, gives one whole-set batch.  Emits one
+    MetricsRow per epoch per split.
 
     Inputs are checked once, before the first step; the steps and the
     evaluation passes then run unchecked kernels.  A dataset or eval set
@@ -393,6 +394,8 @@ def train(
     x = dataset.features
     ys = dataset.labels
     samples = x.shape[0]
+    # keeps a batch_size past int64 out of numpy's index arithmetic
+    batch_size = min(cfg.batch_size, max(samples, 1))
     # The parameters (a copy: the caller's arrays stay as given), their
     # velocities and each step's gradients live in one flat buffer apiece,
     # so a step turns the gradient sums into means with one divide and
@@ -404,7 +407,7 @@ def train(
     p = NetParams(_layer_views(flat, p.layers))
     # each batch's update vector, whose active coordinates are counted once
     # an epoch's steps are done
-    updates = np.empty((len(range(0, samples, cfg.batch_size)), out_size))
+    updates = np.empty((len(range(0, samples, batch_size)), out_size))
     rows: list[MetricsRow] = []
 
     for epoch in range(cfg.epochs):
@@ -416,10 +419,10 @@ def train(
         else:
             order = np.arange(samples)
         x_epoch, ys_epoch = x[order], ys[order]
-        picks = head.picks(ys_epoch, cfg.batch_size)
+        picks = head.picks(ys_epoch, batch_size)
 
-        for number, start in enumerate(range(0, samples, cfg.batch_size)):
-            batch = slice(start, start + cfg.batch_size)
+        for number, start in enumerate(range(0, samples, batch_size)):
+            batch = slice(start, start + batch_size)
             z, cache = _forward(p, x_epoch[batch])
             try:
                 probs, grads = head.probs_grad(z, picks[batch])

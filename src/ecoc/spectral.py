@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (all_finite, atomic_write, block_rows, check_code_size, check_labels,
-                    format_rows, frozen, parse_rows, read_lines, unit_rows)
+from ._util import (BadKeyError, all_finite, atomic_write, block_rows, check_code_size,
+                    check_labels, format_rows, frozen, parse_rows, read_lines, unit_rows)
 from .codes import Binarization, CodeKind, CodeMatrix
 from .datasets import label_blocks
 
@@ -164,11 +164,12 @@ def spectral_code(g: SimilarityGraph, k: int) -> CodeMatrix:
     Eigenvector 0 (constant partition, eigenvalue 0) is skipped, so at most
     ``n - 1`` bits are available.  Values are kept raw.  Each eigenvector is
     flipped, if needed, so its first entry with magnitude above 1e-12 is
-    positive; the sign is otherwise arbitrary.
+    positive; the sign is otherwise arbitrary.  A ``k`` above ``n - 1`` is
+    refused with a :class:`BadKeyError` keyed ``k``.
     """
-    check_code_size(g.n, k)
     if k > g.n - 1:
-        raise ValueError(f"spectral code supports at most n-1={g.n - 1} bits, got k={k}")
+        raise BadKeyError("k", f"must be at most n-1={g.n - 1} for a spectral code, got {k}")
+    check_code_size(g.n, k)
     eig = symmetric_eigen(normalized_laplacian(g))
     columns = eig.eigenvectors[:, 1 : k + 1]
     # a unit column has an entry above 1e-12, so argmax finds the first one

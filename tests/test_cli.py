@@ -3,6 +3,7 @@
 import argparse
 import errno
 import hashlib
+import inspect
 import math
 import os
 import signal
@@ -523,6 +524,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {cfg}: key {key!r} {rule}\n"
         assert not os.path.exists(out)
 
+    def test_batch_size_past_int64_is_one_whole_set_batch(self, tmp_path):
+        """A batch_size past int64 runs, and writes the files of a
+        batch_size of the 12 training rows: a batch at or past them is the
+        whole set."""
+        runs = []
+        for size in ("100000000000000000000000", "12"):
+            out = os.path.join(tmp_path, size)
+            cfg = write_config(os.path.join(tmp_path, size + ".cfg"), out, synth_depth="1",
+                               synth_branching="4", synth_samples_per_class="4", synth_dim="4",
+                               epochs="1", batch_size=size)
+            assert main(["train", "--config", cfg]) == 0
+            assert len(load_csv(os.path.join(out, "train.csv")).labels) == 12
+            runs.append([read_bytes(os.path.join(out, name))
+                         for name in ("metrics.csv", "model.bin")])
+        assert runs[0] == runs[1]
+
     def test_hidden_sizes_checked_before_the_data(self, tmp_path, capsys):
         data = os.path.join(tmp_path, "data.csv")
         with open(data, "w") as fh:
@@ -971,6 +988,51 @@ def test_negative_seed_names_key_or_flag(tmp_path, capsys, command):
     assert main(argv) == 2
     assert f"error: {name} must be >= 0, got -1\n" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("strategy, bits, problem", [
+    ("onehot", "3", "must equal n=4 for a one-hot code, got 3"),
+    ("spectral", "4", "must be at most n-1=3 for a spectral code, got 4"),
+], ids=["onehot", "spectral"])
+def test_code_bits_the_strategy_cannot_have_names_key_or_flag(tmp_path, capsys, strategy, bits,
+                                                              problem):
+    """A bit count that a one-hot code (n) or a spectral code (at most n-1)
+    of 4 classes cannot have: one stderr line naming the config key under
+    train and the flag under gen-code, exit 2, nothing written."""
+    out = os.path.join(tmp_path, "out")
+    cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, synth_depth="2",
+                       code_strategy=strategy, code_bits=bits)
+    assert main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: key 'code_bits' {problem}\n"
+    sim = os.path.join(tmp_path, "sim.csv")
+    save_similarity_csv(SimilarityGraph(np.ones((4, 4)) - np.eye(4)), sim)
+    assert main(["gen-code", "--strategy", strategy, "--classes", "4", "--similarity", sim,
+                 "--bits", bits, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --bits {problem}\n"
+    assert not os.path.exists(out)
+
+
+def test_every_library_parameter_has_a_key_and_a_flag():
+    """Each parameter the CLI hands the library under another name has a
+    config key (the class count has only a flag), and each key gen-code or
+    synth-data reads has a flag there: a parameter or key added without a
+    name fails here."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    synth = [name for name in inspect.signature(synth_hierarchical).parameters if name != "seed"]
+    for name in synth + ["k", "layer_sizes"]:
+        assert cli._KEYS[name] in keys, name
+    assert cli._KEYS["n"] == "classes"
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {command: {flag for action in sub.choices[command]._actions
+                         for flag in action.option_strings}
+               for command in ("synth-data", "gen-code")}
+    for key in sorted(keys):
+        if key.startswith("synth_"):
+            assert cli._flag(key) in options["synth-data"], key
+    for key in ("seed", "code_strategy", "code_bits", "code_binarize", "code_candidates",
+                "classes"):
+        assert cli._flag(key) in options["gen-code"], key
+    assert cli._flag("seed") in options["synth-data"]
 
 
 def test_impossible_allocation_exits_2_with_numpy_size(tmp_path, capsys):
@@ -1589,12 +1651,11 @@ def test_config_refusal_names_its_key(key, value):
     assert str(exc.value) == f"exp.cfg: key {key!r} {problem}"
 
 
-@pytest.mark.parametrize("name", ["seed", "--seed"])
-def test_check_seed_names_its_key(name):
+def test_check_seed_names_its_key():
     with pytest.raises(BadKeyError) as exc:
-        check_seed(-1, name)
-    assert (exc.value.key, str(exc.value)) == (name, f"{name} must be >= 0, got -1")
-    check_seed(0, name)
+        check_seed(-1)
+    assert (exc.value.key, str(exc.value)) == ("seed", "seed must be >= 0, got -1")
+    check_seed(0)
 
 
 @pytest.mark.parametrize("entries, line", [

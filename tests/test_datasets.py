@@ -14,7 +14,6 @@ from ecoc.datasets import (
     save_csv,
     split,
     synth_hierarchical,
-    with_attributes,
 )
 from ecoc.spectral import similarity_from_class_means
 from oracles import (
@@ -344,12 +343,6 @@ class TestAttributesCsv:
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="attribute"):
             save_attributes_csv(ds, os.path.join(tmp_path, "attrs.csv"))
-
-    def test_with_attributes_helper(self):
-        ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
-        out = with_attributes(ds, np.array([[1], [0]]), ("root",))
-        assert out.attribute_names == ("root",)
-        assert np.array_equal(out.features, ds.features)
 
 
 class TestSplit:

@@ -425,6 +425,26 @@ class TestTrain:
         assert np.allclose(trained.layers[0][0], p0.layers[0][0] - 0.3 * gw, atol=1e-12)
         assert np.allclose(trained.layers[0][1], p0.layers[0][1] - 0.3 * gb, atol=1e-12)
 
+    @pytest.mark.parametrize("code", [gaussian_code(4, 6, seed=6), one_hot(4)],
+                             ids=["decoder", "softmax"])
+    def test_batch_past_int64_is_one_whole_set_batch(self, code):
+        """A batch_size too large for numpy's index arithmetic trains, bit
+        for bit, as a batch_size of the sample count: a batch at or past it
+        is the whole set."""
+        ds = separable_dataset()
+        runs = [train(init([4, 8, code.k], seed=7), ds, code,
+                      TrainConfig(epochs=2, batch_size=size, learning_rate=0.1, seed=0))
+                for size in (2**64, ds.samples)]
+        (huge, huge_rows), (whole, whole_rows) = runs
+        assert huge_rows == whole_rows
+        for (w, b), (w2, b2) in zip(huge.layers, whole.layers):
+            assert w.tobytes() == w2.tobytes() and b.tobytes() == b2.tobytes()
+
+    def test_default_hyperparameters(self):
+        """TrainConfig's defaults are the train command's."""
+        cfg = TrainConfig()
+        assert (cfg.epochs, cfg.batch_size, cfg.learning_rate) == (30, 16, 0.1)
+
     def test_shuffle_order_keyed_to_seed_and_epoch(self):
         ds = separable_dataset()
         code = gaussian_code(4, 6, seed=1)

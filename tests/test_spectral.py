@@ -375,9 +375,15 @@ class TestSpectralCode:
         assert np.unique(code.values, axis=0).shape[0] == 100
 
     def test_too_many_bits_rejected(self):
+        """k = n is refused by a key error on ``k`` (a ValueError), before
+        the eigensolve."""
         g = random_similarity(5, 1)
-        with pytest.raises(ValueError, match="at most"):
-            spectral_code(g, 5)
+        with mock.patch.object(spectral, "symmetric_eigen", side_effect=AssertionError):
+            with pytest.raises(_util.BadKeyError) as exc:
+                spectral_code(g, g.n)
+        assert isinstance(exc.value, ValueError)
+        assert (exc.value.key, str(exc.value)) == (
+            "k", "k must be at most n-1=4 for a spectral code, got 5")
 
     def test_kind_and_defaults(self):
         code = spectral_code(random_similarity(6, 2), 3)
