@@ -3,7 +3,6 @@ checks, atomic and forked file writes, float formatting, CSV rows."""
 
 from __future__ import annotations
 
-import builtins
 import os
 import shutil
 import tempfile
@@ -148,25 +147,35 @@ def check_seed(seed: int) -> None:
         raise BadKeyError("seed", f"must be >= 0, got {seed}")
 
 
+def check_fits(factors: tuple[tuple[str, int], ...], shape: str, noun: str) -> None:
+    """Refuse float64 values whose bytes pass ``np.intp``'s maximum, the
+    most one numpy array can hold: 8 bytes times each ``(key, count)`` of
+    ``factors`` in turn, taken in Python ints, so the product cannot wrap.
+    The :class:`BadKeyError` is keyed by the factor that carries the product
+    past the limit, and reads ``gives {shape} {noun} values of 8 bytes,
+    more than an array can hold ({limit} bytes)``."""
+    limit = np.iinfo(np.intp).max
+    product = 8
+    for key, count in factors:
+        product *= int(count)
+        if product > limit:
+            raise BadKeyError(key, f"gives {shape} {noun} values of 8 bytes, more than an array "
+                                   f"can hold ({limit} bytes)")
+
+
 def check_code_size(n: int, k: int | None = None, k_key: str = "k") -> None:
     """Reject fewer than 2 classes, then (if ``k`` is given) fewer than 1
-    code bit, and n x k float64 code values whose bytes pass ``np.intp``'s
-    maximum, the most one numpy array can hold: the size rule of every code
-    and similarity graph, checked before anything is allocated.  The last
-    is a :class:`BadKeyError` keyed by the factor that carries ``8 * n *
-    k``, taken in Python ints, past the limit: ``n``, or ``k_key``, which
-    a one-hot code, whose k is its n, sets to ``n``."""
+    code bit, and n x k float64 code values past one array
+    (:func:`check_fits`): the size rule of every code and similarity graph,
+    checked before anything is allocated.  The last is keyed ``n``, or
+    ``k_key``, which a one-hot code, whose k is its n, sets to ``n``."""
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if k is None:
         return
     if k < 1:
         raise ValueError(f"need at least 1 code bit, got k={k}")
-    limit = np.iinfo(np.intp).max
-    if 8 * int(n) * int(k) > limit:
-        raise BadKeyError("n" if 8 * int(n) > limit else k_key,
-                          f"gives {n} x {k} code values of 8 bytes, more than an array can "
-                          f"hold ({limit} bytes)")
+    check_fits((("n", n), (k_key, k)), f"{n} x {k}", "code")
 
 
 def check_labels(labels: np.ndarray, n: int, noun: str = "labels") -> None:
@@ -411,10 +420,10 @@ def atomic_write(path: str, binary: bool = False):
         raise
 
 
-def _fork_writer(jobs: list[tuple[Callable, object, str]]) -> tuple[int, int] | None:
-    """Fork a child that runs each ``save(obj, path)`` of ``jobs``; its pid
-    and the read end of a pipe that carries the builtin class name and text
-    of any exception it meets, or None where ``os.fork`` is missing or fails.
+def _fork_writer(jobs: list[tuple[Callable, object, str]]) -> int | None:
+    """Fork a child that runs each ``save(obj, path)`` of ``jobs`` and exits
+    with status 0 when every save returns, 1 when one raises; its pid, or
+    None where ``os.fork`` is missing or fails.
 
     The child leaves only through ``os._exit``, so it runs no exit handlers
     and flushes none of the parent's buffers.
@@ -422,7 +431,6 @@ def _fork_writer(jobs: list[tuple[Callable, object, str]]) -> tuple[int, int] | 
     fork = getattr(os, "fork", None)
     if fork is None:
         return None
-    read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when BLAS worker threads are running; they
@@ -431,44 +439,16 @@ def _fork_writer(jobs: list[tuple[Callable, object, str]]) -> tuple[int, int] | 
                                     DeprecationWarning)
             pid = fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
         return None
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
             for save, obj, path in jobs:
                 save(obj, path)
             status = 0
-        except BaseException as exc:
-            # the nearest builtin class, which callers dispatch on
-            # (MemoryError for numpy's _ArrayMemoryError)
-            base = next(c for c in type(exc).__mro__ if c.__module__ == "builtins")
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(f"{base.__name__}\n{exc}".encode(errors="surrogatepass"))
         finally:
             os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _join_writer(child: tuple[int, int]) -> BaseException | None:
-    """Wait for a :func:`_fork_writer` child to exit; the exception it
-    reported, rebuilt with the same text as its builtin class (or the
-    nearest base that takes one argument), if any."""
-    pid, read_end = child
-    with os.fdopen(read_end, "rb") as pipe:
-        report = pipe.read().decode(errors="surrogatepass")
-    _, status = os.waitpid(pid, 0)
-    if report:
-        name, _, text = report.partition("\n")
-        for cls in getattr(builtins, name).__mro__:  # UnicodeError subclasses take five
-            with suppress(TypeError):
-                return cls(text)
-    if status:
-        return OSError(f"artifact writer exited with status {os.waitstatus_to_exitcode(status)}")
-    return None
+    return pid
 
 
 @contextmanager
@@ -480,13 +460,15 @@ def forked_writes(directory: str, writes: list[tuple[Callable, object, str]]) ->
     child that runs each ``(save, obj, name)`` of ``writes`` as
     ``save(obj, stage/name)``; ``save`` must call no BLAS.  The block gets
     the stage's path and writes its own files there.  When the block ends,
-    the child is joined; an exception it met is raised here as its builtin
-    class with its text, so callers see what an in-process ``save`` would
-    raise.  Then every staged file is renamed into ``directory``, in name
-    order.  On any failure the child is reaped and the stage removed, so no
-    file in ``directory`` is created or replaced, unless a rename itself
-    fails part-way.  Where ``os.fork`` is missing or fails, the same writes
-    run in-process when the block ends.
+    the child is joined.  Where it exited with status 1 (a save raised), or
+    where ``os.fork`` is missing or fails, the same saves run again
+    in-process, so a fault is raised by the write itself, with its own
+    class and text; a save that fails only in the child leaves no trace.
+    Any other status, such as a signal's, raises OSError.  Then every
+    staged file is renamed into ``directory``, in name order.  On any
+    failure the child is reaped and the stage removed, so no file in
+    ``directory`` is created or replaced, unless a rename itself fails
+    part-way.
     """
     stage = tempfile.mkdtemp(dir=directory, prefix=".tmp-", suffix="~")
     child = None
@@ -494,17 +476,16 @@ def forked_writes(directory: str, writes: list[tuple[Callable, object, str]]) ->
         jobs = [(save, obj, os.path.join(stage, name)) for save, obj, name in writes]
         child = _fork_writer(jobs)
         yield stage
-        if child is None:
+        joined, child = child, None
+        status = 1 if joined is None else os.waitstatus_to_exitcode(os.waitpid(joined, 0)[1])
+        if status not in (0, 1):
+            raise OSError(f"artifact writer exited with status {status}")
+        if status:
             for save, obj, path in jobs:
                 save(obj, path)
-        else:
-            joined, child = child, None
-            error = _join_writer(joined)
-            if error is not None:
-                raise error
         for name in sorted(os.listdir(stage)):
             os.replace(os.path.join(stage, name), os.path.join(directory, name))
     finally:
-        if child is not None:  # the block raised: reap the child, drop its report
-            _join_writer(child)
+        if child is not None:  # the block raised: reap the child
+            os.waitpid(child, 0)
         shutil.rmtree(stage, ignore_errors=True)

@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from ._util import (BadKeyError, all_finite, atomic_write, check_labels, check_rows, check_seed,
-                    format_rows, parse_rows, read_lines)
+from ._util import (BadKeyError, all_finite, atomic_write, check_fits, check_labels, check_rows,
+                    check_seed, format_rows, parse_rows, read_lines)
 
 
 @dataclass(frozen=True)
@@ -73,26 +73,17 @@ def label_blocks(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def check_synth_size(depth: int, branching: int, samples_per_class: int, p: int) -> None:
     """Refuse, with a :class:`BadKeyError`, synthetic data of
     ``branching**depth`` classes (branching >= 2) x ``samples_per_class``
-    x ``p`` float64 features whose bytes pass ``np.intp``'s maximum, the
-    most one numpy array can hold.  The product is taken in Python ints, so
-    it cannot wrap.
+    x ``p`` float64 features past one array (:func:`check_fits`).
 
     The error is keyed by the parameter whose factor carries the product
     past the limit, multiplying 8 bytes by one ``branching`` (its own), the
     other ``depth - 1`` (the depth's), ``samples_per_class`` and ``p``, in
     that order."""
-    depth, branching, samples_per_class, p = map(int, (depth, branching, samples_per_class, p))
-    limit = np.iinfo(np.intp).max
+    depth, branching = int(depth), int(branching)
     # past depth 64 the class count alone is past the limit
     factors = (("branching", branching), ("depth", branching ** (min(depth, 64) - 1)),
                ("samples_per_class", samples_per_class), ("p", p))
-    product = 8
-    for key, factor in factors:
-        product *= factor
-        if product > limit:
-            raise BadKeyError(key, f"gives {branching}**{depth} classes x {samples_per_class} x "
-                                   f"p={p} feature values of 8 bytes, more than an array can "
-                                   f"hold ({limit} bytes)")
+    check_fits(factors, f"{branching}**{depth} classes x {samples_per_class} x p={p}", "feature")
 
 
 def synth_hierarchical(

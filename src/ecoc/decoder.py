@@ -19,13 +19,13 @@ one softmax, :func:`_true_class_probs`, which finds each row's true class
 by its flat index in the block (:func:`_picks`).
 
 :func:`batch_loss_grad` is the one checked entry: it checks shapes and
-labels and fetches the decoding matrix, then calls the kernel
+labels and computes the decoding matrix, then calls the kernel
 :func:`_batch_loss_grad`, which takes ``(z, picks, m, bias)``, checks
 nothing and returns probabilities, whose ``-log`` is the loss.
-``net.train`` checks its inputs once per run, and its head fetches the
-matrix once, makes each epoch's picks once, and calls that kernel at every
-step and :func:`_loss_and_predictions` at every evaluation, so each
-numeric op has one implementation either way.
+``net.train`` checks its inputs once per run, and its head computes the
+matrix and its bias once, makes each epoch's picks once, and calls that
+kernel at every step and :func:`_loss_and_predictions` at every
+evaluation, so each numeric op has one implementation either way.
 
 The backward pass is analytic.  With ``g = probs - e_y`` (``e_y`` the true
 class indicator) and ``M`` the effective decoding matrix, the distance and
@@ -56,35 +56,13 @@ def decoding_matrix(code: CodeMatrix) -> np.ndarray:
     spectral codes (``code.normalize_rows``, fixed by the code's kind and
     binarization), so each class can reach the same best score; other codes
     are decoded as stored.  A zero codeword, or one whose norm overflows,
-    raises ValueError naming the rows.  The result is read-only and
-    memoized on ``code`` (frozen, with read-only values), so later calls
-    return the same array; its score bias ``-0.5 * ||m_c||^2`` is memoized
-    beside it (:func:`_bias`).
+    raises ValueError naming the rows.  The result is read-only: the code's
+    own values, or a fresh array of its unit rows.
     """
-    m = code.__dict__.get("_decoding_matrix")
-    if m is not None:
-        return m
-    m = code.values
-    if code.normalize_rows:
-        with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
-            m = _util.frozen(unit_rows(m, "codewords")[0])
-    object.__setattr__(code, "_decoding_bias", _util.frozen(_codeword_bias(m)))
-    object.__setattr__(code, "_decoding_matrix", m)
-    return m
-
-
-def _bias(code: CodeMatrix) -> np.ndarray:
-    """Score bias of ``decoding_matrix(code)``, memoized beside it; call
-    :func:`decoding_matrix` first.
-
-    Every call of :func:`batch_loss_grad` reads it here rather than
-    recomputing it: at n = 16, k = 8 and 16 rows that would add about
-    2.5 us to a 27 us call (2-vCPU VM, numpy 2.4, one OpenBLAS thread).
-    ``net.train``'s decoder head reads it once per run and hands it to the
-    kernels.  :func:`nearest_codewords` is called once per split or
-    ablation prefix, on matrices that may be prefixes, so it computes its
-    own."""
-    return code.__dict__["_decoding_bias"]
+    if not code.normalize_rows:
+        return code.values
+    with np.errstate(over="ignore"):  # unit_rows refuses an overflow by name
+        return _util.frozen(unit_rows(code.values, "codewords")[0])
 
 
 def _codeword_bias(m: np.ndarray) -> np.ndarray:
@@ -228,7 +206,8 @@ def batch_loss_grad(
     be 2-d with ``code.k`` columns and ``ys`` hold one valid class id per
     row, else ValueError; then the batch is worked by
     :func:`_batch_loss_grad`, and the loss is ``-log`` of the true-class
-    probability it returns.
+    probability it returns.  Each call computes ``decoding_matrix(code)``
+    and its score bias; ``net.train``'s head computes them once per run.
     """
     z = np.asarray(z, dtype=np.float64)
     ys = np.asarray(ys)
@@ -239,7 +218,8 @@ def batch_loss_grad(
     if ys.shape != (z.shape[0],):
         raise ValueError("labels must match batch size")
     _util.check_labels(ys, n)
-    probs, grads = _batch_loss_grad(z, _block_picks(np.arange(len(ys)), ys, n), m, _bias(code))
+    probs, grads = _batch_loss_grad(z, _block_picks(np.arange(len(ys)), ys, n), m,
+                                    _codeword_bias(m))
     return -np.log(probs), grads
 
 

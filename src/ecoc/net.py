@@ -15,11 +15,11 @@ from typing import NoReturn
 
 import numpy as np
 
-from ._util import (BadKeyError, BadRowsError, all_finite, atomic_write, check_declared,
+from ._util import (BadRowsError, all_finite, atomic_write, check_declared, check_fits,
                     check_labels, check_seed, declared, fmt_float)
 from .codes import CodeKind, CodeMatrix
 from .datasets import Dataset
-from .decoder import (_batch_loss_grad, _bias, _block_picks, _loss_and_predictions,
+from .decoder import (_batch_loss_grad, _block_picks, _codeword_bias, _loss_and_predictions,
                       _losses_and_argmax, _picks, _true_class_probs, decoding_matrix)
 # unused here, but kept as ``net.batch_loss_grad``, the name perfbench's
 # tracer self-test reaches the decoder entry through
@@ -128,18 +128,15 @@ class MetricsRow:
 
 def init(layer_sizes: list[int], seed: int = 0) -> NetParams:
     """Gaussian init: weights ~ N(0, 1/fan_in), biases zero.  A weight
-    matrix whose float64 bytes pass ``np.intp``'s maximum, the most one
-    array can hold, is refused before anything is allocated, with a
-    :class:`BadKeyError` keyed ``layer_sizes``."""
+    matrix past one array (:func:`_util.check_fits`) is refused before
+    anything is allocated, keyed ``layer_sizes``."""
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
     if any(s < 1 for s in layer_sizes):
         raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
-    limit = np.iinfo(np.intp).max
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        if 8 * int(fan_in) * int(fan_out) > limit:
-            raise BadKeyError("layer_sizes", f"gives {fan_out} x {fan_in} weight values of 8 "
-                                             f"bytes, more than an array can hold ({limit} bytes)")
+        check_fits((("layer_sizes", fan_out), ("layer_sizes", fan_in)), f"{fan_out} x {fan_in}",
+                   "weight")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
@@ -260,7 +257,7 @@ class _SoftmaxHead:
 
 
 class _DecoderHead:
-    """The distance decoder, one output per code bit.  It fetches
+    """The distance decoder, one output per code bit.  It computes
     ``decoding_matrix(code)`` and its score bias once, when it is made, and
     hands them to the decoder's unchecked kernels, which raise
     :class:`_util.BadRowsError` for a zero or non-finite output row.  A
@@ -272,7 +269,8 @@ class _DecoderHead:
 
     def __init__(self, code: CodeMatrix):
         self.size = code.k
-        self.m, self.bias = decoding_matrix(code), _bias(code)
+        self.m = decoding_matrix(code)
+        self.bias = _codeword_bias(self.m)
 
     def picks(self, ys: np.ndarray, batch_size: int) -> np.ndarray:
         return _block_picks(np.arange(len(ys)) % batch_size, ys, len(self.m))
@@ -358,7 +356,7 @@ def train(
     width differs from the dataset's, or a net whose input or output size
     does not fit the data or the head, is refused with ValueError naming
     both sizes; so is a label outside the code's classes, and a zero
-    codeword when the decoder head fetches ``decoding_matrix(code)``.
+    codeword when the decoder head computes ``decoding_matrix(code)``.
     Raises :class:`TrainingDivergedError` as soon as any loss goes
     non-finite, and :class:`ZeroOutputError` when the decoder head meets an
     all-zero output.  A step takes no ``log``: the head hands it each

@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ecoc import cli, datasets, net
+from ecoc import cli, codes, datasets, net
 from ecoc._util import BadKeyError, check_seed
 from ecoc.cli import ExperimentConfig, format_value, main, parse_config_text, resolve_config
 from ecoc.codes import CodeKind, CodeMatrix, gaussian_code, load_code_csv, save_code_csv
@@ -854,6 +854,28 @@ class TestTrainWriter:
             errors.append(capsys.readouterr().err)
             assert os.listdir(out_dir) == []
         assert errors == [f"error: {exc}\n"] * len(WRITERS)
+
+    def test_save_failing_only_in_the_child_is_written_in_process(self, tmp_path, monkeypatch):
+        """A save that raises in the forked writer alone runs again
+        in-process: the run succeeds with the inputs an in-process write
+        gives, and the parent saves once."""
+        parent, real_save, saved = os.getpid(), codes.save_code_csv, []
+
+        def child_only_fault(code, path):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            saved.append(path)
+            real_save(code, path)
+
+        monkeypatch.setattr(codes, "save_code_csv", child_only_fault)
+        forks = set_writer(monkeypatch, "fork")
+        out_dir = os.path.join(tmp_path, "run")
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out_dir)
+        assert main(["train", "--config", cfg]) == 0
+        assert len(forks) == 1 and len(saved) == 1
+        got = snapshot(out_dir)
+        for name, blob in in_process_inputs(cfg, os.path.join(tmp_path, "expected")).items():
+            assert got[name] == blob, name
 
     def test_killed_writer_exits_2(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()

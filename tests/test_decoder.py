@@ -34,7 +34,7 @@ from ecoc.codes import (
 )
 from ecoc.datasets import Dataset
 from ecoc.decoder import (
-    _bias,
+    _codeword_bias,
     _loss_and_predictions,
     _score_blocks,
     batch_loss_grad,
@@ -86,11 +86,11 @@ def block_scores(u, m, bias) -> np.ndarray:
 
 def scores(z, code) -> np.ndarray:
     """The decoder's score rows for a batch of outputs, as negative half
-    squared distances: the kernel's scores against the memoized bias, with
+    squared distances: the kernel's scores against the codeword bias, with
     the row term put back (:func:`with_row_term`)."""
     u, _ = unit_rows(np.asarray(z, dtype=float))
     m = decoding_matrix(code)
-    return with_row_term(block_scores(u, m, _bias(code)), u)
+    return with_row_term(block_scores(u, m, _codeword_bias(m)), u)
 
 
 def softmax(d) -> np.ndarray:
@@ -448,7 +448,7 @@ def assert_rows_match_oracles(z, code, ys, tol=1e-12):
     m = decoding_matrix(code)
     preds = predict_batch(z, m)
     eval_losses, eval_preds = _loss_and_predictions(np.asarray(z, dtype=float), np.asarray(ys),
-                                                    m, _bias(code))
+                                                    m, _codeword_bias(m))
     assert eval_losses.tobytes() == losses.tobytes() and np.array_equal(eval_preds, preds)
     mm_max = (m * m).sum(axis=1).max()
     rows, n = probs.shape
@@ -597,7 +597,7 @@ def block_loop_loss_grad(z, code, ys) -> tuple[np.ndarray, np.ndarray]:
     u, norms = unit_rows(np.asarray(z, dtype=float))
     m = decoding_matrix(code)
     losses, grads = np.empty(len(u)), np.empty(u.shape)
-    for rows, d in _score_blocks(u, m, _bias(code)):
+    for rows, d in _score_blocks(u, m, _codeword_bias(m)):
         losses[rows] = softmax_ce_in_place(d, ys[rows], grad=True)
         a = d @ m
         ub = u[rows]
@@ -661,9 +661,10 @@ class TestLossAndPredictions:
         if kind == "onehot":
             z[-1] = 0.0
             z[-1, [2, 5]] = 3.0
-        losses, preds = _loss_and_predictions(z, ys, decoding_matrix(code), _bias(code))
+        m = decoding_matrix(code)
+        losses, preds = _loss_and_predictions(z, ys, m, _codeword_bias(m))
         ref_losses, _ = batch_loss_grad(z, code, ys)
-        ref_preds = predict_batch(z, decoding_matrix(code))
+        ref_preds = predict_batch(z, m)
         assert losses.tobytes() == ref_losses.tobytes()
         assert repr(float(losses.sum())) == repr(float(ref_losses.sum()))
         assert preds.dtype == ref_preds.dtype and np.array_equal(preds, ref_preds)
@@ -696,9 +697,10 @@ class TestLossAndPredictions:
         n = 1024 are three blocks."""
         code = decoder_code("gaussian", 1024)
         z = np.random.default_rng(0).standard_normal((129, code.k))
+        m = decoding_matrix(code)
         with mock.patch("ecoc.decoder._score_blocks", wraps=_score_blocks) as blocks, \
                 mock.patch("ecoc.decoder._loss_grad_in_place") as grads:
-            _loss_and_predictions(z, np.arange(129), decoding_matrix(code), _bias(code))
+            _loss_and_predictions(z, np.arange(129), m, _codeword_bias(m))
         assert blocks.call_count == 1 and not grads.called
 
     @pytest.mark.parametrize("row, check", [(70, "zero"), (3, "non-finite")])
@@ -706,8 +708,9 @@ class TestLossAndPredictions:
         code = decoder_code("gaussian", 1024)
         z = np.ones((129, code.k))
         z[row] = 0.0 if check == "zero" else np.inf
+        m = decoding_matrix(code)
         with pytest.raises(_util.BadRowsError) as err:
-            _loss_and_predictions(z, np.arange(129), decoding_matrix(code), _bias(code))
+            _loss_and_predictions(z, np.arange(129), m, _codeword_bias(m))
         assert (err.value.row, err.value.check, err.value.noun) == (row, check, None)
 
 
@@ -742,14 +745,11 @@ class TestDecodingMatrix:
         code = gaussian_code(5, 3, seed=24)
         m = decoding_matrix(code)
         assert not m.flags.writeable
-        assert decoding_matrix(code) is m
         assert np.allclose(np.linalg.norm(m, axis=1), 1.0)
-        bias = _bias(code)
-        assert not bias.flags.writeable
-        assert np.array_equal(bias, -0.5 * np.einsum("ij,ij->i", m, m))
+        assert np.array_equal(_codeword_bias(m), -0.5 * np.einsum("ij,ij->i", m, m))
         stored = plain_code([[1.0, 2.0], [3.0, 4.0]])
         assert decoding_matrix(stored) is stored.values
-        assert np.array_equal(_bias(stored), [-2.5, -12.5])
+        assert np.array_equal(_codeword_bias(decoding_matrix(stored)), [-2.5, -12.5])
 
     def test_zero_norm_row_raises_on_every_call(self):
         code = CodeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), kind=CodeKind.GAUSSIAN)

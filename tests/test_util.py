@@ -524,3 +524,20 @@ def test_atomic_write_failure_leaves_the_target_and_no_temp_file(tmp_path, old):
     if old is not None:
         with open(path, "rb") as fh:
             assert fh.read() == old
+
+
+def test_forked_writes_raises_a_save_fault_as_its_own_class(tmp_path, monkeypatch):
+    """A save that raises in the forked writer runs again in the caller's
+    process, so a ValueError subclass whose ``__init__`` takes two
+    arguments arrives as itself, and no file is put in place."""
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+
+    def bad_save(obj, path):
+        raise _util.BadKeyError("rows", "are bad")
+
+    with pytest.raises(_util.BadKeyError) as err:
+        with _util.forked_writes(str(tmp_path), [(bad_save, None, "out.csv")]):
+            pass
+    assert (err.value.key, err.value.problem, str(err.value)) == ("rows", "are bad", "rows are bad")
+    assert forks == [1] and os.listdir(tmp_path) == []
