@@ -116,7 +116,9 @@ def check_declared(f: Field, value) -> None:
     The words come from the field's declared type, not the value's: an
     interval unbounded above reads ``must be >= 1`` for an int,
     ``must be finite and > 0`` for a float and ``must be >= 1 each`` for a
-    tuple; a bounded one reads ``must be in (0, 1]``.
+    tuple; a bounded one reads ``must be in (0, 1]``.  An int's high end is
+    a cap on a count, so a bounded int interval reads ``must be in [1,
+    100000]`` only to a value above it, and ``must be >= 1`` below it.
     """
     allowed = f.metadata.get("allowed")
     if value is None or allowed is None:
@@ -129,12 +131,12 @@ def check_declared(f: Field, value) -> None:
     closed_low, closed_high = allowed[0] == "[", allowed[-1] == "]"
     kind = f.type.removesuffix(" | None")
     each = kind == "tuple[int, ...]"
-    if all((float(low) <= v if closed_low else float(low) < v)
-           and (v <= float(high) if closed_high else v < float(high))
-           for v in (value if each else (value,))):
+    values = value if each else (value,)
+    above_low = all(float(low) <= v if closed_low else float(low) < v for v in values)
+    if above_low and all(v <= float(high) if closed_high else v < float(high) for v in values):
         return
     shown = ",".join(map(str, value)) if each else value
-    if high != "inf":
+    if high != "inf" and (above_low or kind == "float"):
         raise BadKeyError(f.name, f"must be in {allowed}, got {shown}")
     finite = "finite and " if kind == "float" else ""
     raise BadKeyError(f.name, f"must be {finite}{'>=' if closed_low else '>'} {low}"
@@ -210,30 +212,33 @@ def _distinct(block: np.ndarray) -> tuple[list, np.ndarray]:
     return (keys.view(np.float64) if is_float else keys).tolist(), inverse.reshape(block.shape)
 
 
-def _common(block: np.ndarray) -> tuple[object, np.ndarray] | None:
-    """The entry that fills at least ``COMMON_SHARE`` of a non-empty block,
-    as a Python number, and the mask of its places; None if neither the
-    block's first entry nor the first entry that differs from it does.
+def _common(block: np.ndarray) -> tuple[list, np.ndarray] | None:
+    """What two probes of a non-empty block find: ``([v], same)`` when the
+    entry ``v`` fills at least ``COMMON_SHARE`` of the block, ``([v, w],
+    same)`` when the block holds exactly two values, ``v`` at ``same`` and
+    ``w`` everywhere else, and None otherwise.  Values are Python numbers.
 
-    Entries are compared by bit pattern, so ``-0.0`` is not ``0.0``.  A
-    first entry that misses the share but fills more than ``1 -
-    COMMON_SHARE`` of the block leaves no value enough places; otherwise
-    the first entry that differs from it is tried too, which finds the
-    common value of a one-hot block, whose first row starts with a 1.  A
+    Entries are compared by bit pattern, so ``-0.0`` is not ``0.0``.  The
+    first probe takes the block's first entry; where it misses the share,
+    the second takes the first entry that differs from it, which finds the
+    common value of a one-hot block, whose first row starts with a 1, and
+    the other value of a two-valued one, such as a +-1 code's rows.  A
     block whose first two distinct entries are both rare is not spliced.
     """
     keys = block.view(np.uint64) if block.dtype.kind == "f" else block
     need = COMMON_SHARE * block.size
-    first = 0
-    same = keys == keys.flat[first]
+    same = keys == keys.flat[0]
     count = np.count_nonzero(same)
-    if count < need and count <= block.size - need:
-        first = int(np.argmin(same))
-        same = keys == keys.flat[first]
-        count = np.count_nonzero(same)
-    if count < need:
-        return None
-    return block.flat[first].item(), same
+    if count >= need:
+        return [block.flat[0].item()], same
+    second = int(np.argmin(same))
+    other = keys == keys.flat[second]
+    rest = np.count_nonzero(other)
+    if rest >= need:
+        return [block.flat[second].item()], other
+    if count + rest == block.size:
+        return [block.flat[0].item(), block.flat[second].item()], same
+    return None
 
 
 def _spliced_rows(block: np.ndarray, common: object, same: np.ndarray) -> list[str]:
@@ -265,14 +270,16 @@ def format_rows(
 
     Float entries print as :func:`fmt_float` (``repr``), integer entries as
     ``str``.  ``row_labels``, if given, are integers written first on each
-    line.  Each block of about ``ROW_BLOCK_ELEMS`` entries takes one of two
-    rules.  A block in which one value fills at least ``COMMON_SHARE`` of
-    the entries (:func:`_common`: one-hot codes, 0/1 attributes, confusion
-    counts at large n) is spliced from one template row
-    (:func:`_spliced_rows`); any other block formats each distinct value
-    once, found by one ``np.unique`` (:func:`_distinct`), and indexes the
-    strings.  Write the blocks as they come
-    (``fh.writelines(format_rows(...))``) to keep memory bounded.
+    line.  Each block of about ``ROW_BLOCK_ELEMS`` entries takes one of three
+    rules, by what :func:`_common`'s probes find.  A block in which one
+    value fills at least ``COMMON_SHARE`` of the entries (one-hot codes,
+    sparse 0/1 attributes, confusion counts at large n) is spliced from one
+    template row (:func:`_spliced_rows`).  Any other block formats each
+    distinct value once and indexes the strings: a block of exactly two
+    values (a +-1 code's rows, denser 0/1 attributes) takes them and their
+    places from the probes' mask, and the rest from one ``np.unique``
+    (:func:`_distinct`), which sorts the block.  Write the blocks as they
+    come (``fh.writelines(format_rows(...))``) to keep memory bounded.
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -286,11 +293,14 @@ def format_rows(
     step = max(1, ROW_BLOCK_ELEMS // max(1, values.shape[1]))
     for start in range(0, values.shape[0], step):
         block = values[start : start + step]
-        common = _common(block) if block.size else None
-        if common is not None:
-            rows = _spliced_rows(block, *common)
+        found = _common(block) if block.size else None
+        if found is not None and len(found[0]) == 1:
+            rows = _spliced_rows(block, found[0][0], found[1])
         else:
-            distinct, inverse = _distinct(block)
+            if found is None:
+                distinct, inverse = _distinct(block)
+            else:  # two values: index 1 where the first one is
+                distinct, inverse = found[0][::-1], found[1].view(np.uint8)
             # repr of a Python int is its str
             text = np.array(list(map(repr, distinct)), dtype=object)
             rows = [",".join(r) for r in text[inverse].tolist()]

@@ -90,7 +90,7 @@ class ExperimentConfig(TrainConfig):
     code_strategy: str = declared(tuple(k.value for k in CodeKind), "gaussian")
     code_bits: int | None = declared("[1, inf)", None)
     code_binarize: str = declared(tuple(b.value for b in Binarization), "raw")
-    code_candidates: int = declared("[1, inf)", 10000)
+    code_candidates: int = declared("[1, 1000000]", 10000)
     # net
     hidden_sizes: tuple[int, ...] = declared("[1, inf)", (32,))
     out_dir: str = ""

@@ -214,7 +214,7 @@ def _pm1_candidates(
 _FLOAT32_EXACT = 2**24
 
 
-def _min_row_hamming(values: np.ndarray, signs: bool = False) -> np.ndarray:
+def _min_row_hamming(values: np.ndarray, signs: bool = False, cosine: bool = False):
     """Minimum pairwise Hamming distance between sign patterns of rows, for
     each matrix of a ``(b, m, k)`` stack, as an int64 array of ``b``.
 
@@ -228,6 +228,13 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> np.ndarray:
     largest off-diagonal agreement.  With ``signs`` set, ``values`` already
     holds only -1, 0 and +1 and is its own sign matrix.
 
+    With ``cosine`` set, every entry of ``values`` must be -1 or +1 and m at
+    least 2, and the result is a pair: the distances, and each matrix's largest |cosine|
+    between distinct rows, as a float64 array.  Every row's squared norm is
+    then k, so that cosine is the largest off-diagonal ``|s_i.s_j|`` of the
+    same Gram over ``sqrt(k k)``: the bits :func:`_max_abs_pair_cosine`
+    gives, from one more reduction per block, its smallest entry.
+
     The Grams are taken in row blocks of ``block_rows(b m)`` rows, each
     against the rows at or after it, so every pair is scored once and
     memory grows with block * b * m; the integer terms make the result the
@@ -235,7 +242,7 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> np.ndarray:
     """
     b, m, k = values.shape
     dtype = np.float32 if 8 * k < _FLOAT32_EXACT else np.float64
-    if signs:
+    if signs or cosine:
         s = values.astype(dtype, copy=False)
     else:
         s = np.sign(values, out=np.empty(values.shape, dtype))
@@ -245,18 +252,30 @@ def _min_row_hamming(values: np.ndarray, signs: bool = False) -> np.ndarray:
         p = nonzero.sum(axis=2, dtype=dtype)
         both = nonzero.astype(dtype)
     step = block_rows(b * m)
-    tops = np.empty((-(-m // step), b), dtype)  # each block's largest entry per matrix
+    blocks = -(-m // step)
+    tops = np.empty((blocks, b), dtype)  # each block's largest entry per matrix
+    lows = np.empty((blocks, b), dtype) if cosine else None  # and smallest
     for j, lo in enumerate(range(0, m, step)):
         rows = slice(lo, lo + step)
         gram = s[:, rows] @ s[:, lo:].transpose(0, 2, 1)  # becomes 2 * agreement - k
         if both is not None:
             gram += (3 * (both[:, rows] @ both[:, lo:].transpose(0, 2, 1))
                      - 2 * p[:, rows, None] - 2 * p[:, None, lo:] + k)
+        if cosine:
+            # taken before the diagonal is overwritten: it holds k, no
+            # less than any entry, so it is a block's smallest entry only
+            # in a block of one row, and then -k loses to every real pair
+            gram.min(axis=(1, 2), out=lows[j])
         # agreement -1 on each block's own diagonal (np.fill_diagonal per
         # matrix): a single row scores k + 1, as no pair
         gram.reshape(b, -1)[:, :: gram.shape[2] + 1] = -2.0 - k
         gram.max(axis=(1, 2), out=tops[j])
-    return (k - tops.max(axis=0).astype(np.int64)) // 2
+    top = tops.max(axis=0)
+    distances = (k - top.astype(np.int64)) // 2
+    if not cosine:
+        return distances
+    largest = np.maximum(top, -lows.min(axis=0)).astype(np.float64)
+    return distances, largest / math.sqrt(k * k)
 
 
 def _max_abs_pair_cosine(vectors: np.ndarray) -> float:
@@ -406,12 +425,26 @@ def code_metrics(code: CodeMatrix) -> CodeMetrics:
     so it is exact for binary codes and a sign-pattern summary otherwise.
     Correlations are uncentered (cosine); a constant row such as ``(+1, +1)``
     still correlates perfectly with its negation.
+
+    A code whose every entry is -1 or +1 (binarized and dense codes) takes
+    both row metrics from one float32 sign Gram (:func:`_min_row_hamming`
+    with ``cosine``), and its column Gram in float32 too, whose integer
+    entries of magnitude at most n are exact there; every field has the bits
+    of the generic path, one Gram per metric in float64.
     """
+    values = cols = code.values
+    if (np.abs(values) == 1.0).all():
+        hamming, row_corr = _min_row_hamming(values[None], cosine=True)
+        row_corr = float(row_corr[0])
+        cols = values.astype(np.float32 if code.n < _FLOAT32_EXACT else np.float64,
+                             copy=False)
+    else:
+        hamming, row_corr = _min_row_hamming(values[None]), _max_abs_pair_cosine(values)
     return CodeMetrics(
-        min_row_hamming=int(_min_row_hamming(code.values[None])[0]),
-        max_abs_row_corr=_max_abs_pair_cosine(code.values),
-        max_abs_col_corr=_max_abs_pair_cosine(code.values.T),
-        column_balance=code.values.mean(axis=0),
+        min_row_hamming=int(hamming[0]),
+        max_abs_row_corr=row_corr,
+        max_abs_col_corr=_max_abs_pair_cosine(cols.T),
+        column_balance=values.mean(axis=0),
     )
 
 

@@ -89,7 +89,7 @@ class TrainConfig:
     ``ValueError`` naming the field.
     """
 
-    epochs: int = declared("[1, inf)", 30)
+    epochs: int = declared("[1, 100000]", 30)
     batch_size: int = declared("[1, inf)", 16)
     learning_rate: float = declared("(0, inf)", 0.1)
     lr_decay_epoch: int | None = declared("[0, inf)", None)

@@ -1759,11 +1759,16 @@ def declared_edges() -> list[tuple[str, object, bool]]:
                          ids=[f"{k}={format_value(v)}" for k, v, _ in declared_edges()])
 def test_declared_edges(key, value, passes):
     """A value just inside a declared end is taken; one just outside is
-    refused in the wording the REFUSALS table pins for that key."""
+    refused in the wording the REFUSALS table pins for that key, or, past a
+    finite high end, in the bounded wording (``must be in [1, 100000]``)."""
     if passes:
         ExperimentConfig(**{key: value})
         return
-    rule = next(problem for (k, _), problem in REFUSALS.items() if k == key)
+    allowed = cli._FIELDS[key].metadata["allowed"]
+    if not isinstance(value, tuple) and value > float(allowed[1:-1].split(", ")[1]):
+        rule = f"must be in {allowed}"
+    else:
+        rule = next(problem for (k, _), problem in REFUSALS.items() if k == key)
     with pytest.raises(BadKeyError) as exc:
         ExperimentConfig(**{key: value})
     assert (exc.value.key, exc.value.problem) == (
@@ -1779,6 +1784,30 @@ def test_wording_follows_the_declared_type():
         with pytest.raises(BadKeyError) as exc:
             net.TrainConfig(**dict(required, **{key: value}))
         assert (exc.value.key, exc.value.problem) == (key, problem)
+
+
+@pytest.mark.parametrize("command, key, cap", [("train", "epochs", 100000),
+                                               ("train", "code_candidates", 1000000),
+                                               ("gen-code", "code_candidates", 1000000)])
+def test_huge_count_is_refused_before_any_work(tmp_path, command, key, cap):
+    """10**23 epochs or dense candidates would run until killed; it is
+    refused at once, exit 2, naming the key in train and the flag in
+    gen-code.  The command runs in a subprocess under a short timeout."""
+    huge = str(10**23)
+    out = os.path.join(tmp_path, "out")
+    if command == "train":
+        cfg = write_config(os.path.join(tmp_path, "exp.cfg"), out, code_strategy="dense",
+                           **{key: huge})
+        argv, name = ["train", "--config", cfg], f"{cfg}: key {key!r}"
+    else:
+        argv = ["gen-code", "--strategy", "dense", "--classes", "4", "--bits", "3",
+                "--candidates", huge, "--out", out]
+        name = "--candidates"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ecoc.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {name} must be in [1, {cap}], got {huge}\n")
+    assert not os.path.exists(out)
 
 
 # A tiny valid command line per subcommand that has int, float or choice

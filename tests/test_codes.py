@@ -6,6 +6,7 @@ import os
 import re
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -456,6 +457,91 @@ def test_sign_gram_metrics_equal_matrix_oracles(m, k, kind, degenerate_rows, see
                 assert got == cosine
             else:
                 assert _close(got, cosine)
+
+
+def generic_metrics(values: np.ndarray) -> tuple[int, float, float]:
+    """(min row Hamming, max |row cosine|, max |column cosine|) by the
+    generic path, one Gram per metric in float64."""
+    return (int(codes._min_row_hamming(values[None])[0]), codes._max_abs_pair_cosine(values),
+            codes._max_abs_pair_cosine(values.T))
+
+
+def assert_pm1_metrics_match_generic(code: CodeMatrix) -> None:
+    """code_metrics of a +-1 code takes one row Gram and one column Gram,
+    and every field equals the generic path's, at the default blocks and at
+    each of :func:`blockings`, in float32 and in float64."""
+    v = code.values
+    for limit in (codes._FLOAT32_EXACT, 1):  # 1: every Gram in float64
+        for rows in blockings(code.n):
+            with row_blocks(rows, code.n), pytest.MonkeyPatch.context() as mp:
+                expected = generic_metrics(v)
+                mp.setattr(codes, "_FLOAT32_EXACT", limit)
+                cosine = mock.Mock(wraps=codes._max_abs_pair_cosine)
+                mp.setattr(codes, "_max_abs_pair_cosine", cosine)
+                got = code_metrics(code)
+            assert cosine.call_count == 1  # the columns only
+            assert (got.min_row_hamming, got.max_abs_row_corr, got.max_abs_col_corr) == expected
+            assert type(got.max_abs_row_corr) is float
+            assert np.array_equal(got.column_balance, v.mean(axis=0))
+
+
+class TestPm1Metrics:
+    """A code of -1 and +1 entries takes its row Hamming distance and row
+    cosine from one float32 sign Gram; every field equals the generic
+    path it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("n, k", [(200, 20), (256, 16), (300, 21)])
+    def test_below_at_and_above_one_row_block(self, n, k):
+        rows = _util.block_rows(n)
+        assert (rows > n, rows == n, rows < n) == (n == 200, n == 256, n == 300)
+        values = np.random.default_rng(n).choice([-1.0, 1.0], size=(n, k))
+        assert_pm1_metrics_match_generic(CodeMatrix(values, binarization=Binarization.ZERO))
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 3), (9, 7), (40, 33)])
+    def test_odd_k(self, n, k):
+        values = np.random.default_rng(k).choice([-1.0, 1.0], size=(n, k))
+        assert_pm1_metrics_match_generic(CodeMatrix(values, kind=CodeKind.DENSE_RANDOM))
+
+    def test_repeated_row(self):
+        values = np.random.default_rng(7).choice([-1.0, 1.0], size=(10, 6))
+        values[7] = values[2]
+        code = CodeMatrix(values, binarization=Binarization.MEDIAN)
+        m = code_metrics(code)
+        assert (m.min_row_hamming, m.max_abs_row_corr) == (0, 1.0)
+        assert_pm1_metrics_match_generic(code)
+
+    def test_row_and_its_negation(self):
+        # distinct patterns below 2**5 hold no complementary pair, and the
+        # negation of one has bit 5 set, so all 10 rows differ
+        patterns = np.random.default_rng(8).choice(2**5, size=10, replace=False)
+        values = np.where((patterns[:, None] >> np.arange(6)) & 1, 1.0, -1.0)
+        values[9] = -values[4]
+        code = CodeMatrix(values, kind=CodeKind.DENSE_RANDOM)
+        m = code_metrics(code)
+        assert m.min_row_hamming > 0 and m.max_abs_row_corr == 1.0
+        assert_pm1_metrics_match_generic(code)
+
+    def test_dense_random_code(self):
+        assert_pm1_metrics_match_generic(dense_random_code(30, 9, candidates=20, seed=3))
+
+    @pytest.mark.parametrize("strategy", [Binarization.ZERO, Binarization.MEDIAN])
+    def test_binarized_code_read_back_from_csv(self, tmp_path, strategy):
+        path = str(tmp_path / "code.csv")
+        save_code_csv(binarize(gaussian_code(70, 25, seed=4), strategy), path)
+        assert_pm1_metrics_match_generic(load_code_csv(path))
+
+    def test_other_codes_keep_the_generic_path(self):
+        """A raw gaussian, a one-hot code and a +-1 code with one other
+        entry each take one cosine call for rows and one for columns."""
+        almost = np.random.default_rng(9).choice([-1.0, 1.0], size=(6, 4))
+        almost[3, 2] = 0.5
+        for code in (gaussian_code(6, 4, seed=1), one_hot(5), CodeMatrix(almost)):
+            with mock.patch.object(codes, "_max_abs_pair_cosine",
+                                   wraps=codes._max_abs_pair_cosine) as cosine:
+                got = code_metrics(code)
+            assert cosine.call_count == 2
+            assert (got.min_row_hamming, got.max_abs_row_corr,
+                    got.max_abs_col_corr) == generic_metrics(code.values)
 
 
 class TestCodeMatrixValidation:
