@@ -203,20 +203,12 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _distinct(block: np.ndarray) -> tuple[list, np.ndarray]:
-    """Distinct entries of a block, as Python numbers, and the index of each
-    entry among them: one ``np.unique``, floats keyed on their bit pattern
-    so that ``-0.0`` keeps its sign."""
-    is_float = block.dtype.kind == "f"
-    keys, inverse = np.unique(block.view(np.uint64) if is_float else block, return_inverse=True)
-    return (keys.view(np.float64) if is_float else keys).tolist(), inverse.reshape(block.shape)
-
-
 def _common(block: np.ndarray) -> tuple[list, np.ndarray] | None:
     """What two probes of a non-empty block find: ``([v], same)`` when the
     entry ``v`` fills at least ``COMMON_SHARE`` of the block, ``([v, w],
     same)`` when the block holds exactly two values, ``v`` at ``same`` and
-    ``w`` everywhere else, and None otherwise.  Values are Python numbers.
+    ``w`` everywhere else, and None otherwise, for a block that
+    :func:`format_rows` writes entry by entry.  Values are Python numbers.
 
     Entries are compared by bit pattern, so ``-0.0`` is not ``0.0``.  The
     first probe takes the block's first entry; where it misses the share,
@@ -274,12 +266,11 @@ def format_rows(
     rules, by what :func:`_common`'s probes find.  A block in which one
     value fills at least ``COMMON_SHARE`` of the entries (one-hot codes,
     sparse 0/1 attributes, confusion counts at large n) is spliced from one
-    template row (:func:`_spliced_rows`).  Any other block formats each
-    distinct value once and indexes the strings: a block of exactly two
-    values (a +-1 code's rows, denser 0/1 attributes) takes them and their
-    places from the probes' mask, and the rest from one ``np.unique``
-    (:func:`_distinct`), which sorts the block.  Write the blocks as they
-    come (``fh.writelines(format_rows(...))``) to keep memory bounded.
+    template row (:func:`_spliced_rows`).  A block of exactly two values (a
+    +-1 code's rows, denser 0/1 attributes) formats each value once and
+    indexes the two strings by the probes' mask.  Any other block formats
+    each entry in turn.  No rule sorts.  Write the blocks as they come
+    (``fh.writelines(format_rows(...))``) to keep memory bounded.
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -296,14 +287,12 @@ def format_rows(
         found = _common(block) if block.size else None
         if found is not None and len(found[0]) == 1:
             rows = _spliced_rows(block, found[0][0], found[1])
-        else:
-            if found is None:
-                distinct, inverse = _distinct(block)
-            else:  # two values: index 1 where the first one is
-                distinct, inverse = found[0][::-1], found[1].view(np.uint8)
+        elif found is not None:  # two values: index 1 where the first one is
             # repr of a Python int is its str
-            text = np.array(list(map(repr, distinct)), dtype=object)
-            rows = [",".join(r) for r in text[inverse].tolist()]
+            text = np.array(list(map(repr, found[0][::-1])), dtype=object)
+            rows = [",".join(r) for r in text[found[1].view(np.uint8)].tolist()]
+        else:
+            rows = [",".join(map(repr, row)) for row in block.tolist()]
         if row_labels is not None:
             labels = row_labels[start : start + step].tolist()
             rows = [f"{label},{row}" for label, row in zip(labels, rows)]

@@ -11,6 +11,7 @@ numpy/BLAS build and BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -458,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--similarity", default=None, help="similarity CSV (spectral)")
     g.add_argument("--data", default=None, help="dataset CSV to derive similarity (spectral)")
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_code)
 
     s = sub.add_parser("synth-data", help="generate a synthetic hierarchical dataset")
     for f in _FIELDS.values():
@@ -467,11 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     s.add_argument("--out", required=True)
     s.add_argument("--attributes-out", default=None)
-    s.set_defaults(func=cmd_synth_data)
 
     t = sub.add_parser("train", help="run a training experiment from a config file")
     t.add_argument("--config", required=True)
-    t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("analyze", help="produce a report CSV from training artifacts")
     a.add_argument("--model", default=None, help="model file (confusion, ablate)")
@@ -481,14 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--attributes", default=None)
     a.add_argument("--js", default=None, help="comma-separated prefix lengths (ablate)")
     a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_analyze)
     return parser
 
 
+# The parser of main, built on its first call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the subcommand of ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  One parser serves every call in a process, and the
+    subcommand's ``cmd_*`` function is looked up by name at each call, so a
+    wrapper bound to that name after the first call is the one run."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BadKeyError as exc:  # a refused parameter, named as the command's user set it
         if args.command == "train":
             message = _refusal(args.config, exc)

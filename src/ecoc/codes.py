@@ -387,13 +387,13 @@ def binarize(code: CodeMatrix, strategy: Binarization) -> CodeMatrix:
     if code.kind is CodeKind.ONE_HOT:
         raise ValueError("one-hot codes cannot be binarized; use them raw")
     if strategy is Binarization.ZERO:
-        values = np.where(code.values > 0, 1.0, -1.0)
+        plus = code.values > 0
     else:
-        medians = np.median(code.values, axis=1, keepdims=True)
-        values = np.where(code.values >= medians, 1.0, -1.0)
+        plus = code.values >= np.median(code.values, axis=1, keepdims=True)
+    values = np.where(plus, 1.0, -1.0)
     # +-1 rows are equal exactly when their packed sign bits are: a row
     # sort of n x ceil(k / 8) bytes, not an n x n Gram
-    if not _rows_distinct(np.packbits(values > 0, axis=1)):
+    if not _rows_distinct(np.packbits(plus, axis=1)):
         if strategy is Binarization.MEDIAN and code.kind is CodeKind.DENSE_RANDOM:
             raise BinarizationCollisionError(
                 "median thresholding collapsed two codewords: a dense code's "

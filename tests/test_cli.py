@@ -1057,6 +1057,29 @@ def test_every_library_parameter_has_a_key_and_a_flag():
     assert cli._flag("seed") in options["synth-data"]
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    """main builds its parser on its first call and keeps it: across two
+    subcommands and an argv that argparse refuses, after which the same
+    command writes the same bytes.  The subcommand's function is looked up
+    at each call, so one bound to the module name later is the one run."""
+    cli._parser.cache_clear()
+    out = str(tmp_path / "code.csv")
+    gen = ["gen-code", "--strategy", "dense", "--classes", "6", "--bits", "5",
+           "--candidates", "10", "--out", out]
+    assert main(gen) == 0
+    first = (read_bytes(out), capsys.readouterr().out)
+    assert main(["synth-data", "--depth", "1", "--out", str(tmp_path / "data.csv")]) == 0
+    assert_usage_error(capsys, ["gen-code", "--strategy", "dense", "--classes", "x",
+                                "--out", out], "invalid int value: 'x'")
+    assert main(gen) == 0
+    assert (read_bytes(out), capsys.readouterr().out) == first
+    calls = []
+    monkeypatch.setattr(cli, "cmd_synth_data", lambda args: calls.append(args.out) or 0)
+    assert main(["synth-data", "--out", "unused.csv"]) == 0
+    assert calls == ["unused.csv"]
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_impossible_allocation_exits_2_with_numpy_size(tmp_path, capsys):
     """A 10**8-class one-hot code asks numpy for 71 PiB, beyond any 48-bit
     address space, so it fails at once: one error line, exit 2."""

@@ -115,17 +115,19 @@ def _alternating_blocks() -> np.ndarray:
     return values
 
 
+def _symmetric() -> np.ndarray:
+    upper = np.triu(np.random.default_rng(16).standard_normal((300, 300)), 1)
+    return upper + upper.T
+
+
 # Arrays of the test below, and how many of their blocks are spliced from a
-# template row and how many are written from two values without a sort;
-# None for every block.
+# template row; None for every block.
 SPLICED = {
-    "onehot": (None, 0), "no_columns": (0, 0), "pm1": (0, None), "gaussian": (0, 0),
-    "counts": (None, 0), "int64_extremes": (0, 0), "signed_zeros": (0, 0),
-    "wide_span_floats": (0, None), "edge_columns": (None, 0), "several_per_row": (None, 0),
-    "neg_zero_among_zeros": (None, 0), "zeros_among_neg_zeros": (None, 0),
-    "int64_extreme_exceptions": (None, 0), "uint64_common_max": (None, 0),
-    "first_two_entries_rare": (1, 0), "alternating": (2, 0), "attributes01": (0, None),
-    "counts_half": (0, 0),
+    "onehot": None, "no_columns": 0, "pm1": 0, "gaussian": 0, "counts": None,
+    "int64_extremes": 0, "signed_zeros": 0, "wide_span_floats": 0, "edge_columns": None,
+    "several_per_row": None, "neg_zero_among_zeros": None, "zeros_among_neg_zeros": None,
+    "int64_extreme_exceptions": None, "uint64_common_max": None, "first_two_entries_rare": 1,
+    "alternating": 2, "attributes01": 0, "counts_half": 0, "symmetric": 0,
 }
 
 
@@ -156,28 +158,26 @@ SPLICED = {
         (_alternating_blocks(), ROW_BLOCK_ELEMS),
         (np.random.default_rng(14).integers(0, 2, size=(300, 341)), ROW_BLOCK_ELEMS),
         (np.random.default_rng(15).poisson(0.5, size=(400, 400)), ROW_BLOCK_ELEMS),
+        # each off-diagonal value twice, as in a similarity matrix
+        (_symmetric(), ROW_BLOCK_ELEMS),
     ],
     ids=["onehot", "pm1", "gaussian", "counts", "int64_extremes", "signed_zeros",
          "wide_span_floats", "no_columns", "edge_columns", "several_per_row",
          "neg_zero_among_zeros", "zeros_among_neg_zeros", "int64_extreme_exceptions",
          "uint64_common_max", "first_two_entries_rare", "alternating", "attributes01",
-         "counts_half"],
+         "counts_half", "symmetric"],
 )
 def test_multi_block_arrays_match_per_element_writer(request, values, block):
     # more rows than one block holds
     assert values.shape[0] > block // max(1, values.shape[1])
     labels = np.arange(values.shape[0])
     blocks = -(-values.shape[0] // max(1, block // max(1, values.shape[1])))
-    spliced, two_valued = (blocks if count is None else count
-                           for count in SPLICED[request.node.callspec.id])
-    distinct = mock.Mock(wraps=_util._distinct)
+    spliced = SPLICED[request.node.callspec.id]
     splice = mock.Mock(wraps=_util._spliced_rows)
     with mock.patch.object(_util, "ROW_BLOCK_ELEMS", block), \
-            mock.patch.object(_util, "_distinct", distinct), \
             mock.patch.object(_util, "_spliced_rows", splice):
         assert text(values, labels) == format_rows_per_element(values, labels)
-    assert splice.call_count == spliced
-    assert distinct.call_count == blocks - spliced - two_valued
+    assert splice.call_count == (blocks if spliced is None else spliced)
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["first_value_first", "second_value_first"])
@@ -191,8 +191,8 @@ def test_multi_block_arrays_match_per_element_writer(request, values, block):
 def test_two_valued_blocks_match_per_element_writer(pair, dtype, count, first):
     """A one-block array of exactly two values, ``count`` of 10 000 entries
     the first: below the 90 % splice share (8999) it is written from the
-    probes' mask, with no sort; at the share (9000) it is spliced.  Either
-    value may come first in the block."""
+    probes' mask; at the share (9000) it is spliced.  Either value may come
+    first in the block."""
     rng = np.random.default_rng(count)
     flat = np.full(10_000, pair[1], dtype)
     flat[rng.permutation(flat.size)[:count]] = pair[0]
@@ -200,12 +200,10 @@ def test_two_valued_blocks_match_per_element_writer(pair, dtype, count, first):
     lead = int(np.argmax(keys == np.asarray(pair[first], dtype).view(keys.dtype)))
     flat[[0, lead]] = flat[[lead, 0]]
     values = flat.reshape(100, 100)
-    distinct = mock.Mock(wraps=_util._distinct)
     splice = mock.Mock(wraps=_util._spliced_rows)
-    with mock.patch.object(_util, "_distinct", distinct), \
-            mock.patch.object(_util, "_spliced_rows", splice):
+    with mock.patch.object(_util, "_spliced_rows", splice):
         assert text(values) == format_rows_per_element(values)
-    assert (distinct.call_count, splice.call_count) == (0, int(count >= 9000))
+    assert splice.call_count == int(count >= 9000)
 
 
 @settings(max_examples=60, deadline=None)
